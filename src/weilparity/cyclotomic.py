@@ -1,30 +1,31 @@
 """Cyclotomic polynomials and the totient/Moebius arithmetic they need.
 
-The n-th cyclotomic polynomial is computed two independent ways:
+:func:`cyclotomic` builds the n-th cyclotomic polynomial by the sparse
+power-series method of Arnold and Monagan ("Calculating cyclotomic
+polynomials", Math. Comp. 80, 2011): reduce ``n`` to its radical, strip
+a factor 2 by ``X -> -X``, apply the factors ``(1 - X**d)**moebius(n/d)``
+to the lower half of the coefficients in place, and mirror the
+palindrome.  :func:`cyclotomic_mobius` is an independent oracle that
+assembles the same Moebius product as one exact polynomial quotient;
+the test suite checks the two agree.
 
-* :func:`cyclotomic` divides ``X**n - 1`` by the product of the
-  cyclotomic polynomials of all proper divisors of ``n`` (recursively,
-  with memoized sub-results);
-* :func:`cyclotomic_mobius` assembles the Moebius inclusion-exclusion
-  product of ``X**(n/d) - 1`` factors into one exact quotient.
-
-The two must agree everywhere; the test suite enforces this.  The memo
-table behind :func:`cyclotomic` is the only shared mutable state in the
-package: readers only ever see fully constructed entries, and a
-duplicated computation under contention is harmless.
+The memo table behind :func:`cyclotomic` is the only shared mutable
+state in the package: readers only ever see fully constructed entries,
+and a duplicated computation under contention is harmless.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import isqrt
+from itertools import accumulate
+from math import isqrt, prod
 
 from .errors import OutOfRange
 from .intpoly import IntPoly
 
 FACTORIZE_CAP = 10 ** 9  # trial-division scale
-CYCLOTOMIC_CAP = 10 ** 6  # memoization cap
+CYCLOTOMIC_CAP = 10 ** 6  # about 2**omega(n) * phi(n)/2 coefficient updates
 
 
 @dataclass(frozen=True)
@@ -112,18 +113,35 @@ def _check_cap(n: int) -> None:
 def _cyclotomic(n: int) -> IntPoly:
     if n == 1:
         return IntPoly((-1, 1))
-    denominator = IntPoly.one()
-    for d in divisors(n)[:-1]:
-        denominator = denominator * _cyclotomic(d)
-    return IntPoly.x_pow_minus_one(n).exact_div(denominator)
+    if n == 2:
+        return IntPoly((1, 1))
+    rad = prod(p for p, _ in factorize(n).factors)
+    if rad != n:
+        return _cyclotomic(rad).compose_power(n // rad)
+    if n % 2 == 0:
+        return _cyclotomic(n // 2).sign_flip()
+    # Odd squarefree n > 1: prod_{d | n} (1 - X**d)**moebius(n/d) as a
+    # power series truncated after X**half, where factors with d > half
+    # are 1.  The palindrome fixes the upper half.
+    half = totient(n) // 2
+    series = [1] + [0] * half
+    for d in divisors(n):
+        if d > half:
+            break
+        if moebius(n // d) == 1:
+            series[d:] = [hi - lo for hi, lo in zip(series[d:], series)]
+        else:
+            # 1/(1 - X**d): running sums along each residue class mod d.
+            for r in range(d):
+                series[r::d] = accumulate(series[r::d])
+    return IntPoly(series + series[-2::-1])
 
 
 def cyclotomic(n: int) -> IntPoly:
     """The n-th cyclotomic polynomial, exactly.
 
-    Computed by exact division of ``X**n - 1`` by the product of the
-    cyclotomic polynomials of the proper divisors of ``n``.  Monic of
-    degree ``totient(n)``.
+    Built by the sparse power-series construction described in the
+    module docstring.  Monic of degree ``totient(n)``.
     """
     _check_cap(n)
     return _cyclotomic(n)

@@ -26,6 +26,11 @@ from .weil import WeilNumberSpec, WeilParams, classify, is_full_degree, minpoly_
 G_CAP = 10
 
 
+def _check_g_cap(g: int, name: str = "g") -> None:
+    if g > G_CAP:
+        raise CapExceeded(f"{name}={g} exceeds the enumeration cap {G_CAP}")
+
+
 @dataclass(frozen=True)
 class CandidatePolynomial:
     """An expanded candidate with its factorization record.
@@ -105,8 +110,7 @@ def enumerate_candidates(params: WeilParams) -> list[CandidatePolynomial]:
     The result is in canonical order: sorted by the factor record,
     lexicographically on (t, sign, multiplicity) triples.
     """
-    if params.g > G_CAP:
-        raise CapExceeded(f"g={params.g} exceeds the enumeration cap {G_CAP}")
+    _check_g_cap(params.g)
     specs = admissible_full_degree_specs(params)
     degrees = tuple(totient(4 * s.t) for s in specs)
     minpolys = [minpoly_full_degree(params, s.q_star_sign, s.t) for s in specs]
@@ -127,8 +131,10 @@ def half_degree_candidates(params: WeilParams) -> list[WeilNumberSpec]:
 
     Scans both signs for every t up to 8g**2, beyond which even the
     halved degree phi(4t)/2 exceeds 2g.  For odd p this reduces to:
-    t odd, p | t, q_star = 3 mod 4 and phi(t) <= 2g.
+    t odd, p | t, q_star = 3 mod 4 and phi(t) <= 2g.  Capped at
+    ``G_CAP`` like :func:`enumerate_candidates`, since the scan grows as g**2.
     """
+    _check_g_cap(params.g)
     out = []
     for t in range(1, 8 * params.g * params.g + 1):
         if totient(4 * t) // 2 > 2 * params.g:
@@ -167,15 +173,17 @@ def verify_grid(g_max: int, p_max: int, n_values: list[int]) -> GridResult:
     """One parity report per (g, p, n) with 2g+1 < p <= p_max.
 
     Cells are visited in deterministic grid order (g, then p, then the
-    given n order); ``all_ok`` aggregates every cell's contract.
+    given n order); ``all_ok`` aggregates every cell's contract.  A grid
+    without any cell is a ``ValueError``: it would verify nothing.
     """
     if g_max < 1:
         raise ValueError("g_max must be a positive integer")
-    if g_max > G_CAP:
-        raise CapExceeded(f"g_max={g_max} exceeds the enumeration cap {G_CAP}")
+    _check_g_cap(g_max, "g_max")
     reports = []
     for g in range(1, g_max + 1):
         for p in primes_between(2 * g + 1, p_max):
             for n in n_values:
                 reports.append(verify_parity_theorem(WeilParams(p=p, n=n, g=g)))
+    if not reports:
+        raise ValueError(f"empty grid: no prime p with 2g+1 < p <= {p_max} for any g <= {g_max}")
     return GridResult(reports=tuple(reports), all_ok=all(r.contract_ok for r in reports))

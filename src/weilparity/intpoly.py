@@ -9,12 +9,6 @@ rather than an integer, so arithmetic on the sentinel fails loudly.
 
 Values are immutable and every operation is a pure function, so
 instances can be shared between threads without synchronization.
-
-Large products and exact quotients are routed through packed
-big-integer arithmetic (evaluation at a power of two, one machine
-multiply/divide, then digit recovery).  The packed quotient is verified
-by re-multiplication and falls back to classical long division, so the
-fast path can never silently return a wrong answer.
 """
 
 from __future__ import annotations
@@ -26,50 +20,6 @@ from .errors import NotDivisible
 
 NEG_INFINITY = float("-inf")
 
-# Coefficient-operation counts below which plain loops beat packing.
-_MUL_PACK_THRESHOLD = 1024
-_DIV_PACK_THRESHOLD = 4096
-
-
-class _WindowOverflow(Exception):
-    """A packed digit fell outside its bit window."""
-
-
-def _max_abs(coeffs: Iterable[int]) -> int:
-    return max((abs(c) for c in coeffs), default=0)
-
-
-def _bits_for(bound: int) -> int:
-    # Window holding any |c| <= bound plus sign, rounded to whole bytes.
-    return ((bound.bit_length() + 2) + 7) // 8 * 8
-
-
-def _pack(coeffs: tuple[int, ...], bits: int) -> int:
-    """Evaluate the polynomial with these coefficients at 2**bits."""
-    nb = bits // 8
-    pos = b"".join((c if c > 0 else 0).to_bytes(nb, "little") for c in coeffs)
-    neg = b"".join((-c if c < 0 else 0).to_bytes(nb, "little") for c in coeffs)
-    return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
-
-
-def _unpack(value: int, bits: int, count: int) -> list[int]:
-    """Recover ``count`` signed digits from a packed value.
-
-    Only faithful when every true digit satisfies ``|c| < 2**(bits-1)``;
-    an overflowing digit either raises ``_WindowOverflow`` or corrupts a
-    neighbour, which callers must catch by verifying the result.
-    """
-    half = 1 << (bits - 1)
-    total = bits * count
-    # Shift each digit into [0, 2**bits) so the byte dump needs no borrows.
-    offset = half * (((1 << total) - 1) // ((1 << bits) - 1))
-    shifted = value + offset
-    if shifted < 0 or shifted >> total:
-        raise _WindowOverflow
-    nb = bits // 8
-    raw = shifted.to_bytes(nb * count, "little")
-    return [int.from_bytes(raw[i * nb:(i + 1) * nb], "little") - half for i in range(count)]
-
 
 def _mul_schoolbook(a: tuple[int, ...], b: tuple[int, ...]) -> list[int]:
     out = [0] * (len(a) + len(b) - 1)
@@ -78,21 +28,6 @@ def _mul_schoolbook(a: tuple[int, ...], b: tuple[int, ...]) -> list[int]:
             for j, cb in enumerate(b):
                 out[i + j] += ca * cb
     return out
-
-
-def _mul_packed(a: tuple[int, ...], b: tuple[int, ...]) -> list[int]:
-    # Any product coefficient is a sum of at most min(len) terms.
-    bound = min(len(a), len(b)) * _max_abs(a) * _max_abs(b)
-    bits = _bits_for(bound)
-    return _unpack(_pack(a, bits) * _pack(b, bits), bits, len(a) + len(b) - 1)
-
-
-def _mul(a: tuple[int, ...], b: tuple[int, ...]) -> list[int]:
-    if not a or not b:
-        return []
-    if len(a) * len(b) <= _MUL_PACK_THRESHOLD:
-        return _mul_schoolbook(a, b)
-    return _mul_packed(a, b)
 
 
 def _exact_div_schoolbook(num: tuple[int, ...], den: tuple[int, ...]) -> list[int]:
@@ -118,26 +53,6 @@ def _exact_div_schoolbook(num: tuple[int, ...], den: tuple[int, ...]) -> list[in
     if any(rem[:dn - 1]):
         raise NotDivisible("division leaves a nonzero remainder")
     return quot
-
-
-def _exact_div_packed(num: tuple[int, ...], den: tuple[int, ...],
-                      qlen: int) -> list[int] | None:
-    bits = max(40, _bits_for(_max_abs(num)), _bits_for(_max_abs(den)))
-    for _ in range(4):
-        quot, rem = divmod(_pack(num, bits), _pack(den, bits))
-        if rem:
-            # Divisibility of the packed values is necessary for
-            # divisibility of the polynomials.
-            raise NotDivisible("division leaves a nonzero remainder")
-        try:
-            q = _unpack(quot, bits, qlen)
-        except _WindowOverflow:
-            bits *= 2
-            continue
-        if _mul(tuple(q), den) == list(num):
-            return q
-        bits *= 2
-    return None  # window never settled; caller falls back to long division
 
 
 @dataclass(frozen=True)
@@ -241,7 +156,7 @@ class IntPoly:
             return IntPoly(tuple(c * other for c in self.coeffs))
         if not isinstance(other, IntPoly):
             return NotImplemented
-        return IntPoly(_mul(self.coeffs, other.coeffs))
+        return IntPoly(_mul_schoolbook(self.coeffs, other.coeffs))
 
     __rmul__ = __mul__
 
@@ -271,12 +186,6 @@ class IntPoly:
         num, den = self.coeffs, other.coeffs
         if len(num) < len(den):
             raise NotDivisible("divisor degree exceeds dividend degree")
-        qlen = len(num) - len(den) + 1
-        nnz = sum(1 for c in den if c)
-        if qlen * nnz > _DIV_PACK_THRESHOLD:
-            q = _exact_div_packed(num, den, qlen)
-            if q is not None:
-                return IntPoly(q)
         return IntPoly(_exact_div_schoolbook(num, den))
 
     # -- substitutions -------------------------------------------------

@@ -1,10 +1,12 @@
 """Command-line interface: formats, exit codes, determinism."""
 
+import hashlib
 import json
 
 import pytest
 
 from weilparity.cli import ingest_reference, run
+from weilparity.enumerator import G_CAP
 from weilparity.errors import ParseError
 from weilparity.intpoly import IntPoly
 
@@ -25,6 +27,35 @@ def test_cyclo_structured(capsys):
     code, out, _ = invoke(capsys, ["cyclo", "12", "--format", "structured"])
     assert code == 0
     assert json.loads(out) == {"n": 12, "coeffs": [1, 0, -1, 0, 1]}
+
+
+# sha256 of `weilparity cyclo N` stdout, recorded with the divisor-quotient
+# construction that preceded the sparse one.
+CYCLO_GOLDEN = {
+    (1, "tsv"): "3aebd7327cb0c84b85ce4dfd301187d864a30cd0980162ef877d9e78be39d47f",
+    (1, "structured"): "82e191ae3ad41f11f3e45bf3545feaa327e68790dfa5de4639fbf92a243ed0e7",
+    (2, "tsv"): "3f11ad6bbc7ecca0b2416b713dee77f1a635c00aaeaa946e14cde1c2bfae56d5",
+    (2, "structured"): "c68f20e508a84da78564786c42a71896c626404fe80f6647a85ed78eafd6b03c",
+    (4, "tsv"): "793d9bd36e14dbedbdcb9a2183698b5f406276f9c3aebc41d6aff3b0839fe374",
+    (4, "structured"): "03931aef96ed960b2002388039f821138652e7e29bcc9d685508e001fa9a98fc",
+    (12, "tsv"): "a711587f931ab78be0eed87745f0c4c5e7c51c540ac775f791cb048a90611466",
+    (12, "structured"): "0adabe6347b4ef28e706775e0833c8baa1cd7f682cb71d6559c754bc34ef9e94",
+    (105, "tsv"): "5cda749b0ce827ae413f2d975ba4b94dc48b23fc6cc3a7ab98321f45e7a9f76d",
+    (105, "structured"): "207e16a01be2ee69e94485e42931fba81a14d839cffc90f6f16fce974ffa21c8",
+    (2 ** 12, "tsv"): "6627c6f8f960ca1cdc94e74c325ae7fe0edbd7bc687eb949fac44fc46705a7d8",
+    (2 ** 12, "structured"): "3e24cb13eba30d59df7ee67cab1b0d69e66bed2e7f0320ff63ad831070219c9d",
+    (30030, "tsv"): "3ce7c190c78f696d090eec102f790737850c9a96895d19c2cb3ae0f921d5ccd6",
+    (30030, "structured"): "97d71cd6f0e44e5bdbeb87216b24aeba4dcb6fe545988899b415c967f244935b",
+    (3 ** 10, "tsv"): "a9065e3219abf261ce5280182b4e866427497a5cce61aa1593212d13b70d6f0a",
+    (3 ** 10, "structured"): "624a4404d6b3e3bc73058e6a9d822f096cc40a37be7e22840f68c765ff26e938",
+}
+
+
+@pytest.mark.parametrize("n, fmt", sorted(CYCLO_GOLDEN))
+def test_cyclo_golden_digests(capsys, n, fmt):
+    code, out, _ = invoke(capsys, ["cyclo", str(n), "--format", fmt])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == CYCLO_GOLDEN[n, fmt]
 
 
 def test_cyclo_out_of_range(capsys):
@@ -83,6 +114,13 @@ def test_verify_summary(capsys):
     assert all(line.endswith("true") for line in lines[1:])
 
 
+def test_verify_empty_grid_is_an_error(capsys):
+    # no prime p with 2g+1 < p <= 3: nothing would be verified
+    code, out, err = invoke(capsys, ["verify", "--gmax", "3", "--pmax", "3", "--n", "1"])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: empty grid")
+
+
 def test_verify_rejects_even_n(capsys):
     code, _, err = invoke(capsys, ["verify", "--gmax", "3", "--pmax", "50", "--n", "2"])
     assert code == 2
@@ -118,6 +156,14 @@ def test_detect_half(capsys):
     )
     assert code == 0
     assert json.loads(out) == {"g": 3, "p": 11, "n": 1, "half_degree_specs": []}
+
+
+def test_detect_half_g_cap(capsys):
+    code, out, err = invoke(
+        capsys, ["detect-half", "--g", str(G_CAP + 1), "--p", "5", "--n", "1"]
+    )
+    assert (code, out) == (2, "")
+    assert "cap" in err
 
 
 def test_bounds_empty_file_is_header_only(tmp_path, capsys):

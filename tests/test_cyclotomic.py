@@ -3,6 +3,8 @@
 from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from weilparity.cyclotomic import (
     CYCLOTOMIC_CAP,
@@ -122,6 +124,40 @@ def test_mobius_oracle_examples():
 def test_two_constructions_agree():
     for n in range(1, 200):
         assert cyclotomic(n) == cyclotomic_mobius(n)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.integers(min_value=1, max_value=3000))
+def test_sparse_construction_matches_mobius_oracle(n):
+    assert cyclotomic(n) == cyclotomic_mobius(n)
+
+
+@pytest.mark.parametrize("n", [15015, 30030, 32010, 4 * 3 * 5 * 7 * 11, 2 * 5 ** 5, 2 ** 15])
+def test_large_n_matches_integer_mobius_product(n):
+    # Phi_n(B) = prod_{d | n} (B**d - 1)**moebius(n/d) as exact integers.
+    # With every |c| < B/2 the base-B value fixes the polynomial.
+    base = 2 ** 16
+    numerator = denominator = 1
+    for d in divisors(n):
+        mu = moebius(n // d)
+        if mu == 1:
+            numerator *= base ** d - 1
+        elif mu == -1:
+            denominator *= base ** d - 1
+    value, remainder = divmod(numerator, denominator)
+    assert remainder == 0
+    poly = cyclotomic(n)
+    assert poly.degree == totient(n)
+    assert all(abs(c) < 2 ** 15 for c in poly.coeffs)
+    assert poly.eval_int(base) == value
+
+
+@pytest.mark.parametrize("p, k", [(3, 10), (5, 7)])
+def test_large_prime_power_closed_form(p, k):
+    # Phi_{p**k} = sum_{i < p} X**(i * p**(k-1))
+    step = p ** (k - 1)
+    expected = IntPoly(1 if j % step == 0 else 0 for j in range((p - 1) * step + 1))
+    assert cyclotomic(p ** k) == expected
 
 
 def test_product_formula():

@@ -106,6 +106,11 @@ def test_half_degree_examples():
     assert spec_pairs(half_degree_candidates(WeilParams(p=7, n=1, g=3))) == [(1, 7)]
 
 
+def test_half_degree_cap():
+    with pytest.raises(CapExceeded):
+        half_degree_candidates(WeilParams(p=5, n=1, g=G_CAP + 1))
+
+
 def test_p_equals_two_detector_branch():
     # q* even: half degree exactly when t = 2 mod 4, for both signs
     params = WeilParams(p=2, n=1, g=1)
@@ -181,6 +186,8 @@ def test_verify_grid_validation():
         verify_grid(G_CAP + 1, 50, [1])
     with pytest.raises(ValueError):
         verify_grid(2, 50, [2])  # even n rejected at params construction
+    with pytest.raises(ValueError):
+        verify_grid(3, 3, [1])  # no cell: nothing would be verified
 
 
 def test_product_of_even_polynomials_is_even():
