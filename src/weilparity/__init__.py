@@ -4,111 +4,27 @@ Builds candidate Frobenius characteristic polynomials from cyclotomic
 polynomials in exact integer arithmetic, verifies that every candidate
 is an even polynomial whenever p > 2g+1, and checks the accompanying
 coefficient bounds.
+
+Only the entry points are re-exported here; everything else is imported
+from its submodule (``weilparity.cyclotomic``, ``weilparity.weil``, ...).
+No package name shadows a submodule.
 """
 
-from .bounds import (
-    BoundsReport,
-    CoefficientCheck,
-    archimedean_bound_check,
-    corollary_threshold,
-    full_bounds_report,
-    functional_equation_sign,
-    is_q_symmetric,
-    lemma_a1_check,
-    valuation_bound_check,
-)
-from .cyclotomic import (
-    CYCLOTOMIC_CAP,
-    FACTORIZE_CAP,
-    FactoredInteger,
-    cyclotomic,
-    cyclotomic_mobius,
-    divisors,
-    factorize,
-    is_even_cyclotomic,
-    is_prime,
-    moebius,
-    prime_power_identity_check,
-    totient,
-)
-from .enumerator import (
-    G_CAP,
-    CandidatePolynomial,
-    GridResult,
-    ParityReport,
-    admissible_full_degree_specs,
-    enumerate_candidates,
-    half_degree_candidates,
-    primes_between,
-    verify_grid,
-    verify_parity_theorem,
-)
-from .errors import (
-    CapExceeded,
-    HalfDegreeUnsupported,
-    NotDivisible,
-    OutOfRange,
-    ParseError,
-    ShapeError,
-)
-from .intpoly import NEG_INFINITY, IntPoly
-from .weil import (
-    DegreeCase,
-    WeilNumberSpec,
-    WeilParams,
-    classify,
-    is_full_degree,
-    minpoly_full_degree,
-    weil_factor_degree,
-)
+from .bounds import BoundsReport, full_bounds_report
+from .enumerator import ParityReport, enumerate_candidates, verify_grid, verify_parity_theorem
+from .intpoly import IntPoly
+from .weil import WeilParams, minpoly_full_degree
 
 __all__ = [
     "BoundsReport",
-    "CandidatePolynomial",
-    "CapExceeded",
-    "CoefficientCheck",
-    "CYCLOTOMIC_CAP",
-    "cyclotomic",
-    "cyclotomic_mobius",
-    "classify",
-    "corollary_threshold",
-    "DegreeCase",
-    "divisors",
-    "enumerate_candidates",
-    "FACTORIZE_CAP",
-    "FactoredInteger",
-    "factorize",
-    "full_bounds_report",
-    "functional_equation_sign",
-    "G_CAP",
-    "GridResult",
-    "half_degree_candidates",
-    "HalfDegreeUnsupported",
     "IntPoly",
-    "is_even_cyclotomic",
-    "is_full_degree",
-    "is_prime",
-    "is_q_symmetric",
-    "lemma_a1_check",
-    "minpoly_full_degree",
-    "moebius",
-    "NEG_INFINITY",
-    "NotDivisible",
-    "OutOfRange",
     "ParityReport",
-    "ParseError",
-    "prime_power_identity_check",
-    "primes_between",
-    "ShapeError",
-    "totient",
-    "valuation_bound_check",
+    "WeilParams",
+    "enumerate_candidates",
+    "full_bounds_report",
+    "minpoly_full_degree",
     "verify_grid",
     "verify_parity_theorem",
-    "WeilNumberSpec",
-    "WeilParams",
-    "weil_factor_degree",
-    "admissible_full_degree_specs",
-    "archimedean_bound_check",
 ]
 
 __version__ = "0.1.0"

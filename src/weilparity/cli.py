@@ -11,7 +11,11 @@ Subcommands::
 
 Every subcommand accepts ``--format {tsv,structured}`` (default tsv) and
 produces byte-identical output for identical inputs.  Exit codes:
-0 success, 1 parity-contract violation, 2 usage or validation error.
+0 success, 1 parity-contract violation, 2 usage or validation error,
+3 internal error (a broken identity or any other unexpected exception,
+reported as ``internal error:`` and a traceback on stderr).  A
+``verify`` grid must cover every g <= gmax with a prime p,
+2g+1 < p <= pmax; otherwise it exits 2 before any work.
 """
 
 from __future__ import annotations
@@ -24,42 +28,26 @@ from typing import Sequence
 
 from .bounds import BoundsReport, full_bounds_report
 from .cyclotomic import cyclotomic, totient
-from .enumerator import (
-    ParityReport,
-    half_degree_candidates,
-    verify_grid,
-    verify_parity_theorem,
-)
-from .errors import (
-    CapExceeded,
-    HalfDegreeUnsupported,
-    NotDivisible,
-    OutOfRange,
-    ParseError,
-    ShapeError,
-)
+from .enumerator import ParityReport, half_degree_candidates, verify_grid, verify_parity_theorem
+from .errors import ParseError
 from .intpoly import IntPoly
 from .weil import WeilParams, minpoly_full_degree
 
 _SIGN_TEXT = {1: "+", -1: "-"}
+_CELL = ("g", "p", "n")
 
 
-def ingest_reference(path: str | Path, skip_blank: bool = True) -> list[IntPoly]:
+def ingest_reference(path: str | Path) -> list[IntPoly]:
     """Parse a polynomial text file: one ascending coefficient line each.
 
-    Lines starting with ``#`` are comments.  A blank line denotes the
-    zero polynomial and is skipped unless ``skip_blank`` is false.
+    Lines starting with ``#`` are comments; blank lines are skipped.
     Raises :class:`ParseError` with the offending line number.
     """
     polys = []
     with open(path, "r", encoding="utf-8") as handle:
         for lineno, raw in enumerate(handle, 1):
             line = raw.strip()
-            if line.startswith("#"):
-                continue
-            if not line:
-                if not skip_blank:
-                    polys.append(IntPoly.zero())
+            if not line or line.startswith("#"):
                 continue
             try:
                 polys.append(IntPoly.from_line(line))
@@ -68,64 +56,56 @@ def ingest_reference(path: str | Path, skip_blank: bool = True) -> list[IntPoly]
     return polys
 
 
-def _factor_summary(candidate) -> str:
-    return ";".join(
-        f"{_SIGN_TEXT[s.q_star_sign]}:{s.t}:{m}" for s, m in candidate.factors
-    )
+def _text(value) -> str:
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return str(value)
 
 
-def _bool(flag: bool) -> str:
-    return "true" if flag else "false"
+def _emit(args, doc, rows, header=None) -> None:
+    """Print ``doc()`` as JSON, or the TSV ``header`` and ``rows()``.
+
+    Only the requested format is built: ``doc`` and ``rows`` are thunks.
+    TSV fields are tab-joined, with booleans as ``true``/``false``.
+    """
+    if args.format == "structured":
+        print(json.dumps(doc()))
+        return
+    lines = [] if header is None else ["\t".join(header)]
+    lines.extend("\t".join(map(_text, row)) for row in rows())
+    print("\n".join(lines))
 
 
-def _parity_rows(report: ParityReport) -> list[str]:
-    p = report.params
-    return [
-        "\t".join(
-            (
-                str(p.g),
-                str(p.p),
-                str(p.n),
-                c.poly.to_line(),
-                _bool(c.poly.is_even()),
-                _factor_summary(c),
-            )
-        )
-        for c in report.candidates
-    ]
+def _cell(params: WeilParams) -> dict:
+    return {"g": params.g, "p": params.p, "n": params.n}
 
 
-def _parity_json(report: ParityReport) -> dict:
-    p = report.params
+def _spec(spec) -> dict:
+    return {"sign": spec.q_star_sign, "t": spec.t}
+
+
+def _parity_doc(report: ParityReport) -> dict:
     return {
-        "g": p.g,
-        "p": p.p,
-        "n": p.n,
+        **_cell(report.params),
         "total_candidates": report.total_candidates,
         "odd_candidates": report.odd_candidates,
         "candidates": [
             {
                 "coeffs": list(c.poly.coeffs),
-                "even": c.poly.is_even(),
+                "even": c.even,
                 "factors": [
-                    {"sign": s.q_star_sign, "t": s.t, "mult": m}
-                    for s, m in c.factors
+                    {"sign": s.q_star_sign, "t": s.t, "mult": m} for s, m in c.factors
                 ],
             }
             for c in report.candidates
         ],
-        "half_degree_specs": [
-            {"sign": s.q_star_sign, "t": s.t} for s in report.half_degree_specs
-        ],
+        "half_degree_specs": [_spec(s) for s in report.half_degree_specs],
     }
 
 
-def _bounds_json(report: BoundsReport) -> dict:
-    p = report.params
+def _bounds_doc(report: BoundsReport) -> dict:
     return {
-        "g": p.g,
-        "p": p.p,
-        "n": p.n,
+        **_cell(report.params),
         "symmetric": report.symmetric_ok,
         "lemma_a1": report.lemma_a1_ok,
         "per_coefficient": [
@@ -140,98 +120,67 @@ def _bounds_json(report: BoundsReport) -> dict:
     }
 
 
-_BOUNDS_HEADER = "g\tp\tn\ta_values\tsymmetric\tlemma_a1\tarchimedean\tvaluation"
-
-
-def _bounds_row(report: BoundsReport) -> str:
-    p = report.params
-    return "\t".join(
-        (
-            str(p.g),
-            str(p.p),
-            str(p.n),
-            " ".join(str(c.value) for c in report.per_coefficient),
-            _bool(report.symmetric_ok),
-            _bool(report.lemma_a1_ok),
-            _bool(all(c.archimedean_ok for c in report.per_coefficient)),
-            _bool(all(c.valuation_ok for c in report.per_coefficient)),
-        )
+def _bounds_row(report: BoundsReport) -> tuple:
+    checks = report.per_coefficient
+    return (
+        *_cell(report.params).values(),
+        " ".join(str(c.value) for c in checks),
+        report.symmetric_ok,
+        report.lemma_a1_ok,
+        all(c.archimedean_ok for c in checks),
+        all(c.valuation_ok for c in checks),
     )
-
-
-def emit_report(report: ParityReport | BoundsReport, output_format: str) -> str:
-    """Render one report: TSV rows or the structured JSON schema."""
-    if isinstance(report, ParityReport):
-        if output_format == "structured":
-            return json.dumps(_parity_json(report))
-        header = "g\tp\tn\tcoeffs\teven\tfactors"
-        return "\n".join([header] + _parity_rows(report))
-    if output_format == "structured":
-        return json.dumps(_bounds_json(report))
-    return "\n".join([_BOUNDS_HEADER, _bounds_row(report)])
 
 
 def _cmd_cyclo(args) -> int:
     poly = cyclotomic(args.n)
-    if args.format == "structured":
-        print(json.dumps({"n": args.n, "coeffs": list(poly.coeffs)}))
-    else:
-        print(poly.to_line())
+    _emit(args, lambda: {"n": args.n, "coeffs": list(poly.coeffs)}, lambda: [(poly.to_line(),)])
     return 0
 
 
 def _cmd_minpoly(args) -> int:
     # g plays no role in the minimal polynomial; pin the smallest value.
-    params = WeilParams(p=args.p, n=args.n, g=1)
     sign = 1 if args.sign == "+" else -1
-    poly = minpoly_full_degree(params, sign, args.t)
-    if args.format == "structured":
-        print(
-            json.dumps(
-                {
-                    "p": args.p,
-                    "n": args.n,
-                    "sign": sign,
-                    "t": args.t,
-                    "degree": len(poly.coeffs) - 1,
-                    "coeffs": list(poly.coeffs),
-                }
-            )
-        )
-    else:
-        print(poly.to_line())
+    poly = minpoly_full_degree(WeilParams(p=args.p, n=args.n, g=1), sign, args.t)
+    spec = {"p": args.p, "n": args.n, "sign": sign, "t": args.t}
+    _emit(
+        args,
+        lambda: {**spec, "degree": len(poly.coeffs) - 1, "coeffs": list(poly.coeffs)},
+        lambda: [(poly.to_line(),)],
+    )
     return 0
 
 
 def _cmd_enumerate(args) -> int:
-    params = WeilParams(p=args.p, n=args.n, g=args.g)
-    report = verify_parity_theorem(params)
-    print(emit_report(report, args.format))
+    report = verify_parity_theorem(WeilParams(p=args.p, n=args.n, g=args.g))
+    cell = tuple(_cell(report.params).values())
+
+    def rows():
+        for c in report.candidates:
+            factors = ";".join(f"{_SIGN_TEXT[s.q_star_sign]}:{s.t}:{m}" for s, m in c.factors)
+            yield (*cell, c.poly.to_line(), c.even, factors)
+
+    _emit(args, lambda: _parity_doc(report), rows, (*_CELL, "coeffs", "even", "factors"))
     return 0 if report.contract_ok else 1
 
 
 def _cmd_verify(args) -> int:
     result = verify_grid(args.gmax, args.pmax, args.n)
-    if args.format == "structured":
-        print(json.dumps([_parity_json(r) for r in result.reports]))
-    else:
-        lines = ["g\tp\tn\ttotal_candidates\todd_candidates\thalf_degree_specs\tok"]
-        for r in result.reports:
-            p = r.params
-            lines.append(
-                "\t".join(
-                    (
-                        str(p.g),
-                        str(p.p),
-                        str(p.n),
-                        str(r.total_candidates),
-                        str(r.odd_candidates),
-                        str(len(r.half_degree_specs)),
-                        _bool(r.contract_ok),
-                    )
-                )
+    _emit(
+        args,
+        lambda: [_parity_doc(r) for r in result.reports],
+        lambda: (
+            (
+                *_cell(r.params).values(),
+                r.total_candidates,
+                r.odd_candidates,
+                len(r.half_degree_specs),
+                r.contract_ok,
             )
-        print("\n".join(lines))
+            for r in result.reports
+        ),
+        (*_CELL, "total_candidates", "odd_candidates", "half_degree_specs", "ok"),
+    )
     if not result.all_ok:
         print("parity contract violated in at least one grid cell", file=sys.stderr)
         return 1
@@ -241,24 +190,12 @@ def _cmd_verify(args) -> int:
 def _cmd_detect_half(args) -> int:
     params = WeilParams(p=args.p, n=args.n, g=args.g)
     specs = half_degree_candidates(params)
-    if args.format == "structured":
-        print(
-            json.dumps(
-                {
-                    "g": args.g,
-                    "p": args.p,
-                    "n": args.n,
-                    "half_degree_specs": [
-                        {"sign": s.q_star_sign, "t": s.t} for s in specs
-                    ],
-                }
-            )
-        )
-    else:
-        lines = ["sign\tt\tdegree"]
-        for s in specs:
-            lines.append(f"{_SIGN_TEXT[s.q_star_sign]}\t{s.t}\t{totient(4 * s.t) // 2}")
-        print("\n".join(lines))
+    _emit(
+        args,
+        lambda: {**_cell(params), "half_degree_specs": [_spec(s) for s in specs]},
+        lambda: ((_SIGN_TEXT[s.q_star_sign], s.t, totient(4 * s.t) // 2) for s in specs),
+        ("sign", "t", "degree"),
+    )
     if params.p > 2 * params.g + 1 and specs:
         print("half-degree spec found although p > 2g+1", file=sys.stderr)
         return 1
@@ -267,12 +204,13 @@ def _cmd_detect_half(args) -> int:
 
 def _cmd_bounds(args) -> int:
     params = WeilParams(p=args.p, n=args.n, g=args.g)
-    polys = ingest_reference(args.file, skip_blank=args.skip_blank)
-    reports = [full_bounds_report(poly, params) for poly in polys]
-    if args.format == "structured":
-        print(json.dumps([_bounds_json(rep) for rep in reports]))
-    else:
-        print("\n".join([_BOUNDS_HEADER] + [_bounds_row(rep) for rep in reports]))
+    reports = [full_bounds_report(poly, params) for poly in ingest_reference(args.file)]
+    _emit(
+        args,
+        lambda: [_bounds_doc(r) for r in reports],
+        lambda: map(_bounds_row, reports),
+        (*_CELL, "a_values", "symmetric", "lemma_a1", "archimedean", "valuation"),
+    )
     return 0
 
 
@@ -286,6 +224,9 @@ def build_parser() -> argparse.ArgumentParser:
         default=argparse.SUPPRESS,
         help="output format (default tsv)",
     )
+    cell = argparse.ArgumentParser(add_help=False)
+    for name in _CELL:
+        cell.add_argument(f"--{name}", type=int, required=True)
 
     parser = argparse.ArgumentParser(
         prog="weilparity",
@@ -296,57 +237,31 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    cyclo = sub.add_parser("cyclo", parents=[common], help="print a cyclotomic polynomial")
-    cyclo.add_argument("n", type=int)
-    cyclo.set_defaults(func=_cmd_cyclo)
+    def add(name, func, summary, *parents):
+        command = sub.add_parser(name, parents=[common, *parents], help=summary)
+        command.set_defaults(func=func)
+        return command
 
-    minpoly = sub.add_parser(
-        "minpoly", parents=[common], help="full-degree Weil number minimal polynomial"
-    )
+    cyclo = add("cyclo", _cmd_cyclo, "print a cyclotomic polynomial")
+    cyclo.add_argument("n", type=int)
+
+    minpoly = add("minpoly", _cmd_minpoly, "full-degree Weil number minimal polynomial")
     minpoly.add_argument("--p", type=int, required=True)
     minpoly.add_argument("--n", type=int, required=True)
     minpoly.add_argument("--sign", choices=("+", "-"), required=True)
     minpoly.add_argument("--t", type=int, required=True)
-    minpoly.set_defaults(func=_cmd_minpoly)
 
-    enum = sub.add_parser(
-        "enumerate", parents=[common], help="enumerate degree-2g candidates"
-    )
-    enum.add_argument("--g", type=int, required=True)
-    enum.add_argument("--p", type=int, required=True)
-    enum.add_argument("--n", type=int, required=True)
-    enum.set_defaults(func=_cmd_enumerate)
+    add("enumerate", _cmd_enumerate, "enumerate degree-2g candidates", cell)
 
-    verify = sub.add_parser(
-        "verify", parents=[common], help="check the parity contract over a grid"
-    )
+    verify = add("verify", _cmd_verify, "check the parity contract over a grid")
     verify.add_argument("--gmax", type=int, required=True)
     verify.add_argument("--pmax", type=int, required=True)
     verify.add_argument("--n", type=int, action="append", required=True)
-    verify.set_defaults(func=_cmd_verify)
 
-    detect = sub.add_parser(
-        "detect-half", parents=[common], help="list half-degree specs fitting in 2g"
-    )
-    detect.add_argument("--g", type=int, required=True)
-    detect.add_argument("--p", type=int, required=True)
-    detect.add_argument("--n", type=int, required=True)
-    detect.set_defaults(func=_cmd_detect_half)
+    add("detect-half", _cmd_detect_half, "list half-degree specs fitting in 2g", cell)
 
-    bounds = sub.add_parser(
-        "bounds", parents=[common], help="bound checks on a polynomial file"
-    )
-    bounds.add_argument("--g", type=int, required=True)
-    bounds.add_argument("--p", type=int, required=True)
-    bounds.add_argument("--n", type=int, required=True)
+    bounds = add("bounds", _cmd_bounds, "bound checks on a polynomial file", cell)
     bounds.add_argument("--file", type=str, required=True)
-    bounds.add_argument(
-        "--skip-blank",
-        action=argparse.BooleanOptionalAction,
-        default=True,
-        help="skip blank lines instead of reading them as zero polynomials",
-    )
-    bounds.set_defaults(func=_cmd_bounds)
 
     return parser
 
@@ -360,18 +275,15 @@ def run(argv: Sequence[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (
-        OutOfRange,
-        CapExceeded,
-        ShapeError,
-        ParseError,
-        HalfDegreeUnsupported,
-        NotDivisible,
-        ValueError,
-        OSError,
-    ) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:
+        import traceback  # imported here, off the start-up path
+
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        traceback.print_exc()
+        return 3
 
 
 def main() -> None:

@@ -15,7 +15,7 @@ enumeration of admissible specs is complete, not heuristic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cache
 
 from .cyclotomic import is_prime, totient
@@ -31,30 +31,47 @@ def _check_g_cap(g: int, name: str = "g") -> None:
         raise CapExceeded(f"{name}={g} exceeds the enumeration cap {G_CAP}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CandidatePolynomial:
     """An expanded candidate with its factorization record.
 
     ``poly`` is the exact product of the full-degree minimal polynomials
     listed in ``factors`` (spec, multiplicity), monic of degree 2g with
-    constant term of absolute value q**g.
+    constant term of absolute value q**g.  ``even`` is derived from
+    ``poly`` once, at construction.
     """
 
     poly: IntPoly
     factors: tuple[tuple[WeilNumberSpec, int], ...]
-    params: WeilParams
+    even: bool = field(init=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "even", self.poly.is_even())
 
 
 @dataclass(frozen=True)
 class ParityReport:
-    """Machine-readable verdict of the parity check for one (p, n, g)."""
+    """Machine-readable verdict of the parity check for one (p, n, g).
+
+    The counts and ``violations`` (the odd candidates) are derived from
+    ``candidates``.
+    """
 
     params: WeilParams
-    total_candidates: int
-    odd_candidates: int
     candidates: tuple[CandidatePolynomial, ...]
-    violations: tuple[CandidatePolynomial, ...]
     half_degree_specs: tuple[WeilNumberSpec, ...]
+
+    @property
+    def violations(self) -> tuple[CandidatePolynomial, ...]:
+        return tuple(c for c in self.candidates if not c.even)
+
+    @property
+    def total_candidates(self) -> int:
+        return len(self.candidates)
+
+    @property
+    def odd_candidates(self) -> int:
+        return len(self.violations)
 
     @property
     def contract_ok(self) -> bool:
@@ -72,7 +89,10 @@ class ParityReport:
 @dataclass(frozen=True)
 class GridResult:
     reports: tuple[ParityReport, ...]
-    all_ok: bool
+
+    @property
+    def all_ok(self) -> bool:
+        return all(r.contract_ok for r in self.reports)
 
 
 def admissible_full_degree_specs(params: WeilParams) -> list[WeilNumberSpec]:
@@ -121,7 +141,7 @@ def enumerate_candidates(params: WeilParams) -> list[CandidatePolynomial]:
         for i, m in enumerate(mults):
             if m:
                 poly = poly * (minpolys[i] ** m)
-        candidates.append(CandidatePolynomial(poly=poly, factors=factors, params=params))
+        candidates.append(CandidatePolynomial(poly=poly, factors=factors))
     candidates.sort(key=lambda c: tuple((s.t, s.q_star_sign, m) for s, m in c.factors))
     return candidates
 
@@ -152,14 +172,9 @@ def verify_parity_theorem(params: WeilParams) -> ParityReport:
     and no half-degree spec; the report states what was found either
     way and never raises on a violation.
     """
-    candidates = tuple(enumerate_candidates(params))
-    violations = tuple(c for c in candidates if not c.poly.is_even())
     return ParityReport(
         params=params,
-        total_candidates=len(candidates),
-        odd_candidates=len(violations),
-        candidates=candidates,
-        violations=violations,
+        candidates=tuple(enumerate_candidates(params)),
         half_degree_specs=tuple(half_degree_candidates(params)),
     )
 
@@ -173,17 +188,26 @@ def verify_grid(g_max: int, p_max: int, n_values: list[int]) -> GridResult:
     """One parity report per (g, p, n) with 2g+1 < p <= p_max.
 
     Cells are visited in deterministic grid order (g, then p, then the
-    given n order); ``all_ok`` aggregates every cell's contract.  A grid
-    without any cell is a ``ValueError``: it would verify nothing.
+    given n order).  Before any work, every g <= g_max must have a prime
+    p with 2g+1 < p <= p_max; a grid that leaves some g uncovered is a
+    ``ValueError``, since it would not verify what was asked.
     """
     if g_max < 1:
         raise ValueError("g_max must be a positive integer")
     _check_g_cap(g_max, "g_max")
-    reports = []
-    for g in range(1, g_max + 1):
-        for p in primes_between(2 * g + 1, p_max):
-            for n in n_values:
-                reports.append(verify_parity_theorem(WeilParams(p=p, n=n, g=g)))
-    if not reports:
-        raise ValueError(f"empty grid: no prime p with 2g+1 < p <= {p_max} for any g <= {g_max}")
-    return GridResult(reports=tuple(reports), all_ok=all(r.contract_ok for r in reports))
+    primes = primes_between(1, p_max)
+    # g is covered iff 2g+1 < the largest prime, so the uncovered g form a tail
+    covered = (primes[-1] - 2) // 2 if primes else 0
+    if covered < g_max:
+        raise ValueError(
+            f"empty grid for g={covered + 1}..{g_max}: no prime p with 2g+1 < p <= {p_max}"
+        )
+    return GridResult(
+        reports=tuple(
+            verify_parity_theorem(WeilParams(p=p, n=n, g=g))
+            for g in range(1, g_max + 1)
+            for p in primes
+            if p > 2 * g + 1
+            for n in n_values
+        )
+    )

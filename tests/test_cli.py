@@ -4,10 +4,12 @@ import hashlib
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from weilparity.cli import ingest_reference, run
 from weilparity.enumerator import G_CAP
-from weilparity.errors import ParseError
+from weilparity.errors import NotDivisible, ParseError
 from weilparity.intpoly import IntPoly
 
 
@@ -29,33 +31,129 @@ def test_cyclo_structured(capsys):
     assert json.loads(out) == {"n": 12, "coeffs": [1, 0, -1, 0, 1]}
 
 
-# sha256 of `weilparity cyclo N` stdout, recorded with the divisor-quotient
-# construction that preceded the sparse one.
-CYCLO_GOLDEN = {
-    (1, "tsv"): "3aebd7327cb0c84b85ce4dfd301187d864a30cd0980162ef877d9e78be39d47f",
-    (1, "structured"): "82e191ae3ad41f11f3e45bf3545feaa327e68790dfa5de4639fbf92a243ed0e7",
-    (2, "tsv"): "3f11ad6bbc7ecca0b2416b713dee77f1a635c00aaeaa946e14cde1c2bfae56d5",
-    (2, "structured"): "c68f20e508a84da78564786c42a71896c626404fe80f6647a85ed78eafd6b03c",
-    (4, "tsv"): "793d9bd36e14dbedbdcb9a2183698b5f406276f9c3aebc41d6aff3b0839fe374",
-    (4, "structured"): "03931aef96ed960b2002388039f821138652e7e29bcc9d685508e001fa9a98fc",
-    (12, "tsv"): "a711587f931ab78be0eed87745f0c4c5e7c51c540ac775f791cb048a90611466",
-    (12, "structured"): "0adabe6347b4ef28e706775e0833c8baa1cd7f682cb71d6559c754bc34ef9e94",
-    (105, "tsv"): "5cda749b0ce827ae413f2d975ba4b94dc48b23fc6cc3a7ab98321f45e7a9f76d",
-    (105, "structured"): "207e16a01be2ee69e94485e42931fba81a14d839cffc90f6f16fce974ffa21c8",
-    (2 ** 12, "tsv"): "6627c6f8f960ca1cdc94e74c325ae7fe0edbd7bc687eb949fac44fc46705a7d8",
-    (2 ** 12, "structured"): "3e24cb13eba30d59df7ee67cab1b0d69e66bed2e7f0320ff63ad831070219c9d",
-    (30030, "tsv"): "3ce7c190c78f696d090eec102f790737850c9a96895d19c2cb3ae0f921d5ccd6",
-    (30030, "structured"): "97d71cd6f0e44e5bdbeb87216b24aeba4dcb6fe545988899b415c967f244935b",
-    (3 ** 10, "tsv"): "a9065e3219abf261ce5280182b4e866427497a5cce61aa1593212d13b70d6f0a",
-    (3 ** 10, "structured"): "624a4404d6b3e3bc73058e6a9d822f096cc40a37be7e22840f68c765ff26e938",
+# Input files of the golden `bounds` runs; "@name" in an argv is its path.
+GOLDEN_FILES = {
+    "mixed": "# g=1 p=5 n=1: rows failing each check in turn\n5 0 1\n\n-5 0 1\n5 1 1\n5 7 1\n5 5 1\n",
+    "comments": "# nothing but comments\n\n",
+}
+
+# (argv, format) -> (sha256 of stdout, exit code).  The cyclo digests were
+# recorded with the divisor-quotient construction that preceded the sparse
+# one, the others before the per-subcommand serializers were merged.
+GOLDEN = {
+    (("cyclo", "1"), "tsv"):
+        ("3aebd7327cb0c84b85ce4dfd301187d864a30cd0980162ef877d9e78be39d47f", 0),
+    (("cyclo", "1"), "structured"):
+        ("82e191ae3ad41f11f3e45bf3545feaa327e68790dfa5de4639fbf92a243ed0e7", 0),
+    (("cyclo", "2"), "tsv"):
+        ("3f11ad6bbc7ecca0b2416b713dee77f1a635c00aaeaa946e14cde1c2bfae56d5", 0),
+    (("cyclo", "2"), "structured"):
+        ("c68f20e508a84da78564786c42a71896c626404fe80f6647a85ed78eafd6b03c", 0),
+    (("cyclo", "4"), "tsv"):
+        ("793d9bd36e14dbedbdcb9a2183698b5f406276f9c3aebc41d6aff3b0839fe374", 0),
+    (("cyclo", "4"), "structured"):
+        ("03931aef96ed960b2002388039f821138652e7e29bcc9d685508e001fa9a98fc", 0),
+    (("cyclo", "12"), "tsv"):
+        ("a711587f931ab78be0eed87745f0c4c5e7c51c540ac775f791cb048a90611466", 0),
+    (("cyclo", "12"), "structured"):
+        ("0adabe6347b4ef28e706775e0833c8baa1cd7f682cb71d6559c754bc34ef9e94", 0),
+    (("cyclo", "105"), "tsv"):
+        ("5cda749b0ce827ae413f2d975ba4b94dc48b23fc6cc3a7ab98321f45e7a9f76d", 0),
+    (("cyclo", "105"), "structured"):
+        ("207e16a01be2ee69e94485e42931fba81a14d839cffc90f6f16fce974ffa21c8", 0),
+    (("cyclo", "4096"), "tsv"):
+        ("6627c6f8f960ca1cdc94e74c325ae7fe0edbd7bc687eb949fac44fc46705a7d8", 0),
+    (("cyclo", "4096"), "structured"):
+        ("3e24cb13eba30d59df7ee67cab1b0d69e66bed2e7f0320ff63ad831070219c9d", 0),
+    (("cyclo", "30030"), "tsv"):
+        ("3ce7c190c78f696d090eec102f790737850c9a96895d19c2cb3ae0f921d5ccd6", 0),
+    (("cyclo", "30030"), "structured"):
+        ("97d71cd6f0e44e5bdbeb87216b24aeba4dcb6fe545988899b415c967f244935b", 0),
+    (("cyclo", "59049"), "tsv"):
+        ("a9065e3219abf261ce5280182b4e866427497a5cce61aa1593212d13b70d6f0a", 0),
+    (("cyclo", "59049"), "structured"):
+        ("624a4404d6b3e3bc73058e6a9d822f096cc40a37be7e22840f68c765ff26e938", 0),
+    (("minpoly", "--p", "5", "--n", "1", "--sign", "+", "--t", "1"), "tsv"):
+        ("04e124808068541f9510b0563dc2ad578ae5f579c56edc1f6c644d679d6c023c", 0),
+    (("minpoly", "--p", "5", "--n", "1", "--sign", "+", "--t", "1"), "structured"):
+        ("24edddebb2561f1b7887d668ac546769787d92b7baadc0521a15969816626ea6", 0),
+    (("minpoly", "--p", "7", "--n", "3", "--sign", "-", "--t", "3"), "tsv"):
+        ("c57a2b5af079f33462763ed2455065e52106f6dc49501af5fa1db941458561aa", 0),
+    (("minpoly", "--p", "7", "--n", "3", "--sign", "-", "--t", "3"), "structured"):
+        ("670cf9256afeb5fc2788b08d74e057bb252e4bf13f9a424980d0384aa18dacff", 0),
+    (("minpoly", "--p", "7", "--n", "1", "--sign", "+", "--t", "7"), "tsv"):
+        ("e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 2),
+    (("enumerate", "--g", "1", "--p", "5", "--n", "1"), "tsv"):
+        ("049619bc69d012711477c7e181fc120cc3ceae110001a0e4d0e64e5068b08477", 0),
+    (("enumerate", "--g", "1", "--p", "5", "--n", "1"), "structured"):
+        ("21c12067176ef14d30f0db63f22989544cc9af21d822a8949eeb0a4192a32510", 0),
+    (("enumerate", "--g", "2", "--p", "3", "--n", "1"), "tsv"):
+        ("4299435bb5725d8e532262319b2dc599c312ea84bd00d5eb2423b40184a2f5a9", 0),
+    (("enumerate", "--g", "2", "--p", "3", "--n", "1"), "structured"):
+        ("244019aa074a2eea2a29591b99d0dde7d1297b9580c0d0e4705384a2bb833eac", 0),
+    (("enumerate", "--g", "3", "--p", "5", "--n", "1"), "tsv"):
+        ("2f6c1a237c798accf33f0fca372192027cf7017174a1bc08ede99fadec5d7099", 0),
+    (("enumerate", "--g", "3", "--p", "5", "--n", "1"), "structured"):
+        ("576fd21588fe0250c0ce87e64477dbe0f5c49a30ab72e1c55d4463c851bb7b3d", 0),
+    (("enumerate", "--g", "3", "--p", "11", "--n", "3"), "tsv"):
+        ("933d019d083f02c018d49feadb65660daf79dbd1cfde5f373faa5ef19133b96f", 0),
+    (("enumerate", "--g", "3", "--p", "11", "--n", "3"), "structured"):
+        ("a63881acd0695147aefe89d4b95ed7ca63bf992fd1828cda7c306bf1259e24dd", 0),
+    (("detect-half", "--g", "1", "--p", "2", "--n", "1"), "tsv"):
+        ("1e8de20106f6be6767afba95a6378dc3eecb7c9189eb17df7f5c582a91b15a55", 0),
+    (("detect-half", "--g", "1", "--p", "2", "--n", "1"), "structured"):
+        ("a1cb5fa3c2cf64c73fafebba13b851012517824c065ce2492df33db349e1186d", 0),
+    (("detect-half", "--g", "3", "--p", "5", "--n", "1"), "tsv"):
+        ("d19dca5f49d79b577383ad91a3df0a881087276227f9e9395df03c17cfc9173f", 0),
+    (("detect-half", "--g", "3", "--p", "5", "--n", "1"), "structured"):
+        ("a1f1ddb83d06284b359184f5f2015d41244e5ba868ae68634e4f78c8a4e841c1", 0),
+    (("detect-half", "--g", "3", "--p", "11", "--n", "1"), "tsv"):
+        ("731c8541448084306281e60ae75efe42a53bddd8adcc9c994322053feb29b11e", 0),
+    (("detect-half", "--g", "3", "--p", "11", "--n", "1"), "structured"):
+        ("40fbd5f5abcb3ec263bf62160a95ff5204d60be8413fe7da774b5d975636fb88", 0),
+    (("verify", "--gmax", "1", "--pmax", "7", "--n", "3"), "tsv"):
+        ("1dba2e40fa67ed27080e15ee1cf40e641747c2526a758ccedb8b9aa2a28e6fc9", 0),
+    (("verify", "--gmax", "1", "--pmax", "7", "--n", "3"), "structured"):
+        ("64fc06252e2f7e5e55b497870f0776115aff1ccd79931515050c9aa317865651", 0),
+    (("verify", "--gmax", "2", "--pmax", "13", "--n", "1", "--n", "3"), "tsv"):
+        ("7279934c71df81b47cef9aa38c4e91132071a713ca85d71d06bc9d083becd85d", 0),
+    (("verify", "--gmax", "2", "--pmax", "13", "--n", "1", "--n", "3"), "structured"):
+        ("bc1a6d1f013df86ed52fe27bd0a325e024e00b8e0d50cefaf32e1fcc956a2af8", 0),
+    (("verify", "--gmax", "3", "--pmax", "3", "--n", "1"), "tsv"):
+        ("e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 2),
+    (("bounds", "--g", "1", "--p", "5", "--n", "1", "--file", "@mixed"), "tsv"):
+        ("6feff47e6fb01ae41df52b7bee818c117a4b7da611270b8e3729e889417c266e", 0),
+    (("bounds", "--g", "1", "--p", "5", "--n", "1", "--file", "@mixed"), "structured"):
+        ("310220b95d69a2ce2e8f222cb0c34b13deb71165b2d2cd21611a726c1194de46", 0),
+    (("bounds", "--g", "1", "--p", "5", "--n", "1", "--file", "@comments"), "tsv"):
+        ("3f5387eb2594745edba8d3a36e88f54c28a3eb2e9462c05183fcefb9b100720a", 0),
+    (("bounds", "--g", "1", "--p", "5", "--n", "1", "--file", "@comments"), "structured"):
+        ("37517e5f3dc66819f61f5a7bb8ace1921282415f10551d2defa5c3eb0985b570", 0),
+    (("bounds", "--g", "1", "--p", "5", "--n", "2", "--file", "@mixed"), "tsv"):
+        ("e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 2),
 }
 
 
-@pytest.mark.parametrize("n, fmt", sorted(CYCLO_GOLDEN))
-def test_cyclo_golden_digests(capsys, n, fmt):
-    code, out, _ = invoke(capsys, ["cyclo", str(n), "--format", fmt])
-    assert code == 0
-    assert hashlib.sha256(out.encode()).hexdigest() == CYCLO_GOLDEN[n, fmt]
+def golden_run(capsys, tmp_path, argv, fmt):
+    for name, text in GOLDEN_FILES.items():
+        (tmp_path / name).write_text(text)
+    argv = [str(tmp_path / a[1:]) if a.startswith("@") else a for a in argv]
+    code, out, _ = invoke(capsys, [*argv, "--format", fmt])
+    return hashlib.sha256(out.encode()).hexdigest(), code
+
+
+@pytest.mark.parametrize("n, fmt", sorted((int(a[1]), f) for a, f in GOLDEN if a[0] == "cyclo"))
+def test_cyclo_golden_digests(capsys, tmp_path, n, fmt):
+    key = ("cyclo", str(n)), fmt
+    assert golden_run(capsys, tmp_path, *key) == GOLDEN[key]
+
+
+@pytest.mark.parametrize(
+    "argv, fmt",
+    [pytest.param(a, f, id=f"{' '.join(a)} {f}") for a, f in GOLDEN if a[0] != "cyclo"],
+)
+def test_golden_digests(capsys, tmp_path, argv, fmt):
+    assert golden_run(capsys, tmp_path, argv, fmt) == GOLDEN[argv, fmt]
 
 
 def test_cyclo_out_of_range(capsys):
@@ -119,6 +217,13 @@ def test_verify_empty_grid_is_an_error(capsys):
     code, out, err = invoke(capsys, ["verify", "--gmax", "3", "--pmax", "3", "--n", "1"])
     assert (code, out) == (2, "")
     assert err.startswith("error: empty grid")
+
+
+def test_verify_uncovered_g_is_an_error(capsys):
+    # g = 2, 3 need a prime p > 5 and p <= 5: only g = 1 would be checked
+    code, out, err = invoke(capsys, ["verify", "--gmax", "3", "--pmax", "5", "--n", "1"])
+    assert (code, out) == (2, "")
+    assert err == "error: empty grid for g=2..3: no prime p with 2g+1 < p <= 5\n"
 
 
 def test_verify_rejects_even_n(capsys):
@@ -235,23 +340,31 @@ def test_verify_exit_1_on_contract_violation(monkeypatch, capsys):
 
     params = WeilParams(p=11, n=1, g=1)
     odd_poly = IntPoly([11, 11, 1])
-    fake_candidate = CandidatePolynomial(poly=odd_poly, factors=(), params=params)
-    fake_report = ParityReport(
-        params=params,
-        total_candidates=1,
-        odd_candidates=1,
-        candidates=(fake_candidate,),
-        violations=(fake_candidate,),
-        half_degree_specs=(),
-    )
-    monkeypatch.setattr(
-        cli, "verify_grid", lambda *a: GridResult(reports=(fake_report,), all_ok=False)
-    )
+    fake_candidate = CandidatePolynomial(poly=odd_poly, factors=())
+    fake_report = ParityReport(params=params, candidates=(fake_candidate,), half_degree_specs=())
+    assert (fake_report.total_candidates, fake_report.odd_candidates) == (1, 1)
+    assert fake_report.violations == (fake_candidate,)
+    monkeypatch.setattr(cli, "verify_grid", lambda *a: GridResult(reports=(fake_report,)))
     code = run(["verify", "--gmax", "1", "--pmax", "11", "--n", "1"])
     captured = capsys.readouterr()
     assert code == 1
     assert "violated" in captured.err
     assert not fake_report.contract_ok
+
+
+@pytest.mark.parametrize("exc", [NotDivisible("remainder 1"), RuntimeError("boom")])
+def test_internal_errors_exit_3(monkeypatch, capsys, exc):
+    # a broken identity or any unexpected fault is neither a usage error
+    # (2) nor a parity violation (1)
+    import weilparity.cli as cli
+
+    def broken(*args):
+        raise exc
+
+    monkeypatch.setattr(cli, "verify_grid", broken)
+    code, out, err = invoke(capsys, ["verify", "--gmax", "1", "--pmax", "11", "--n", "1"])
+    assert (code, out) == (3, "")
+    assert err.startswith("internal error:") and str(exc) in err
 
 
 def test_usage_errors(capsys):
@@ -289,10 +402,69 @@ def test_ingest_reference(tmp_path):
     ref = tmp_path / "ref.txt"
     ref.write_text("# comment\n\n5 0 1\n")
     assert ingest_reference(ref) == [IntPoly([5, 0, 1])]
-    assert ingest_reference(ref, skip_blank=False) == [IntPoly.zero(), IntPoly([5, 0, 1])]
 
     bad = tmp_path / "bad.txt"
     bad.write_text("5 0 1\nx y z\n")
     with pytest.raises(ParseError) as info:
         ingest_reference(bad)
     assert ":2:" in str(info.value)
+
+
+SMALL_PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23]
+# capsys is read out after every invocation, so sharing it across examples is safe
+SHARED_CAPSYS = dict(
+    deadline=None,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+
+
+@settings(max_examples=30, **SHARED_CAPSYS)
+@given(
+    g=st.integers(1, 3),
+    p=st.sampled_from(SMALL_PRIMES),
+    n=st.sampled_from([1, 3, 5]),
+)
+def test_enumerate_tsv_agrees_with_structured(capsys, g, p, n):
+    argv = ["enumerate", "--g", str(g), "--p", str(p), "--n", str(n)]
+    code, tsv, _ = invoke(capsys, argv)
+    code_json, out, _ = invoke(capsys, argv + ["--format", "structured"])
+    assert code == code_json == 0
+    doc = json.loads(out)
+    rows = [line.split("\t") for line in tsv.splitlines()[1:]]
+    assert len(rows) == len(doc["candidates"]) == doc["total_candidates"]
+    sign_text = {1: "+", -1: "-"}
+    for row, cand in zip(rows, doc["candidates"]):
+        assert row[:3] == [str(g), str(p), str(n)]
+        assert row[3] == " ".join(map(str, cand["coeffs"]))
+        assert row[4] == ("true" if cand["even"] else "false")
+        assert row[5] == ";".join(
+            f"{sign_text[f['sign']]}:{f['t']}:{f['mult']}" for f in cand["factors"]
+        )
+
+
+@settings(max_examples=15, **SHARED_CAPSYS)
+@given(
+    gmax=st.integers(1, 3),
+    extra=st.sampled_from([0, 2, 6, 12]),
+    ns=st.lists(st.sampled_from([1, 3, 5]), min_size=1, max_size=2),
+)
+def test_verify_tsv_counts_match_structured(capsys, gmax, extra, ns):
+    # at least the first prime above 2*gmax+1, so every g <= gmax is covered
+    pmax = next(q for q in SMALL_PRIMES if q > 2 * gmax + 1) + extra
+    argv = ["verify", "--gmax", str(gmax), "--pmax", str(pmax)]
+    for n in ns:
+        argv += ["--n", str(n)]
+    code, tsv, _ = invoke(capsys, argv)
+    code_json, out, _ = invoke(capsys, argv + ["--format", "structured"])
+    assert code == code_json == 0
+    docs = json.loads(out)
+    rows = [line.split("\t") for line in tsv.splitlines()[1:]]
+    assert len(rows) == len(docs)
+    for row, doc in zip(rows, docs):
+        assert row[:3] == [str(doc["g"]), str(doc["p"]), str(doc["n"])]
+        assert row[3:6] == [
+            str(len(doc["candidates"])),
+            str(sum(not c["even"] for c in doc["candidates"])),
+            str(len(doc["half_degree_specs"])),
+        ]

@@ -209,3 +209,18 @@ def test_prime_power_identity_validation():
         prime_power_identity_check(3, 0, 3)
     with pytest.raises(OutOfRange):
         prime_power_identity_check(2, 3, CYCLOTOMIC_CAP)
+
+
+def test_submodules_are_not_shadowed_by_package_names():
+    import importlib
+    import pkgutil
+
+    import weilparity
+    import weilparity.cyclotomic as module
+
+    assert module is importlib.import_module("weilparity.cyclotomic")
+    for info in pkgutil.iter_modules(weilparity.__path__):
+        assert info.name not in weilparity.__all__
+        assert getattr(weilparity, info.name, None) in (
+            None, importlib.import_module(f"weilparity.{info.name}")
+        )

@@ -188,6 +188,8 @@ def test_verify_grid_validation():
         verify_grid(2, 50, [2])  # even n rejected at params construction
     with pytest.raises(ValueError):
         verify_grid(3, 3, [1])  # no cell: nothing would be verified
+    with pytest.raises(ValueError, match="g=2..3"):
+        verify_grid(3, 5, [1])  # only g = 1 has a cell
 
 
 def test_product_of_even_polynomials_is_even():
