@@ -15,7 +15,8 @@ produces byte-identical output for identical inputs.  Exit codes:
 3 internal error (a broken identity or any other unexpected exception,
 reported as ``internal error:`` and a traceback on stderr).  A
 ``verify`` grid must cover every g <= gmax with a prime p,
-2g+1 < p <= pmax; otherwise it exits 2 before any work.
+2g+1 < p <= pmax, and pmax may not exceed the prime sieve cap of
+10**7; otherwise it exits 2 before any work.
 """
 
 from __future__ import annotations

@@ -11,19 +11,40 @@ reported separately: when p > 2g+1 none may fit inside degree 2g.
 The scan over the root-of-unity index t is capped by the provable bound
 phi(m) >= sqrt(m/2): once t > 2g**2 every phi(4t) exceeds 2g, so the
 enumeration of admissible specs is complete, not heuristic.
+
+Candidates are built from q-free shapes.  Each minimal polynomial is
+``q**(d/2) * S(X/sqrt(q))`` for the integer shape S of its spec (sign,
+t), and that scaling is multiplicative, so every candidate is the
+scaled product of its factors' shapes.  The products are built once per
+key ``(g, specs)`` by a depth-first search over multiplicities that
+shares prefix products and prunes every branch the remaining specs
+cannot fill; a cell then only scales them by its q.  The key is the
+spec tuple the cell itself computes, not the one the theorem predicts:
+cells whose spec sets differ (p <= 2g+1, p = 2) get their own entry, so
+a verify run still checks every cell instead of assuming the result.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cache
+from itertools import compress
+from math import isqrt
 
-from .cyclotomic import is_prime, totient
-from .errors import CapExceeded
+from .cyclotomic import totient
+from .errors import CapExceeded, OutOfRange
 from .intpoly import IntPoly
-from .weil import WeilNumberSpec, WeilParams, classify, is_full_degree, minpoly_full_degree
+from .weil import (
+    WeilNumberSpec,
+    WeilParams,
+    classify,
+    is_full_degree,
+    minpoly_shape,
+    scale_shape,
+)
 
 G_CAP = 10
+PRIME_SIEVE_CAP = 10 ** 7  # a byte per integer up to the sieve limit
 
 
 def _check_g_cap(g: int, name: str = "g") -> None:
@@ -112,38 +133,62 @@ def admissible_full_degree_specs(params: WeilParams) -> list[WeilNumberSpec]:
 
 
 @cache
-def _bounded_partitions(degrees: tuple[int, ...], total: int) -> tuple[tuple[int, ...], ...]:
-    """All multiplicity vectors over ``degrees`` with weighted sum ``total``."""
-    if not degrees:
-        return ((),) if total == 0 else ()
-    head, rest = degrees[0], degrees[1:]
+def _candidate_shapes(
+    g: int, specs: tuple[WeilNumberSpec, ...]
+) -> tuple[tuple[IntPoly, tuple[tuple[WeilNumberSpec, int], ...]], ...]:
+    """Every degree-2g product of the specs' shapes with its factor record.
+
+    A depth-first search over the multiplicity of each spec in turn
+    extends one prefix product per branch, and enters a branch only if
+    the specs after it can fill the degree still left.  The result is in
+    canonical order: sorted by the factor record, lexicographically on
+    (t, sign, multiplicity) triples.
+    """
+    degrees = [totient(4 * s.t) for s in specs]
+    shapes = [minpoly_shape(s.q_star_sign, s.t) for s in specs]
+    total = 2 * g
+    # fillable[i][k]: some multiplicities over specs[i:] sum to degree k
+    fillable = [[True] + [False] * total]
+    for d in reversed(degrees):
+        reach = list(fillable[0])
+        for k in range(d, total + 1):
+            reach[k] = reach[k] or reach[k - d]
+        fillable.insert(0, reach)
+
     out = []
-    for mult in range(total // head + 1):
-        for tail in _bounded_partitions(rest, total - mult * head):
-            out.append((mult,) + tail)
+
+    def extend(i, left, poly, factors):
+        if left == 0:
+            out.append((poly, factors))
+            return
+        d, rest = degrees[i], fillable[i + 1]
+        top = max(m for m in range(left // d + 1) if rest[left - m * d])
+        for m in range(top + 1):
+            if m:
+                poly = poly * shapes[i]
+            if rest[left - m * d]:
+                extend(i + 1, left - m * d, poly, factors + ((specs[i], m),) if m else factors)
+
+    if fillable[0][total]:
+        extend(0, total, IntPoly.one(), ())
+    out.sort(key=lambda entry: tuple((s.t, s.q_star_sign, m) for s, m in entry[1]))
     return tuple(out)
 
 
 def enumerate_candidates(params: WeilParams) -> list[CandidatePolynomial]:
     """Every multiset of admissible specs expanded to a degree-2g product.
 
-    The result is in canonical order: sorted by the factor record,
+    The products come from :func:`_candidate_shapes`, scaled by q.  The
+    result is in canonical order: sorted by the factor record,
     lexicographically on (t, sign, multiplicity) triples.
     """
     _check_g_cap(params.g)
-    specs = admissible_full_degree_specs(params)
-    degrees = tuple(totient(4 * s.t) for s in specs)
-    minpolys = [minpoly_full_degree(params, s.q_star_sign, s.t) for s in specs]
-    candidates = []
-    for mults in _bounded_partitions(degrees, 2 * params.g):
-        factors = tuple((s, m) for s, m in zip(specs, mults) if m)
-        poly = IntPoly.one()
-        for i, m in enumerate(mults):
-            if m:
-                poly = poly * (minpolys[i] ** m)
-        candidates.append(CandidatePolynomial(poly=poly, factors=factors))
-    candidates.sort(key=lambda c: tuple((s.t, s.q_star_sign, m) for s, m in c.factors))
-    return candidates
+    specs = tuple(admissible_full_degree_specs(params))
+    q = params.q
+    return [
+        CandidatePolynomial(poly=scale_shape(shape, q), factors=factors)
+        for shape, factors in _candidate_shapes(params.g, specs)
+    ]
 
 
 def half_degree_candidates(params: WeilParams) -> list[WeilNumberSpec]:
@@ -180,8 +225,18 @@ def verify_parity_theorem(params: WeilParams) -> ParityReport:
 
 
 def primes_between(low: int, high: int) -> list[int]:
-    """Primes p with low < p <= high."""
-    return [p for p in range(max(low + 1, 2), high + 1) if is_prime(p)]
+    """Primes p with low < p <= high, by a sieve of Eratosthenes up to high."""
+    if high > PRIME_SIEVE_CAP:
+        raise OutOfRange(f"p_max={high} exceeds the prime sieve cap {PRIME_SIEVE_CAP}")
+    if high < 2:
+        return []
+    sieve = bytearray([1]) * (high + 1)
+    sieve[:2] = b"\0\0"
+    for d in range(2, isqrt(high) + 1):
+        if sieve[d]:
+            sieve[d * d::d] = bytes(len(range(d * d, high + 1, d)))
+    start = max(low + 1, 2)
+    return list(compress(range(start, high + 1), sieve[start:]))
 
 
 def verify_grid(g_max: int, p_max: int, n_values: list[int]) -> GridResult:
@@ -190,7 +245,8 @@ def verify_grid(g_max: int, p_max: int, n_values: list[int]) -> GridResult:
     Cells are visited in deterministic grid order (g, then p, then the
     given n order).  Before any work, every g <= g_max must have a prime
     p with 2g+1 < p <= p_max; a grid that leaves some g uncovered is a
-    ``ValueError``, since it would not verify what was asked.
+    ``ValueError``, since it would not verify what was asked.  A p_max
+    above ``PRIME_SIEVE_CAP`` is :class:`OutOfRange`.
     """
     if g_max < 1:
         raise ValueError("g_max must be a positive integer")

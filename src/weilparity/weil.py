@@ -8,13 +8,19 @@ and ``zeta`` is a primitive ``4t``-th root of unity.  Depending on
 ``phi(4t)`` (the full degree case) or ``phi(4t)/2`` (the half degree
 case).  Only the full-degree polynomial is constructed here; it is
 obtained from the ``4t``-th cyclotomic polynomial by an exact integer
-coefficient substitution, so no square root is ever materialized.
+coefficient substitution, so no square root is ever materialized.  The
+substitution is split in two: a q-free *shape* that carries the sign of
+q_star (:func:`minpoly_shape`), and a scaling by q (:func:`scale_shape`)
+that commutes with multiplication, so products of shapes can be built
+once and scaled to any q.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from itertools import accumulate, repeat
+from operator import mul
 
 from .cyclotomic import cyclotomic, is_prime, totient
 from .errors import HalfDegreeUnsupported
@@ -100,27 +106,51 @@ def weil_factor_degree(params: WeilParams, q_star_sign: int, t: int) -> int:
     return d if is_full_degree(params, q_star_sign, t) else d // 2
 
 
+def minpoly_shape(q_star_sign: int, t: int) -> IntPoly:
+    """The q-free shape of the minimal polynomial of ``sqrt(q_star) * zeta_4t``.
+
+    The coefficient ``c_j`` of ``X**j`` in the (even, since 4 | 4t)
+    cyclotomic polynomial of index 4t becomes
+    ``c_j * q_star_sign**((phi(4t) - j)/2)``.  Scaling the shape by q
+    (:func:`scale_shape`) gives the minimal polynomial itself.
+    """
+    if q_star_sign not in (1, -1):
+        raise ValueError("q_star_sign must be +1 or -1")
+    if t < 1:
+        raise ValueError("t must be a positive integer")
+    phi = cyclotomic(4 * t).coeffs
+    m = len(phi) - 1
+    # odd m - j carry c_j = 0, so the floor in the exponent never matters
+    return IntPoly(c * q_star_sign ** ((m - j) // 2) for j, c in enumerate(phi))
+
+
+def scale_shape(shape: IntPoly, q: int) -> IntPoly:
+    """Return ``q**(d/2) * shape(X / sqrt(q))`` for an even shape of even degree d.
+
+    The coefficient of ``X**j`` is multiplied by ``q**((d - j)/2)``, an
+    exact integer because only even j carry nonzero coefficients.  The
+    map is multiplicative, so scaling a product of shapes equals the
+    product of the scaled shapes.
+    """
+    coeffs = list(shape.coeffs)
+    if len(coeffs) % 2 == 0 or any(coeffs[1::2]):
+        raise ValueError("a shape must be an even polynomial of even degree")
+    # from the top coefficient down: q**0, q**1, ... on X**d, X**(d-2), ...
+    powers = accumulate(repeat(q, len(coeffs) // 2), mul, initial=1)
+    coeffs[::-2] = map(mul, coeffs[::-2], powers)
+    return IntPoly(coeffs)
+
+
 def minpoly_full_degree(params: WeilParams, q_star_sign: int, t: int) -> IntPoly:
     """Minimal polynomial of ``sqrt(q_star) * zeta_4t`` in the full degree case.
 
-    Starting from the (even, since 4 | 4t) cyclotomic polynomial of
-    index 4t with coefficients ``c_j``, the coefficient of ``X**j``
-    becomes ``c_j * q_star**((phi(4t) - j)/2)``.  The exponent is a
-    nonnegative integer whenever ``c_j`` is nonzero, so the result is an
-    exact monic integer polynomial of degree phi(4t).
+    It is the shape of :func:`minpoly_shape` scaled by q: the coefficient
+    of ``X**j`` is ``c_j * q_star**((phi(4t) - j)/2)``, an exact monic
+    integer polynomial of degree phi(4t).
     """
     if not is_full_degree(params, q_star_sign, t):
         raise HalfDegreeUnsupported(
             f"(sign={q_star_sign:+d}, t={t}) at p={params.p}, n={params.n} is a "
             "half degree case; its minimal polynomial is not constructed"
         )
-    phi = cyclotomic(4 * t)
-    m = len(phi.coeffs) - 1
-    q_star = q_star_sign * params.q
-    out = [0] * (m + 1)
-    for j, c in enumerate(phi.coeffs):
-        if c == 0:
-            continue
-        assert (m - j) % 2 == 0  # cyclotomic(4t) is even and m is even
-        out[j] = c * q_star ** ((m - j) // 2)
-    return IntPoly(out)
+    return scale_shape(minpoly_shape(q_star_sign, t), params.q)

@@ -39,7 +39,9 @@ GOLDEN_FILES = {
 
 # (argv, format) -> (sha256 of stdout, exit code).  The cyclo digests were
 # recorded with the divisor-quotient construction that preceded the sparse
-# one, the others before the per-subcommand serializers were merged.
+# one, the others before the per-subcommand serializers were merged; the
+# p = 2 enumerate and the --pmax 40 verify entries were recorded with the
+# per-candidate construction that preceded the shared shapes.
 GOLDEN = {
     (("cyclo", "1"), "tsv"):
         ("3aebd7327cb0c84b85ce4dfd301187d864a30cd0980162ef877d9e78be39d47f", 0),
@@ -99,6 +101,14 @@ GOLDEN = {
         ("933d019d083f02c018d49feadb65660daf79dbd1cfde5f373faa5ef19133b96f", 0),
     (("enumerate", "--g", "3", "--p", "11", "--n", "3"), "structured"):
         ("a63881acd0695147aefe89d4b95ed7ca63bf992fd1828cda7c306bf1259e24dd", 0),
+    (("enumerate", "--g", "2", "--p", "2", "--n", "1"), "tsv"):
+        ("27d296a9903622325f2dff9862ac9c0db0e8e472ff31f05375166e83090db328", 0),
+    (("enumerate", "--g", "2", "--p", "2", "--n", "1"), "structured"):
+        ("2253a1e29961dce0084a47c87aa7ed4db8d2f73f86288b66942476af4d43d613", 0),
+    (("enumerate", "--g", "3", "--p", "2", "--n", "3"), "tsv"):
+        ("29a8fd62f2e0ea86e2fe1c1fb255b72bc0c0d0b7a02fb975f5a0f86715e43a06", 0),
+    (("enumerate", "--g", "3", "--p", "2", "--n", "3"), "structured"):
+        ("57e919497a2adf1727aa4f2abe668c0414935dbaa1d0350f8591ad8001321708", 0),
     (("detect-half", "--g", "1", "--p", "2", "--n", "1"), "tsv"):
         ("1e8de20106f6be6767afba95a6378dc3eecb7c9189eb17df7f5c582a91b15a55", 0),
     (("detect-half", "--g", "1", "--p", "2", "--n", "1"), "structured"):
@@ -119,6 +129,10 @@ GOLDEN = {
         ("7279934c71df81b47cef9aa38c4e91132071a713ca85d71d06bc9d083becd85d", 0),
     (("verify", "--gmax", "2", "--pmax", "13", "--n", "1", "--n", "3"), "structured"):
         ("bc1a6d1f013df86ed52fe27bd0a325e024e00b8e0d50cefaf32e1fcc956a2af8", 0),
+    (("verify", "--gmax", "3", "--pmax", "40", "--n", "1", "--n", "5"), "tsv"):
+        ("9fe4404f838a8febde7d8ec48935b0fccf262a09779c4f9740a6d6eb0dc16926", 0),
+    (("verify", "--gmax", "3", "--pmax", "40", "--n", "1", "--n", "5"), "structured"):
+        ("5f1b0e32c1ea0254b3e29d4ede4af5d803df5de8f6006cf33f2accf94ca8d8fe", 0),
     (("verify", "--gmax", "3", "--pmax", "3", "--n", "1"), "tsv"):
         ("e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 2),
     (("bounds", "--g", "1", "--p", "5", "--n", "1", "--file", "@mixed"), "tsv"):
@@ -224,6 +238,12 @@ def test_verify_uncovered_g_is_an_error(capsys):
     code, out, err = invoke(capsys, ["verify", "--gmax", "3", "--pmax", "5", "--n", "1"])
     assert (code, out) == (2, "")
     assert err == "error: empty grid for g=2..3: no prime p with 2g+1 < p <= 5\n"
+
+
+def test_verify_pmax_above_sieve_cap_is_an_error(capsys):
+    code, out, err = invoke(capsys, ["verify", "--gmax", "1", "--pmax", "10000001", "--n", "1"])
+    assert (code, out) == (2, "")
+    assert err == "error: p_max=10000001 exceeds the prime sieve cap 10000000\n"
 
 
 def test_verify_rejects_even_n(capsys):

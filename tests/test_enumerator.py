@@ -1,13 +1,18 @@
 """Candidate enumeration, parity reports, grid verification."""
 
 import random
+from functools import cache
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from weilparity.bounds import functional_equation_sign
-from weilparity.cyclotomic import totient
+from weilparity.cyclotomic import cyclotomic, is_prime, totient
 from weilparity.enumerator import (
     G_CAP,
+    PRIME_SIEVE_CAP,
+    _candidate_shapes,
     admissible_full_degree_specs,
     enumerate_candidates,
     half_degree_candidates,
@@ -15,13 +20,94 @@ from weilparity.enumerator import (
     verify_grid,
     verify_parity_theorem,
 )
-from weilparity.errors import CapExceeded
+from weilparity.errors import CapExceeded, OutOfRange
 from weilparity.intpoly import IntPoly
-from weilparity.weil import WeilParams
+from weilparity.weil import WeilParams, minpoly_full_degree, minpoly_shape, scale_shape
 
 
 def spec_pairs(specs):
     return [(s.q_star_sign, s.t) for s in specs]
+
+
+# -- the per-candidate construction, kept as the oracle ------------------------
+
+
+@cache
+def _bounded_partitions(degrees: tuple[int, ...], total: int) -> tuple[tuple[int, ...], ...]:
+    """All multiplicity vectors over ``degrees`` with weighted sum ``total``."""
+    if not degrees:
+        return ((),) if total == 0 else ()
+    head, rest = degrees[0], degrees[1:]
+    out = []
+    for mult in range(total // head + 1):
+        for tail in _bounded_partitions(rest, total - mult * head):
+            out.append((mult,) + tail)
+    return tuple(out)
+
+
+def oracle_candidates(params):
+    """(poly, factors) per candidate: each rebuilt from one, factor by factor."""
+    specs = admissible_full_degree_specs(params)
+    degrees = tuple(totient(4 * s.t) for s in specs)
+    out = []
+    for mults in _bounded_partitions(degrees, 2 * params.g):
+        poly = IntPoly.one()
+        for s, m in zip(specs, mults):
+            poly = poly * minpoly_full_degree(params, s.q_star_sign, s.t) ** m
+        out.append((poly, tuple((s, m) for s, m in zip(specs, mults) if m)))
+    out.sort(key=lambda c: tuple((s.t, s.q_star_sign, m) for s, m in c[1]))
+    return out
+
+
+def substituted_minpoly(params, sign, t):
+    """c_j * q_star**((phi(4t) - j)/2) on each coefficient c_j of cyclotomic(4t)."""
+    phi = cyclotomic(4 * t).coeffs
+    m = len(phi) - 1
+    q_star = sign * params.q
+    return IntPoly(c * q_star ** ((m - j) // 2) if c else 0 for j, c in enumerate(phi))
+
+
+# p = 2 and 3 and primes on both sides of 2g+1 for every g <= 4
+ORACLE_PRIMES = [2, 3, 5, 7, 11, 13, 17]
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(
+    g=st.integers(1, 4),
+    p=st.sampled_from(ORACLE_PRIMES),
+    n=st.sampled_from([1, 3, 5, 7]),
+)
+def test_enumeration_matches_per_candidate_oracle(g, p, n):
+    params = WeilParams(p=p, n=n, g=g)
+    got = [(c.poly, c.factors) for c in enumerate_candidates(params)]
+    assert got == oracle_candidates(params)
+
+
+def test_shape_scaling_matches_minpoly_for_every_admissible_spec():
+    for p in (2, 3, 5, 7, 13):
+        for n in (1, 3):
+            for g in (1, 2, 4, 6):
+                params = WeilParams(p=p, n=n, g=g)
+                for s in admissible_full_degree_specs(params):
+                    scaled = scale_shape(minpoly_shape(s.q_star_sign, s.t), params.q)
+                    assert scaled == minpoly_full_degree(params, s.q_star_sign, s.t)
+                    assert scaled == substituted_minpoly(params, s.q_star_sign, s.t)
+
+
+def test_shape_scaling_is_multiplicative():
+    rng = random.Random(333)
+    for _ in range(100):
+        a = minpoly_shape(rng.choice((-1, 1)), rng.randint(1, 12))
+        b = minpoly_shape(rng.choice((-1, 1)), rng.randint(1, 12))
+        q = rng.choice((2, 3, 5 ** 3, 7 ** 5))
+        assert scale_shape(a * b, q) == scale_shape(a, q) * scale_shape(b, q)
+
+
+def test_scale_shape_rejects_odd_shapes():
+    for bad in (IntPoly([1, 1, 1]), IntPoly([0, 1]), IntPoly([1, 0, 0, 1])):
+        with pytest.raises(ValueError):
+            scale_shape(bad, 5)
+    assert scale_shape(IntPoly([3]), 5) == IntPoly([3])
 
 
 def test_admissible_specs_g1():
@@ -162,6 +248,21 @@ def test_primes_between():
     assert primes_between(7, 7) == []
 
 
+def test_primes_between_sieve_matches_is_prime():
+    # both edges: low itself is excluded, high included, whether prime or not
+    for low in range(-2, 40):
+        for high in range(-2, 80):
+            expected = [p for p in range(max(low + 1, 2), high + 1) if is_prime(p)]
+            assert primes_between(low, high) == expected, (low, high)
+    assert primes_between(1000, 3000) == [p for p in range(1001, 3001) if is_prime(p)]
+
+
+def test_primes_between_cap():
+    assert primes_between(PRIME_SIEVE_CAP - 100, PRIME_SIEVE_CAP)[-1] == 9999991
+    with pytest.raises(OutOfRange):
+        primes_between(1, PRIME_SIEVE_CAP + 1)
+
+
 def test_verify_grid_small():
     result = verify_grid(3, 50, [1])
     assert result.all_ok
@@ -232,28 +333,35 @@ def test_candidate_factorization_recomputes():
 
 def test_partition_search_is_order_independent():
     # the family of factor multisets must not depend on the spec scan order
-    from weilparity.enumerator import _bounded_partitions
-
     rng = random.Random(222)
     params = WeilParams(p=13, n=1, g=4)
     specs = admissible_full_degree_specs(params)
-    degrees = [totient(4 * s.t) for s in specs]
+
+    def family(records):
+        return {frozenset((s.q_star_sign, s.t, m) for s, m in factors) for _, factors in records}
 
     def multisets(order):
-        degs = tuple(degrees[i] for i in order)
-        found = set()
-        for mults in _bounded_partitions(degs, 2 * params.g):
-            found.add(frozenset(
-                (specs[i].q_star_sign, specs[i].t, m)
-                for i, m in zip(order, mults) if m
-            ))
-        return found
+        return family(_candidate_shapes(params.g, tuple(specs[i] for i in order)))
 
     canonical = multisets(list(range(len(specs))))
+    assert canonical == family(oracle_candidates(params))
     for _ in range(5):
         order = list(range(len(specs)))
         rng.shuffle(order)
         assert multisets(order) == canonical
+
+
+def test_shapes_are_shared_across_cells_with_equal_spec_sets():
+    # above 2g+1 the spec set, hence the cache entry, does not depend on (p, n)
+    _candidate_shapes.cache_clear()
+    for p in (11, 13, 17):
+        for n in (1, 3):
+            enumerate_candidates(WeilParams(p=p, n=n, g=4))
+    assert _candidate_shapes.cache_info().currsize == 1
+    # p = 2 and p = 5 <= 2g+1 compute other spec sets, so other entries
+    enumerate_candidates(WeilParams(p=2, n=1, g=4))
+    enumerate_candidates(WeilParams(p=5, n=1, g=4))
+    assert _candidate_shapes.cache_info().currsize == 3
 
 
 def test_totient_lower_bound_supporting_scan_cap():

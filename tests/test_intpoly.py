@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from weilparity.errors import NotDivisible
 from weilparity.intpoly import NEG_INFINITY, IntPoly, _exact_div_schoolbook
@@ -234,6 +236,27 @@ def test_ring_laws_larger_random_cases():
         assert a * (b + c) == a * b + a * c
         if not b.is_zero():
             assert (a * b).exact_div(b) == a
+
+
+polys = st.lists(st.integers(-(2 ** 70), 2 ** 70), max_size=8).map(IntPoly)
+RING_LAWS = settings(max_examples=200, deadline=None, derandomize=True)
+
+
+@RING_LAWS
+@given(polys, polys, polys)
+def test_ring_laws_property(a, b, c):
+    assert a + b == b + a
+    assert (a + b) + c == a + (b + c)
+    assert a * b == b * a
+    assert (a * b) * c == a * (b * c)
+    assert a * (b + c) == a * b + a * c
+    assert (a + b) * c == a * c + b * c
+
+
+@RING_LAWS
+@given(polys, polys.filter(lambda b: not b.is_zero()))
+def test_exact_div_round_trip_property(a, b):
+    assert (a * b).exact_div(b) == a
 
 
 # -- large operands -----------------------------------------------------------
