@@ -1,20 +1,25 @@
 """Coefficient bounds for monic degree-2g Weil polynomials.
 
-For a monic degree-2g polynomial with roots of absolute value sqrt(q),
-writing ``a_k`` for the coefficient of ``X**(2g-k)`` (k = 1..g):
+:func:`full_bounds_report` is the entry point.  It checks the shape of
+a polynomial once (monic of degree 2g, else :class:`ShapeError`) and
+reads ``a_k``, the coefficient of ``X**(2g-k)``, once for each
+k = 1..g.  For roots of absolute value sqrt(q) it reports:
 
 * archimedean bound: |a_k| <= C(2g,k) * q**(k/2), checked in the
   squared form a_k**2 <= C(2g,k)**2 * q**k so that half-integer
   exponents never leave exact integer arithmetic;
 * valuation bound:  ord_p(a_k) >= ceil(n*k/2), with a_k = 0 passing
   vacuously (valuation +infinity);
-* binomial threshold: for odd k, a_k != 0 forces p <= C(2g,k)**2, so
-  past the threshold every odd coefficient must vanish.
+* binomial threshold (``lemma_a1_ok``): for odd k, a_k != 0 forces
+  p <= C(2g,k)**2, so past the threshold every odd coefficient must
+  vanish;
+* literal q-symmetry (``symmetric_ok``): c_{g-j} = q**j * c_{g+j} for
+  j = 1..g, so the constant term is exactly +q**g.
 
-Two symmetry checks are exposed and kept distinct: the literal
-q-symmetric coefficient pattern (constant term exactly +q**g), and the
-signed functional equation X**(2g) P(q/X) = +/- q**g P(X), which
-products of factors can realize with either sign.
+Literal q-symmetry is kept distinct from :func:`functional_equation_sign`,
+the signed functional equation X**(2g) P(q/X) = +/- q**g P(X), which
+products of factors can realize with either sign: (X**2+q)(X**2-q)
+meets it with sign -1 and is not q-symmetric.
 """
 
 from __future__ import annotations
@@ -45,34 +50,6 @@ class BoundsReport:
     symmetric_ok: bool
 
 
-def _require_shape(poly: IntPoly, params: WeilParams) -> None:
-    if poly.degree != 2 * params.g or not poly.is_monic():
-        raise ShapeError(
-            f"polynomial must be monic of degree {2 * params.g}, "
-            f"got degree {poly.degree}"
-        )
-
-
-def _upper_coefficient(poly: IntPoly, params: WeilParams, k: int) -> int:
-    # a_k is the coefficient of X**(2g-k)
-    return poly.coefficient(2 * params.g - k)
-
-
-def is_q_symmetric(poly: IntPoly, params: WeilParams) -> bool:
-    """Literal q-symmetry: c_{g-j} = q**j * c_{g+j} for j = 1..g.
-
-    This fixes the sign convention with constant term exactly +q**g;
-    polynomials satisfying only the negative-sign functional equation
-    (e.g. (X**2+q)(X**2-q)) legitimately return False.
-    """
-    _require_shape(poly, params)
-    g, q = params.g, params.q
-    return all(
-        poly.coefficient(g - j) == q ** j * poly.coefficient(g + j)
-        for j in range(1, g + 1)
-    )
-
-
 def functional_equation_sign(poly: IntPoly, q: int) -> int | None:
     """Sign s with X**d P(q/X) = s * q**(d/2) P(X), or None if neither fits.
 
@@ -93,37 +70,6 @@ def functional_equation_sign(poly: IntPoly, q: int) -> int | None:
     return None
 
 
-def archimedean_bound_check(poly: IntPoly, params: WeilParams) -> list[bool]:
-    """a_k**2 <= C(2g,k)**2 * q**k for each k = 1..g."""
-    _require_shape(poly, params)
-    g, q = params.g, params.q
-    return [
-        _upper_coefficient(poly, params, k) ** 2 <= comb(2 * g, k) ** 2 * q ** k
-        for k in range(1, g + 1)
-    ]
-
-
-def valuation_bound_check(poly: IntPoly, params: WeilParams) -> list[bool]:
-    """ord_p(a_k) >= ceil(n*k/2) for each k = 1..g; a_k = 0 passes."""
-    _require_shape(poly, params)
-    out = []
-    for k in range(1, params.g + 1):
-        a_k = _upper_coefficient(poly, params, k)
-        need = params.p ** ((params.n * k + 1) // 2)
-        out.append(a_k == 0 or a_k % need == 0)
-    return out
-
-
-def lemma_a1_check(poly: IntPoly, params: WeilParams) -> bool:
-    """Every nonzero odd coefficient a_k forces p <= C(2g,k)**2."""
-    _require_shape(poly, params)
-    return all(
-        params.p <= comb(2 * params.g, k) ** 2
-        for k in range(1, params.g + 1, 2)
-        if _upper_coefficient(poly, params, k) != 0
-    )
-
-
 def corollary_threshold(g: int) -> int:
     """The binomial evenness threshold: p beyond it forces all odd a_k = 0.
 
@@ -137,22 +83,29 @@ def corollary_threshold(g: int) -> int:
 
 
 def full_bounds_report(poly: IntPoly, params: WeilParams) -> BoundsReport:
-    """Aggregate all bound checks into one report."""
-    _require_shape(poly, params)
-    arch = archimedean_bound_check(poly, params)
-    val = valuation_bound_check(poly, params)
-    per = tuple(
-        CoefficientCheck(
-            k=k,
-            value=_upper_coefficient(poly, params, k),
-            archimedean_ok=arch[k - 1],
-            valuation_ok=val[k - 1],
+    """Every bound check on ``poly``: one shape check, one read of a_1..a_g."""
+    g, p, n, q = params.g, params.p, params.n, params.q
+    c = poly.coeffs
+    if len(c) != 2 * g + 1 or c[-1] != 1:
+        raise ShapeError(
+            f"polynomial must be monic of degree {2 * g}, got degree {poly.degree}"
         )
-        for k in range(1, params.g + 1)
-    )
+    per = []
+    lemma_a1_ok = True
+    for k in range(1, g + 1):
+        a_k = c[2 * g - k]
+        binom_sq = comb(2 * g, k) ** 2
+        per.append(CoefficientCheck(
+            k=k,
+            value=a_k,
+            archimedean_ok=a_k * a_k <= binom_sq * q ** k,
+            valuation_ok=a_k % p ** ((n * k + 1) // 2) == 0,
+        ))
+        if k % 2 and a_k and p > binom_sq:
+            lemma_a1_ok = False
     return BoundsReport(
         params=params,
-        per_coefficient=per,
-        lemma_a1_ok=lemma_a1_check(poly, params),
-        symmetric_ok=is_q_symmetric(poly, params),
+        per_coefficient=tuple(per),
+        lemma_a1_ok=lemma_a1_ok,
+        symmetric_ok=all(c[g - j] == q ** j * c[g + j] for j in range(1, g + 1)),
     )

@@ -243,13 +243,16 @@ def verify_grid(g_max: int, p_max: int, n_values: list[int]) -> GridResult:
     """One parity report per (g, p, n) with 2g+1 < p <= p_max.
 
     Cells are visited in deterministic grid order (g, then p, then the
-    given n order).  Before any work, every g <= g_max must have a prime
-    p with 2g+1 < p <= p_max; a grid that leaves some g uncovered is a
-    ``ValueError``, since it would not verify what was asked.  A p_max
-    above ``PRIME_SIEVE_CAP`` is :class:`OutOfRange`.
+    given n order).  Before any work, ``n_values`` must be nonempty and
+    every g <= g_max must have a prime p with 2g+1 < p <= p_max; a grid
+    that leaves some g uncovered is a ``ValueError``, since it would not
+    verify what was asked.  A p_max above ``PRIME_SIEVE_CAP`` is
+    :class:`OutOfRange`.
     """
     if g_max < 1:
         raise ValueError("g_max must be a positive integer")
+    if not n_values:
+        raise ValueError("n_values must name at least one n")
     _check_g_cap(g_max, "g_max")
     primes = primes_between(1, p_max)
     # g is covered iff 2g+1 < the largest prime, so the uncovered g form a tail

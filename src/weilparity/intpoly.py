@@ -90,13 +90,6 @@ class IntPoly:
         return cls((0, 1))
 
     @classmethod
-    def monomial(cls, coeff: int, exponent: int) -> IntPoly:
-        """``coeff * X**exponent``."""
-        if exponent < 0:
-            raise ValueError("exponent must be nonnegative")
-        return cls((0,) * exponent + (coeff,))
-
-    @classmethod
     def x_pow_minus_one(cls, n: int) -> IntPoly:
         """``X**n - 1``."""
         if n < 1:

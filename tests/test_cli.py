@@ -35,13 +35,31 @@ def test_cyclo_structured(capsys):
 GOLDEN_FILES = {
     "mixed": "# g=1 p=5 n=1: rows failing each check in turn\n5 0 1\n\n-5 0 1\n5 1 1\n5 7 1\n5 5 1\n",
     "comments": "# nothing but comments\n\n",
+    # g=3 p=37 sits between C(6,1)**2 = 36 and C(6,3)**2 = 400: rows with every
+    # a_k = 0, a nonzero odd a_3 (allowed) and a_1 (not), the negative-sign
+    # functional equation, and rows failing each bound at n = 1 and at n = 3
+    "g3": (
+        "# g=3 p=37\n"
+        "50653 0 4107 0 111 0 1\n"
+        "129961739795077 0 7697179227 0 151959 0 1\n"
+        "-50653 0 -1369 0 37 0 1\n"
+        "50653 0 0 0 0 0 1\n"
+        "\n"
+        "50653 0 0 1369 0 0 1\n"
+        "50653 1369 0 0 0 1 1\n"
+        "50653 50653 0 0 0 37 1\n"
+        "50653 0 37 0 1 0 1\n"
+        "50653 0 0 0 -999 0 1\n"
+        "50653 0 0 0 50653000000 0 1\n"
+    ),
 }
 
 # (argv, format) -> (sha256 of stdout, exit code).  The cyclo digests were
 # recorded with the divisor-quotient construction that preceded the sparse
 # one, the others before the per-subcommand serializers were merged; the
 # p = 2 enumerate and the --pmax 40 verify entries were recorded with the
-# per-candidate construction that preceded the shared shapes.
+# per-candidate construction that preceded the shared shapes, and the g = 3
+# bounds entries with the per-check functions that preceded the one-pass report.
 GOLDEN = {
     (("cyclo", "1"), "tsv"):
         ("3aebd7327cb0c84b85ce4dfd301187d864a30cd0980162ef877d9e78be39d47f", 0),
@@ -145,6 +163,14 @@ GOLDEN = {
         ("37517e5f3dc66819f61f5a7bb8ace1921282415f10551d2defa5c3eb0985b570", 0),
     (("bounds", "--g", "1", "--p", "5", "--n", "2", "--file", "@mixed"), "tsv"):
         ("e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 2),
+    (("bounds", "--g", "3", "--p", "37", "--n", "1", "--file", "@g3"), "tsv"):
+        ("c2c847c540bd53413a3ec1072d0149482ce707270236816e35b8233ae76079b2", 0),
+    (("bounds", "--g", "3", "--p", "37", "--n", "1", "--file", "@g3"), "structured"):
+        ("ad7ab9b7e2eba6b0f08958e7af81dc6d2094349522e7ba6ef862ce0c2cd7910d", 0),
+    (("bounds", "--g", "3", "--p", "37", "--n", "3", "--file", "@g3"), "tsv"):
+        ("9a242fb23e3726e05060f86c8a54f14f6459178376d1f787cb85309f0d331513", 0),
+    (("bounds", "--g", "3", "--p", "37", "--n", "3", "--file", "@g3"), "structured"):
+        ("f185b1798092294fcd11fdc997b59476c1c68cb2f9dd4d84a5d58be84dc75c86", 0),
 }
 
 

@@ -291,6 +291,8 @@ def test_verify_grid_validation():
         verify_grid(3, 3, [1])  # no cell: nothing would be verified
     with pytest.raises(ValueError, match="g=2..3"):
         verify_grid(3, 5, [1])  # only g = 1 has a cell
+    with pytest.raises(ValueError, match="n_values"):
+        verify_grid(3, 50, [])  # no n: nothing would be verified
 
 
 def test_product_of_even_polynomials_is_even():
