@@ -15,11 +15,6 @@ k = 1..g.  For roots of absolute value sqrt(q) it reports:
   vanish;
 * literal q-symmetry (``symmetric_ok``): c_{g-j} = q**j * c_{g+j} for
   j = 1..g, so the constant term is exactly +q**g.
-
-Literal q-symmetry is kept distinct from :func:`functional_equation_sign`,
-the signed functional equation X**(2g) P(q/X) = +/- q**g P(X), which
-products of factors can realize with either sign: (X**2+q)(X**2-q)
-meets it with sign -1 and is not q-symmetric.
 """
 
 from __future__ import annotations
@@ -48,38 +43,6 @@ class BoundsReport:
     per_coefficient: tuple[CoefficientCheck, ...]
     lemma_a1_ok: bool
     symmetric_ok: bool
-
-
-def functional_equation_sign(poly: IntPoly, q: int) -> int | None:
-    """Sign s with X**d P(q/X) = s * q**(d/2) P(X), or None if neither fits.
-
-    Accepts any monic polynomial of even degree d (factors as well as
-    full candidates); the identity is checked exactly, coefficient by
-    coefficient.
-    """
-    d = poly.degree
-    if not poly.is_monic() or not isinstance(d, int) or d % 2:
-        raise ShapeError("functional equation requires a monic even-degree polynomial")
-    h = d // 2
-    for sign in (1, -1):
-        if all(
-            poly.coefficient(d - j) * q ** (h - j) == sign * poly.coefficient(j)
-            for j in range(h + 1)
-        ):
-            return sign
-    return None
-
-
-def corollary_threshold(g: int) -> int:
-    """The binomial evenness threshold: p beyond it forces all odd a_k = 0.
-
-    C(2g,g)**2 for odd g, C(2g,g-1)**2 for even g (the largest binomial
-    square over odd k <= g).
-    """
-    if g < 1:
-        raise ValueError("g must be a positive integer")
-    k = g if g % 2 else g - 1
-    return comb(2 * g, k) ** 2
 
 
 def full_bounds_report(poly: IntPoly, params: WeilParams) -> BoundsReport:

@@ -12,11 +12,13 @@ Subcommands::
 Every subcommand accepts ``--format {tsv,structured}`` (default tsv) and
 produces byte-identical output for identical inputs.  Exit codes:
 0 success, 1 parity-contract violation, 2 usage or validation error,
-3 internal error (a broken identity or any other unexpected exception,
-reported as ``internal error:`` and a traceback on stderr).  A
+3 internal error (any unexpected exception, reported as
+``internal error:`` and a traceback on stderr).  A
 ``verify`` grid must cover every g <= gmax with a prime p,
 2g+1 < p <= pmax, and pmax may not exceed the prime sieve cap of
-10**7; otherwise it exits 2 before any work.
+10**7; otherwise it exits 2 before any work.  So does a run that would
+print a constant term (q**g, or q**(phi(4t)/2) for ``minpoly``) longer
+than Python converts to text; TSV ``verify`` prints none.
 """
 
 from __future__ import annotations
@@ -24,12 +26,19 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from math import log10
 from pathlib import Path
 from typing import Sequence
 
 from .bounds import BoundsReport, full_bounds_report
 from .cyclotomic import cyclotomic, totient
-from .enumerator import ParityReport, half_degree_candidates, verify_grid, verify_parity_theorem
+from .enumerator import (
+    ParityReport,
+    grid_primes,
+    half_degree_candidates,
+    verify_grid,
+    verify_parity_theorem,
+)
 from .errors import ParseError
 from .intpoly import IntPoly
 from .weil import WeilParams, minpoly_full_degree
@@ -75,6 +84,22 @@ def _emit(args, doc, rows, header=None) -> None:
     lines = [] if header is None else ["\t".join(header)]
     lines.extend("\t".join(map(_text, row)) for row in rows())
     print("\n".join(lines))
+
+
+def _check_digits(what: str, p: int, e: int) -> None:
+    """Reject up front a run that would print ``p**e`` past Python's digit limit.
+
+    Python converts no integer of more than ``sys.get_int_max_str_digits()``
+    digits to text (0: no limit).  ``e * log10(p)`` decides unless it lies
+    within one of the limit; then the exact comparison does.
+    """
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # none before 3.10.7
+    digits = e * log10(p)
+    if limit and digits > limit - 1 and (digits > limit + 1 or p ** e >= 10 ** limit):
+        raise ValueError(
+            f"{what} = {p}**{e} has more than {limit} digits, "
+            "the most Python converts to text (sys.get_int_max_str_digits)"
+        )
 
 
 def _cell(params: WeilParams) -> dict:
@@ -142,7 +167,10 @@ def _cmd_cyclo(args) -> int:
 def _cmd_minpoly(args) -> int:
     # g plays no role in the minimal polynomial; pin the smallest value.
     sign = 1 if args.sign == "+" else -1
-    poly = minpoly_full_degree(WeilParams(p=args.p, n=args.n, g=1), sign, args.t)
+    params = WeilParams(p=args.p, n=args.n, g=1)
+    if args.t >= 1:  # else minpoly_full_degree rejects t
+        _check_digits("the constant term", args.p, args.n * totient(4 * args.t) // 2)
+    poly = minpoly_full_degree(params, sign, args.t)
     spec = {"p": args.p, "n": args.n, "sign": sign, "t": args.t}
     _emit(
         args,
@@ -153,7 +181,9 @@ def _cmd_minpoly(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
-    report = verify_parity_theorem(WeilParams(p=args.p, n=args.n, g=args.g))
+    params = WeilParams(p=args.p, n=args.n, g=args.g)
+    _check_digits("the constant term", args.p, args.n * args.g)
+    report = verify_parity_theorem(params)
     cell = tuple(_cell(report.params).values())
 
     def rows():
@@ -166,6 +196,9 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    if args.format == "structured":
+        p = grid_primes(args.gmax, args.pmax, args.n)[-1]
+        _check_digits("the largest constant term", p, max(args.n) * args.gmax)
     result = verify_grid(args.gmax, args.pmax, args.n)
     _emit(
         args,

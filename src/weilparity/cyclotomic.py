@@ -5,9 +5,9 @@ power-series method of Arnold and Monagan ("Calculating cyclotomic
 polynomials", Math. Comp. 80, 2011): reduce ``n`` to its radical, strip
 a factor 2 by ``X -> -X``, apply the factors ``(1 - X**d)**moebius(n/d)``
 to the lower half of the coefficients in place, and mirror the
-palindrome.  :func:`cyclotomic_mobius` is an independent oracle that
-assembles the same Moebius product as one exact polynomial quotient;
-the test suite checks the two agree.
+palindrome.  The test suite checks it against an independent oracle,
+the same Moebius product taken as one exact polynomial quotient
+(``cyclotomic_mobius`` in ``tests/oracles.py``).
 
 The memo table behind :func:`cyclotomic` is the only shared mutable
 state in the package: readers only ever see fully constructed entries,
@@ -146,56 +146,3 @@ def cyclotomic(n: int) -> IntPoly:
     _check_cap(n)
     return _cyclotomic(n)
 
-
-def cyclotomic_mobius(n: int) -> IntPoly:
-    """Independent construction of the n-th cyclotomic polynomial.
-
-    Assembles ``prod_{d | n} (X**(n/d) - 1)**moebius(d)`` as a single
-    exact numerator/denominator quotient.  Must equal
-    ``cyclotomic(n)``; used as a cross-check oracle.
-    """
-    _check_cap(n)
-    numerator = IntPoly.one()
-    denominator = IntPoly.one()
-    for d in divisors(n):
-        mu = moebius(d)
-        if mu == 1:
-            numerator = numerator * IntPoly.x_pow_minus_one(n // d)
-        elif mu == -1:
-            denominator = denominator * IntPoly.x_pow_minus_one(n // d)
-    return numerator.exact_div(denominator)
-
-
-def prime_power_identity_check(p: int, k: int, n: int) -> bool:
-    """Check the prime-power shift identity for cyclotomic polynomials.
-
-    For prime ``p`` and ``k >= 1`` the polynomial ``Phi_{p**k * n}``
-    equals ``Phi_n(X**(p**k))`` when ``p`` divides ``n``, and
-    ``Phi_n(X**(p**k)) / Phi_n(X**(p**(k-1)))`` otherwise.  Returns
-    whether the applicable branch holds as an exact polynomial identity.
-    """
-    if not is_prime(p):
-        raise ValueError(f"p={p} must be prime")
-    if k < 1:
-        raise ValueError("k must be a positive integer")
-    if n < 1:
-        raise ValueError("n must be a positive integer")
-    lhs = cyclotomic(p ** k * n)
-    composed = cyclotomic(n).compose_power(p ** k)
-    if n % p == 0:
-        rhs = composed
-    else:
-        rhs = composed.exact_div(cyclotomic(n).compose_power(p ** (k - 1)))
-    return lhs == rhs
-
-
-def is_even_cyclotomic(n: int) -> bool:
-    """True iff the n-th cyclotomic polynomial is even.
-
-    This holds exactly when 4 divides n, so the predicate is pure
-    integer arithmetic; the test suite re-derives the equivalence with
-    a coefficient scan of the constructed polynomials.
-    """
-    if n < 1:
-        raise ValueError("n must be a positive integer")
-    return n % 4 == 0

@@ -34,14 +34,7 @@ from math import isqrt
 from .cyclotomic import totient
 from .errors import CapExceeded, OutOfRange
 from .intpoly import IntPoly
-from .weil import (
-    WeilNumberSpec,
-    WeilParams,
-    classify,
-    is_full_degree,
-    minpoly_shape,
-    scale_shape,
-)
+from .weil import WeilNumberSpec, WeilParams, is_full_degree, minpoly_shape, scale_shape
 
 G_CAP = 10
 PRIME_SIEVE_CAP = 10 ** 7  # a byte per integer up to the sieve limit
@@ -128,7 +121,7 @@ def admissible_full_degree_specs(params: WeilParams) -> list[WeilNumberSpec]:
             continue
         for sign in (-1, 1):
             if is_full_degree(params, sign, t):
-                out.append(classify(params, sign, t))
+                out.append(WeilNumberSpec(sign, t))
     return out
 
 
@@ -206,7 +199,7 @@ def half_degree_candidates(params: WeilParams) -> list[WeilNumberSpec]:
             continue
         for sign in (-1, 1):
             if not is_full_degree(params, sign, t):
-                out.append(classify(params, sign, t))
+                out.append(WeilNumberSpec(sign, t))
     return out
 
 
@@ -239,15 +232,13 @@ def primes_between(low: int, high: int) -> list[int]:
     return list(compress(range(start, high + 1), sieve[start:]))
 
 
-def verify_grid(g_max: int, p_max: int, n_values: list[int]) -> GridResult:
-    """One parity report per (g, p, n) with 2g+1 < p <= p_max.
+def grid_primes(g_max: int, p_max: int, n_values: list[int]) -> list[int]:
+    """Check a :func:`verify_grid` grid before any work; return its primes.
 
-    Cells are visited in deterministic grid order (g, then p, then the
-    given n order).  Before any work, ``n_values`` must be nonempty and
-    every g <= g_max must have a prime p with 2g+1 < p <= p_max; a grid
-    that leaves some g uncovered is a ``ValueError``, since it would not
-    verify what was asked.  A p_max above ``PRIME_SIEVE_CAP`` is
-    :class:`OutOfRange`.
+    Every n must be valid for :class:`WeilParams`, and every g <= g_max
+    must have a prime p with 2g+1 < p <= p_max; a grid that leaves some
+    g uncovered is a ``ValueError``, since it would not verify what was
+    asked.  A p_max above ``PRIME_SIEVE_CAP`` is :class:`OutOfRange`.
     """
     if g_max < 1:
         raise ValueError("g_max must be a positive integer")
@@ -261,6 +252,18 @@ def verify_grid(g_max: int, p_max: int, n_values: list[int]) -> GridResult:
         raise ValueError(
             f"empty grid for g={covered + 1}..{g_max}: no prime p with 2g+1 < p <= {p_max}"
         )
+    for n in n_values:
+        WeilParams(p=primes[-1], n=n, g=g_max)  # a cell of the grid, so n is checked
+    return primes
+
+
+def verify_grid(g_max: int, p_max: int, n_values: list[int]) -> GridResult:
+    """One parity report per (g, p, n) with 2g+1 < p <= p_max.
+
+    Cells are visited in grid order (g, then p, then the given n order),
+    once :func:`grid_primes` has checked the grid.
+    """
+    primes = grid_primes(g_max, p_max, n_values)
     return GridResult(
         reports=tuple(
             verify_parity_theorem(WeilParams(p=p, n=n, g=g))

@@ -1,15 +1,6 @@
 """Exception types shared across the package."""
 
 
-class NotDivisible(ArithmeticError):
-    """An exact polynomial division left a remainder or a fractional step.
-
-    Every division performed by this package is mathematically exact, so
-    raising this means either the inputs were wrong or an identity that
-    should hold does not.
-    """
-
-
 class OutOfRange(ValueError):
     """An input exceeded a configured computation cap."""
 

@@ -14,9 +14,7 @@ instances can be shared between threads without synchronization.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
-
-from .errors import NotDivisible
+from typing import Iterable
 
 NEG_INFINITY = float("-inf")
 
@@ -28,31 +26,6 @@ def _mul_schoolbook(a: tuple[int, ...], b: tuple[int, ...]) -> list[int]:
             for j, cb in enumerate(b):
                 out[i + j] += ca * cb
     return out
-
-
-def _exact_div_schoolbook(num: tuple[int, ...], den: tuple[int, ...]) -> list[int]:
-    lead = den[-1]
-    dn = len(den)
-    lower = [(i, c) for i, c in enumerate(den[:-1]) if c]
-    rem = list(num)
-    quot = [0] * (len(num) - dn + 1)
-    for k in range(len(num) - 1, dn - 2, -1):
-        c = rem[k]
-        if not c:
-            continue
-        t, r = divmod(c, lead)
-        if r:
-            raise NotDivisible(
-                f"leading step {c} not divisible by {lead} at degree {k}"
-            )
-        pos = k - dn + 1
-        quot[pos] = t
-        rem[k] = 0
-        for i, dc in lower:
-            rem[pos + i] -= t * dc
-    if any(rem[:dn - 1]):
-        raise NotDivisible("division leaves a nonzero remainder")
-    return quot
 
 
 @dataclass(frozen=True)
@@ -89,13 +62,6 @@ class IntPoly:
     def x(cls) -> IntPoly:
         return cls((0, 1))
 
-    @classmethod
-    def x_pow_minus_one(cls, n: int) -> IntPoly:
-        """``X**n - 1``."""
-        if n < 1:
-            raise ValueError("n must be positive")
-        return cls((-1,) + (0,) * (n - 1) + (1,))
-
     # -- structure ----------------------------------------------------
 
     @property
@@ -114,9 +80,6 @@ class IntPoly:
         if i < 0:
             raise ValueError("coefficient index must be nonnegative")
         return self.coeffs[i] if i < len(self.coeffs) else 0
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.coeffs)
 
     # -- ring operations ----------------------------------------------
 
@@ -165,22 +128,6 @@ class IntPoly:
             n >>= 1
         return result
 
-    def exact_div(self, other: IntPoly) -> IntPoly:
-        """Exact quotient ``self / other`` over the integers.
-
-        Raises :class:`NotDivisible` if the division leaves a remainder
-        or hits a fractional coefficient; either always signals misuse
-        or a broken identity, never a value to be approximated.
-        """
-        if other.is_zero():
-            raise ZeroDivisionError("division by the zero polynomial")
-        if self.is_zero():
-            return IntPoly.zero()
-        num, den = self.coeffs, other.coeffs
-        if len(num) < len(den):
-            raise NotDivisible("divisor degree exceeds dividend degree")
-        return IntPoly(_exact_div_schoolbook(num, den))
-
     # -- substitutions -------------------------------------------------
 
     def compose_power(self, k: int) -> IntPoly:
@@ -205,15 +152,6 @@ class IntPoly:
         the zero polynomial.
         """
         return not any(self.coeffs[1::2])
-
-    def eval_int(self, x: int) -> int:
-        """Exact evaluation at an integer point (Horner)."""
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
-    __call__ = eval_int
 
     # -- text format ----------------------------------------------------
     #

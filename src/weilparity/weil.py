@@ -17,19 +17,13 @@ once and scaled to any q.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 from itertools import accumulate, repeat
 from operator import mul
 
-from .cyclotomic import cyclotomic, is_prime, totient
+from .cyclotomic import cyclotomic, is_prime
 from .errors import HalfDegreeUnsupported
 from .intpoly import IntPoly
-
-
-class DegreeCase(enum.Enum):
-    FULL_DEGREE = "full"
-    HALF_DEGREE = "half"
 
 
 @dataclass(frozen=True)
@@ -60,11 +54,10 @@ class WeilParams:
 
 @dataclass(frozen=True)
 class WeilNumberSpec:
-    """A Weil number ``sqrt(q_star_sign * q) * zeta_4t`` and its degree case."""
+    """A Weil number ``sqrt(q_star_sign * q) * zeta_4t``; its degree case also needs (p, n)."""
 
     q_star_sign: int
     t: int
-    degree_case: DegreeCase
 
     def __post_init__(self):
         if self.q_star_sign not in (1, -1):
@@ -80,30 +73,11 @@ def is_full_degree(params: WeilParams, q_star_sign: int, t: int) -> bool:
     not divide t, or q_star = 1 mod 4), or q_star is even and
     t != 2 mod 4.
     """
-    if q_star_sign not in (1, -1):
-        raise ValueError("q_star_sign must be +1 or -1")
-    if t < 1:
-        raise ValueError("t must be a positive integer")
+    WeilNumberSpec(q_star_sign, t)  # the spec's own checks on sign and t
     q_star = q_star_sign * params.q
     if q_star % 2:  # parity of q_star equals parity of p
         return t % 2 == 0 or t % params.p != 0 or q_star % 4 == 1
     return t % 4 != 2
-
-
-def classify(params: WeilParams, q_star_sign: int, t: int) -> WeilNumberSpec:
-    """Build a spec whose degree case is derived, never free-floating."""
-    case = (
-        DegreeCase.FULL_DEGREE
-        if is_full_degree(params, q_star_sign, t)
-        else DegreeCase.HALF_DEGREE
-    )
-    return WeilNumberSpec(q_star_sign, t, case)
-
-
-def weil_factor_degree(params: WeilParams, q_star_sign: int, t: int) -> int:
-    """Degree of the minimal polynomial: phi(4t), halved in the half case."""
-    d = totient(4 * t)
-    return d if is_full_degree(params, q_star_sign, t) else d // 2
 
 
 def minpoly_shape(q_star_sign: int, t: int) -> IntPoly:
@@ -114,10 +88,7 @@ def minpoly_shape(q_star_sign: int, t: int) -> IntPoly:
     ``c_j * q_star_sign**((phi(4t) - j)/2)``.  Scaling the shape by q
     (:func:`scale_shape`) gives the minimal polynomial itself.
     """
-    if q_star_sign not in (1, -1):
-        raise ValueError("q_star_sign must be +1 or -1")
-    if t < 1:
-        raise ValueError("t must be a positive integer")
+    WeilNumberSpec(q_star_sign, t)  # the spec's own checks on sign and t
     phi = cyclotomic(4 * t).coeffs
     m = len(phi) - 1
     # odd m - j carry c_j = 0, so the floor in the exponent never matters

@@ -1,0 +1,126 @@
+"""Reference implementations the tests compare the library against.
+
+None of these is on a command-line path: they are independent
+constructions (the Moebius quotient for cyclotomic polynomials, exact
+polynomial division), identities from the literature, and the paper's
+thresholds, kept here as oracles and acceptance checks.
+"""
+
+from math import comb
+
+from weilparity.cyclotomic import _check_cap, cyclotomic, divisors, is_prime, moebius
+from weilparity.errors import ShapeError
+from weilparity.intpoly import IntPoly
+
+
+class NotDivisible(ArithmeticError):
+    """An exact polynomial division left a remainder or a fractional step.
+
+    Every division the oracles perform is mathematically exact, so
+    raising this means either the inputs were wrong or an identity that
+    should hold does not.
+    """
+
+
+def exact_div(num: IntPoly, den: IntPoly) -> IntPoly:
+    """Exact quotient ``num / den`` over the integers, by long division."""
+    if den.is_zero():
+        raise ZeroDivisionError("division by the zero polynomial")
+    if num.is_zero():
+        return IntPoly.zero()
+    a, b = num.coeffs, den.coeffs
+    if len(a) < len(b):
+        raise NotDivisible("divisor degree exceeds dividend degree")
+    lead, dn = b[-1], len(b)
+    lower = [(i, c) for i, c in enumerate(b[:-1]) if c]
+    rem = list(a)
+    quot = [0] * (len(a) - dn + 1)
+    for k in range(len(a) - 1, dn - 2, -1):
+        c = rem[k]
+        if not c:
+            continue
+        t, r = divmod(c, lead)
+        if r:
+            raise NotDivisible(f"leading step {c} not divisible by {lead} at degree {k}")
+        pos = k - dn + 1
+        quot[pos] = t
+        rem[k] = 0
+        for i, dc in lower:
+            rem[pos + i] -= t * dc
+    if any(rem[:dn - 1]):
+        raise NotDivisible("division leaves a nonzero remainder")
+    return IntPoly(quot)
+
+
+def horner(poly: IntPoly, x: int) -> int:
+    """Exact value of ``poly`` at the integer ``x``."""
+    acc = 0
+    for c in reversed(poly.coeffs):
+        acc = acc * x + c
+    return acc
+
+
+def cyclotomic_mobius(n: int) -> IntPoly:
+    """The n-th cyclotomic polynomial as one exact Moebius quotient.
+
+    ``prod_{d | n} (X**(n/d) - 1)**moebius(d)``, under the same cap as
+    :func:`weilparity.cyclotomic.cyclotomic`.
+    """
+    _check_cap(n)
+    numerator = denominator = IntPoly.one()
+    for d in divisors(n):
+        mu, m = moebius(d), n // d
+        factor = IntPoly((-1,) + (0,) * (m - 1) + (1,))  # X**m - 1
+        if mu == 1:
+            numerator = numerator * factor
+        elif mu == -1:
+            denominator = denominator * factor
+    return exact_div(numerator, denominator)
+
+
+def prime_power_identity_check(p: int, k: int, n: int) -> bool:
+    """Check the prime-power shift identity for cyclotomic polynomials.
+
+    For prime ``p`` and ``k >= 1`` the polynomial ``Phi_{p**k * n}``
+    equals ``Phi_n(X**(p**k))`` when ``p`` divides ``n``, and
+    ``Phi_n(X**(p**k)) / Phi_n(X**(p**(k-1)))`` otherwise.
+    """
+    if not is_prime(p):
+        raise ValueError(f"p={p} must be prime")
+    if k < 1:
+        raise ValueError("k must be a positive integer")
+    if n < 1:
+        raise ValueError("n must be a positive integer")
+    lhs = cyclotomic(p ** k * n)
+    composed = cyclotomic(n).compose_power(p ** k)
+    if n % p == 0:
+        return lhs == composed
+    return lhs == exact_div(composed, cyclotomic(n).compose_power(p ** (k - 1)))
+
+
+def functional_equation_sign(poly: IntPoly, q: int) -> int | None:
+    """Sign s with X**d P(q/X) = s * q**(d/2) P(X), or None if neither fits.
+
+    Accepts any monic polynomial of even degree d (factors as well as
+    full candidates).  Products of factors can meet the identity with
+    either sign: (X**2+q)(X**2-q) has sign -1 and is not q-symmetric.
+    """
+    d = poly.degree
+    if not poly.is_monic() or d % 2:
+        raise ShapeError("functional equation requires a monic even-degree polynomial")
+    c = poly.coeffs
+    for sign in (1, -1):
+        if all(c[d - j] * q ** (d // 2 - j) == sign * c[j] for j in range(d // 2 + 1)):
+            return sign
+    return None
+
+
+def corollary_threshold(g: int) -> int:
+    """The binomial evenness threshold: p beyond it forces all odd a_k = 0.
+
+    C(2g,g)**2 for odd g, C(2g,g-1)**2 for even g (the largest binomial
+    square over odd k <= g).
+    """
+    if g < 1:
+        raise ValueError("g must be a positive integer")
+    return comb(2 * g, g if g % 2 else g - 1) ** 2

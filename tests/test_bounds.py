@@ -7,14 +7,9 @@ from math import comb, gcd
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import corollary_threshold, functional_equation_sign
 
-from weilparity.bounds import (
-    BoundsReport,
-    CoefficientCheck,
-    corollary_threshold,
-    full_bounds_report,
-    functional_equation_sign,
-)
+from weilparity.bounds import BoundsReport, CoefficientCheck, full_bounds_report
 from weilparity.cyclotomic import totient
 from weilparity.enumerator import enumerate_candidates, primes_between
 from weilparity.errors import ShapeError

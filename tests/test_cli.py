@@ -2,14 +2,16 @@
 
 import hashlib
 import json
+import sys
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from oracles import NotDivisible
 
 from weilparity.cli import ingest_reference, run
 from weilparity.enumerator import G_CAP
-from weilparity.errors import NotDivisible, ParseError
+from weilparity.errors import ParseError
 from weilparity.intpoly import IntPoly
 
 
@@ -60,6 +62,8 @@ GOLDEN_FILES = {
 # p = 2 enumerate and the --pmax 40 verify entries were recorded with the
 # per-candidate construction that preceded the shared shapes, and the g = 3
 # bounds entries with the per-check functions that preceded the one-pass report.
+# The entries at Python's 4300-digit limit were recorded when the CLI still
+# did all the work before it failed to print.
 GOLDEN = {
     (("cyclo", "1"), "tsv"):
         ("3aebd7327cb0c84b85ce4dfd301187d864a30cd0980162ef877d9e78be39d47f", 0),
@@ -171,6 +175,30 @@ GOLDEN = {
         ("9a242fb23e3726e05060f86c8a54f14f6459178376d1f787cb85309f0d331513", 0),
     (("bounds", "--g", "3", "--p", "37", "--n", "3", "--file", "@g3"), "structured"):
         ("f185b1798092294fcd11fdc997b59476c1c68cb2f9dd4d84a5d58be84dc75c86", 0),
+    # Python prints no integer of more than 4300 digits (its default
+    # int_max_str_digits); these cells sit on each side of that limit.
+    (("minpoly", "--p", "23", "--n", "801", "--sign", "+", "--t", "5"), "tsv"):
+        ("e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 2),
+    (("minpoly", "--p", "23", "--n", "801", "--sign", "+", "--t", "5"), "structured"):
+        ("e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 2),
+    (("minpoly", "--p", "23", "--n", "801", "--sign", "+", "--t", "3"), "tsv"):
+        ("8bee992a05f8274c15dfb10bef375cbdeef5fecac5220b6dcf9d2803d9587e27", 0),
+    (("minpoly", "--p", "23", "--n", "801", "--sign", "+", "--t", "3"), "structured"):
+        ("9a47124bdf0120614a46b824e1174c3ed79b745dce8acc66660dbe8dd43f843e", 0),
+    (("enumerate", "--g", "1", "--p", "23", "--n", "3159"), "tsv"):
+        ("e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 2),
+    (("enumerate", "--g", "1", "--p", "23", "--n", "3159"), "structured"):
+        ("e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 2),
+    (("enumerate", "--g", "1", "--p", "23", "--n", "3157"), "tsv"):
+        ("d1042f4f1219da6cc7fba9d092740b43905f6be890419e19dfc31a03b5989293", 0),
+    (("enumerate", "--g", "1", "--p", "23", "--n", "3157"), "structured"):
+        ("a0ef9836bb5f172d4667c24979a0a4af2175b13206e46bc073b05aa3b02254cc", 0),
+    (("verify", "--gmax", "1", "--pmax", "5", "--n", "6153"), "structured"):
+        ("e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 2),
+    (("verify", "--gmax", "1", "--pmax", "5", "--n", "6151"), "structured"):
+        ("99173e6353a78f7afc164a8fd5001d3b1078e5e95879940dbd7c35f090f45998", 0),
+    (("verify", "--gmax", "1", "--pmax", "5", "--n", "6153"), "tsv"):
+        ("a4b6ed0f8abcb76ac4d7812aa64fc28540f73900fdee3e0cdff2dd8b0be81b67", 0),
 }
 
 
@@ -411,6 +439,41 @@ def test_internal_errors_exit_3(monkeypatch, capsys, exc):
     code, out, err = invoke(capsys, ["verify", "--gmax", "1", "--pmax", "11", "--n", "1"])
     assert (code, out) == (3, "")
     assert err.startswith("internal error:") and str(exc) in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["minpoly", "--p", "23", "--n", "801", "--sign", "+", "--t", "5"],
+        ["enumerate", "--g", "1", "--p", "23", "--n", "3159"],
+        ["verify", "--gmax", "1", "--pmax", "5", "--n", "6153", "--format", "structured"],
+    ],
+)
+def test_digit_limit_is_checked_before_any_work(monkeypatch, capsys, argv):
+    # each run would print an integer past Python's 4300-digit limit
+    import weilparity.cli as cli
+    import weilparity.enumerator as enumerator
+
+    def work(*args):
+        raise RuntimeError("work started before the digit check")
+
+    monkeypatch.setattr(cli, "minpoly_full_degree", work)
+    monkeypatch.setattr(enumerator, "enumerate_candidates", work)
+    code, out, err = invoke(capsys, argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: the ") and "has more than 4300 digits" in err
+
+
+def test_digit_limit_follows_the_interpreter(capsys):
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)  # no limit
+    try:
+        code, out, _ = invoke(capsys, ["enumerate", "--g", "1", "--p", "23", "--n", "3159"])
+        q = str(23 ** 3159)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert code == 0
+    assert f"\t-{q} 0 1\t" in out and len(q) == 4302
 
 
 def test_usage_errors(capsys):

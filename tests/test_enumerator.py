@@ -6,8 +6,8 @@ from functools import cache
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import functional_equation_sign
 
-from weilparity.bounds import functional_equation_sign
 from weilparity.cyclotomic import cyclotomic, is_prime, totient
 from weilparity.enumerator import (
     G_CAP,
@@ -280,7 +280,14 @@ def test_verify_grid_cells():
     assert result.all_ok
 
 
-def test_verify_grid_validation():
+def test_verify_grid_validation(monkeypatch):
+    # every check runs before the first cell is enumerated
+    import weilparity.enumerator as enumerator
+
+    def work(params):
+        raise AssertionError(f"cell {params} enumerated before the grid was checked")
+
+    monkeypatch.setattr(enumerator, "enumerate_candidates", work)
     with pytest.raises(ValueError):
         verify_grid(0, 50, [1])
     with pytest.raises(CapExceeded):
@@ -293,6 +300,8 @@ def test_verify_grid_validation():
         verify_grid(3, 5, [1])  # only g = 1 has a cell
     with pytest.raises(ValueError, match="n_values"):
         verify_grid(3, 50, [])  # no n: nothing would be verified
+    with pytest.raises(ValueError, match="odd"):
+        verify_grid(3, 50, [1, 2])  # n = 2 is found before the cells of n = 1
 
 
 def test_product_of_even_polynomials_is_even():

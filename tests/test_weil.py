@@ -4,19 +4,13 @@ from math import gcd
 
 import mpmath
 import pytest
+from oracles import functional_equation_sign
 
 from weilparity.cyclotomic import totient
+from weilparity.enumerator import admissible_full_degree_specs, half_degree_candidates
 from weilparity.errors import HalfDegreeUnsupported
 from weilparity.intpoly import IntPoly
-from weilparity.weil import (
-    DegreeCase,
-    WeilNumberSpec,
-    WeilParams,
-    classify,
-    is_full_degree,
-    minpoly_full_degree,
-    weil_factor_degree,
-)
+from weilparity.weil import WeilNumberSpec, WeilParams, is_full_degree, minpoly_full_degree
 
 
 def test_params_validation():
@@ -34,9 +28,9 @@ def test_params_validation():
 
 def test_spec_validation():
     with pytest.raises(ValueError):
-        WeilNumberSpec(q_star_sign=2, t=1, degree_case=DegreeCase.FULL_DEGREE)
+        WeilNumberSpec(q_star_sign=2, t=1)
     with pytest.raises(ValueError):
-        WeilNumberSpec(q_star_sign=1, t=0, degree_case=DegreeCase.FULL_DEGREE)
+        WeilNumberSpec(q_star_sign=1, t=0)
 
 
 def test_is_full_degree_examples():
@@ -50,20 +44,28 @@ def test_is_full_degree_examples():
 
 
 def test_classify_matches_predicate():
+    # a spec's degree case is the list that holds it: full-degree specs
+    # fitting in 2g are admissible, half-degree ones fitting are detected
     for p in (2, 3, 5, 7, 11):
         params = WeilParams(p=p, n=1, g=3)
+        full = admissible_full_degree_specs(params)
+        half = half_degree_candidates(params)
+        assert not set(full) & set(half)
         for t in range(1, 40):
             for sign in (-1, 1):
-                spec = classify(params, sign, t)
-                expected = DegreeCase.FULL_DEGREE if is_full_degree(params, sign, t) \
-                    else DegreeCase.HALF_DEGREE
-                assert spec.degree_case is expected
+                spec = WeilNumberSpec(sign, t)
+                if is_full_degree(params, sign, t):
+                    assert (spec in full) == (totient(4 * t) <= 2 * params.g)
+                else:
+                    assert (spec in half) == (totient(4 * t) // 2 <= 2 * params.g)
 
 
 def test_weil_factor_degree_examples():
-    assert weil_factor_degree(WeilParams(p=5, n=1, g=1), 1, 1) == 2
-    assert weil_factor_degree(WeilParams(p=7, n=1, g=1), 1, 7) == totient(28) // 2 == 6
-    assert weil_factor_degree(WeilParams(p=7, n=1, g=1), -1, 3) == 4
+    # phi(4t) in the full degree case, phi(4t)/2 in the half degree case
+    assert minpoly_full_degree(WeilParams(p=5, n=1, g=1), 1, 1).degree == 2
+    assert not is_full_degree(WeilParams(p=7, n=1, g=1), 1, 7)
+    assert totient(28) // 2 == 6
+    assert minpoly_full_degree(WeilParams(p=7, n=1, g=1), -1, 3).degree == 4
 
 
 def test_minpoly_examples():
@@ -133,8 +135,6 @@ def test_minpoly_even_monic_constant_term():
 def test_minpoly_functional_equation_sign():
     # X^d M(q/X) = s * q^(d/2) M(X) with s = +1 for q* = q and
     # s = (-1)^(d/2) for q* = -q.
-    from weilparity.bounds import functional_equation_sign
-
     for p in (3, 5, 7, 13):
         params = WeilParams(p=p, n=1, g=1)
         for t in range(1, 16):
