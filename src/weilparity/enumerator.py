@@ -22,12 +22,27 @@ cannot fill; a cell then only scales them by its q.  The key is the
 spec tuple the cell itself computes, not the one the theorem predicts:
 cells whose spec sets differ (p <= 2g+1, p = 2) get their own entry, so
 a verify run still checks every cell instead of assuming the result.
+
+A parity report counts instead of expanding.  Scaling by q multiplies
+each coefficient by a nonzero power of q, so a candidate is even exactly
+when its shape product is, and a cell's candidate count and odd count
+are functions of its key alone.  :func:`_candidate_counts` reads them
+once per key by testing every shape product with ``is_even``; it does
+not assume the theorem's answer (that every shape is even because it
+comes from the even cyclotomic polynomial of index 4t).  The counts are
+keyed on the observed spec tuple for the same reason as the shapes: a
+cell whose scan finds a different spec set gets its own count, never
+one borrowed from the cells the theorem says it resembles.  Candidates
+are expanded only when their coefficients are printed.  The t-scans do
+not depend on (p, n) either: the t that fit in degree 2g (or 2g
+halved) are listed once per g, and each cell decides the full/half
+degree dichotomy over them itself.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cache
+from functools import cache, cached_property
 from itertools import compress
 from math import isqrt
 
@@ -67,25 +82,26 @@ class CandidatePolynomial:
 class ParityReport:
     """Machine-readable verdict of the parity check for one (p, n, g).
 
-    The counts and ``violations`` (the odd candidates) are derived from
-    ``candidates``.
+    ``full_degree_specs`` and ``half_degree_specs`` are the cell's own
+    spec scans; the counts are the summary of its full-degree spec tuple.
+    ``candidates`` and ``violations`` (the odd candidates) are expanded
+    when read and not kept, so a grid of reports stays small; the command
+    line reads them at most once per report.
     """
 
     params: WeilParams
-    candidates: tuple[CandidatePolynomial, ...]
+    full_degree_specs: tuple[WeilNumberSpec, ...]
     half_degree_specs: tuple[WeilNumberSpec, ...]
+    total_candidates: int
+    odd_candidates: int
+
+    @property
+    def candidates(self) -> tuple[CandidatePolynomial, ...]:
+        return tuple(enumerate_candidates(self.params))
 
     @property
     def violations(self) -> tuple[CandidatePolynomial, ...]:
         return tuple(c for c in self.candidates if not c.even)
-
-    @property
-    def total_candidates(self) -> int:
-        return len(self.candidates)
-
-    @property
-    def odd_candidates(self) -> int:
-        return len(self.violations)
 
     @property
     def contract_ok(self) -> bool:
@@ -102,27 +118,56 @@ class ParityReport:
 
 @dataclass(frozen=True)
 class GridResult:
-    reports: tuple[ParityReport, ...]
+    """The cells of a checked grid; their reports are built on first use.
+
+    Cells are (g, p, n) with p in ``primes`` and p > 2g+1, in grid order
+    (g, then p, then the given n order).
+    """
+
+    g_max: int
+    primes: tuple[int, ...]
+    n_values: tuple[int, ...]
+
+    @cached_property
+    def reports(self) -> tuple[ParityReport, ...]:
+        return tuple(
+            verify_parity_theorem(WeilParams(p=p, n=n, g=g))
+            for g in range(1, self.g_max + 1)
+            for p in self.primes
+            if p > 2 * g + 1
+            for n in self.n_values
+        )
 
     @property
     def all_ok(self) -> bool:
         return all(r.contract_ok for r in self.reports)
 
 
+@cache
+def _fitting_ts(g: int, halved: bool) -> tuple[int, ...]:
+    """Every t whose phi(4t), or phi(4t)/2 if ``halved``, is at most 2g.
+
+    The scan stops at t = 2g**2 (8g**2 if halved), beyond which
+    phi(4t) > 2g (phi(4t)/2 > 2g) always.  The list depends on g alone,
+    so it is built once per g; ``G_CAP`` applies, since it grows as g**2.
+    """
+    _check_g_cap(g)
+    halve, top = (2, 8 * g * g) if halved else (1, 2 * g * g)
+    return tuple(t for t in range(1, top + 1) if totient(4 * t) // halve <= 2 * g)
+
+
 def admissible_full_degree_specs(params: WeilParams) -> list[WeilNumberSpec]:
     """All full-degree specs whose minimal polynomial fits in degree 2g.
 
-    Both signs of q_star are scanned for every t up to 2g**2, beyond
-    which phi(4t) > 2g always.  Ordered by (t, sign).
+    Both signs of q_star are tried for every t with phi(4t) <= 2g.
+    Ordered by (t, sign).
     """
-    out = []
-    for t in range(1, 2 * params.g * params.g + 1):
-        if totient(4 * t) > 2 * params.g:
-            continue
-        for sign in (-1, 1):
-            if is_full_degree(params, sign, t):
-                out.append(WeilNumberSpec(sign, t))
-    return out
+    return [
+        WeilNumberSpec(sign, t)
+        for t in _fitting_ts(params.g, False)
+        for sign in (-1, 1)
+        if is_full_degree(params, sign, t)
+    ]
 
 
 @cache
@@ -168,6 +213,17 @@ def _candidate_shapes(
     return tuple(out)
 
 
+@cache
+def _candidate_counts(g: int, specs: tuple[WeilNumberSpec, ...]) -> tuple[int, int]:
+    """(number, number not even) of the shape products of :func:`_candidate_shapes`.
+
+    A candidate is its shape product scaled by nonzero powers of q, so
+    the two counts are those of the candidates of every cell with this key.
+    """
+    shapes = _candidate_shapes(g, specs)
+    return len(shapes), sum(not shape.is_even() for shape, _ in shapes)
+
+
 def enumerate_candidates(params: WeilParams) -> list[CandidatePolynomial]:
     """Every multiset of admissible specs expanded to a degree-2g product.
 
@@ -175,7 +231,6 @@ def enumerate_candidates(params: WeilParams) -> list[CandidatePolynomial]:
     result is in canonical order: sorted by the factor record,
     lexicographically on (t, sign, multiplicity) triples.
     """
-    _check_g_cap(params.g)
     specs = tuple(admissible_full_degree_specs(params))
     q = params.q
     return [
@@ -187,33 +242,33 @@ def enumerate_candidates(params: WeilParams) -> list[CandidatePolynomial]:
 def half_degree_candidates(params: WeilParams) -> list[WeilNumberSpec]:
     """All half-degree specs whose minimal polynomial would fit in degree 2g.
 
-    Scans both signs for every t up to 8g**2, beyond which even the
-    halved degree phi(4t)/2 exceeds 2g.  For odd p this reduces to:
-    t odd, p | t, q_star = 3 mod 4 and phi(t) <= 2g.  Capped at
-    ``G_CAP`` like :func:`enumerate_candidates`, since the scan grows as g**2.
+    Tries both signs for every t with phi(4t)/2 <= 2g.  For odd p this
+    reduces to: t odd, p | t, q_star = 3 mod 4 and phi(t) <= 2g.
+    Capped at ``G_CAP`` like :func:`enumerate_candidates`.
     """
-    _check_g_cap(params.g)
-    out = []
-    for t in range(1, 8 * params.g * params.g + 1):
-        if totient(4 * t) // 2 > 2 * params.g:
-            continue
-        for sign in (-1, 1):
-            if not is_full_degree(params, sign, t):
-                out.append(WeilNumberSpec(sign, t))
-    return out
+    return [
+        WeilNumberSpec(sign, t)
+        for t in _fitting_ts(params.g, True)
+        for sign in (-1, 1)
+        if not is_full_degree(params, sign, t)
+    ]
 
 
 def verify_parity_theorem(params: WeilParams) -> ParityReport:
-    """Enumerate all candidates for (p, n, g) and report their parity.
+    """Count all candidates for (p, n, g) and report their parity.
 
     When p > 2g+1 the report's contract requires zero odd candidates
     and no half-degree spec; the report states what was found either
     way and never raises on a violation.
     """
+    specs = tuple(admissible_full_degree_specs(params))
+    total, odd = _candidate_counts(params.g, specs)
     return ParityReport(
         params=params,
-        candidates=tuple(enumerate_candidates(params)),
+        full_degree_specs=specs,
         half_degree_specs=tuple(half_degree_candidates(params)),
+        total_candidates=total,
+        odd_candidates=odd,
     )
 
 
@@ -232,13 +287,15 @@ def primes_between(low: int, high: int) -> list[int]:
     return list(compress(range(start, high + 1), sieve[start:]))
 
 
-def grid_primes(g_max: int, p_max: int, n_values: list[int]) -> list[int]:
-    """Check a :func:`verify_grid` grid before any work; return its primes.
+def verify_grid(g_max: int, p_max: int, n_values: list[int]) -> GridResult:
+    """One parity report per (g, p, n) with 2g+1 < p <= p_max.
 
-    Every n must be valid for :class:`WeilParams`, and every g <= g_max
-    must have a prime p with 2g+1 < p <= p_max; a grid that leaves some
-    g uncovered is a ``ValueError``, since it would not verify what was
-    asked.  A p_max above ``PRIME_SIEVE_CAP`` is :class:`OutOfRange`.
+    The grid is checked here, before any cell; the reports are built
+    when first read.  Every n must be valid for :class:`WeilParams`, and
+    every g <= g_max must have a prime p with 2g+1 < p <= p_max; a grid
+    that leaves some g uncovered is a ``ValueError``, since it would not
+    verify what was asked.  A p_max above ``PRIME_SIEVE_CAP`` is
+    :class:`OutOfRange`.
     """
     if g_max < 1:
         raise ValueError("g_max must be a positive integer")
@@ -254,22 +311,4 @@ def grid_primes(g_max: int, p_max: int, n_values: list[int]) -> list[int]:
         )
     for n in n_values:
         WeilParams(p=primes[-1], n=n, g=g_max)  # a cell of the grid, so n is checked
-    return primes
-
-
-def verify_grid(g_max: int, p_max: int, n_values: list[int]) -> GridResult:
-    """One parity report per (g, p, n) with 2g+1 < p <= p_max.
-
-    Cells are visited in grid order (g, then p, then the given n order),
-    once :func:`grid_primes` has checked the grid.
-    """
-    primes = grid_primes(g_max, p_max, n_values)
-    return GridResult(
-        reports=tuple(
-            verify_parity_theorem(WeilParams(p=p, n=n, g=g))
-            for g in range(1, g_max + 1)
-            for p in primes
-            if p > 2 * g + 1
-            for n in n_values
-        )
-    )
+    return GridResult(g_max=g_max, primes=tuple(primes), n_values=tuple(n_values))

@@ -23,3 +23,11 @@ class ShapeError(ValueError):
 
 class ParseError(ValueError):
     """A polynomial text file could not be parsed."""
+
+
+class BrokenInvariant(ArithmeticError):
+    """An internal invariant failed: a value the mathematics rules out.
+
+    Not a ``ValueError``, so the command line reports it as an internal
+    error (exit 3), never as a usage error.
+    """

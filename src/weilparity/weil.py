@@ -22,7 +22,7 @@ from itertools import accumulate, repeat
 from operator import mul
 
 from .cyclotomic import cyclotomic, is_prime
-from .errors import HalfDegreeUnsupported
+from .errors import BrokenInvariant, HalfDegreeUnsupported
 from .intpoly import IntPoly
 
 
@@ -101,11 +101,12 @@ def scale_shape(shape: IntPoly, q: int) -> IntPoly:
     The coefficient of ``X**j`` is multiplied by ``q**((d - j)/2)``, an
     exact integer because only even j carry nonzero coefficients.  The
     map is multiplicative, so scaling a product of shapes equals the
-    product of the scaled shapes.
+    product of the scaled shapes.  Every shape built from a cyclotomic
+    polynomial of index 4t is even; any other is :class:`BrokenInvariant`.
     """
     coeffs = list(shape.coeffs)
     if len(coeffs) % 2 == 0 or any(coeffs[1::2]):
-        raise ValueError("a shape must be an even polynomial of even degree")
+        raise BrokenInvariant("a shape must be an even polynomial of even degree")
     # from the top coefficient down: q**0, q**1, ... on X**d, X**(d-2), ...
     powers = accumulate(repeat(q, len(coeffs) // 2), mul, initial=1)
     coeffs[::-2] = map(mul, coeffs[::-2], powers)

@@ -13,6 +13,7 @@ from weilparity.cli import ingest_reference, run
 from weilparity.enumerator import G_CAP
 from weilparity.errors import ParseError
 from weilparity.intpoly import IntPoly
+from weilparity.weil import WeilParams
 
 
 def invoke(capsys, argv):
@@ -199,6 +200,14 @@ GOLDEN = {
         ("99173e6353a78f7afc164a8fd5001d3b1078e5e95879940dbd7c35f090f45998", 0),
     (("verify", "--gmax", "1", "--pmax", "5", "--n", "6153"), "tsv"):
         ("a4b6ed0f8abcb76ac4d7812aa64fc28540f73900fdee3e0cdff2dd8b0be81b67", 0),
+    # recorded when verify still expanded every candidate of every cell,
+    # and the t-scans ran in full for each cell
+    (("verify", "--gmax", "10", "--pmax", "40", "--n", "1", "--n", "9"), "tsv"):
+        ("bdbdb39a6af3ad7a62f0d8dd7220bed9eea5abafd68bd0c0da71297ee567ee04", 0),
+    (("detect-half", "--g", "10", "--p", "11", "--n", "1"), "tsv"):
+        ("101c03f83d9fe4240988e949f9633d0a2ca6386f7e5b26cbf691968f58938747", 0),
+    (("detect-half", "--g", "10", "--p", "11", "--n", "1"), "structured"):
+        ("9fc434f989d42de74f5432fbbdae259f3b3ee7286bdb90d3d46d84ea9dc1c9e6", 0),
 }
 
 
@@ -408,22 +417,26 @@ def test_bounds_missing_file(capsys):
 def test_verify_exit_1_on_contract_violation(monkeypatch, capsys):
     # a genuine violation cannot be produced (the parity statement holds),
     # so fabricate a violating report to check the exit-code wiring
-    import weilparity.cli as cli
-    from weilparity.enumerator import CandidatePolynomial, GridResult, ParityReport
-    from weilparity.weil import WeilParams
+    import weilparity.enumerator as enumerator
+    from weilparity.enumerator import ParityReport
+
+    def fake_report(params):
+        return ParityReport(
+            params=params,
+            full_degree_specs=(),
+            half_degree_specs=(),
+            total_candidates=1,
+            odd_candidates=1,
+        )
 
     params = WeilParams(p=11, n=1, g=1)
-    odd_poly = IntPoly([11, 11, 1])
-    fake_candidate = CandidatePolynomial(poly=odd_poly, factors=())
-    fake_report = ParityReport(params=params, candidates=(fake_candidate,), half_degree_specs=())
-    assert (fake_report.total_candidates, fake_report.odd_candidates) == (1, 1)
-    assert fake_report.violations == (fake_candidate,)
-    monkeypatch.setattr(cli, "verify_grid", lambda *a: GridResult(reports=(fake_report,)))
+    assert not fake_report(params).contract_ok
+    monkeypatch.setattr(enumerator, "verify_parity_theorem", fake_report)
     code = run(["verify", "--gmax", "1", "--pmax", "11", "--n", "1"])
     captured = capsys.readouterr()
     assert code == 1
     assert "violated" in captured.err
-    assert not fake_report.contract_ok
+    assert captured.out.splitlines()[1:] == [f"1\t{p}\t1\t1\t1\t0\tfalse" for p in (5, 7, 11)]
 
 
 @pytest.mark.parametrize("exc", [NotDivisible("remainder 1"), RuntimeError("boom")])
@@ -459,9 +472,69 @@ def test_digit_limit_is_checked_before_any_work(monkeypatch, capsys, argv):
 
     monkeypatch.setattr(cli, "minpoly_full_degree", work)
     monkeypatch.setattr(enumerator, "enumerate_candidates", work)
+    monkeypatch.setattr(enumerator, "_candidate_shapes", work)
     code, out, err = invoke(capsys, argv)
     assert (code, out) == (2, "")
     assert err.startswith("error: the ") and "has more than 4300 digits" in err
+
+
+@pytest.fixture
+def odd_shapes(monkeypatch):
+    # every spec set yields one odd shape, X**2 + X + 1, which the
+    # construction never builds; the counts are recomputed, not cached
+    import weilparity.enumerator as enumerator
+
+    odd = ((IntPoly([1, 1, 1]), ()),)
+    monkeypatch.setattr(enumerator, "_candidate_shapes", lambda g, specs: odd)
+    monkeypatch.setattr(enumerator, "_candidate_counts", enumerator._candidate_counts.__wrapped__)
+
+
+def test_odd_shape_is_an_internal_error(odd_shapes, capsys):
+    # an odd shape breaks an invariant of the construction: exit 3, not 2
+    code, out, err = invoke(capsys, ["enumerate", "--g", "1", "--p", "5", "--n", "1"])
+    assert (code, out) == (3, "")
+    assert err.startswith("internal error: BrokenInvariant:")
+
+
+def test_odd_shape_count_is_a_violation(odd_shapes, capsys):
+    # the counts read evenness from the shapes: an odd one fails the contract
+    code, out, err = invoke(capsys, ["verify", "--gmax", "1", "--pmax", "5", "--n", "1"])
+    assert code == 1 and "violated" in err
+    assert out.splitlines()[1:] == ["1\t5\t1\t1\t1\t0\tfalse"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [pytest.param(a, id=" ".join(a)) for a, f in GOLDEN if a[0] == "verify" and f == "tsv"],
+)
+def test_tsv_verify_expands_no_candidate(monkeypatch, capsys, tmp_path, argv):
+    # TSV verify prints counts only, so it never scales a shape
+    import weilparity.enumerator as enumerator
+    import weilparity.weil as weil
+
+    def scale(*args):
+        raise RuntimeError("a candidate was expanded")
+
+    monkeypatch.setattr(enumerator, "scale_shape", scale)
+    monkeypatch.setattr(weil, "scale_shape", scale)
+    assert golden_run(capsys, tmp_path, argv, "tsv") == GOLDEN[argv, "tsv"]
+
+
+def test_structured_verify_expands_each_cell_once(monkeypatch, capsys, tmp_path):
+    import weilparity.enumerator as enumerator
+
+    expanded = []
+    real = enumerator.enumerate_candidates
+
+    def counting(params):
+        expanded.append((params.g, params.p, params.n))
+        return real(params)
+
+    monkeypatch.setattr(enumerator, "enumerate_candidates", counting)
+    argv = ("verify", "--gmax", "2", "--pmax", "13", "--n", "1", "--n", "3")
+    assert golden_run(capsys, tmp_path, argv, "structured") == GOLDEN[argv, "structured"]
+    cells = [(g, p, n) for g in (1, 2) for p in (5, 7, 11, 13) if p > 2 * g + 1 for n in (1, 3)]
+    assert expanded == cells
 
 
 def test_digit_limit_follows_the_interpreter(capsys):

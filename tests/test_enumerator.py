@@ -12,6 +12,7 @@ from weilparity.cyclotomic import cyclotomic, is_prime, totient
 from weilparity.enumerator import (
     G_CAP,
     PRIME_SIEVE_CAP,
+    _candidate_counts,
     _candidate_shapes,
     admissible_full_degree_specs,
     enumerate_candidates,
@@ -20,9 +21,16 @@ from weilparity.enumerator import (
     verify_grid,
     verify_parity_theorem,
 )
-from weilparity.errors import CapExceeded, OutOfRange
+from weilparity.errors import BrokenInvariant, CapExceeded, OutOfRange
 from weilparity.intpoly import IntPoly
-from weilparity.weil import WeilParams, minpoly_full_degree, minpoly_shape, scale_shape
+from weilparity.weil import (
+    WeilNumberSpec,
+    WeilParams,
+    is_full_degree,
+    minpoly_full_degree,
+    minpoly_shape,
+    scale_shape,
+)
 
 
 def spec_pairs(specs):
@@ -83,6 +91,58 @@ def test_enumeration_matches_per_candidate_oracle(g, p, n):
     assert got == oracle_candidates(params)
 
 
+def oracle_spec_scans(params):
+    """(full, half) degree specs by the full t-scans up to 2g**2 and 8g**2, per cell."""
+    full, half = [], []
+    for t in range(1, 8 * params.g * params.g + 1):
+        for sign in (-1, 1):
+            if is_full_degree(params, sign, t):
+                if t <= 2 * params.g * params.g and totient(4 * t) <= 2 * params.g:
+                    full.append(WeilNumberSpec(sign, t))
+            elif totient(4 * t) // 2 <= 2 * params.g:
+                half.append(WeilNumberSpec(sign, t))
+    return full, half
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(
+    g=st.integers(1, 4),
+    p=st.sampled_from(ORACLE_PRIMES),
+    n=st.sampled_from([1, 3, 5, 7]),
+)
+def test_counts_match_per_cell_expansion(g, p, n):
+    params = WeilParams(p=p, n=n, g=g)
+    report = verify_parity_theorem(params)
+    full, half = oracle_spec_scans(params)
+    assert report.full_degree_specs == tuple(full)
+    assert report.half_degree_specs == tuple(half)
+    assert admissible_full_degree_specs(params) == full
+    assert half_degree_candidates(params) == half
+    candidates = enumerate_candidates(params)
+    oracle = oracle_candidates(params)
+    assert report.total_candidates == len(candidates) == len(oracle)
+    odd = sum(not c.poly.is_even() for c in candidates)
+    assert report.odd_candidates == odd == sum(not poly.is_even() for poly, _ in oracle)
+    assert report.candidates == tuple(candidates)
+
+
+def test_counts_read_evenness_from_the_shapes(monkeypatch):
+    import weilparity.enumerator as enumerator
+
+    shapes = [IntPoly([1, 0, 1]), IntPoly([1, 1, 1]), IntPoly([0, 1]), IntPoly([4, 0, 0, 0, 1])]
+    monkeypatch.setattr(enumerator, "_candidate_shapes", lambda g, specs: [(s, ()) for s in shapes])
+    assert _candidate_counts.__wrapped__(2, ()) == (4, 2)
+
+
+def test_counts_are_shared_across_cells_with_equal_spec_sets():
+    _candidate_counts.cache_clear()
+    reports = verify_grid(4, 17, [1, 3]).reports
+    assert {r.params.g for r in reports} == {1, 2, 3, 4}
+    # one entry per g: above 2g+1 the spec set does not depend on (p, n)
+    assert _candidate_counts.cache_info().currsize == 4
+    assert _candidate_counts.cache_info().hits == len(reports) - 4
+
+
 def test_shape_scaling_matches_minpoly_for_every_admissible_spec():
     for p in (2, 3, 5, 7, 13):
         for n in (1, 3):
@@ -105,7 +165,7 @@ def test_shape_scaling_is_multiplicative():
 
 def test_scale_shape_rejects_odd_shapes():
     for bad in (IntPoly([1, 1, 1]), IntPoly([0, 1]), IntPoly([1, 0, 0, 1])):
-        with pytest.raises(ValueError):
+        with pytest.raises(BrokenInvariant):
             scale_shape(bad, 5)
     assert scale_shape(IntPoly([3]), 5) == IntPoly([3])
 
@@ -281,13 +341,14 @@ def test_verify_grid_cells():
 
 
 def test_verify_grid_validation(monkeypatch):
-    # every check runs before the first cell is enumerated
+    # every check runs before the first cell is counted or enumerated
     import weilparity.enumerator as enumerator
 
     def work(params):
         raise AssertionError(f"cell {params} enumerated before the grid was checked")
 
     monkeypatch.setattr(enumerator, "enumerate_candidates", work)
+    monkeypatch.setattr(enumerator, "verify_parity_theorem", work)
     with pytest.raises(ValueError):
         verify_grid(0, 50, [1])
     with pytest.raises(CapExceeded):
