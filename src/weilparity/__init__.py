@@ -11,7 +11,7 @@ No package name shadows a submodule.
 """
 
 from .bounds import BoundsReport, full_bounds_report
-from .enumerator import ParityReport, enumerate_candidates, verify_grid, verify_parity_theorem
+from .enumerator import ParityReport, verify_grid, verify_parity_theorem
 from .intpoly import IntPoly
 from .weil import WeilParams, minpoly_full_degree
 
@@ -20,7 +20,6 @@ __all__ = [
     "IntPoly",
     "ParityReport",
     "WeilParams",
-    "enumerate_candidates",
     "full_bounds_report",
     "minpoly_full_degree",
     "verify_grid",

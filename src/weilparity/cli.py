@@ -32,7 +32,7 @@ from typing import Sequence
 
 from .bounds import BoundsReport, full_bounds_report
 from .cyclotomic import cyclotomic, totient
-from .enumerator import ParityReport, half_degree_candidates, verify_grid, verify_parity_theorem
+from .enumerator import ParityReport, verify_grid, verify_parity_theorem
 from .errors import ParseError
 from .intpoly import IntPoly
 from .weil import WeilParams, minpoly_full_degree
@@ -216,7 +216,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_detect_half(args) -> int:
     params = WeilParams(p=args.p, n=args.n, g=args.g)
-    specs = half_degree_candidates(params)
+    specs = verify_parity_theorem(params).half_degree_specs  # builds no shape
     _emit(
         args,
         lambda: {**_cell(params), "half_degree_specs": [_spec(s) for s in specs]},

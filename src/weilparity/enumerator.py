@@ -8,10 +8,6 @@ checking statements quantified over all of them.  Half-degree Weil
 numbers cannot be expanded into polynomials, so they are detected and
 reported separately: when p > 2g+1 none may fit inside degree 2g.
 
-The scan over the root-of-unity index t is capped by the provable bound
-phi(m) >= sqrt(m/2): once t > 2g**2 every phi(4t) exceeds 2g, so the
-enumeration of admissible specs is complete, not heuristic.
-
 Candidates are built from q-free shapes.  Each minimal polynomial is
 ``q**(d/2) * S(X/sqrt(q))`` for the integer shape S of its spec (sign,
 t), and that scaling is multiplicative, so every candidate is the
@@ -23,7 +19,17 @@ spec tuple the cell itself computes, not the one the theorem predicts:
 cells whose spec sets differ (p <= 2g+1, p = 2) get their own entry, so
 a verify run still checks every cell instead of assuming the result.
 
-A parity report counts instead of expanding.  Scaling by q multiplies
+One spec scan per cell decides the full/half degree dichotomy.  It runs
+over the root-of-unity indices t with phi(4t)/2 <= 2g, capped by the
+provable bound phi(m) >= sqrt(m/2): once t > 8g**2 every phi(4t)/2
+exceeds 2g, so the scan is complete, not heuristic.  Those t do not
+depend on (p, n), so they are listed once per g, and each cell runs
+``is_full_degree`` once on each sign of each: a half-degree spec fits if
+phi(4t)/2 <= 2g, a full-degree one only if phi(4t) <= 2g.  A
+:class:`ParityReport` holds that scan and nothing else; its counts and
+candidates are computed from it when read.
+
+The counts never need an expanded candidate.  Scaling by q multiplies
 each coefficient by a nonzero power of q, so a candidate is even exactly
 when its shape product is, and a cell's candidate count and odd count
 are functions of its key alone.  :func:`_candidate_counts` reads them
@@ -33,21 +39,18 @@ comes from the even cyclotomic polynomial of index 4t).  The counts are
 keyed on the observed spec tuple for the same reason as the shapes: a
 cell whose scan finds a different spec set gets its own count, never
 one borrowed from the cells the theorem says it resembles.  Candidates
-are expanded only when their coefficients are printed.  The t-scans do
-not depend on (p, n) either: the t that fit in degree 2g (or 2g
-halved) are listed once per g, and each cell decides the full/half
-degree dichotomy over them itself.
+are expanded only when their coefficients are printed.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cache, cached_property
 from itertools import compress
 from math import isqrt
 
 from .cyclotomic import totient
-from .errors import CapExceeded, OutOfRange
+from .errors import OutOfRange
 from .intpoly import IntPoly
 from .weil import WeilNumberSpec, WeilParams, is_full_degree, minpoly_shape, scale_shape
 
@@ -57,7 +60,7 @@ PRIME_SIEVE_CAP = 10 ** 7  # a byte per integer up to the sieve limit
 
 def _check_g_cap(g: int, name: str = "g") -> None:
     if g > G_CAP:
-        raise CapExceeded(f"{name}={g} exceeds the enumeration cap {G_CAP}")
+        raise OutOfRange(f"{name}={g} exceeds the enumeration cap {G_CAP}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -66,42 +69,47 @@ class CandidatePolynomial:
 
     ``poly`` is the exact product of the full-degree minimal polynomials
     listed in ``factors`` (spec, multiplicity), monic of degree 2g with
-    constant term of absolute value q**g.  ``even`` is derived from
-    ``poly`` once, at construction.
+    constant term of absolute value q**g.
     """
 
     poly: IntPoly
     factors: tuple[tuple[WeilNumberSpec, int], ...]
-    even: bool = field(init=False, compare=False)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "even", self.poly.is_even())
+    @property
+    def even(self) -> bool:
+        return self.poly.is_even()
 
 
 @dataclass(frozen=True)
 class ParityReport:
     """Machine-readable verdict of the parity check for one (p, n, g).
 
-    ``full_degree_specs`` and ``half_degree_specs`` are the cell's own
-    spec scans; the counts are the summary of its full-degree spec tuple.
-    ``candidates`` and ``violations`` (the odd candidates) are expanded
-    when read and not kept, so a grid of reports stays small; the command
-    line reads them at most once per report.
+    The report is the cell's spec scan: the full-degree specs that fit
+    in degree 2g and the half-degree specs that would.  The counts are
+    the cached summary of the full-degree spec tuple; ``candidates`` are
+    expanded when read and not kept, so a grid of reports stays small.
     """
 
     params: WeilParams
     full_degree_specs: tuple[WeilNumberSpec, ...]
     half_degree_specs: tuple[WeilNumberSpec, ...]
-    total_candidates: int
-    odd_candidates: int
+
+    @property
+    def total_candidates(self) -> int:
+        return _candidate_counts(self.params.g, self.full_degree_specs)[0]
+
+    @property
+    def odd_candidates(self) -> int:
+        return _candidate_counts(self.params.g, self.full_degree_specs)[1]
 
     @property
     def candidates(self) -> tuple[CandidatePolynomial, ...]:
-        return tuple(enumerate_candidates(self.params))
-
-    @property
-    def violations(self) -> tuple[CandidatePolynomial, ...]:
-        return tuple(c for c in self.candidates if not c.even)
+        """Every candidate, in the canonical order of :func:`_candidate_shapes`."""
+        q = self.params.q
+        return tuple(
+            CandidatePolynomial(poly=scale_shape(shape, q), factors=factors)
+            for shape, factors in _candidate_shapes(self.params.g, self.full_degree_specs)
+        )
 
     @property
     def contract_ok(self) -> bool:
@@ -144,30 +152,36 @@ class GridResult:
 
 
 @cache
-def _fitting_ts(g: int, halved: bool) -> tuple[int, ...]:
-    """Every t whose phi(4t), or phi(4t)/2 if ``halved``, is at most 2g.
+def _fitting_ts(g: int) -> tuple[tuple[int, int], ...]:
+    """Every (t, phi(4t)) with phi(4t)/2 <= 2g.
 
-    The scan stops at t = 2g**2 (8g**2 if halved), beyond which
-    phi(4t) > 2g (phi(4t)/2 > 2g) always.  The list depends on g alone,
-    so it is built once per g; ``G_CAP`` applies, since it grows as g**2.
+    The scan stops at t = 8g**2, beyond which phi(4t)/2 > 2g always.
+    The list depends on g alone, so it is built once per g; ``G_CAP``
+    applies, since it grows as g**2.
     """
     _check_g_cap(g)
-    halve, top = (2, 8 * g * g) if halved else (1, 2 * g * g)
-    return tuple(t for t in range(1, top + 1) if totient(4 * t) // halve <= 2 * g)
+    return tuple((t, d) for t in range(1, 8 * g * g + 1) if (d := totient(4 * t)) <= 4 * g)
 
 
-def admissible_full_degree_specs(params: WeilParams) -> list[WeilNumberSpec]:
-    """All full-degree specs whose minimal polynomial fits in degree 2g.
+def _scan_specs(
+    params: WeilParams,
+) -> tuple[tuple[WeilNumberSpec, ...], tuple[WeilNumberSpec, ...]]:
+    """(full, half): the specs whose minimal polynomial fits, or would fit, in degree 2g.
 
-    Both signs of q_star are tried for every t with phi(4t) <= 2g.
-    Ordered by (t, sign).
+    Both signs of q_star are tried for every listed t, and each spec goes
+    to one side by ``is_full_degree``: a half-degree spec fits if
+    phi(4t)/2 <= 2g, a full-degree one only if phi(4t) <= 2g.  For odd p
+    the half side reduces to: t odd, p | t, q_star = 3 mod 4 and
+    phi(t) <= 2g.  Both are ordered by (t, sign).
     """
-    return [
-        WeilNumberSpec(sign, t)
-        for t in _fitting_ts(params.g, False)
-        for sign in (-1, 1)
-        if is_full_degree(params, sign, t)
-    ]
+    full, half = [], []
+    for t, degree in _fitting_ts(params.g):
+        for sign in (-1, 1):
+            if not is_full_degree(params, sign, t):
+                half.append(WeilNumberSpec(sign, t))
+            elif degree <= 2 * params.g:
+                full.append(WeilNumberSpec(sign, t))
+    return tuple(full), tuple(half)
 
 
 @cache
@@ -224,52 +238,14 @@ def _candidate_counts(g: int, specs: tuple[WeilNumberSpec, ...]) -> tuple[int, i
     return len(shapes), sum(not shape.is_even() for shape, _ in shapes)
 
 
-def enumerate_candidates(params: WeilParams) -> list[CandidatePolynomial]:
-    """Every multiset of admissible specs expanded to a degree-2g product.
-
-    The products come from :func:`_candidate_shapes`, scaled by q.  The
-    result is in canonical order: sorted by the factor record,
-    lexicographically on (t, sign, multiplicity) triples.
-    """
-    specs = tuple(admissible_full_degree_specs(params))
-    q = params.q
-    return [
-        CandidatePolynomial(poly=scale_shape(shape, q), factors=factors)
-        for shape, factors in _candidate_shapes(params.g, specs)
-    ]
-
-
-def half_degree_candidates(params: WeilParams) -> list[WeilNumberSpec]:
-    """All half-degree specs whose minimal polynomial would fit in degree 2g.
-
-    Tries both signs for every t with phi(4t)/2 <= 2g.  For odd p this
-    reduces to: t odd, p | t, q_star = 3 mod 4 and phi(t) <= 2g.
-    Capped at ``G_CAP`` like :func:`enumerate_candidates`.
-    """
-    return [
-        WeilNumberSpec(sign, t)
-        for t in _fitting_ts(params.g, True)
-        for sign in (-1, 1)
-        if not is_full_degree(params, sign, t)
-    ]
-
-
 def verify_parity_theorem(params: WeilParams) -> ParityReport:
-    """Count all candidates for (p, n, g) and report their parity.
+    """Scan the specs of (p, n, g) once; the report counts its candidates when read.
 
     When p > 2g+1 the report's contract requires zero odd candidates
     and no half-degree spec; the report states what was found either
     way and never raises on a violation.
     """
-    specs = tuple(admissible_full_degree_specs(params))
-    total, odd = _candidate_counts(params.g, specs)
-    return ParityReport(
-        params=params,
-        full_degree_specs=specs,
-        half_degree_specs=tuple(half_degree_candidates(params)),
-        total_candidates=total,
-        odd_candidates=odd,
-    )
+    return ParityReport(params, *_scan_specs(params))
 
 
 def primes_between(low: int, high: int) -> list[int]:

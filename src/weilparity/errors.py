@@ -13,10 +13,6 @@ class HalfDegreeUnsupported(ValueError):
     """
 
 
-class CapExceeded(ValueError):
-    """An enumeration request exceeded the configured dimension cap."""
-
-
 class ShapeError(ValueError):
     """A polynomial does not have the monic degree-2g Weil shape."""
 

@@ -71,12 +71,13 @@ def is_full_degree(params: WeilParams, q_star_sign: int, t: int) -> bool:
 
     Full degree holds iff either q_star is odd and (t is even, or p does
     not divide t, or q_star = 1 mod 4), or q_star is even and
-    t != 2 mod 4.
+    t != 2 mod 4.  q itself is never built: q_star is odd iff p is, and
+    its residue mod 4 is that of q_star_sign * (p**n mod 4).
     """
     WeilNumberSpec(q_star_sign, t)  # the spec's own checks on sign and t
-    q_star = q_star_sign * params.q
-    if q_star % 2:  # parity of q_star equals parity of p
-        return t % 2 == 0 or t % params.p != 0 or q_star % 4 == 1
+    p, n = params.p, params.n
+    if p % 2:
+        return t % 2 == 0 or t % p != 0 or q_star_sign * pow(p, n, 4) % 4 == 1
     return t % 4 != 2
 
 

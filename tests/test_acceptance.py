@@ -18,12 +18,7 @@ from oracles import (
 from weilparity.bounds import full_bounds_report
 from weilparity.cli import run
 from weilparity.cyclotomic import cyclotomic, divisors, totient
-from weilparity.enumerator import (
-    enumerate_candidates,
-    half_degree_candidates,
-    primes_between,
-    verify_grid,
-)
+from weilparity.enumerator import primes_between, verify_grid, verify_parity_theorem
 from weilparity.intpoly import IntPoly
 from weilparity.weil import WeilParams, is_full_degree, minpoly_full_degree
 
@@ -100,8 +95,8 @@ def test_criterion_4_parity_theorem_grid():
 
 def test_criterion_5_half_degree_boundary():
     started = time.perf_counter()
-    at_5 = half_degree_candidates(WeilParams(p=5, n=1, g=3))
-    at_11 = half_degree_candidates(WeilParams(p=11, n=1, g=3))
+    at_5 = list(verify_parity_theorem(WeilParams(p=5, n=1, g=3)).half_degree_specs)
+    at_11 = list(verify_parity_theorem(WeilParams(p=11, n=1, g=3)).half_degree_specs)
     ok = (
         any(s.q_star_sign == -1 and s.t == 5 for s in at_5)
         and len(at_5) > 0
@@ -120,7 +115,7 @@ def test_criterion_6_bounds_on_candidates():
         for p in primes_between(1, 50):
             for n in (1, 3):
                 params = WeilParams(p=p, n=n, g=g)
-                for cand in enumerate_candidates(params):
+                for cand in verify_parity_theorem(params).candidates:
                     total += 1
                     report = full_bounds_report(cand.poly, params)
                     arch = all(c.archimedean_ok for c in report.per_coefficient)

@@ -11,7 +11,7 @@ from oracles import corollary_threshold, functional_equation_sign
 
 from weilparity.bounds import BoundsReport, CoefficientCheck, full_bounds_report
 from weilparity.cyclotomic import totient
-from weilparity.enumerator import enumerate_candidates, primes_between
+from weilparity.enumerator import primes_between, verify_parity_theorem
 from weilparity.errors import ShapeError
 from weilparity.intpoly import IntPoly
 from weilparity.weil import WeilParams, is_full_degree, minpoly_full_degree
@@ -195,7 +195,7 @@ def test_functional_equation_sign():
 def test_q_symmetry_agrees_with_positive_functional_sign():
     for p in (5, 7, 11):
         params = WeilParams(p=p, n=1, g=2)
-        for cand in enumerate_candidates(params):
+        for cand in verify_parity_theorem(params).candidates:
             sign = functional_equation_sign(cand.poly, params.q)
             assert (sign == 1) == full_bounds_report(cand.poly, params).symmetric_ok
 
@@ -258,7 +258,7 @@ def test_full_report_examples():
 
 def test_full_report_on_enumerated_candidates():
     params = WeilParams(p=11, n=1, g=3)
-    for cand in enumerate_candidates(params):
+    for cand in verify_parity_theorem(params).candidates:
         report = full_bounds_report(cand.poly, params)
         assert all(c.archimedean_ok and c.valuation_ok for c in report.per_coefficient)
         assert report.lemma_a1_ok

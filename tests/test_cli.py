@@ -208,6 +208,16 @@ GOLDEN = {
         ("101c03f83d9fe4240988e949f9633d0a2ca6386f7e5b26cbf691968f58938747", 0),
     (("detect-half", "--g", "10", "--p", "11", "--n", "1"), "structured"):
         ("9fc434f989d42de74f5432fbbdae259f3b3ee7286bdb90d3d46d84ea9dc1c9e6", 0),
+    # cells below 2g+1 where both spec lists are non-empty, recorded with
+    # the separate full-degree and half-degree t-scans
+    (("detect-half", "--g", "10", "--p", "3", "--n", "3"), "tsv"):
+        ("45a7a5539a08cd8f807b979581b4c31a6eddbfe3ee8fd7dd549be72fbfb8657b", 0),
+    (("detect-half", "--g", "10", "--p", "3", "--n", "3"), "structured"):
+        ("38014c9f0a5d79c2c040a2420f5b92b5524f27b856f11b3309dab48f09f5ee81", 0),
+    (("enumerate", "--g", "4", "--p", "3", "--n", "1"), "tsv"):
+        ("b032fa5ecde588fbbc2fda0b7332937d777be41f588c69885fe58bc33538fcce", 0),
+    (("enumerate", "--g", "4", "--p", "3", "--n", "1"), "structured"):
+        ("6b107356d947e93e5f8bd02170eec2f91c02c5bc7027adff252fe8fb078d6ca1", 0),
 }
 
 
@@ -418,20 +428,10 @@ def test_verify_exit_1_on_contract_violation(monkeypatch, capsys):
     # a genuine violation cannot be produced (the parity statement holds),
     # so fabricate a violating report to check the exit-code wiring
     import weilparity.enumerator as enumerator
-    from weilparity.enumerator import ParityReport
+    from weilparity.enumerator import verify_parity_theorem
 
-    def fake_report(params):
-        return ParityReport(
-            params=params,
-            full_degree_specs=(),
-            half_degree_specs=(),
-            total_candidates=1,
-            odd_candidates=1,
-        )
-
-    params = WeilParams(p=11, n=1, g=1)
-    assert not fake_report(params).contract_ok
-    monkeypatch.setattr(enumerator, "verify_parity_theorem", fake_report)
+    monkeypatch.setattr(enumerator, "_candidate_counts", lambda g, specs: (1, 1))
+    assert not verify_parity_theorem(WeilParams(p=11, n=1, g=1)).contract_ok
     code = run(["verify", "--gmax", "1", "--pmax", "11", "--n", "1"])
     captured = capsys.readouterr()
     assert code == 1
@@ -471,7 +471,6 @@ def test_digit_limit_is_checked_before_any_work(monkeypatch, capsys, argv):
         raise RuntimeError("work started before the digit check")
 
     monkeypatch.setattr(cli, "minpoly_full_degree", work)
-    monkeypatch.setattr(enumerator, "enumerate_candidates", work)
     monkeypatch.setattr(enumerator, "_candidate_shapes", work)
     code, out, err = invoke(capsys, argv)
     assert (code, out) == (2, "")
@@ -520,17 +519,60 @@ def test_tsv_verify_expands_no_candidate(monkeypatch, capsys, tmp_path, argv):
     assert golden_run(capsys, tmp_path, argv, "tsv") == GOLDEN[argv, "tsv"]
 
 
-def test_structured_verify_expands_each_cell_once(monkeypatch, capsys, tmp_path):
+@pytest.fixture
+def no_q(monkeypatch):
+    # q = p**n has n*log10(p) digits; a run that builds it costs time growing with n
+    def q(params):
+        raise RuntimeError(f"q built for {params}")
+
+    monkeypatch.setattr(WeilParams, "q", property(q))
+
+
+@pytest.mark.parametrize(
+    "argv, fmt",
+    [
+        pytest.param(a, f, id=f"{' '.join(a)} {f}")
+        for a, f in GOLDEN
+        if (a[0], f) == ("verify", "tsv") or a[0] == "detect-half"
+    ],
+)
+def test_tsv_verify_and_detect_half_never_build_q(no_q, capsys, tmp_path, argv, fmt):
+    # TSV verify and detect-half read only p's parity and p**n mod 4
+    assert golden_run(capsys, tmp_path, argv, fmt) == GOLDEN[argv, fmt]
+
+
+def test_tsv_verify_at_huge_n(no_q, capsys):
+    code, out, _ = invoke(capsys, ["verify", "--gmax", "1", "--pmax", "5", "--n", "10000001"])
+    assert (code, out.splitlines()[1:]) == (0, ["1\t5\t10000001\t2\t0\t0\ttrue"])
+
+
+@pytest.mark.parametrize(
+    "argv, fmt",
+    [pytest.param(a, f, id=f"{' '.join(a)} {f}") for a, f in GOLDEN if a[0] == "detect-half"],
+)
+def test_detect_half_builds_no_shape(monkeypatch, capsys, tmp_path, argv, fmt):
+    # detect-half prints the half-degree specs only; the counts are not cached here
     import weilparity.enumerator as enumerator
 
+    def shapes(*args):
+        raise RuntimeError("a shape was built")
+
+    monkeypatch.setattr(enumerator, "_candidate_shapes", shapes)
+    monkeypatch.setattr(enumerator, "_candidate_counts", enumerator._candidate_counts.__wrapped__)
+    assert golden_run(capsys, tmp_path, argv, fmt) == GOLDEN[argv, fmt]
+
+
+def test_structured_verify_expands_each_cell_once(monkeypatch, capsys, tmp_path):
+    from weilparity.enumerator import ParityReport
+
     expanded = []
-    real = enumerator.enumerate_candidates
+    real = ParityReport.candidates.fget
 
-    def counting(params):
-        expanded.append((params.g, params.p, params.n))
-        return real(params)
+    def counting(report):
+        expanded.append((report.params.g, report.params.p, report.params.n))
+        return real(report)
 
-    monkeypatch.setattr(enumerator, "enumerate_candidates", counting)
+    monkeypatch.setattr(ParityReport, "candidates", property(counting))
     argv = ("verify", "--gmax", "2", "--pmax", "13", "--n", "1", "--n", "3")
     assert golden_run(capsys, tmp_path, argv, "structured") == GOLDEN[argv, "structured"]
     cells = [(g, p, n) for g in (1, 2) for p in (5, 7, 11, 13) if p > 2 * g + 1 for n in (1, 3)]

@@ -14,14 +14,11 @@ from weilparity.enumerator import (
     PRIME_SIEVE_CAP,
     _candidate_counts,
     _candidate_shapes,
-    admissible_full_degree_specs,
-    enumerate_candidates,
-    half_degree_candidates,
     primes_between,
     verify_grid,
     verify_parity_theorem,
 )
-from weilparity.errors import BrokenInvariant, CapExceeded, OutOfRange
+from weilparity.errors import BrokenInvariant, OutOfRange
 from weilparity.intpoly import IntPoly
 from weilparity.weil import (
     WeilNumberSpec,
@@ -35,6 +32,18 @@ from weilparity.weil import (
 
 def spec_pairs(specs):
     return [(s.q_star_sign, s.t) for s in specs]
+
+
+def full_specs(params):
+    return list(verify_parity_theorem(params).full_degree_specs)
+
+
+def half_specs(params):
+    return list(verify_parity_theorem(params).half_degree_specs)
+
+
+def candidates_of(params):
+    return list(verify_parity_theorem(params).candidates)
 
 
 # -- the per-candidate construction, kept as the oracle ------------------------
@@ -55,7 +64,7 @@ def _bounded_partitions(degrees: tuple[int, ...], total: int) -> tuple[tuple[int
 
 def oracle_candidates(params):
     """(poly, factors) per candidate: each rebuilt from one, factor by factor."""
-    specs = admissible_full_degree_specs(params)
+    specs = full_specs(params)
     degrees = tuple(totient(4 * s.t) for s in specs)
     out = []
     for mults in _bounded_partitions(degrees, 2 * params.g):
@@ -87,7 +96,7 @@ ORACLE_PRIMES = [2, 3, 5, 7, 11, 13, 17]
 )
 def test_enumeration_matches_per_candidate_oracle(g, p, n):
     params = WeilParams(p=p, n=n, g=g)
-    got = [(c.poly, c.factors) for c in enumerate_candidates(params)]
+    got = [(c.poly, c.factors) for c in candidates_of(params)]
     assert got == oracle_candidates(params)
 
 
@@ -116,9 +125,9 @@ def test_counts_match_per_cell_expansion(g, p, n):
     full, half = oracle_spec_scans(params)
     assert report.full_degree_specs == tuple(full)
     assert report.half_degree_specs == tuple(half)
-    assert admissible_full_degree_specs(params) == full
-    assert half_degree_candidates(params) == half
-    candidates = enumerate_candidates(params)
+    assert full_specs(params) == full
+    assert half_specs(params) == half
+    candidates = candidates_of(params)
     oracle = oracle_candidates(params)
     assert report.total_candidates == len(candidates) == len(oracle)
     odd = sum(not c.poly.is_even() for c in candidates)
@@ -138,6 +147,8 @@ def test_counts_are_shared_across_cells_with_equal_spec_sets():
     _candidate_counts.cache_clear()
     reports = verify_grid(4, 17, [1, 3]).reports
     assert {r.params.g for r in reports} == {1, 2, 3, 4}
+    for r in reports:
+        r.total_candidates  # the counts are read, and cached, on first use
     # one entry per g: above 2g+1 the spec set does not depend on (p, n)
     assert _candidate_counts.cache_info().currsize == 4
     assert _candidate_counts.cache_info().hits == len(reports) - 4
@@ -148,7 +159,7 @@ def test_shape_scaling_matches_minpoly_for_every_admissible_spec():
         for n in (1, 3):
             for g in (1, 2, 4, 6):
                 params = WeilParams(p=p, n=n, g=g)
-                for s in admissible_full_degree_specs(params):
+                for s in full_specs(params):
                     scaled = scale_shape(minpoly_shape(s.q_star_sign, s.t), params.q)
                     assert scaled == minpoly_full_degree(params, s.q_star_sign, s.t)
                     assert scaled == substituted_minpoly(params, s.q_star_sign, s.t)
@@ -172,12 +183,12 @@ def test_scale_shape_rejects_odd_shapes():
 
 def test_admissible_specs_g1():
     params = WeilParams(p=5, n=1, g=1)
-    assert spec_pairs(admissible_full_degree_specs(params)) == [(-1, 1), (1, 1)]
+    assert spec_pairs(full_specs(params)) == [(-1, 1), (1, 1)]
 
 
 def test_admissible_specs_g2():
     params = WeilParams(p=5, n=1, g=2)
-    pairs = spec_pairs(admissible_full_degree_specs(params))
+    pairs = spec_pairs(full_specs(params))
     assert pairs == [(-1, 1), (1, 1), (-1, 2), (1, 2), (-1, 3), (1, 3)]
     degrees = {t: totient(4 * t) for _, t in pairs}
     assert degrees == {1: 2, 2: 4, 3: 4}
@@ -186,7 +197,7 @@ def test_admissible_specs_g2():
 def test_admissible_specs_g3_excludes_t5():
     # (-,5) fails full degree; (+,5) is full degree but phi(20) = 8 > 6
     params = WeilParams(p=5, n=1, g=3)
-    pairs = spec_pairs(admissible_full_degree_specs(params))
+    pairs = spec_pairs(full_specs(params))
     assert (-1, 5) not in pairs
     assert (1, 5) not in pairs
 
@@ -201,12 +212,12 @@ def test_scan_cap_is_complete():
 
 
 def test_enumerate_g1():
-    candidates = enumerate_candidates(WeilParams(p=5, n=1, g=1))
+    candidates = candidates_of(WeilParams(p=5, n=1, g=1))
     assert [c.poly.coeffs for c in candidates] == [(-5, 0, 1), (5, 0, 1)]
 
 
 def test_enumerate_g2_contains_expected_products():
-    candidates = enumerate_candidates(WeilParams(p=5, n=1, g=2))
+    candidates = candidates_of(WeilParams(p=5, n=1, g=2))
     polys = {c.poly.coeffs for c in candidates}
     assert (-25, 0, 0, 0, 1) in polys        # (X^2+5)(X^2-5)
     assert (25, 0, 10, 0, 1) in polys        # (X^2+5)^2
@@ -214,17 +225,17 @@ def test_enumerate_g2_contains_expected_products():
 
 
 def test_enumerate_g1_p3():
-    candidates = enumerate_candidates(WeilParams(p=3, n=1, g=1))
+    candidates = candidates_of(WeilParams(p=3, n=1, g=1))
     assert {c.poly.coeffs for c in candidates} == {(-3, 0, 1), (3, 0, 1)}
     # the half-degree spec at p=3 is flagged separately
-    assert spec_pairs(half_degree_candidates(WeilParams(p=3, n=1, g=1))) == [(1, 3)]
+    assert spec_pairs(half_specs(WeilParams(p=3, n=1, g=1))) == [(1, 3)]
 
 
 def test_candidate_structure_invariants():
     for p in (3, 5, 7, 13):
         for g in (1, 2, 3):
             params = WeilParams(p=p, n=1, g=g)
-            for cand in enumerate_candidates(params):
+            for cand in candidates_of(params):
                 assert cand.poly.is_monic()
                 assert cand.poly.degree == 2 * g
                 assert abs(cand.poly.coefficient(0)) == params.q ** g
@@ -234,34 +245,34 @@ def test_candidate_structure_invariants():
 
 def test_enumeration_order_is_canonical():
     params = WeilParams(p=7, n=1, g=3)
-    first = enumerate_candidates(params)
-    second = enumerate_candidates(params)
+    first = candidates_of(params)
+    second = candidates_of(params)
     assert first == second
     keys = [tuple((s.t, s.q_star_sign, m) for s, m in c.factors) for c in first]
     assert keys == sorted(keys)
 
 
 def test_enumerate_cap():
-    with pytest.raises(CapExceeded):
-        enumerate_candidates(WeilParams(p=23, n=1, g=G_CAP + 1))
+    with pytest.raises(OutOfRange):
+        candidates_of(WeilParams(p=23, n=1, g=G_CAP + 1))
 
 
 def test_half_degree_examples():
-    assert half_degree_candidates(WeilParams(p=11, n=1, g=3)) == []
-    assert spec_pairs(half_degree_candidates(WeilParams(p=5, n=1, g=3))) == [(-1, 5)]
-    assert spec_pairs(half_degree_candidates(WeilParams(p=7, n=1, g=3))) == [(1, 7)]
+    assert half_specs(WeilParams(p=11, n=1, g=3)) == []
+    assert spec_pairs(half_specs(WeilParams(p=5, n=1, g=3))) == [(-1, 5)]
+    assert spec_pairs(half_specs(WeilParams(p=7, n=1, g=3))) == [(1, 7)]
 
 
 def test_half_degree_cap():
-    with pytest.raises(CapExceeded):
-        half_degree_candidates(WeilParams(p=5, n=1, g=G_CAP + 1))
+    with pytest.raises(OutOfRange):
+        half_specs(WeilParams(p=5, n=1, g=G_CAP + 1))
 
 
 def test_p_equals_two_detector_branch():
     # q* even: half degree exactly when t = 2 mod 4, for both signs
     params = WeilParams(p=2, n=1, g=1)
-    assert {c.poly.coeffs for c in enumerate_candidates(params)} == {(-2, 0, 1), (2, 0, 1)}
-    assert spec_pairs(half_degree_candidates(params)) == [(-1, 2), (1, 2)]
+    assert {c.poly.coeffs for c in candidates_of(params)} == {(-2, 0, 1), (2, 0, 1)}
+    assert spec_pairs(half_specs(params)) == [(-1, 2), (1, 2)]
 
 
 def test_half_degree_structure_for_odd_p():
@@ -271,7 +282,7 @@ def test_half_degree_structure_for_odd_p():
     for p in (3, 5, 7):
         for g in (1, 2, 3, 4):
             params = WeilParams(p=p, n=1, g=g)
-            for s in half_degree_candidates(params):
+            for s in half_specs(params):
                 q_star = s.q_star_sign * params.q
                 assert s.t % 2 == 1
                 assert s.t % p == 0
@@ -285,7 +296,7 @@ def test_verify_parity_theorem_examples():
     assert r.odd_candidates == 0
     assert r.half_degree_specs == ()
     assert r.contract_ok
-    assert r.violations == ()
+    assert tuple(c for c in r.candidates if not c.even) == ()
 
     r = verify_parity_theorem(WeilParams(p=13, n=3, g=2))
     assert r.odd_candidates == 0
@@ -299,7 +310,7 @@ def test_verify_parity_theorem_examples():
 def test_parity_report_violations_consistency():
     for p in (5, 7, 11, 13):
         r = verify_parity_theorem(WeilParams(p=p, n=1, g=2))
-        assert (r.odd_candidates > 0) == bool(r.violations)
+        assert (r.odd_candidates > 0) == any(not c.even for c in r.candidates)
         assert r.total_candidates == len(r.candidates)
 
 
@@ -347,11 +358,10 @@ def test_verify_grid_validation(monkeypatch):
     def work(params):
         raise AssertionError(f"cell {params} enumerated before the grid was checked")
 
-    monkeypatch.setattr(enumerator, "enumerate_candidates", work)
     monkeypatch.setattr(enumerator, "verify_parity_theorem", work)
     with pytest.raises(ValueError):
         verify_grid(0, 50, [1])
-    with pytest.raises(CapExceeded):
+    with pytest.raises(OutOfRange):
         verify_grid(G_CAP + 1, 50, [1])
     with pytest.raises(ValueError):
         verify_grid(2, 50, [2])  # even n rejected at params construction
@@ -385,7 +395,7 @@ def test_candidate_roots_have_weil_magnitude():
     for p, n, g in ((5, 1, 2), (7, 1, 3), (13, 1, 3), (3, 3, 2)):
         params = WeilParams(p=p, n=n, g=g)
         radius = params.q ** 0.5
-        for cand in enumerate_candidates(params):
+        for cand in candidates_of(params):
             max_mult = max(m for _, m in cand.factors)
             tol = max(1e-8, 100 * (1e-16) ** (1.0 / max_mult))
             roots = np.roots(list(reversed(cand.poly.coeffs)))
@@ -396,7 +406,7 @@ def test_candidate_factorization_recomputes():
     from weilparity.weil import minpoly_full_degree
 
     params = WeilParams(p=7, n=1, g=3)
-    for cand in enumerate_candidates(params):
+    for cand in candidates_of(params):
         product = IntPoly.one()
         for spec, mult in cand.factors:
             product = product * minpoly_full_degree(params, spec.q_star_sign, spec.t) ** mult
@@ -407,7 +417,7 @@ def test_partition_search_is_order_independent():
     # the family of factor multisets must not depend on the spec scan order
     rng = random.Random(222)
     params = WeilParams(p=13, n=1, g=4)
-    specs = admissible_full_degree_specs(params)
+    specs = full_specs(params)
 
     def family(records):
         return {frozenset((s.q_star_sign, s.t, m) for s, m in factors) for _, factors in records}
@@ -428,11 +438,11 @@ def test_shapes_are_shared_across_cells_with_equal_spec_sets():
     _candidate_shapes.cache_clear()
     for p in (11, 13, 17):
         for n in (1, 3):
-            enumerate_candidates(WeilParams(p=p, n=n, g=4))
+            candidates_of(WeilParams(p=p, n=n, g=4))
     assert _candidate_shapes.cache_info().currsize == 1
     # p = 2 and p = 5 <= 2g+1 compute other spec sets, so other entries
-    enumerate_candidates(WeilParams(p=2, n=1, g=4))
-    enumerate_candidates(WeilParams(p=5, n=1, g=4))
+    candidates_of(WeilParams(p=2, n=1, g=4))
+    candidates_of(WeilParams(p=5, n=1, g=4))
     assert _candidate_shapes.cache_info().currsize == 3
 
 

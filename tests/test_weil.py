@@ -7,7 +7,7 @@ import pytest
 from oracles import functional_equation_sign
 
 from weilparity.cyclotomic import totient
-from weilparity.enumerator import admissible_full_degree_specs, half_degree_candidates
+from weilparity.enumerator import verify_parity_theorem
 from weilparity.errors import HalfDegreeUnsupported
 from weilparity.intpoly import IntPoly
 from weilparity.weil import WeilNumberSpec, WeilParams, is_full_degree, minpoly_full_degree
@@ -48,8 +48,8 @@ def test_classify_matches_predicate():
     # fitting in 2g are admissible, half-degree ones fitting are detected
     for p in (2, 3, 5, 7, 11):
         params = WeilParams(p=p, n=1, g=3)
-        full = admissible_full_degree_specs(params)
-        half = half_degree_candidates(params)
+        report = verify_parity_theorem(params)
+        full, half = report.full_degree_specs, report.half_degree_specs
         assert not set(full) & set(half)
         for t in range(1, 40):
             for sign in (-1, 1):
