@@ -31,9 +31,9 @@ from pathlib import Path
 from typing import Sequence
 
 from .bounds import BoundsReport, full_bounds_report
-from .cyclotomic import cyclotomic, totient
+from .cyclotomic import CYCLOTOMIC_CAP, cyclotomic, totient
 from .enumerator import ParityReport, verify_grid, verify_parity_theorem
-from .errors import ParseError
+from .errors import OutOfRange, ParseError
 from .intpoly import IntPoly
 from .weil import WeilParams, minpoly_full_degree
 
@@ -162,6 +162,9 @@ def _cmd_minpoly(args) -> int:
     # g plays no role in the minimal polynomial; pin the smallest value.
     sign = 1 if args.sign == "+" else -1
     params = WeilParams(p=args.p, n=args.n, g=1)
+    t_cap = CYCLOTOMIC_CAP // 4  # checked here, so the message names t, not 4t
+    if args.t > t_cap:
+        raise OutOfRange(f"t={args.t} exceeds the cap {t_cap} (4t <= {CYCLOTOMIC_CAP})")
     if args.t >= 1:  # else minpoly_full_degree rejects t
         _check_digits("the constant term", args.p, args.n * totient(4 * args.t) // 2)
     poly = minpoly_full_degree(params, sign, args.t)

@@ -12,12 +12,11 @@ Candidates are built from q-free shapes.  Each minimal polynomial is
 ``q**(d/2) * S(X/sqrt(q))`` for the integer shape S of its spec (sign,
 t), and that scaling is multiplicative, so every candidate is the
 scaled product of its factors' shapes.  The products are built once per
-key ``(g, specs)`` by a depth-first search over multiplicities that
-shares prefix products and prunes every branch the remaining specs
-cannot fill; a cell then only scales them by its q.  The key is the
-spec tuple the cell itself computes, not the one the theorem predicts:
-cells whose spec sets differ (p <= 2g+1, p = 2) get their own entry, so
-a verify run still checks every cell instead of assuming the result.
+key ``(g, specs)`` by a recurrence memoized on (spec index, degree
+left), and a cell only scales them by its q.  The key is the spec tuple
+the cell itself computes, not the one the theorem predicts: cells whose
+spec sets differ (p <= 2g+1, p = 2) get their own entry, so a verify run
+still checks every cell instead of assuming the result.
 
 One spec scan per cell decides the full/half degree dichotomy.  It runs
 over the root-of-unity indices t with phi(4t)/2 <= 2g, capped by the
@@ -35,11 +34,9 @@ when its shape product is, and a cell's candidate count and odd count
 are functions of its key alone.  :func:`_candidate_counts` reads them
 once per key by testing every shape product with ``is_even``; it does
 not assume the theorem's answer (that every shape is even because it
-comes from the even cyclotomic polynomial of index 4t).  The counts are
-keyed on the observed spec tuple for the same reason as the shapes: a
-cell whose scan finds a different spec set gets its own count, never
-one borrowed from the cells the theorem says it resembles.  Candidates
-are expanded only when their coefficients are printed.
+comes from the even cyclotomic polynomial of index 4t), and it shares
+the shapes' key for the same reason.  Candidates are expanded only when
+their coefficients are printed.
 """
 
 from __future__ import annotations
@@ -190,41 +187,34 @@ def _candidate_shapes(
 ) -> tuple[tuple[IntPoly, tuple[tuple[WeilNumberSpec, int], ...]], ...]:
     """Every degree-2g product of the specs' shapes with its factor record.
 
-    A depth-first search over the multiplicity of each spec in turn
-    extends one prefix product per branch, and enters a branch only if
-    the specs after it can fill the degree still left.  The result is in
-    canonical order: sorted by the factor record, lexicographically on
-    (t, sign, multiplicity) triples.
+    ``products(i, left)``, memoized for the call, lists the products of
+    ``specs[i:]`` of degree ``left``: ``shape_i**m`` times each product of
+    ``specs[i+1:]`` of degree ``left - m*d_i``, for m = 1, 2, ..., then the
+    products of ``specs[i+1:]`` alone.  A degree the remaining specs cannot
+    fill costs one lookup of ``()``.  The specs come in scan order (by t,
+    then sign), so the result is canonical as built: sorted by the factor
+    record, lexicographically on (t, sign, multiplicity) triples.
     """
     degrees = [totient(4 * s.t) for s in specs]
     shapes = [minpoly_shape(s.q_star_sign, s.t) for s in specs]
-    total = 2 * g
-    # fillable[i][k]: some multiplicities over specs[i:] sum to degree k
-    fillable = [[True] + [False] * total]
-    for d in reversed(degrees):
-        reach = list(fillable[0])
-        for k in range(d, total + 1):
-            reach[k] = reach[k] or reach[k - d]
-        fillable.insert(0, reach)
 
-    out = []
-
-    def extend(i, left, poly, factors):
+    @cache
+    def products(i, left):
         if left == 0:
-            out.append((poly, factors))
-            return
-        d, rest = degrees[i], fillable[i + 1]
-        top = max(m for m in range(left // d + 1) if rest[left - m * d])
-        for m in range(top + 1):
-            if m:
-                poly = poly * shapes[i]
-            if rest[left - m * d]:
-                extend(i + 1, left - m * d, poly, factors + ((specs[i], m),) if m else factors)
+            return ((IntPoly.one(), ()),)
+        if i == len(specs):
+            return ()
+        power, out = IntPoly.one(), []
+        for m in range(1, left // degrees[i] + 1):
+            power *= shapes[i]
+            rest = products(i + 1, left - m * degrees[i])
+            out += [(power * poly, ((specs[i], m), *record)) for poly, record in rest]
+        return (*out, *products(i + 1, left))
 
-    if fillable[0][total]:
-        extend(0, total, IntPoly.one(), ())
-    out.sort(key=lambda entry: tuple((s.t, s.q_star_sign, m) for s, m in entry[1]))
-    return tuple(out)
+    try:
+        return products(0, 2 * g)
+    finally:  # the memo is a reference cycle through products: free it now
+        products.cache_clear()
 
 
 @cache

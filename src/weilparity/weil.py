@@ -21,8 +21,8 @@ from dataclasses import dataclass
 from itertools import accumulate, repeat
 from operator import mul
 
-from .cyclotomic import cyclotomic, is_prime
-from .errors import BrokenInvariant, HalfDegreeUnsupported
+from .cyclotomic import FACTORIZE_CAP, cyclotomic, is_prime
+from .errors import BrokenInvariant, HalfDegreeUnsupported, OutOfRange
 from .intpoly import IntPoly
 
 
@@ -40,6 +40,8 @@ class WeilParams:
     g: int
 
     def __post_init__(self):
+        if self.p > FACTORIZE_CAP:  # before is_prime, whose cap error would say n
+            raise OutOfRange(f"p={self.p} exceeds the trial-division cap {FACTORIZE_CAP}")
         if self.p < 2 or not is_prime(self.p):
             raise ValueError(f"p={self.p} must be prime")
         if self.n < 1 or self.n % 2 == 0:

@@ -262,6 +262,25 @@ def test_minpoly_half_degree_exits_2(capsys):
     assert "half degree" in err
 
 
+def test_cap_errors_name_the_flag(capsys):
+    # p and 4t are factored by trial division and 4t indexes a cyclotomic
+    # polynomial; a cap error names the flag given, not that internal n
+    code, out, err = invoke(capsys, ["enumerate", "--g", "1", "--p", "1000000007", "--n", "1"])
+    assert (code, out) == (2, "")
+    assert err == "error: p=1000000007 exceeds the trial-division cap 1000000000\n"
+    argv = ["minpoly", "--p", "5", "--n", "1", "--sign", "+", "--t"]
+    code, out, err = invoke(capsys, [*argv, "100000000000"])
+    assert (code, out) == (2, "")
+    assert err == "error: t=100000000000 exceeds the cap 250000 (4t <= 1000000)\n"
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)  # no digit check before the cyclotomic cap
+    try:
+        code, out, err = invoke(capsys, [*argv, "250001"])
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert (code, out, err) == (2, "", "error: t=250001 exceeds the cap 250000 (4t <= 1000000)\n")
+
+
 def test_enumerate_tsv(capsys):
     code, out, _ = invoke(capsys, ["enumerate", "--g", "1", "--p", "5", "--n", "1"])
     assert code == 0

@@ -244,12 +244,15 @@ def test_candidate_structure_invariants():
 
 
 def test_enumeration_order_is_canonical():
-    params = WeilParams(p=7, n=1, g=3)
-    first = candidates_of(params)
-    second = candidates_of(params)
-    assert first == second
-    keys = [tuple((s.t, s.q_star_sign, m) for s, m in c.factors) for c in first]
-    assert keys == sorted(keys)
+    # p = 2, 3, 5 scan other spec sets than p = 101 does at the same g
+    cells = [(7, 3)] + [(p, g) for p in (101, 2, 3, 5) for g in range(1, G_CAP + 1)]
+    for p, g in cells:
+        params = WeilParams(p=p, n=1, g=g)
+        first = candidates_of(params)
+        second = candidates_of(params)
+        assert first == second
+        keys = [tuple((s.t, s.q_star_sign, m) for s, m in c.factors) for c in first]
+        assert keys == sorted(set(keys))  # strictly rising: no record twice
 
 
 def test_enumerate_cap():
