@@ -13,7 +13,10 @@ Every subcommand accepts ``--format {tsv,structured}`` (default tsv) and
 produces byte-identical output for identical inputs.  Exit codes:
 0 success, 1 parity-contract violation, 2 usage or validation error,
 3 internal error (any unexpected exception, reported as
-``internal error:`` and a traceback on stderr).  A
+``internal error:`` and a traceback on stderr).  Structured ``verify``
+writes its cells as they are built, in blocks of about 32 KiB, so its
+exit 1 and stderr line come after the full output, and an internal
+error mid-grid exits 3 with the cells before it already written.  A
 ``verify`` grid must cover every g <= gmax with a prime p,
 2g+1 < p <= pmax, and pmax may not exceed the prime sieve cap of
 10**7; otherwise it exits 2 before any work.  So does a run that would
@@ -28,14 +31,14 @@ import json
 import sys
 from math import log10
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .bounds import BoundsReport, full_bounds_report
 from .cyclotomic import CYCLOTOMIC_CAP, cyclotomic, totient
 from .enumerator import ParityReport, verify_grid, verify_parity_theorem
 from .errors import OutOfRange, ParseError
 from .intpoly import IntPoly
-from .weil import WeilParams, minpoly_full_degree
+from .weil import WeilParams, minpoly_full_degree, q_powers, scale_shape
 
 _SIGN_TEXT = {1: "+", -1: "-"}
 _CELL = ("g", "p", "n")
@@ -66,18 +69,60 @@ def _text(value) -> str:
     return str(value)
 
 
-def _emit(args, doc, rows, header=None) -> None:
-    """Print ``doc()`` as JSON, or the TSV ``header`` and ``rows()``.
+# Structured output is written in blocks of at least this many characters.
+# Each write to a pipe wakes its reader, and a reader woken on the writer's
+# CPU preempts it: one write per cell cost a thousand context switches on a
+# 5 MB output, and the run time varied with where the reader was placed.
+# A block of half a pipe's 64 KiB (plus one cell) still fits in a pipe the
+# reader has drained, so the writer does not wait on the reader either.
+_WRITE_BLOCK = 1 << 15
 
-    Only the requested format is built: ``doc`` and ``rows`` are thunks.
+
+def _emit(args, text, rows, header=None) -> None:
+    """Write the JSON ``text()``, or the TSV ``header`` and ``rows()``.
+
+    Only the requested format is built: ``text`` and ``rows`` are thunks.
+    ``text()`` yields the JSON text in pieces, which are written as they
+    come, a block at a time, so structured output is never held whole.
     TSV fields are tab-joined, with booleans as ``true``/``false``.
     """
     if args.format == "structured":
-        print(json.dumps(doc()))
+        _write_blocks(text())
         return
     lines = [] if header is None else ["\t".join(header)]
     lines.extend("\t".join(map(_text, row)) for row in rows())
     print("\n".join(lines))
+
+
+def _write_blocks(pieces: Iterable[str]) -> None:
+    """Write ``pieces`` and a newline to stdout, joined into blocks of ``_WRITE_BLOCK``.
+
+    A block is written once it reaches that size.  If making a piece
+    fails, the pieces before it are still written, with no newline.
+    """
+    block, size = [], 0
+    try:
+        for piece in pieces:
+            block.append(piece)
+            size += len(piece)
+            if size >= _WRITE_BLOCK:
+                sys.stdout.write("".join(block))
+                block, size = [], 0
+        block.append("\n")
+    finally:
+        sys.stdout.write("".join(block))
+
+
+def _json_array(items: Iterable[str]) -> Iterator[str]:
+    """``json.dumps`` of a list, from the JSON texts of its items, one piece per item.
+
+    An item is made before its piece is yielded, so a failure while
+    making one leaves exactly the items before it written.
+    """
+    yield "["
+    for i, item in enumerate(items):
+        yield ", " + item if i else item
+    yield "]"
 
 
 def _check_digits(what: str, p: int, e: int) -> None:
@@ -104,23 +149,30 @@ def _spec(spec) -> dict:
     return {"sign": spec.q_star_sign, "t": spec.t}
 
 
-def _parity_doc(report: ParityReport) -> dict:
-    return {
-        **_cell(report.params),
-        "total_candidates": report.total_candidates,
-        "odd_candidates": report.odd_candidates,
-        "candidates": [
-            {
-                "coeffs": list(c.poly.coeffs),
-                "even": c.even,
-                "factors": [
-                    {"sign": s.q_star_sign, "t": s.t, "mult": m} for s, m in c.factors
-                ],
-            }
-            for c in report.candidates
-        ],
-        "half_degree_specs": [_spec(s) for s in report.half_degree_specs],
-    }
+def _parity_json(report: ParityReport) -> str:
+    """The cell document of ``report``, as the text ``json.dumps`` writes for it.
+
+    Each candidate's coefficients are its shape's, scaled by the cell's
+    powers of q; its ``factors`` text is q-free and shared by every cell
+    with the same specs.  Ints are written by ``int.__repr__``, booleans
+    as ``true``/``false``, with ``", "`` and ``": "`` as separators.
+    """
+    params = report.params
+    powers = q_powers(params.q, params.g)
+    candidates = []
+    for shape, factors in report.factor_json:
+        coeffs = scale_shape(shape, powers)
+        candidates.append(
+            f'{{"coeffs": [{", ".join(map(str, coeffs))}], '
+            f'"even": {_text(not any(coeffs[1::2]))}, "factors": {factors}}}'
+        )
+    return (
+        f'{{"g": {params.g}, "p": {params.p}, "n": {params.n}, '
+        f'"total_candidates": {report.total_candidates}, '
+        f'"odd_candidates": {report.odd_candidates}, '
+        f'"candidates": [{", ".join(candidates)}], '
+        f'"half_degree_specs": {json.dumps([_spec(s) for s in report.half_degree_specs])}}}'
+    )
 
 
 def _bounds_doc(report: BoundsReport) -> dict:
@@ -154,7 +206,11 @@ def _bounds_row(report: BoundsReport) -> tuple:
 
 def _cmd_cyclo(args) -> int:
     poly = cyclotomic(args.n)
-    _emit(args, lambda: {"n": args.n, "coeffs": list(poly.coeffs)}, lambda: [(poly.to_line(),)])
+    _emit(
+        args,
+        lambda: [json.dumps({"n": args.n, "coeffs": list(poly.coeffs)})],
+        lambda: [(poly.to_line(),)],
+    )
     return 0
 
 
@@ -168,10 +224,10 @@ def _cmd_minpoly(args) -> int:
     if args.t >= 1:  # else minpoly_full_degree rejects t
         _check_digits("the constant term", args.p, args.n * totient(4 * args.t) // 2)
     poly = minpoly_full_degree(params, sign, args.t)
-    spec = {"p": args.p, "n": args.n, "sign": sign, "t": args.t}
+    doc = {"p": args.p, "n": args.n, "sign": sign, "t": args.t}
     _emit(
         args,
-        lambda: {**spec, "degree": len(poly.coeffs) - 1, "coeffs": list(poly.coeffs)},
+        lambda: [json.dumps({**doc, "degree": len(poly.coeffs) - 1, "coeffs": list(poly.coeffs)})],
         lambda: [(poly.to_line(),)],
     )
     return 0
@@ -188,17 +244,25 @@ def _cmd_enumerate(args) -> int:
             factors = ";".join(f"{_SIGN_TEXT[s.q_star_sign]}:{s.t}:{m}" for s, m in c.factors)
             yield (*cell, c.poly.to_line(), c.even, factors)
 
-    _emit(args, lambda: _parity_doc(report), rows, (*_CELL, "coeffs", "even", "factors"))
+    _emit(args, lambda: [_parity_json(report)], rows, (*_CELL, "coeffs", "even", "factors"))
     return 0 if report.contract_ok else 1
 
 
 def _cmd_verify(args) -> int:
-    result = verify_grid(args.gmax, args.pmax, args.n)  # checks the grid, runs no cell
+    grid = verify_grid(args.gmax, args.pmax, args.n)  # checks the grid, runs no cell
     if args.format == "structured":
-        _check_digits("the largest constant term", result.primes[-1], max(args.n) * args.gmax)
+        _check_digits("the largest constant term", grid.primes[-1], max(args.n) * args.gmax)
+    ok = True
+
+    def reports():  # the grid's cells as they are built, noting any violation
+        nonlocal ok
+        for report in grid:
+            ok &= report.contract_ok
+            yield report
+
     _emit(
         args,
-        lambda: [_parity_doc(r) for r in result.reports],
+        lambda: _json_array(map(_parity_json, reports())),
         lambda: (
             (
                 *_cell(r.params).values(),
@@ -207,11 +271,11 @@ def _cmd_verify(args) -> int:
                 len(r.half_degree_specs),
                 r.contract_ok,
             )
-            for r in result.reports
+            for r in reports()
         ),
         (*_CELL, "total_candidates", "odd_candidates", "half_degree_specs", "ok"),
     )
-    if not result.all_ok:
+    if not ok:
         print("parity contract violated in at least one grid cell", file=sys.stderr)
         return 1
     return 0
@@ -222,7 +286,7 @@ def _cmd_detect_half(args) -> int:
     specs = verify_parity_theorem(params).half_degree_specs  # builds no shape
     _emit(
         args,
-        lambda: {**_cell(params), "half_degree_specs": [_spec(s) for s in specs]},
+        lambda: [json.dumps({**_cell(params), "half_degree_specs": [_spec(s) for s in specs]})],
         lambda: ((_SIGN_TEXT[s.q_star_sign], s.t, totient(4 * s.t) // 2) for s in specs),
         ("sign", "t", "degree"),
     )
@@ -237,7 +301,7 @@ def _cmd_bounds(args) -> int:
     reports = [full_bounds_report(poly, params) for poly in ingest_reference(args.file)]
     _emit(
         args,
-        lambda: [_bounds_doc(r) for r in reports],
+        lambda: _json_array(json.dumps(_bounds_doc(r)) for r in reports),
         lambda: map(_bounds_row, reports),
         (*_CELL, "a_values", "symmetric", "lemma_a1", "archimedean", "valuation"),
     )

@@ -22,11 +22,11 @@ One spec scan per cell decides the full/half degree dichotomy.  It runs
 over the root-of-unity indices t with phi(4t)/2 <= 2g, capped by the
 provable bound phi(m) >= sqrt(m/2): once t > 8g**2 every phi(4t)/2
 exceeds 2g, so the scan is complete, not heuristic.  Those t do not
-depend on (p, n), so they are listed once per g, and each cell runs
-``is_full_degree`` once on each sign of each: a half-degree spec fits if
-phi(4t)/2 <= 2g, a full-degree one only if phi(4t) <= 2g.  A
-:class:`ParityReport` holds that scan and nothing else; its counts and
-candidates are computed from it when read.
+depend on (p, n), so their specs (both signs of each) are built, and
+checked, once per g, and each cell runs ``is_full_degree`` once on each
+spec: a half-degree spec fits if phi(4t)/2 <= 2g, a full-degree one
+only if phi(4t) <= 2g.  A :class:`ParityReport` holds that scan and
+nothing else; its counts and candidates are computed from it when read.
 
 The counts never need an expanded candidate.  Scaling by q multiplies
 each coefficient by a nonzero power of q, so a candidate is even exactly
@@ -36,20 +36,27 @@ once per key by testing every shape product with ``is_even``; it does
 not assume the theorem's answer (that every shape is even because it
 comes from the even cyclotomic polynomial of index 4t), and it shares
 the shapes' key for the same reason.  Candidates are expanded only when
-their coefficients are printed.
+their coefficients are printed, and structured output does not build
+them as polynomials: it scales each shape's coefficient list by the
+cell's powers of q, and takes the JSON text of its factors, which is
+q-free, from the same key.
+
+A grid's reports are built as the grid is read, one cell at a time, and
+none is kept: a caller writes each cell out before the next is built.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cache
 from itertools import compress
 from math import isqrt
+from typing import Iterator
 
 from .cyclotomic import totient
 from .errors import OutOfRange
 from .intpoly import IntPoly
-from .weil import WeilNumberSpec, WeilParams, is_full_degree, minpoly_shape, scale_shape
+from .weil import WeilNumberSpec, WeilParams, is_full_degree, minpoly_shape, q_powers, scale_shape
 
 G_CAP = 10
 PRIME_SIEVE_CAP = 10 ** 7  # a byte per integer up to the sieve limit
@@ -84,7 +91,7 @@ class ParityReport:
     The report is the cell's spec scan: the full-degree specs that fit
     in degree 2g and the half-degree specs that would.  The counts are
     the cached summary of the full-degree spec tuple; ``candidates`` are
-    expanded when read and not kept, so a grid of reports stays small.
+    expanded when read and not kept, so a report stays small.
     """
 
     params: WeilParams
@@ -102,11 +109,20 @@ class ParityReport:
     @property
     def candidates(self) -> tuple[CandidatePolynomial, ...]:
         """Every candidate, in the canonical order of :func:`_candidate_shapes`."""
-        q = self.params.q
+        powers = q_powers(self.params.q, self.params.g)
         return tuple(
-            CandidatePolynomial(poly=scale_shape(shape, q), factors=factors)
+            CandidatePolynomial(poly=IntPoly(scale_shape(shape, powers)), factors=factors)
             for shape, factors in _candidate_shapes(self.params.g, self.full_degree_specs)
         )
+
+    @property
+    def factor_json(self) -> tuple[tuple[IntPoly, str], ...]:
+        """Each candidate's shape product with the JSON text of its factors, in canonical order.
+
+        Both are q-free, so they are built once per key (g, specs) by
+        :func:`_candidate_factor_json`; a cell only scales the shapes.
+        """
+        return _candidate_factor_json(self.params.g, self.full_degree_specs)
 
     @property
     def contract_ok(self) -> bool:
@@ -123,41 +139,41 @@ class ParityReport:
 
 @dataclass(frozen=True)
 class GridResult:
-    """The cells of a checked grid; their reports are built on first use.
+    """The cells of a checked grid.
 
     Cells are (g, p, n) with p in ``primes`` and p > 2g+1, in grid order
-    (g, then p, then the given n order).
+    (g, then p, then the given n order).  Iterating builds their reports
+    in that order, one as each is asked for, and keeps none of them, so a
+    caller can write each cell out before the next is built.
     """
 
     g_max: int
     primes: tuple[int, ...]
     n_values: tuple[int, ...]
 
-    @cached_property
-    def reports(self) -> tuple[ParityReport, ...]:
-        return tuple(
-            verify_parity_theorem(WeilParams(p=p, n=n, g=g))
-            for g in range(1, self.g_max + 1)
-            for p in self.primes
-            if p > 2 * g + 1
-            for n in self.n_values
-        )
-
-    @property
-    def all_ok(self) -> bool:
-        return all(r.contract_ok for r in self.reports)
+    def __iter__(self) -> Iterator[ParityReport]:
+        for g in range(1, self.g_max + 1):
+            for p in self.primes:
+                if p > 2 * g + 1:
+                    for n in self.n_values:
+                        yield verify_parity_theorem(WeilParams(p=p, n=n, g=g))
 
 
 @cache
-def _fitting_ts(g: int) -> tuple[tuple[int, int], ...]:
-    """Every (t, phi(4t)) with phi(4t)/2 <= 2g.
+def _fitting_specs(g: int) -> tuple[tuple[WeilNumberSpec, int], ...]:
+    """Every spec (sign, t) with phi(4t)/2 <= 2g, with its phi(4t), ordered by (t, sign).
 
     The scan stops at t = 8g**2, beyond which phi(4t)/2 > 2g always.
-    The list depends on g alone, so it is built once per g; ``G_CAP``
-    applies, since it grows as g**2.
+    The list depends on g alone, so each spec is built, and checked, once
+    per g; ``G_CAP`` applies, since the list grows as g**2.
     """
     _check_g_cap(g)
-    return tuple((t, d) for t in range(1, 8 * g * g + 1) if (d := totient(4 * t)) <= 4 * g)
+    return tuple(
+        (WeilNumberSpec(sign, t), d)
+        for t in range(1, 8 * g * g + 1)
+        if (d := totient(4 * t)) <= 4 * g
+        for sign in (-1, 1)
+    )
 
 
 def _scan_specs(
@@ -165,19 +181,18 @@ def _scan_specs(
 ) -> tuple[tuple[WeilNumberSpec, ...], tuple[WeilNumberSpec, ...]]:
     """(full, half): the specs whose minimal polynomial fits, or would fit, in degree 2g.
 
-    Both signs of q_star are tried for every listed t, and each spec goes
-    to one side by ``is_full_degree``: a half-degree spec fits if
-    phi(4t)/2 <= 2g, a full-degree one only if phi(4t) <= 2g.  For odd p
-    the half side reduces to: t odd, p | t, q_star = 3 mod 4 and
-    phi(t) <= 2g.  Both are ordered by (t, sign).
+    Each spec of :func:`_fitting_specs` goes to one side by
+    ``is_full_degree``: a half-degree spec fits if phi(4t)/2 <= 2g, a
+    full-degree one only if phi(4t) <= 2g.  For odd p the half side
+    reduces to: t odd, p | t, q_star = 3 mod 4 and phi(t) <= 2g.  Both
+    are ordered by (t, sign).
     """
     full, half = [], []
-    for t, degree in _fitting_ts(params.g):
-        for sign in (-1, 1):
-            if not is_full_degree(params, sign, t):
-                half.append(WeilNumberSpec(sign, t))
-            elif degree <= 2 * params.g:
-                full.append(WeilNumberSpec(sign, t))
+    for spec, degree in _fitting_specs(params.g):
+        if not is_full_degree(params, spec.q_star_sign, spec.t):
+            half.append(spec)
+        elif degree <= 2 * params.g:
+            full.append(spec)
     return tuple(full), tuple(half)
 
 
@@ -188,33 +203,59 @@ def _candidate_shapes(
     """Every degree-2g product of the specs' shapes with its factor record.
 
     ``products(i, left)``, memoized for the call, lists the products of
-    ``specs[i:]`` of degree ``left``: ``shape_i**m`` times each product of
-    ``specs[i+1:]`` of degree ``left - m*d_i``, for m = 1, 2, ..., then the
-    products of ``specs[i+1:]`` alone.  A degree the remaining specs cannot
-    fill costs one lookup of ``()``.  The specs come in scan order (by t,
-    then sign), so the result is canonical as built: sorted by the factor
-    record, lexicographically on (t, sign, multiplicity) triples.
+    ``specs[i:]`` of degree ``left`` > 0: ``shape_i**m`` itself if its
+    degree is ``left``, else times each product of ``specs[i+1:]`` of
+    degree ``left - m*d_i``, for m = 1, 2, ..., then the products of
+    ``specs[i+1:]`` alone.  No product is multiplied by the constant 1.
+    A degree the remaining specs cannot fill costs one lookup of ``()``.
+    The specs come in scan order (by t, then sign), so the result is
+    canonical as built: sorted by the factor record, lexicographically on
+    (t, sign, multiplicity) triples.
     """
     degrees = [totient(4 * s.t) for s in specs]
     shapes = [minpoly_shape(s.q_star_sign, s.t) for s in specs]
 
     @cache
     def products(i, left):
-        if left == 0:
-            return ((IntPoly.one(), ()),)
         if i == len(specs):
             return ()
-        power, out = IntPoly.one(), []
+        out, power = [], shapes[i]
         for m in range(1, left // degrees[i] + 1):
-            power *= shapes[i]
-            rest = products(i + 1, left - m * degrees[i])
-            out += [(power * poly, ((specs[i], m), *record)) for poly, record in rest]
+            if m > 1:
+                power *= shapes[i]
+            rest = left - m * degrees[i]
+            if rest == 0:
+                out.append((power, ((specs[i], m),)))
+            else:
+                tails = products(i + 1, rest)
+                out += [(power * poly, ((specs[i], m), *record)) for poly, record in tails]
         return (*out, *products(i + 1, left))
 
     try:
         return products(0, 2 * g)
     finally:  # the memo is a reference cycle through products: free it now
         products.cache_clear()
+
+
+@cache
+def _candidate_factor_json(
+    g: int, specs: tuple[WeilNumberSpec, ...]
+) -> tuple[tuple[IntPoly, str], ...]:
+    """The shape products of :func:`_candidate_shapes`, each with its factors' JSON text.
+
+    The text is what ``json.dumps`` writes for the record's list of
+    ``{"sign", "t", "mult"}`` objects.  It does not depend on q, so
+    structured output renders it once per key instead of once per cell.
+    """
+    return tuple(
+        (
+            shape,
+            "[" + ", ".join(
+                f'{{"sign": {s.q_star_sign}, "t": {s.t}, "mult": {m}}}' for s, m in record
+            ) + "]",
+        )
+        for shape, record in _candidate_shapes(g, specs)
+    )
 
 
 @cache
@@ -256,12 +297,12 @@ def primes_between(low: int, high: int) -> list[int]:
 def verify_grid(g_max: int, p_max: int, n_values: list[int]) -> GridResult:
     """One parity report per (g, p, n) with 2g+1 < p <= p_max.
 
-    The grid is checked here, before any cell; the reports are built
-    when first read.  Every n must be valid for :class:`WeilParams`, and
-    every g <= g_max must have a prime p with 2g+1 < p <= p_max; a grid
-    that leaves some g uncovered is a ``ValueError``, since it would not
-    verify what was asked.  A p_max above ``PRIME_SIEVE_CAP`` is
-    :class:`OutOfRange`.
+    The grid is checked here, before any cell; the reports are built as
+    the result is iterated.  Every n must be valid for
+    :class:`WeilParams`, and every g <= g_max must have a prime p with
+    2g+1 < p <= p_max; a grid that leaves some g uncovered is a
+    ``ValueError``, since it would not verify what was asked.  A p_max
+    above ``PRIME_SIEVE_CAP`` is :class:`OutOfRange`.
     """
     if g_max < 1:
         raise ValueError("g_max must be a positive integer")

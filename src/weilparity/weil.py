@@ -74,9 +74,10 @@ def is_full_degree(params: WeilParams, q_star_sign: int, t: int) -> bool:
     Full degree holds iff either q_star is odd and (t is even, or p does
     not divide t, or q_star = 1 mod 4), or q_star is even and
     t != 2 mod 4.  q itself is never built: q_star is odd iff p is, and
-    its residue mod 4 is that of q_star_sign * (p**n mod 4).
+    its residue mod 4 is that of q_star_sign * (p**n mod 4).  Sign and t
+    are not checked here: they are those of a :class:`WeilNumberSpec`,
+    which checks them once, when it is built.
     """
-    WeilNumberSpec(q_star_sign, t)  # the spec's own checks on sign and t
     p, n = params.p, params.n
     if p % 2:
         return t % 2 == 0 or t % p != 0 or q_star_sign * pow(p, n, 4) % 4 == 1
@@ -98,22 +99,27 @@ def minpoly_shape(q_star_sign: int, t: int) -> IntPoly:
     return IntPoly(c * q_star_sign ** ((m - j) // 2) for j, c in enumerate(phi))
 
 
-def scale_shape(shape: IntPoly, q: int) -> IntPoly:
-    """Return ``q**(d/2) * shape(X / sqrt(q))`` for an even shape of even degree d.
+def q_powers(q: int, k: int) -> list[int]:
+    """``[1, q, q**2, ..., q**k]``: enough for :func:`scale_shape` on shapes of degree <= 2k."""
+    return list(accumulate(repeat(q, k), mul, initial=1))
 
-    The coefficient of ``X**j`` is multiplied by ``q**((d - j)/2)``, an
-    exact integer because only even j carry nonzero coefficients.  The
-    map is multiplicative, so scaling a product of shapes equals the
-    product of the scaled shapes.  Every shape built from a cyclotomic
-    polynomial of index 4t is even; any other is :class:`BrokenInvariant`.
+
+def scale_shape(shape: IntPoly, powers: list[int]) -> list[int]:
+    """The coefficients of ``q**(d/2) * shape(X / sqrt(q))``, for an even shape of even degree d.
+
+    ``powers`` is :func:`q_powers` of q up to at least d/2.  The
+    coefficient of ``X**j`` is multiplied by ``q**((d - j)/2)``, an exact
+    integer because only even j carry nonzero coefficients.  The map is
+    multiplicative, so scaling a product of shapes equals the product of
+    the scaled shapes.  Every shape built from a cyclotomic polynomial of
+    index 4t is even; any other is :class:`BrokenInvariant`.
     """
     coeffs = list(shape.coeffs)
     if len(coeffs) % 2 == 0 or any(coeffs[1::2]):
         raise BrokenInvariant("a shape must be an even polynomial of even degree")
     # from the top coefficient down: q**0, q**1, ... on X**d, X**(d-2), ...
-    powers = accumulate(repeat(q, len(coeffs) // 2), mul, initial=1)
     coeffs[::-2] = map(mul, coeffs[::-2], powers)
-    return IntPoly(coeffs)
+    return coeffs
 
 
 def minpoly_full_degree(params: WeilParams, q_star_sign: int, t: int) -> IntPoly:
@@ -123,9 +129,11 @@ def minpoly_full_degree(params: WeilParams, q_star_sign: int, t: int) -> IntPoly
     of ``X**j`` is ``c_j * q_star**((phi(4t) - j)/2)``, an exact monic
     integer polynomial of degree phi(4t).
     """
+    WeilNumberSpec(q_star_sign, t)  # the spec's own checks on sign and t
     if not is_full_degree(params, q_star_sign, t):
         raise HalfDegreeUnsupported(
             f"(sign={q_star_sign:+d}, t={t}) at p={params.p}, n={params.n} is a "
             "half degree case; its minimal polynomial is not constructed"
         )
-    return scale_shape(minpoly_shape(q_star_sign, t), params.q)
+    shape = minpoly_shape(q_star_sign, t)
+    return IntPoly(scale_shape(shape, q_powers(params.q, shape.degree // 2)))

@@ -2,10 +2,12 @@
 
 None of these is on a command-line path: they are independent
 constructions (the Moebius quotient for cyclotomic polynomials, exact
-polynomial division), identities from the literature, and the paper's
-thresholds, kept here as oracles and acceptance checks.
+polynomial division, a parity report's document built as a dict),
+identities from the literature, and the paper's thresholds, kept here
+as oracles and acceptance checks.
 """
 
+import json
 from math import comb
 
 from weilparity.cyclotomic import _check_cap, cyclotomic, divisors, is_prime, moebius
@@ -124,3 +126,35 @@ def corollary_threshold(g: int) -> int:
     if g < 1:
         raise ValueError("g must be a positive integer")
     return comb(2 * g, g if g % 2 else g - 1) ** 2
+
+
+def parity_doc(report) -> dict:
+    """The structured document of one parity report, built as a dict.
+
+    Through ``json.dumps`` it gives the bytes the command line streams
+    for the cell: the oracle of its text renderer, which builds neither
+    the dicts nor the expanded polynomials.
+    """
+    return {
+        "g": report.params.g,
+        "p": report.params.p,
+        "n": report.params.n,
+        "total_candidates": report.total_candidates,
+        "odd_candidates": report.odd_candidates,
+        "candidates": [
+            {
+                "coeffs": list(c.poly.coeffs),
+                "even": c.even,
+                "factors": [
+                    {"sign": s.q_star_sign, "t": s.t, "mult": m} for s, m in c.factors
+                ],
+            }
+            for c in report.candidates
+        ],
+        "half_degree_specs": [{"sign": s.q_star_sign, "t": s.t} for s in report.half_degree_specs],
+    }
+
+
+def parity_json(reports) -> str:
+    """What structured ``verify`` prints for ``reports``: one ``json.dumps`` of every document."""
+    return json.dumps([parity_doc(r) for r in reports]) + "\n"

@@ -1,16 +1,18 @@
 """Command-line interface: formats, exit codes, determinism."""
 
 import hashlib
+import io
 import json
 import sys
+import tracemalloc
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
-from oracles import NotDivisible
+from oracles import NotDivisible, parity_doc, parity_json
 
 from weilparity.cli import ingest_reference, run
-from weilparity.enumerator import G_CAP
+from weilparity.enumerator import G_CAP, primes_between, verify_grid, verify_parity_theorem
 from weilparity.errors import ParseError
 from weilparity.intpoly import IntPoly
 from weilparity.weil import WeilParams
@@ -218,6 +220,11 @@ GOLDEN = {
         ("b032fa5ecde588fbbc2fda0b7332937d777be41f588c69885fe58bc33538fcce", 0),
     (("enumerate", "--g", "4", "--p", "3", "--n", "1"), "structured"):
         ("6b107356d947e93e5f8bd02170eec2f91c02c5bc7027adff252fe8fb078d6ca1", 0),
+    # recorded when structured output was one json.dumps of the whole grid
+    (("verify", "--gmax", "5", "--pmax", "60", "--n", "1", "--n", "3"), "structured"):
+        ("b88ab04423f6fd2bf3bca8f07e2bcf570ebe3e21fc4cbb3f67dac829272e4599", 0),
+    (("enumerate", "--g", "6", "--p", "17", "--n", "3"), "structured"):
+        ("a700fad711fffc3891fd8d78ca708fd0bee400d8ba21702c6205b85a76ff6aa5", 0),
 }
 
 
@@ -581,21 +588,192 @@ def test_detect_half_builds_no_shape(monkeypatch, capsys, tmp_path, argv, fmt):
     assert golden_run(capsys, tmp_path, argv, fmt) == GOLDEN[argv, fmt]
 
 
-def test_structured_verify_expands_each_cell_once(monkeypatch, capsys, tmp_path):
+class Recorder(io.TextIOBase):
+    """A text stream that appends each write to ``log`` as (name, text)."""
+
+    def __init__(self, name, log):
+        self.name, self.log = name, log
+
+    def write(self, text):
+        self.log.append((self.name, text))
+        return len(text)
+
+
+class HashSink(io.TextIOBase):
+    """A text stream that keeps only the sha256 of what is written to it."""
+
+    def __init__(self):
+        self.sha = hashlib.sha256()
+
+    def write(self, text):
+        self.sha.update(text.encode())
+        return len(text)
+
+
+def recorded_run(monkeypatch, argv):
+    """(exit code, stdout text, log of every stdout and stderr write in order)."""
+    log = []
+    monkeypatch.setattr(sys, "stdout", Recorder("out", log))
+    monkeypatch.setattr(sys, "stderr", Recorder("err", log))
+    code = run(argv)
+    return code, "".join(text for name, text in log if name == "out"), log
+
+
+SMALL_GRID = ("verify", "--gmax", "2", "--pmax", "13", "--n", "1", "--n", "3")
+
+
+def small_grid_cells():
+    """The JSON text of each cell of ``SMALL_GRID`` by the oracle, checked against its digest."""
+    reports = list(verify_grid(2, 13, [1, 3]))
+    golden = parity_json(reports)
+    assert hashlib.sha256(golden.encode()).hexdigest() == GOLDEN[SMALL_GRID, "structured"][0]
+    return [json.dumps(parity_doc(r)) for r in reports]
+
+
+def test_structured_verify_expands_each_cell_once(monkeypatch):
+    # cells are built in grid order, once each, and with one-character
+    # blocks each is written before the next is built
+    import weilparity.cli as cli
     from weilparity.enumerator import ParityReport
 
     expanded = []
-    real = ParityReport.candidates.fget
+    real = ParityReport.factor_json.fget
 
     def counting(report):
-        expanded.append((report.params.g, report.params.p, report.params.n))
+        written = "".join(text for name, text in log if name == "out")
+        expanded.append(((report.params.g, report.params.p, report.params.n), written))
         return real(report)
 
-    monkeypatch.setattr(ParityReport, "candidates", property(counting))
-    argv = ("verify", "--gmax", "2", "--pmax", "13", "--n", "1", "--n", "3")
-    assert golden_run(capsys, tmp_path, argv, "structured") == GOLDEN[argv, "structured"]
-    cells = [(g, p, n) for g in (1, 2) for p in (5, 7, 11, 13) if p > 2 * g + 1 for n in (1, 3)]
-    assert expanded == cells
+    cells = small_grid_cells()
+    log = []
+    monkeypatch.setattr(cli, "_WRITE_BLOCK", 1)
+    monkeypatch.setattr(ParityReport, "factor_json", property(counting))
+    monkeypatch.setattr(sys, "stdout", Recorder("out", log))
+    code = run([*SMALL_GRID, "--format", "structured"])
+    grid = [(g, p, n) for g in (1, 2) for p in (5, 7, 11, 13) if p > 2 * g + 1 for n in (1, 3)]
+    assert [cell for cell, _ in expanded] == grid
+    assert [written for _, written in expanded] == [
+        "[" + ", ".join(cells[:k]) for k in range(len(cells))
+    ]
+    assert (code, "".join(text for _, text in log)) == (0, "[" + ", ".join(cells) + "]\n")
+
+
+@pytest.mark.parametrize("k", [1, 2, 9, 14])
+def test_internal_error_mid_stream_keeps_the_cells_before_it(monkeypatch, k):
+    # the k-th cell fails: the first k-1 cells, and nothing else, are out
+    import weilparity.enumerator as enumerator
+
+    cells = small_grid_cells()
+    assert len(cells) == 14
+    real = enumerator.verify_parity_theorem
+    calls = []
+
+    def failing(params):
+        calls.append(params)
+        if len(calls) == k:
+            raise RuntimeError(f"cell {k} failed")
+        return real(params)
+
+    monkeypatch.setattr(enumerator, "verify_parity_theorem", failing)
+    code, out, log = recorded_run(monkeypatch, [*SMALL_GRID, "--format", "structured"])
+    assert code == 3
+    assert out == "[" + ", ".join(cells[:k - 1])
+    assert ("[" + ", ".join(cells) + "]\n").startswith(out)
+    err = "".join(text for name, text in log if name == "err")
+    assert err.startswith(f"internal error: RuntimeError: cell {k} failed")
+
+
+@pytest.mark.parametrize("fmt", ["tsv", "structured"])
+def test_violation_is_reported_after_the_full_output(monkeypatch, fmt):
+    import weilparity.enumerator as enumerator
+
+    monkeypatch.setattr(enumerator, "_candidate_counts", lambda g, specs: (1, 1))
+    argv = ["verify", "--gmax", "1", "--pmax", "11", "--n", "1", "--format", fmt]
+    code, out, log = recorded_run(monkeypatch, argv)
+    assert code == 1
+    names = [name for name, _ in log]
+    assert "out" not in names[names.index("err"):]
+    err = "".join(text for name, text in log if name == "err")
+    assert err == "parity contract violated in at least one grid cell\n"
+    if fmt == "tsv":
+        assert out.splitlines()[1:] == [f"1\t{p}\t1\t1\t1\t0\tfalse" for p in (5, 7, 11)]
+    else:
+        assert [(d["p"], d["odd_candidates"]) for d in json.loads(out)] == [(5, 1), (7, 1), (11, 1)]
+
+
+def test_structured_verify_memory_does_not_grow_with_the_grid(monkeypatch):
+    # only the block being written is held, and both outputs exceed one
+    # block: tripling pmax (46 -> 109 primes, 2.5x the output) moves the
+    # traced peak by less than 100 KB
+    def argv(pmax):
+        return ["verify", "--gmax", "5", "--pmax", str(pmax), "--n", "1", "--n", "3",
+                "--format", "structured"]
+
+    def digest(pmax):
+        sink = HashSink()
+        monkeypatch.setattr(sys, "stdout", sink)
+        assert run(argv(pmax)) == 0
+        monkeypatch.undo()
+        return sink.sha.hexdigest()
+
+    for pmax in (200, 600):  # fills the caches, which do not depend on pmax
+        oracle = parity_json(verify_grid(5, pmax, [1, 3]))
+        assert digest(pmax) == hashlib.sha256(oracle.encode()).hexdigest()
+    peaks = []
+    tracemalloc.start()
+    try:
+        for pmax in (200, 600):
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            digest(pmax)
+            peaks.append(tracemalloc.get_traced_memory()[1] - before)
+    finally:
+        tracemalloc.stop()
+    assert peaks[1] - peaks[0] < 100_000, peaks
+
+
+def test_structured_verify_writes_in_blocks(monkeypatch):
+    # every write but the last is a full block, so a pipe's reader is
+    # woken once per block, not once per cell
+    import weilparity.cli as cli
+
+    argv = ["verify", "--gmax", "5", "--pmax", "200", "--n", "1", "--n", "3",
+            "--format", "structured"]
+    code, out, log = recorded_run(monkeypatch, argv)
+    sizes = [len(text) for name, text in log if name == "out"]
+    assert code == 0
+    assert out == parity_json(verify_grid(5, 200, [1, 3]))
+    assert min(sizes[:-1]) >= cli._WRITE_BLOCK > sizes[-1]
+    assert len(sizes) <= len(out) // cli._WRITE_BLOCK + 1
+
+
+@pytest.mark.parametrize(
+    "argv, fmt",
+    [
+        pytest.param(a, f, id=f"{' '.join(a)} {f}")
+        for a, f in GOLDEN
+        if a[0] in ("verify", "enumerate")
+    ],
+)
+def test_shapes_are_never_multiplied_by_one(monkeypatch, capsys, tmp_path, argv, fmt):
+    import weilparity.enumerator as enumerator
+    import weilparity.intpoly as intpoly
+
+    real = intpoly._mul_schoolbook
+
+    def guarded(a, b):
+        if a == (1,) or b == (1,):
+            raise AssertionError("a polynomial was multiplied by the constant 1")
+        return real(a, b)
+
+    monkeypatch.setattr(intpoly, "_mul_schoolbook", guarded)
+    for cached in (
+        enumerator._candidate_shapes,
+        enumerator._candidate_factor_json,
+        enumerator._candidate_counts,
+    ):
+        cached.cache_clear()  # so the run builds its shapes under the guard
+    assert golden_run(capsys, tmp_path, argv, fmt) == GOLDEN[argv, fmt]
 
 
 def test_digit_limit_follows_the_interpreter(capsys):
@@ -608,6 +786,14 @@ def test_digit_limit_follows_the_interpreter(capsys):
         sys.set_int_max_str_digits(limit)
     assert code == 0
     assert f"\t-{q} 0 1\t" in out and len(q) == 4302
+
+
+def test_minpoly_spec_errors(capsys):
+    argv = ["minpoly", "--p", "2", "--n", "1", "--sign", "+", "--t"]
+    code, out, err = invoke(capsys, [*argv, "-2"])  # -2 = 2 mod 4: not read as half degree
+    assert (code, out, err) == (2, "", "error: t must be a positive integer\n")
+    code, out, err = invoke(capsys, [*argv, "0"])
+    assert (code, out, err) == (2, "", "error: t must be a positive integer\n")
 
 
 def test_usage_errors(capsys):
@@ -711,3 +897,35 @@ def test_verify_tsv_counts_match_structured(capsys, gmax, extra, ns):
             str(sum(not c["even"] for c in doc["candidates"])),
             str(len(doc["half_degree_specs"])),
         ]
+
+
+# every prime up to 31: p = 2, and both sides of 2g+1 for every g <= 3
+ORACLE_PRIMES = primes_between(1, 31)
+
+
+@settings(max_examples=40, **SHARED_CAPSYS)
+@given(
+    g=st.integers(1, 3),
+    p=st.sampled_from(ORACLE_PRIMES),
+    n=st.sampled_from([1, 3, 5]),
+)
+def test_structured_enumerate_matches_the_dict_oracle(capsys, g, p, n):
+    argv = ["enumerate", "--g", str(g), "--p", str(p), "--n", str(n), "--format", "structured"]
+    code, out, _ = invoke(capsys, argv)
+    report = verify_parity_theorem(WeilParams(p=p, n=n, g=g))
+    assert (code, out) == (0, json.dumps(parity_doc(report)) + "\n")
+
+
+@settings(max_examples=25, **SHARED_CAPSYS)
+@given(
+    gmax=st.integers(1, 3),
+    pmax=st.integers(5, 31),
+    ns=st.lists(st.sampled_from([1, 3, 5]), min_size=1, max_size=3),
+)
+def test_structured_verify_matches_the_dict_oracle(capsys, gmax, pmax, ns):
+    assume(2 * gmax + 1 < max(q for q in ORACLE_PRIMES if q <= pmax))  # every g has a cell
+    argv = ["verify", "--gmax", str(gmax), "--pmax", str(pmax), "--format", "structured"]
+    for n in ns:
+        argv += ["--n", str(n)]
+    code, out, _ = invoke(capsys, argv)
+    assert (code, out) == (0, parity_json(verify_grid(gmax, pmax, ns)))

@@ -26,6 +26,7 @@ from weilparity.weil import (
     is_full_degree,
     minpoly_full_degree,
     minpoly_shape,
+    q_powers,
     scale_shape,
 )
 
@@ -145,7 +146,7 @@ def test_counts_read_evenness_from_the_shapes(monkeypatch):
 
 def test_counts_are_shared_across_cells_with_equal_spec_sets():
     _candidate_counts.cache_clear()
-    reports = verify_grid(4, 17, [1, 3]).reports
+    reports = list(verify_grid(4, 17, [1, 3]))
     assert {r.params.g for r in reports} == {1, 2, 3, 4}
     for r in reports:
         r.total_candidates  # the counts are read, and cached, on first use
@@ -160,7 +161,8 @@ def test_shape_scaling_matches_minpoly_for_every_admissible_spec():
             for g in (1, 2, 4, 6):
                 params = WeilParams(p=p, n=n, g=g)
                 for s in full_specs(params):
-                    scaled = scale_shape(minpoly_shape(s.q_star_sign, s.t), params.q)
+                    shape = minpoly_shape(s.q_star_sign, s.t)
+                    scaled = IntPoly(scale_shape(shape, q_powers(params.q, shape.degree // 2)))
                     assert scaled == minpoly_full_degree(params, s.q_star_sign, s.t)
                     assert scaled == substituted_minpoly(params, s.q_star_sign, s.t)
 
@@ -170,15 +172,36 @@ def test_shape_scaling_is_multiplicative():
     for _ in range(100):
         a = minpoly_shape(rng.choice((-1, 1)), rng.randint(1, 12))
         b = minpoly_shape(rng.choice((-1, 1)), rng.randint(1, 12))
-        q = rng.choice((2, 3, 5 ** 3, 7 ** 5))
-        assert scale_shape(a * b, q) == scale_shape(a, q) * scale_shape(b, q)
+        powers = q_powers(rng.choice((2, 3, 5 ** 3, 7 ** 5)), 20)  # phi(4t) <= 20 for t <= 12
+        product = IntPoly(scale_shape(a * b, powers))
+        assert product == IntPoly(scale_shape(a, powers)) * IntPoly(scale_shape(b, powers))
 
 
 def test_scale_shape_rejects_odd_shapes():
     for bad in (IntPoly([1, 1, 1]), IntPoly([0, 1]), IntPoly([1, 0, 0, 1])):
         with pytest.raises(BrokenInvariant):
-            scale_shape(bad, 5)
-    assert scale_shape(IntPoly([3]), 5) == IntPoly([3])
+            scale_shape(bad, q_powers(5, 2))
+    assert scale_shape(IntPoly([3]), q_powers(5, 2)) == [3]
+
+
+def test_scan_builds_each_spec_once_per_g(monkeypatch):
+    # every cell hands out the specs listed, and checked, once for its g
+    import weilparity.enumerator as enumerator
+
+    built = []
+    real = WeilNumberSpec.__post_init__
+
+    def counting(spec):
+        built.append((spec.q_star_sign, spec.t))
+        real(spec)
+
+    monkeypatch.setattr(WeilNumberSpec, "__post_init__", counting)
+    enumerator._fitting_specs.cache_clear()
+    reports = [verify_parity_theorem(WeilParams(p=p, n=n, g=3)) for p in ORACLE_PRIMES for n in (1, 3)]
+    listed = [spec for spec, _ in enumerator._fitting_specs(3)]
+    assert built == spec_pairs(listed)
+    ids = {id(spec) for spec in listed}
+    assert all(id(s) in ids for r in reports for s in (*r.full_degree_specs, *r.half_degree_specs))
 
 
 def test_admissible_specs_g1():
@@ -338,20 +361,19 @@ def test_primes_between_cap():
 
 
 def test_verify_grid_small():
-    result = verify_grid(3, 50, [1])
-    assert result.all_ok
-    assert all(r.odd_candidates == 0 for r in result.reports)
-    assert all(r.half_degree_specs == () for r in result.reports)
+    reports = list(verify_grid(3, 50, [1]))
+    assert all(r.contract_ok for r in reports)
+    assert all(r.odd_candidates == 0 for r in reports)
+    assert all(r.half_degree_specs == () for r in reports)
 
 
 def test_verify_grid_cells():
-    result = verify_grid(1, 7, [1])
-    cells = [(r.params.g, r.params.p, r.params.n) for r in result.reports]
+    cells = [(r.params.g, r.params.p, r.params.n) for r in verify_grid(1, 7, [1])]
     assert cells == [(1, 5, 1), (1, 7, 1)]
-    result = verify_grid(2, 7, [3])
-    cells = [(r.params.g, r.params.p, r.params.n) for r in result.reports]
+    reports = list(verify_grid(2, 7, [3]))
+    cells = [(r.params.g, r.params.p, r.params.n) for r in reports]
     assert cells == [(1, 5, 3), (1, 7, 3), (2, 7, 3)]
-    assert result.all_ok
+    assert all(r.contract_ok for r in reports)
 
 
 def test_verify_grid_validation(monkeypatch):

@@ -178,3 +178,11 @@ def test_minpoly_distinctness():
                     other_sign, other_t = seen[key]
                     assert other_t == t and t % 2 == 0, (seen[key], (sign, t))
                 seen[key] = (sign, t)
+
+
+def test_minpoly_checks_sign_and_t_before_the_degree_case():
+    # each pair below would read as a half degree case if it were not checked first
+    with pytest.raises(ValueError, match="^t must be a positive integer$"):
+        minpoly_full_degree(WeilParams(p=2, n=1, g=1), 1, -2)
+    with pytest.raises(ValueError, match="^q_star_sign must be"):
+        minpoly_full_degree(WeilParams(p=7, n=1, g=1), 2, 7)
