@@ -18,8 +18,8 @@ writes its cells as they are built, in blocks of about 32 KiB, so its
 exit 1 and stderr line come after the full output, and an internal
 error mid-grid exits 3 with the cells before it already written.  A
 ``verify`` grid must cover every g <= gmax with a prime p,
-2g+1 < p <= pmax, and pmax may not exceed the prime sieve cap of
-10**7; otherwise it exits 2 before any work.  So does a run that would
+2g+1 < p <= pmax, name no n twice, and pmax may not exceed the prime
+sieve cap of 10**7; otherwise it exits 2 before any work.  So does a run that would
 print a constant term (q**g, or q**(phi(4t)/2) for ``minpoly``) longer
 than Python converts to text; TSV ``verify`` prints none.
 """
@@ -29,13 +29,14 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import cache
 from math import log10
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
 from .bounds import BoundsReport, full_bounds_report
 from .cyclotomic import CYCLOTOMIC_CAP, cyclotomic, totient
-from .enumerator import ParityReport, verify_grid, verify_parity_theorem
+from .enumerator import ParityReport, candidate_shapes, verify_grid, verify_parity_theorem
 from .errors import OutOfRange, ParseError
 from .intpoly import IntPoly
 from .weil import WeilParams, minpoly_full_degree, q_powers, scale_shape
@@ -149,28 +150,55 @@ def _spec(spec) -> dict:
     return {"sign": spec.q_star_sign, "t": spec.t}
 
 
-def _parity_json(report: ParityReport) -> str:
-    """The cell document of ``report``, as the text ``json.dumps`` writes for it.
+@cache
+def _factor_json(g: int, specs: tuple) -> tuple[tuple[IntPoly, str], ...]:
+    """:func:`candidate_shapes` of a key, each record replaced by its JSON text.
 
-    Each candidate's coefficients are its shape's, scaled by the cell's
-    powers of q; its ``factors`` text is q-free and shared by every cell
-    with the same specs.  Ints are written by ``int.__repr__``, booleans
-    as ``true``/``false``, with ``", "`` and ``": "`` as separators.
+    The text is what ``json.dumps`` writes for the record's list of
+    ``{"sign", "t", "mult"}`` objects.  It does not depend on q, so it
+    is rendered once per key instead of once per cell.
+    """
+    return tuple(
+        (
+            shape,
+            "[" + ", ".join(
+                f'{{"sign": {s.q_star_sign}, "t": {s.t}, "mult": {m}}}' for s, m in record
+            ) + "]",
+        )
+        for shape, record in candidate_shapes(g, specs)
+    )
+
+
+def _candidates(report: ParityReport, expand) -> Iterator[tuple[list[int], bool, object]]:
+    """(coefficients, even, factors) of each candidate of ``report``, in canonical order.
+
+    ``expand`` is :func:`candidate_shapes` or :func:`_factor_json`, so
+    ``factors`` is the factor record or its JSON text.  The coefficients
+    are the shape's, scaled by the cell's powers of q.
     """
     params = report.params
     powers = q_powers(params.q, params.g)
-    candidates = []
-    for shape, factors in report.factor_json:
+    for shape, factors in expand(params.g, report.full_degree_specs):
         coeffs = scale_shape(shape, powers)
-        candidates.append(
-            f'{{"coeffs": [{", ".join(map(str, coeffs))}], '
-            f'"even": {_text(not any(coeffs[1::2]))}, "factors": {factors}}}'
-        )
+        yield coeffs, not any(coeffs[1::2]), factors
+
+
+def _parity_json(report: ParityReport) -> str:
+    """The cell document of ``report``, as the text ``json.dumps`` writes for it.
+
+    Ints are written by ``int.__repr__``, booleans as ``true``/``false``,
+    with ``", "`` and ``": "`` as separators.
+    """
+    params = report.params
+    candidates = ", ".join(
+        f'{{"coeffs": [{", ".join(map(str, coeffs))}], "even": {_text(even)}, "factors": {factors}}}'
+        for coeffs, even, factors in _candidates(report, _factor_json)
+    )
     return (
         f'{{"g": {params.g}, "p": {params.p}, "n": {params.n}, '
         f'"total_candidates": {report.total_candidates}, '
         f'"odd_candidates": {report.odd_candidates}, '
-        f'"candidates": [{", ".join(candidates)}], '
+        f'"candidates": [{candidates}], '
         f'"half_degree_specs": {json.dumps([_spec(s) for s in report.half_degree_specs])}}}'
     )
 
@@ -240,9 +268,9 @@ def _cmd_enumerate(args) -> int:
     cell = tuple(_cell(report.params).values())
 
     def rows():
-        for c in report.candidates:
-            factors = ";".join(f"{_SIGN_TEXT[s.q_star_sign]}:{s.t}:{m}" for s, m in c.factors)
-            yield (*cell, c.poly.to_line(), c.even, factors)
+        for coeffs, even, record in _candidates(report, candidate_shapes):
+            factors = ";".join(f"{_SIGN_TEXT[s.q_star_sign]}:{s.t}:{m}" for s, m in record)
+            yield (*cell, " ".join(map(str, coeffs)), even, factors)
 
     _emit(args, lambda: [_parity_json(report)], rows, (*_CELL, "coeffs", "even", "factors"))
     return 0 if report.contract_ok else 1

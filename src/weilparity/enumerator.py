@@ -8,16 +8,6 @@ checking statements quantified over all of them.  Half-degree Weil
 numbers cannot be expanded into polynomials, so they are detected and
 reported separately: when p > 2g+1 none may fit inside degree 2g.
 
-Candidates are built from q-free shapes.  Each minimal polynomial is
-``q**(d/2) * S(X/sqrt(q))`` for the integer shape S of its spec (sign,
-t), and that scaling is multiplicative, so every candidate is the
-scaled product of its factors' shapes.  The products are built once per
-key ``(g, specs)`` by a recurrence memoized on (spec index, degree
-left), and a cell only scales them by its q.  The key is the spec tuple
-the cell itself computes, not the one the theorem predicts: cells whose
-spec sets differ (p <= 2g+1, p = 2) get their own entry, so a verify run
-still checks every cell instead of assuming the result.
-
 One spec scan per cell decides the full/half degree dichotomy.  It runs
 over the root-of-unity indices t with phi(4t)/2 <= 2g, capped by the
 provable bound phi(m) >= sqrt(m/2): once t > 8g**2 every phi(4t)/2
@@ -26,20 +16,29 @@ depend on (p, n), so their specs (both signs of each) are built, and
 checked, once per g, and each cell runs ``is_full_degree`` once on each
 spec: a half-degree spec fits if phi(4t)/2 <= 2g, a full-degree one
 only if phi(4t) <= 2g.  A :class:`ParityReport` holds that scan and
-nothing else; its counts and candidates are computed from it when read.
+nothing else; its count is computed from it when read.
 
-The counts never need an expanded candidate.  Scaling by q multiplies
-each coefficient by a nonzero power of q, so a candidate is even exactly
-when its shape product is, and a cell's candidate count and odd count
-are functions of its key alone.  :func:`_candidate_counts` reads them
-once per key by testing every shape product with ``is_even``; it does
-not assume the theorem's answer (that every shape is even because it
-comes from the even cyclotomic polynomial of index 4t), and it shares
-the shapes' key for the same reason.  Candidates are expanded only when
-their coefficients are printed, and structured output does not build
-them as polynomials: it scales each shape's coefficient list by the
-cell's powers of q, and takes the JSON text of its factors, which is
-q-free, from the same key.
+Counting needs no product.  Every factor is built by ``minpoly_shape``,
+which checks that it is even, and a product of even polynomials is
+even, so no candidate is odd.  A cell's candidates are the multisets of
+its full-degree specs whose degrees sum to 2g, and their number is the
+coefficient of x**(2g) in the product of 1/(1 - x**phi(4t)) over those
+specs: :func:`_candidate_count` computes it by an integer DP over the
+degrees, once per key ``(g, specs)``.  The key is the spec tuple the
+cell itself computes, not the one the theorem predicts: cells whose
+spec sets differ (p <= 2g+1, p = 2) get their own entry, so a run still
+checks every cell's factors instead of assuming the result.  The count
+of every product, each tested with ``is_even``, is kept in the tests as
+the oracle of this one.
+
+Candidates are expanded only where their coefficients are printed, from
+:func:`candidate_shapes`.  Each minimal polynomial is
+``q**(d/2) * S(X/sqrt(q))`` for the integer shape S of its spec (sign,
+t), and that scaling is multiplicative, so every candidate is the
+scaled product of its factors' shapes.  The products are built once per
+key by a recurrence memoized on (spec index, degree left), and a cell
+only scales them by its q (``weil.scale_shape``).  This module writes
+no output text.
 
 A grid's reports are built as the grid is read, one cell at a time, and
 none is kept: a caller writes each cell out before the next is built.
@@ -56,7 +55,7 @@ from typing import Iterator
 from .cyclotomic import totient
 from .errors import OutOfRange
 from .intpoly import IntPoly
-from .weil import WeilNumberSpec, WeilParams, is_full_degree, minpoly_shape, q_powers, scale_shape
+from .weil import WeilNumberSpec, WeilParams, is_full_degree, minpoly_shape
 
 G_CAP = 10
 PRIME_SIEVE_CAP = 10 ** 7  # a byte per integer up to the sieve limit
@@ -67,31 +66,14 @@ def _check_g_cap(g: int, name: str = "g") -> None:
         raise OutOfRange(f"{name}={g} exceeds the enumeration cap {G_CAP}")
 
 
-@dataclass(frozen=True, slots=True)
-class CandidatePolynomial:
-    """An expanded candidate with its factorization record.
-
-    ``poly`` is the exact product of the full-degree minimal polynomials
-    listed in ``factors`` (spec, multiplicity), monic of degree 2g with
-    constant term of absolute value q**g.
-    """
-
-    poly: IntPoly
-    factors: tuple[tuple[WeilNumberSpec, int], ...]
-
-    @property
-    def even(self) -> bool:
-        return self.poly.is_even()
-
-
 @dataclass(frozen=True)
 class ParityReport:
     """Machine-readable verdict of the parity check for one (p, n, g).
 
     The report is the cell's spec scan: the full-degree specs that fit
-    in degree 2g and the half-degree specs that would.  The counts are
-    the cached summary of the full-degree spec tuple; ``candidates`` are
-    expanded when read and not kept, so a report stays small.
+    in degree 2g and the half-degree specs that would.  The candidate
+    count is the cached count of the full-degree spec tuple; the
+    candidates themselves are :func:`candidate_shapes` of the same key.
     """
 
     params: WeilParams
@@ -100,41 +82,26 @@ class ParityReport:
 
     @property
     def total_candidates(self) -> int:
-        return _candidate_counts(self.params.g, self.full_degree_specs)[0]
+        return _candidate_count(self.params.g, self.full_degree_specs)
 
     @property
     def odd_candidates(self) -> int:
-        return _candidate_counts(self.params.g, self.full_degree_specs)[1]
+        """Always 0, by construction.
 
-    @property
-    def candidates(self) -> tuple[CandidatePolynomial, ...]:
-        """Every candidate, in the canonical order of :func:`_candidate_shapes`."""
-        powers = q_powers(self.params.q, self.params.g)
-        return tuple(
-            CandidatePolynomial(poly=IntPoly(scale_shape(shape, powers)), factors=factors)
-            for shape, factors in _candidate_shapes(self.params.g, self.full_degree_specs)
-        )
-
-    @property
-    def factor_json(self) -> tuple[tuple[IntPoly, str], ...]:
-        """Each candidate's shape product with the JSON text of its factors, in canonical order.
-
-        Both are q-free, so they are built once per key (g, specs) by
-        :func:`_candidate_factor_json`; a cell only scales the shapes.
+        Every factor is checked to be even as it is built
+        (``minpoly_shape``), and a product of even polynomials is even.
         """
-        return _candidate_factor_json(self.params.g, self.full_degree_specs)
+        return 0
 
     @property
     def contract_ok(self) -> bool:
         """Whether the report is consistent with evenness at p > 2g+1.
 
-        For p > 2g+1 every candidate must be even and no half-degree
-        spec may fit inside degree 2g; below that threshold the report
-        is informational and always consistent.
+        For p > 2g+1 no half-degree spec may fit inside degree 2g (no
+        candidate is odd, see :attr:`odd_candidates`); below that
+        threshold the report is informational and always consistent.
         """
-        if self.params.p > 2 * self.params.g + 1:
-            return self.odd_candidates == 0 and not self.half_degree_specs
-        return True
+        return self.params.p <= 2 * self.params.g + 1 or not self.half_degree_specs
 
 
 @dataclass(frozen=True)
@@ -197,20 +164,39 @@ def _scan_specs(
 
 
 @cache
-def _candidate_shapes(
+def _candidate_count(g: int, specs: tuple[WeilNumberSpec, ...]) -> int:
+    """The number of degree-2g products of the specs' shapes, from their degrees alone.
+
+    ``ways[k]`` counts the multisets of the specs taken so far whose
+    degrees sum to k: the coefficient of x**k in the product of
+    1/(1 - x**d) over their degrees d.  Each degree is read from the
+    spec's shape, so every factor is checked to be even on the way.
+    """
+    ways = [1] + [0] * (2 * g)
+    for spec in specs:
+        d = minpoly_shape(spec.q_star_sign, spec.t).degree
+        for k in range(d, 2 * g + 1):
+            ways[k] += ways[k - d]
+    return ways[2 * g]
+
+
+@cache
+def candidate_shapes(
     g: int, specs: tuple[WeilNumberSpec, ...]
 ) -> tuple[tuple[IntPoly, tuple[tuple[WeilNumberSpec, int], ...]], ...]:
     """Every degree-2g product of the specs' shapes with its factor record.
 
-    ``products(i, left)``, memoized for the call, lists the products of
-    ``specs[i:]`` of degree ``left`` > 0: ``shape_i**m`` itself if its
-    degree is ``left``, else times each product of ``specs[i+1:]`` of
-    degree ``left - m*d_i``, for m = 1, 2, ..., then the products of
-    ``specs[i+1:]`` alone.  No product is multiplied by the constant 1.
-    A degree the remaining specs cannot fill costs one lookup of ``()``.
-    The specs come in scan order (by t, then sign), so the result is
-    canonical as built: sorted by the factor record, lexicographically on
-    (t, sign, multiplicity) triples.
+    A cell's candidates are these products scaled by its q
+    (``weil.scale_shape``), for ``specs`` its full-degree specs; a record
+    lists (spec, multiplicity) pairs.  ``products(i, left)``, memoized
+    for the call, lists the products of ``specs[i:]`` of degree ``left``
+    > 0: ``shape_i**m`` itself if its degree is ``left``, else times each
+    product of ``specs[i+1:]`` of degree ``left - m*d_i``, for m = 1, 2,
+    ..., then the products of ``specs[i+1:]`` alone.  No product is
+    multiplied by the constant 1.  A degree the remaining specs cannot
+    fill costs one lookup of ``()``.  The specs come in scan order (by t,
+    then sign), so the result is canonical as built: sorted by the factor
+    record, lexicographically on (t, sign, multiplicity) triples.
     """
     degrees = [totient(4 * s.t) for s in specs]
     shapes = [minpoly_shape(s.q_star_sign, s.t) for s in specs]
@@ -237,44 +223,12 @@ def _candidate_shapes(
         products.cache_clear()
 
 
-@cache
-def _candidate_factor_json(
-    g: int, specs: tuple[WeilNumberSpec, ...]
-) -> tuple[tuple[IntPoly, str], ...]:
-    """The shape products of :func:`_candidate_shapes`, each with its factors' JSON text.
-
-    The text is what ``json.dumps`` writes for the record's list of
-    ``{"sign", "t", "mult"}`` objects.  It does not depend on q, so
-    structured output renders it once per key instead of once per cell.
-    """
-    return tuple(
-        (
-            shape,
-            "[" + ", ".join(
-                f'{{"sign": {s.q_star_sign}, "t": {s.t}, "mult": {m}}}' for s, m in record
-            ) + "]",
-        )
-        for shape, record in _candidate_shapes(g, specs)
-    )
-
-
-@cache
-def _candidate_counts(g: int, specs: tuple[WeilNumberSpec, ...]) -> tuple[int, int]:
-    """(number, number not even) of the shape products of :func:`_candidate_shapes`.
-
-    A candidate is its shape product scaled by nonzero powers of q, so
-    the two counts are those of the candidates of every cell with this key.
-    """
-    shapes = _candidate_shapes(g, specs)
-    return len(shapes), sum(not shape.is_even() for shape, _ in shapes)
-
-
 def verify_parity_theorem(params: WeilParams) -> ParityReport:
     """Scan the specs of (p, n, g) once; the report counts its candidates when read.
 
-    When p > 2g+1 the report's contract requires zero odd candidates
-    and no half-degree spec; the report states what was found either
-    way and never raises on a violation.
+    When p > 2g+1 the report's contract requires no half-degree spec;
+    the report states what was found either way and never raises on a
+    violation.
     """
     return ParityReport(params, *_scan_specs(params))
 
@@ -299,7 +253,8 @@ def verify_grid(g_max: int, p_max: int, n_values: list[int]) -> GridResult:
 
     The grid is checked here, before any cell; the reports are built as
     the result is iterated.  Every n must be valid for
-    :class:`WeilParams`, and every g <= g_max must have a prime p with
+    :class:`WeilParams`, none may be repeated (each cell would be
+    checked twice), and every g <= g_max must have a prime p with
     2g+1 < p <= p_max; a grid that leaves some g uncovered is a
     ``ValueError``, since it would not verify what was asked.  A p_max
     above ``PRIME_SIEVE_CAP`` is :class:`OutOfRange`.
@@ -308,6 +263,8 @@ def verify_grid(g_max: int, p_max: int, n_values: list[int]) -> GridResult:
         raise ValueError("g_max must be a positive integer")
     if not n_values:
         raise ValueError("n_values must name at least one n")
+    if len(set(n_values)) < len(n_values):
+        raise ValueError(f"n_values must not repeat an n: {n_values}")
     _check_g_cap(g_max, "g_max")
     primes = primes_between(1, p_max)
     # g is covered iff 2g+1 < the largest prime, so the uncovered g form a tail

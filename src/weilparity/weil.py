@@ -87,13 +87,19 @@ def is_full_degree(params: WeilParams, q_star_sign: int, t: int) -> bool:
 def minpoly_shape(q_star_sign: int, t: int) -> IntPoly:
     """The q-free shape of the minimal polynomial of ``sqrt(q_star) * zeta_4t``.
 
-    The coefficient ``c_j`` of ``X**j`` in the (even, since 4 | 4t)
-    cyclotomic polynomial of index 4t becomes
-    ``c_j * q_star_sign**((phi(4t) - j)/2)``.  Scaling the shape by q
-    (:func:`scale_shape`) gives the minimal polynomial itself.
+    The coefficient ``c_j`` of ``X**j`` in the cyclotomic polynomial of
+    index 4t becomes ``c_j * q_star_sign**((phi(4t) - j)/2)``.  Scaling
+    the shape by q (:func:`scale_shape`) gives the minimal polynomial
+    itself.  That cyclotomic polynomial is even, since 4 | 4t, and so is
+    the shape; this is checked here, once per factor, and a shape that is
+    not even is :class:`BrokenInvariant`.  Every factor of every
+    candidate is built here, and a product of even polynomials is even,
+    so no candidate needs a check of its own.
     """
     WeilNumberSpec(q_star_sign, t)  # the spec's own checks on sign and t
     phi = cyclotomic(4 * t).coeffs
+    if any(phi[1::2]):
+        raise BrokenInvariant(f"the cyclotomic polynomial of index {4 * t} is not even")
     m = len(phi) - 1
     # odd m - j carry c_j = 0, so the floor in the exponent never matters
     return IntPoly(c * q_star_sign ** ((m - j) // 2) for j, c in enumerate(phi))

@@ -2,17 +2,21 @@
 
 None of these is on a command-line path: they are independent
 constructions (the Moebius quotient for cyclotomic polynomials, exact
-polynomial division, a parity report's document built as a dict),
-identities from the literature, and the paper's thresholds, kept here
-as oracles and acceptance checks.
+polynomial division, a parity report's document built as a dict, the
+candidate count taken over every product), identities from the
+literature, and the paper's thresholds, kept here as oracles and
+acceptance checks.
 """
 
 import json
+from collections import namedtuple
 from math import comb
 
 from weilparity.cyclotomic import _check_cap, cyclotomic, divisors, is_prime, moebius
+from weilparity.enumerator import candidate_shapes
 from weilparity.errors import ShapeError
 from weilparity.intpoly import IntPoly
+from weilparity.weil import q_powers, scale_shape
 
 
 class NotDivisible(ArithmeticError):
@@ -128,6 +132,32 @@ def corollary_threshold(g: int) -> int:
     return comb(2 * g, g if g % 2 else g - 1) ** 2
 
 
+Candidate = namedtuple("Candidate", "poly factors")
+
+
+def candidates(report) -> list[Candidate]:
+    """The cell's candidates as polynomials, with their factor records, in canonical order.
+
+    Each is its shape product of ``candidate_shapes`` scaled by the
+    cell's q, as the command line prints it.
+    """
+    powers = q_powers(report.params.q, report.params.g)
+    return [
+        Candidate(IntPoly(scale_shape(shape, powers)), factors)
+        for shape, factors in candidate_shapes(report.params.g, report.full_degree_specs)
+    ]
+
+
+def candidate_counts(g: int, specs) -> tuple[int, int]:
+    """(number, number not even) of the shape products of ``candidate_shapes``.
+
+    The count the library took before it counted from the factors'
+    degrees: every product is built and tested with ``is_even``.
+    """
+    shapes = candidate_shapes(g, specs)
+    return len(shapes), sum(not shape.is_even() for shape, _ in shapes)
+
+
 def parity_doc(report) -> dict:
     """The structured document of one parity report, built as a dict.
 
@@ -144,12 +174,12 @@ def parity_doc(report) -> dict:
         "candidates": [
             {
                 "coeffs": list(c.poly.coeffs),
-                "even": c.even,
+                "even": c.poly.is_even(),
                 "factors": [
                     {"sign": s.q_star_sign, "t": s.t, "mult": m} for s, m in c.factors
                 ],
             }
-            for c in report.candidates
+            for c in candidates(report)
         ],
         "half_degree_specs": [{"sign": s.q_star_sign, "t": s.t} for s in report.half_degree_specs],
     }

@@ -9,6 +9,8 @@ from math import gcd
 
 import mpmath
 from oracles import (
+    candidate_counts,
+    candidates,
     corollary_threshold,
     cyclotomic_mobius,
     functional_equation_sign,
@@ -84,6 +86,8 @@ def test_criterion_4_parity_theorem_grid():
         (r.params.p, r.params.n, r.params.g)
         for r in reports
         if r.odd_candidates != 0 or r.half_degree_specs
+        # every product built and tested, against the count from the factors' degrees
+        or candidate_counts(r.params.g, r.full_degree_specs) != (r.total_candidates, 0)
     ]
     nonvacuous = reports and all(r.total_candidates > 0 for r in reports)
     ok = all(r.contract_ok for r in reports) and not bad and bool(nonvacuous)
@@ -115,7 +119,7 @@ def test_criterion_6_bounds_on_candidates():
         for p in primes_between(1, 50):
             for n in (1, 3):
                 params = WeilParams(p=p, n=n, g=g)
-                for cand in verify_parity_theorem(params).candidates:
+                for cand in candidates(verify_parity_theorem(params)):
                     total += 1
                     report = full_bounds_report(cand.poly, params)
                     arch = all(c.archimedean_ok for c in report.per_coefficient)

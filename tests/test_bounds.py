@@ -7,7 +7,7 @@ from math import comb, gcd
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import corollary_threshold, functional_equation_sign
+from oracles import candidates, corollary_threshold, functional_equation_sign
 
 from weilparity.bounds import BoundsReport, CoefficientCheck, full_bounds_report
 from weilparity.cyclotomic import totient
@@ -195,7 +195,7 @@ def test_functional_equation_sign():
 def test_q_symmetry_agrees_with_positive_functional_sign():
     for p in (5, 7, 11):
         params = WeilParams(p=p, n=1, g=2)
-        for cand in verify_parity_theorem(params).candidates:
+        for cand in candidates(verify_parity_theorem(params)):
             sign = functional_equation_sign(cand.poly, params.q)
             assert (sign == 1) == full_bounds_report(cand.poly, params).symmetric_ok
 
@@ -258,7 +258,7 @@ def test_full_report_examples():
 
 def test_full_report_on_enumerated_candidates():
     params = WeilParams(p=11, n=1, g=3)
-    for cand in verify_parity_theorem(params).candidates:
+    for cand in candidates(verify_parity_theorem(params)):
         report = full_bounds_report(cand.poly, params)
         assert all(c.archimedean_ok and c.valuation_ok for c in report.per_coefficient)
         assert report.lemma_a1_ok

@@ -450,19 +450,42 @@ def test_bounds_missing_file(capsys):
     assert code == 2
 
 
-def test_verify_exit_1_on_contract_violation(monkeypatch, capsys):
+def half_degree_t3(monkeypatch):
     # a genuine violation cannot be produced (the parity statement holds),
-    # so fabricate a violating report to check the exit-code wiring
+    # so (+, 3), which fits in degree 2 only as a half-degree spec, is read
+    # as one at every p: each cell of g = 1 then violates the contract
     import weilparity.enumerator as enumerator
-    from weilparity.enumerator import verify_parity_theorem
 
-    monkeypatch.setattr(enumerator, "_candidate_counts", lambda g, specs: (1, 1))
+    real = enumerator.is_full_degree
+    monkeypatch.setattr(
+        enumerator, "is_full_degree", lambda params, sign, t: (sign, t) != (1, 3) and real(params, sign, t)
+    )
+
+
+def test_verify_exit_1_on_contract_violation(monkeypatch, capsys):
+    # a fabricated violating report checks the exit-code wiring
+    half_degree_t3(monkeypatch)
     assert not verify_parity_theorem(WeilParams(p=11, n=1, g=1)).contract_ok
     code = run(["verify", "--gmax", "1", "--pmax", "11", "--n", "1"])
     captured = capsys.readouterr()
     assert code == 1
     assert "violated" in captured.err
-    assert captured.out.splitlines()[1:] == [f"1\t{p}\t1\t1\t1\t0\tfalse" for p in (5, 7, 11)]
+    assert captured.out.splitlines()[1:] == [f"1\t{p}\t1\t2\t0\t1\tfalse" for p in (5, 7, 11)]
+
+
+def test_verify_repeated_n_is_an_error(monkeypatch, capsys):
+    # each cell of a repeated n would be checked and printed twice
+    import weilparity.enumerator as enumerator
+
+    def work(params):
+        raise AssertionError(f"cell {params} checked before the grid was")
+
+    monkeypatch.setattr(enumerator, "verify_parity_theorem", work)
+    for fmt in ("tsv", "structured"):
+        argv = ["verify", "--gmax", "1", "--pmax", "5", "--n", "1", "--n", "1", "--format", fmt]
+        code, out, err = invoke(capsys, argv)
+        assert (code, out) == (2, "")
+        assert err == "error: n_values must not repeat an n: [1, 1]\n"
 
 
 @pytest.mark.parametrize("exc", [NotDivisible("remainder 1"), RuntimeError("boom")])
@@ -488,7 +511,7 @@ def test_internal_errors_exit_3(monkeypatch, capsys, exc):
         ["verify", "--gmax", "1", "--pmax", "5", "--n", "6153", "--format", "structured"],
     ],
 )
-def test_digit_limit_is_checked_before_any_work(monkeypatch, capsys, argv):
+def test_digit_limit_is_checked_before_any_work(monkeypatch, cold_caches, capsys, argv):
     # each run would print an integer past Python's 4300-digit limit
     import weilparity.cli as cli
     import weilparity.enumerator as enumerator
@@ -497,35 +520,51 @@ def test_digit_limit_is_checked_before_any_work(monkeypatch, capsys, argv):
         raise RuntimeError("work started before the digit check")
 
     monkeypatch.setattr(cli, "minpoly_full_degree", work)
-    monkeypatch.setattr(enumerator, "_candidate_shapes", work)
+    monkeypatch.setattr(enumerator, "minpoly_shape", work)
     code, out, err = invoke(capsys, argv)
     assert (code, out) == (2, "")
     assert err.startswith("error: the ") and "has more than 4300 digits" in err
 
 
 @pytest.fixture
-def odd_shapes(monkeypatch):
-    # every spec set yields one odd shape, X**2 + X + 1, which the
-    # construction never builds; the counts are recomputed, not cached
-    import weilparity.enumerator as enumerator
+def odd_factor(monkeypatch, cold_caches):
+    # the cyclotomic polynomial of index 4 becomes X**2 + X + 1, which is
+    # not even, so the factor of t = 1 in every spec set is odd; no cached
+    # count or shape hides it
+    import weilparity.weil as weil
 
-    odd = ((IntPoly([1, 1, 1]), ()),)
-    monkeypatch.setattr(enumerator, "_candidate_shapes", lambda g, specs: odd)
-    monkeypatch.setattr(enumerator, "_candidate_counts", enumerator._candidate_counts.__wrapped__)
+    real = weil.cyclotomic
+    monkeypatch.setattr(weil, "cyclotomic", lambda n: IntPoly([1, 1, 1]) if n == 4 else real(n))
 
 
-def test_odd_shape_is_an_internal_error(odd_shapes, capsys):
+def test_odd_shape_is_an_internal_error(odd_factor, capsys):
     # an odd shape breaks an invariant of the construction: exit 3, not 2
     code, out, err = invoke(capsys, ["enumerate", "--g", "1", "--p", "5", "--n", "1"])
     assert (code, out) == (3, "")
     assert err.startswith("internal error: BrokenInvariant:")
 
 
-def test_odd_shape_count_is_a_violation(odd_shapes, capsys):
-    # the counts read evenness from the shapes: an odd one fails the contract
-    code, out, err = invoke(capsys, ["verify", "--gmax", "1", "--pmax", "5", "--n", "1"])
-    assert code == 1 and "violated" in err
-    assert out.splitlines()[1:] == ["1\t5\t1\t1\t1\t0\tfalse"]
+@pytest.mark.parametrize(
+    "argv",
+    [
+        pytest.param(a, id=" ".join(a))
+        for a in (
+            ["verify", "--gmax", "1", "--pmax", "5", "--n", "1"],
+            ["verify", "--gmax", "1", "--pmax", "5", "--n", "1", "--format", "structured"],
+            ["enumerate", "--g", "2", "--p", "7", "--n", "1", "--format", "structured"],
+            ["minpoly", "--p", "5", "--n", "1", "--sign", "+", "--t", "1"],
+            ["minpoly", "--p", "5", "--n", "1", "--sign", "+", "--t", "1", "--format", "structured"],
+        )
+    ],
+)
+def test_odd_factor_is_an_internal_error(odd_factor, capsys, argv):
+    # each factor is checked as it is built, counted or printed: an odd one
+    # is exit 3, never a parity violation (exit 1) or a usage error (exit 2)
+    code, out, err = invoke(capsys, argv)
+    assert code == 3
+    assert err.startswith("internal error: BrokenInvariant:")
+    if "structured" not in argv:
+        assert out == ""
 
 
 @pytest.mark.parametrize(
@@ -534,15 +573,36 @@ def test_odd_shape_count_is_a_violation(odd_shapes, capsys):
 )
 def test_tsv_verify_expands_no_candidate(monkeypatch, capsys, tmp_path, argv):
     # TSV verify prints counts only, so it never scales a shape
-    import weilparity.enumerator as enumerator
+    import weilparity.cli as cli
     import weilparity.weil as weil
 
     def scale(*args):
         raise RuntimeError("a candidate was expanded")
 
-    monkeypatch.setattr(enumerator, "scale_shape", scale)
+    monkeypatch.setattr(cli, "scale_shape", scale)
     monkeypatch.setattr(weil, "scale_shape", scale)
     assert golden_run(capsys, tmp_path, argv, "tsv") == GOLDEN[argv, "tsv"]
+
+
+@pytest.mark.parametrize(
+    "argv, fmt",
+    [
+        pytest.param(a, f, id=f"{' '.join(a)} {f}")
+        for a, f in GOLDEN
+        if (a[0], f) == ("verify", "tsv") or a[0] == "detect-half"
+    ],
+)
+def test_tsv_verify_and_detect_half_multiply_no_polynomial(
+    monkeypatch, cold_caches, capsys, tmp_path, argv, fmt
+):
+    # the counts come from the factors' degrees, so no product is built
+    import weilparity.intpoly as intpoly
+
+    def mul(a, b):
+        raise RuntimeError("two polynomials were multiplied")
+
+    monkeypatch.setattr(intpoly, "_mul_schoolbook", mul)
+    assert golden_run(capsys, tmp_path, argv, fmt) == GOLDEN[argv, fmt]
 
 
 @pytest.fixture
@@ -576,15 +636,15 @@ def test_tsv_verify_at_huge_n(no_q, capsys):
     "argv, fmt",
     [pytest.param(a, f, id=f"{' '.join(a)} {f}") for a, f in GOLDEN if a[0] == "detect-half"],
 )
-def test_detect_half_builds_no_shape(monkeypatch, capsys, tmp_path, argv, fmt):
-    # detect-half prints the half-degree specs only; the counts are not cached here
+def test_detect_half_builds_no_shape(monkeypatch, cold_caches, capsys, tmp_path, argv, fmt):
+    # detect-half prints the half-degree specs only; every shape that the
+    # counts or the candidates need is built by minpoly_shape
     import weilparity.enumerator as enumerator
 
     def shapes(*args):
         raise RuntimeError("a shape was built")
 
-    monkeypatch.setattr(enumerator, "_candidate_shapes", shapes)
-    monkeypatch.setattr(enumerator, "_candidate_counts", enumerator._candidate_counts.__wrapped__)
+    monkeypatch.setattr(enumerator, "minpoly_shape", shapes)
     assert golden_run(capsys, tmp_path, argv, fmt) == GOLDEN[argv, fmt]
 
 
@@ -634,20 +694,19 @@ def test_structured_verify_expands_each_cell_once(monkeypatch):
     # cells are built in grid order, once each, and with one-character
     # blocks each is written before the next is built
     import weilparity.cli as cli
-    from weilparity.enumerator import ParityReport
 
     expanded = []
-    real = ParityReport.factor_json.fget
+    real = cli._candidates
 
-    def counting(report):
+    def counting(report, expand):
         written = "".join(text for name, text in log if name == "out")
         expanded.append(((report.params.g, report.params.p, report.params.n), written))
-        return real(report)
+        return real(report, expand)
 
     cells = small_grid_cells()
     log = []
     monkeypatch.setattr(cli, "_WRITE_BLOCK", 1)
-    monkeypatch.setattr(ParityReport, "factor_json", property(counting))
+    monkeypatch.setattr(cli, "_candidates", counting)
     monkeypatch.setattr(sys, "stdout", Recorder("out", log))
     code = run([*SMALL_GRID, "--format", "structured"])
     grid = [(g, p, n) for g in (1, 2) for p in (5, 7, 11, 13) if p > 2 * g + 1 for n in (1, 3)]
@@ -685,9 +744,7 @@ def test_internal_error_mid_stream_keeps_the_cells_before_it(monkeypatch, k):
 
 @pytest.mark.parametrize("fmt", ["tsv", "structured"])
 def test_violation_is_reported_after_the_full_output(monkeypatch, fmt):
-    import weilparity.enumerator as enumerator
-
-    monkeypatch.setattr(enumerator, "_candidate_counts", lambda g, specs: (1, 1))
+    half_degree_t3(monkeypatch)
     argv = ["verify", "--gmax", "1", "--pmax", "11", "--n", "1", "--format", fmt]
     code, out, log = recorded_run(monkeypatch, argv)
     assert code == 1
@@ -696,9 +753,12 @@ def test_violation_is_reported_after_the_full_output(monkeypatch, fmt):
     err = "".join(text for name, text in log if name == "err")
     assert err == "parity contract violated in at least one grid cell\n"
     if fmt == "tsv":
-        assert out.splitlines()[1:] == [f"1\t{p}\t1\t1\t1\t0\tfalse" for p in (5, 7, 11)]
+        assert out.splitlines()[1:] == [f"1\t{p}\t1\t2\t0\t1\tfalse" for p in (5, 7, 11)]
     else:
-        assert [(d["p"], d["odd_candidates"]) for d in json.loads(out)] == [(5, 1), (7, 1), (11, 1)]
+        half = [{"sign": 1, "t": 3}]
+        assert [(d["p"], d["half_degree_specs"]) for d in json.loads(out)] == [
+            (5, half), (7, half), (11, half)
+        ]
 
 
 def test_structured_verify_memory_does_not_grow_with_the_grid(monkeypatch):
@@ -755,8 +815,8 @@ def test_structured_verify_writes_in_blocks(monkeypatch):
         if a[0] in ("verify", "enumerate")
     ],
 )
-def test_shapes_are_never_multiplied_by_one(monkeypatch, capsys, tmp_path, argv, fmt):
-    import weilparity.enumerator as enumerator
+def test_shapes_are_never_multiplied_by_one(monkeypatch, cold_caches, capsys, tmp_path, argv, fmt):
+    # the caches are cold, so the run builds its shapes under the guard
     import weilparity.intpoly as intpoly
 
     real = intpoly._mul_schoolbook
@@ -767,12 +827,6 @@ def test_shapes_are_never_multiplied_by_one(monkeypatch, capsys, tmp_path, argv,
         return real(a, b)
 
     monkeypatch.setattr(intpoly, "_mul_schoolbook", guarded)
-    for cached in (
-        enumerator._candidate_shapes,
-        enumerator._candidate_factor_json,
-        enumerator._candidate_counts,
-    ):
-        cached.cache_clear()  # so the run builds its shapes under the guard
     assert golden_run(capsys, tmp_path, argv, fmt) == GOLDEN[argv, fmt]
 
 
@@ -876,7 +930,7 @@ def test_enumerate_tsv_agrees_with_structured(capsys, g, p, n):
 @given(
     gmax=st.integers(1, 3),
     extra=st.sampled_from([0, 2, 6, 12]),
-    ns=st.lists(st.sampled_from([1, 3, 5]), min_size=1, max_size=2),
+    ns=st.lists(st.sampled_from([1, 3, 5]), min_size=1, max_size=2, unique=True),
 )
 def test_verify_tsv_counts_match_structured(capsys, gmax, extra, ns):
     # at least the first prime above 2*gmax+1, so every g <= gmax is covered
@@ -920,7 +974,7 @@ def test_structured_enumerate_matches_the_dict_oracle(capsys, g, p, n):
 @given(
     gmax=st.integers(1, 3),
     pmax=st.integers(5, 31),
-    ns=st.lists(st.sampled_from([1, 3, 5]), min_size=1, max_size=3),
+    ns=st.lists(st.sampled_from([1, 3, 5]), min_size=1, max_size=3, unique=True),
 )
 def test_structured_verify_matches_the_dict_oracle(capsys, gmax, pmax, ns):
     assume(2 * gmax + 1 < max(q for q in ORACLE_PRIMES if q <= pmax))  # every g has a cell

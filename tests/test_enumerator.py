@@ -6,14 +6,14 @@ from functools import cache
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import functional_equation_sign
+from oracles import candidate_counts, candidates, functional_equation_sign
 
 from weilparity.cyclotomic import cyclotomic, is_prime, totient
 from weilparity.enumerator import (
     G_CAP,
     PRIME_SIEVE_CAP,
-    _candidate_counts,
-    _candidate_shapes,
+    _candidate_count,
+    candidate_shapes,
     primes_between,
     verify_grid,
     verify_parity_theorem,
@@ -44,7 +44,7 @@ def half_specs(params):
 
 
 def candidates_of(params):
-    return list(verify_parity_theorem(params).candidates)
+    return candidates(verify_parity_theorem(params))
 
 
 # -- the per-candidate construction, kept as the oracle ------------------------
@@ -128,31 +128,45 @@ def test_counts_match_per_cell_expansion(g, p, n):
     assert report.half_degree_specs == tuple(half)
     assert full_specs(params) == full
     assert half_specs(params) == half
-    candidates = candidates_of(params)
+    expanded = candidates_of(params)
     oracle = oracle_candidates(params)
-    assert report.total_candidates == len(candidates) == len(oracle)
-    odd = sum(not c.poly.is_even() for c in candidates)
+    assert report.total_candidates == len(expanded) == len(oracle)
+    odd = sum(not c.poly.is_even() for c in expanded)
     assert report.odd_candidates == odd == sum(not poly.is_even() for poly, _ in oracle)
-    assert report.candidates == tuple(candidates)
+    assert candidate_counts(g, report.full_degree_specs) == (len(expanded), odd)
 
 
 def test_counts_read_evenness_from_the_shapes(monkeypatch):
-    import weilparity.enumerator as enumerator
+    # the per-product count oracle tests every product: it sees an odd one
+    import oracles
 
     shapes = [IntPoly([1, 0, 1]), IntPoly([1, 1, 1]), IntPoly([0, 1]), IntPoly([4, 0, 0, 0, 1])]
-    monkeypatch.setattr(enumerator, "_candidate_shapes", lambda g, specs: [(s, ()) for s in shapes])
-    assert _candidate_counts.__wrapped__(2, ()) == (4, 2)
+    monkeypatch.setattr(oracles, "candidate_shapes", lambda g, specs: [(s, ()) for s in shapes])
+    assert candidate_counts(2, ()) == (4, 2)
 
 
-def test_counts_are_shared_across_cells_with_equal_spec_sets():
-    _candidate_counts.cache_clear()
+@pytest.mark.parametrize("g", range(1, 13))
+def test_count_matches_the_per_product_oracle(monkeypatch, cold_caches, g):
+    # the count from the factors' degrees against every product built and
+    # tested, past the enumeration cap; p = 2, 3, 5, 7 scan other spec sets
+    import weilparity.enumerator as enumerator
+
+    monkeypatch.setattr(enumerator, "G_CAP", 12)
+    for p in (2, 3, 5, 7, 101):
+        for n in (1, 3):
+            report = verify_parity_theorem(WeilParams(p=p, n=n, g=g))
+            counts = (report.total_candidates, report.odd_candidates)
+            assert counts == candidate_counts(g, report.full_degree_specs), (p, n)
+
+
+def test_counts_are_shared_across_cells_with_equal_spec_sets(cold_caches):
     reports = list(verify_grid(4, 17, [1, 3]))
     assert {r.params.g for r in reports} == {1, 2, 3, 4}
     for r in reports:
         r.total_candidates  # the counts are read, and cached, on first use
     # one entry per g: above 2g+1 the spec set does not depend on (p, n)
-    assert _candidate_counts.cache_info().currsize == 4
-    assert _candidate_counts.cache_info().hits == len(reports) - 4
+    assert _candidate_count.cache_info().currsize == 4
+    assert _candidate_count.cache_info().hits == len(reports) - 4
 
 
 def test_shape_scaling_matches_minpoly_for_every_admissible_spec():
@@ -322,7 +336,7 @@ def test_verify_parity_theorem_examples():
     assert r.odd_candidates == 0
     assert r.half_degree_specs == ()
     assert r.contract_ok
-    assert tuple(c for c in r.candidates if not c.even) == ()
+    assert [c for c in candidates(r) if not c.poly.is_even()] == []
 
     r = verify_parity_theorem(WeilParams(p=13, n=3, g=2))
     assert r.odd_candidates == 0
@@ -336,8 +350,8 @@ def test_verify_parity_theorem_examples():
 def test_parity_report_violations_consistency():
     for p in (5, 7, 11, 13):
         r = verify_parity_theorem(WeilParams(p=p, n=1, g=2))
-        assert (r.odd_candidates > 0) == any(not c.even for c in r.candidates)
-        assert r.total_candidates == len(r.candidates)
+        assert (r.odd_candidates > 0) == any(not c.poly.is_even() for c in candidates(r))
+        assert r.total_candidates == len(candidates(r))
 
 
 def test_primes_between():
@@ -396,6 +410,8 @@ def test_verify_grid_validation(monkeypatch):
         verify_grid(3, 5, [1])  # only g = 1 has a cell
     with pytest.raises(ValueError, match="n_values"):
         verify_grid(3, 50, [])  # no n: nothing would be verified
+    with pytest.raises(ValueError, match="repeat"):
+        verify_grid(3, 50, [3, 1, 3])  # every cell of n = 3 would be checked twice
     with pytest.raises(ValueError, match="odd"):
         verify_grid(3, 50, [1, 2])  # n = 2 is found before the cells of n = 1
 
@@ -448,7 +464,7 @@ def test_partition_search_is_order_independent():
         return {frozenset((s.q_star_sign, s.t, m) for s, m in factors) for _, factors in records}
 
     def multisets(order):
-        return family(_candidate_shapes(params.g, tuple(specs[i] for i in order)))
+        return family(candidate_shapes(params.g, tuple(specs[i] for i in order)))
 
     canonical = multisets(list(range(len(specs))))
     assert canonical == family(oracle_candidates(params))
@@ -458,17 +474,16 @@ def test_partition_search_is_order_independent():
         assert multisets(order) == canonical
 
 
-def test_shapes_are_shared_across_cells_with_equal_spec_sets():
+def test_shapes_are_shared_across_cells_with_equal_spec_sets(cold_caches):
     # above 2g+1 the spec set, hence the cache entry, does not depend on (p, n)
-    _candidate_shapes.cache_clear()
     for p in (11, 13, 17):
         for n in (1, 3):
             candidates_of(WeilParams(p=p, n=n, g=4))
-    assert _candidate_shapes.cache_info().currsize == 1
+    assert candidate_shapes.cache_info().currsize == 1
     # p = 2 and p = 5 <= 2g+1 compute other spec sets, so other entries
     candidates_of(WeilParams(p=2, n=1, g=4))
     candidates_of(WeilParams(p=5, n=1, g=4))
-    assert _candidate_shapes.cache_info().currsize == 3
+    assert candidate_shapes.cache_info().currsize == 3
 
 
 def test_totient_lower_bound_supporting_scan_cap():
