@@ -1,9 +1,10 @@
 """Coefficient bounds for monic degree-2g Weil polynomials.
 
-:func:`full_bounds_report` is the entry point.  It checks the shape of
-a polynomial once (monic of degree 2g, else :class:`ShapeError`) and
-reads ``a_k``, the coefficient of ``X**(2g-k)``, once for each
-k = 1..g.  For roots of absolute value sqrt(q) it reports:
+:func:`full_bounds_report` is the entry point.  It takes the ascending,
+trailing-zero-free coefficients of a polynomial, checks their shape
+once (monic of degree 2g, else :class:`ShapeError`) and reads ``a_k``,
+the coefficient of ``X**(2g-k)``, once for each k = 1..g.  For roots of
+absolute value sqrt(q) it reports:
 
 * archimedean bound: |a_k| <= C(2g,k) * q**(k/2), checked in the
   squared form a_k**2 <= C(2g,k)**2 * q**k so that half-integer
@@ -15,60 +16,65 @@ k = 1..g.  For roots of absolute value sqrt(q) it reports:
   vanish;
 * literal q-symmetry (``symmetric_ok``): c_{g-j} = q**j * c_{g+j} for
   j = 1..g, so the constant term is exactly +q**g.
+
+The thresholds depend only on the cell (g, p, n): each cell builds them
+once, in the cached :func:`_cell_table`.  A :class:`BoundsReport` holds
+a_1..a_g and their archimedean and valuation flags as three flat tuples.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from math import comb
+from operator import eq, le, mod, mul, not_
+from typing import Sequence
 
 from .errors import ShapeError
-from .intpoly import IntPoly
-from .weil import WeilParams
-
-
-@dataclass(frozen=True)
-class CoefficientCheck:
-    k: int
-    value: int
-    archimedean_ok: bool
-    valuation_ok: bool
+from .intpoly import NEG_INFINITY
+from .weil import WeilParams, q_powers
 
 
 @dataclass(frozen=True)
 class BoundsReport:
-    """Aggregated bound checks for one polynomial; one entry per k = 1..g."""
+    """Bound checks on one polynomial; the tuples hold one entry per k = 1..g."""
 
     params: WeilParams
-    per_coefficient: tuple[CoefficientCheck, ...]
+    a_values: tuple[int, ...]
+    archimedean_ok: tuple[bool, ...]
+    valuation_ok: tuple[bool, ...]
     lemma_a1_ok: bool
     symmetric_ok: bool
 
 
-def full_bounds_report(poly: IntPoly, params: WeilParams) -> BoundsReport:
-    """Every bound check on ``poly``: one shape check, one read of a_1..a_g."""
-    g, p, n, q = params.g, params.p, params.n, params.q
-    c = poly.coeffs
-    if len(c) != 2 * g + 1 or c[-1] != 1:
-        raise ShapeError(
-            f"polynomial must be monic of degree {2 * g}, got degree {poly.degree}"
-        )
-    per = []
-    lemma_a1_ok = True
-    for k in range(1, g + 1):
-        a_k = c[2 * g - k]
-        binom_sq = comb(2 * g, k) ** 2
-        per.append(CoefficientCheck(
-            k=k,
-            value=a_k,
-            archimedean_ok=a_k * a_k <= binom_sq * q ** k,
-            valuation_ok=a_k % p ** ((n * k + 1) // 2) == 0,
-        ))
-        if k % 2 and a_k and p > binom_sq:
-            lemma_a1_ok = False
+@cache
+def _cell_table(g: int, p: int, n: int) -> tuple[tuple, tuple, tuple, tuple]:
+    """Per k = 1..g: C(2g,k)**2 * q**k, p**ceil(nk/2) and q**k; and the
+    indices k - 1 of the odd a_k that must vanish, as p > C(2g,k)**2."""
+    powers = q_powers(p ** n, g)
+    ks = range(1, g + 1)
+    return (
+        tuple(comb(2 * g, k) ** 2 * powers[k] for k in ks),
+        tuple(p ** ((n * k + 1) // 2) for k in ks),
+        tuple(powers[1:]),
+        tuple(k - 1 for k in ks if k % 2 and p > comb(2 * g, k) ** 2),
+    )
+
+
+def full_bounds_report(coeffs: Sequence[int], params: WeilParams) -> BoundsReport:
+    """Every bound check on the polynomial with ascending, trailing-zero-free ``coeffs``."""
+    g = params.g
+    if len(coeffs) != 2 * g + 1 or coeffs[-1] != 1:
+        degree = len(coeffs) - 1 if coeffs else NEG_INFINITY
+        raise ShapeError(f"polynomial must be monic of degree {2 * g}, got degree {degree}")
+    arch, val, powers, vanish = _cell_table(g, params.p, params.n)
+    a = tuple(coeffs[2 * g - 1:g - 1:-1])  # a_k = c_{2g-k}, k = 1..g
     return BoundsReport(
         params=params,
-        per_coefficient=tuple(per),
-        lemma_a1_ok=lemma_a1_ok,
-        symmetric_ok=all(c[g - j] == q ** j * c[g + j] for j in range(1, g + 1)),
+        a_values=a,
+        archimedean_ok=tuple(map(le, map(mul, a, a), arch)),  # a_k**2 <= C(2g,k)**2 * q**k
+        valuation_ok=tuple(map(not_, map(mod, a, val))),  # p**ceil(nk/2) divides a_k
+        lemma_a1_ok=not any(a[i] for i in vanish),
+        # c_{g-j} == q**j * c_{g+j}, j = 1..g
+        symmetric_ok=all(map(eq, coeffs[g - 1::-1], map(mul, powers, coeffs[g + 1:]))),
     )

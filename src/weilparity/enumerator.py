@@ -257,15 +257,16 @@ def verify_grid(g_max: int, p_max: int, n_values: list[int]) -> GridResult:
     checked twice), and every g <= g_max must have a prime p with
     2g+1 < p <= p_max; a grid that leaves some g uncovered is a
     ``ValueError``, since it would not verify what was asked.  A p_max
-    above ``PRIME_SIEVE_CAP`` is :class:`OutOfRange`.
+    above ``PRIME_SIEVE_CAP`` is :class:`OutOfRange`.  Errors name the
+    ``verify`` flags ``--gmax`` and ``--n``, not g_max and n_values.
     """
     if g_max < 1:
-        raise ValueError("g_max must be a positive integer")
+        raise ValueError("--gmax must be a positive integer")
     if not n_values:
-        raise ValueError("n_values must name at least one n")
+        raise ValueError("--n must name at least one n")
     if len(set(n_values)) < len(n_values):
-        raise ValueError(f"n_values must not repeat an n: {n_values}")
-    _check_g_cap(g_max, "g_max")
+        raise ValueError(f"--n must not repeat an n: {n_values}")
+    _check_g_cap(g_max, "--gmax")
     primes = primes_between(1, p_max)
     # g is covered iff 2g+1 < the largest prime, so the uncovered g form a tail
     covered = (primes[-1] - 2) // 2 if primes else 0

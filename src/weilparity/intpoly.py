@@ -154,14 +154,7 @@ class IntPoly:
         return not any(self.coeffs[1::2])
 
     # -- text format ----------------------------------------------------
-    #
-    # One polynomial per line: ascending space-separated decimal
-    # coefficients; an empty line is the zero polynomial.
-
-    @classmethod
-    def from_line(cls, line: str) -> IntPoly:
-        tokens = line.split()
-        return cls(int(tok) for tok in tokens)
 
     def to_line(self) -> str:
+        """Ascending space-separated decimal coefficients; empty for zero."""
         return " ".join(str(c) for c in self.coeffs)

@@ -121,9 +121,9 @@ def test_criterion_6_bounds_on_candidates():
                 params = WeilParams(p=p, n=n, g=g)
                 for cand in candidates(verify_parity_theorem(params)):
                     total += 1
-                    report = full_bounds_report(cand.poly, params)
-                    arch = all(c.archimedean_ok for c in report.per_coefficient)
-                    val = all(c.valuation_ok for c in report.per_coefficient)
+                    report = full_bounds_report(cand.poly.coeffs, params)
+                    arch = all(report.archimedean_ok)
+                    val = all(report.valuation_ok)
                     if not (arch and val and report.lemma_a1_ok):
                         failures.append((p, n, g, cand.poly.coeffs))
     ok = not failures and total > 0

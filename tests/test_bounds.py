@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import candidates, corollary_threshold, functional_equation_sign
 
-from weilparity.bounds import BoundsReport, CoefficientCheck, full_bounds_report
+from weilparity.bounds import BoundsReport, full_bounds_report
 from weilparity.cyclotomic import totient
 from weilparity.enumerator import primes_between, verify_parity_theorem
 from weilparity.errors import ShapeError
@@ -77,19 +77,11 @@ def ref_lemma_a1_check(poly, params):
 
 
 def ref_bounds_report(poly, params):
-    arch = ref_archimedean_bound_check(poly, params)
-    val = ref_valuation_bound_check(poly, params)
     return BoundsReport(
         params=params,
-        per_coefficient=tuple(
-            CoefficientCheck(
-                k=k,
-                value=_ref_upper_coefficient(poly, params, k),
-                archimedean_ok=arch[k - 1],
-                valuation_ok=val[k - 1],
-            )
-            for k in range(1, params.g + 1)
-        ),
+        a_values=tuple(_ref_upper_coefficient(poly, params, k) for k in range(1, params.g + 1)),
+        archimedean_ok=tuple(ref_archimedean_bound_check(poly, params)),
+        valuation_ok=tuple(ref_valuation_bound_check(poly, params)),
         lemma_a1_ok=ref_lemma_a1_check(poly, params),
         symmetric_ok=ref_is_q_symmetric(poly, params),
     )
@@ -148,37 +140,37 @@ def test_full_report_matches_per_check_oracle(case):
         expected = ref_bounds_report(poly, params)
     except ShapeError as exc:
         with pytest.raises(ShapeError) as raised:
-            full_bounds_report(poly, params)
+            full_bounds_report(poly.coeffs, params)
         assert str(raised.value) == str(exc)
         return
-    assert full_bounds_report(poly, params) == expected
+    assert full_bounds_report(poly.coeffs, params) == expected
 
 
 def archimedean_flags(poly, params):
-    return [c.archimedean_ok for c in full_bounds_report(poly, params).per_coefficient]
+    return list(full_bounds_report(poly.coeffs, params).archimedean_ok)
 
 
 def valuation_flags(poly, params):
-    return [c.valuation_ok for c in full_bounds_report(poly, params).per_coefficient]
+    return list(full_bounds_report(poly.coeffs, params).valuation_ok)
 
 
 def test_is_q_symmetric_examples():
-    assert full_bounds_report(IntPoly([5, 0, 1]), WeilParams(p=5, n=1, g=1)).symmetric_ok
+    assert full_bounds_report([5, 0, 1], WeilParams(p=5, n=1, g=1)).symmetric_ok
     # (X^2+5)(X^2-5) = X^4 - 25: c0 = -25 but q^2*c4 = 25, so not symmetric
-    report = full_bounds_report(IntPoly([-25, 0, 0, 0, 1]), WeilParams(p=5, n=1, g=2))
+    report = full_bounds_report([-25, 0, 0, 0, 1], WeilParams(p=5, n=1, g=2))
     assert not report.symmetric_ok
     # (X-5)^2 = X^2 - 10X + 25: c0 = 25 != q*c2 = 5
-    assert not full_bounds_report(IntPoly([25, -10, 1]), WeilParams(p=5, n=1, g=1)).symmetric_ok
+    assert not full_bounds_report([25, -10, 1], WeilParams(p=5, n=1, g=1)).symmetric_ok
 
 
 def test_is_q_symmetric_shape_errors():
     params = WeilParams(p=5, n=1, g=2)
     with pytest.raises(ShapeError):
-        full_bounds_report(IntPoly([5, 0, 1]), params)  # degree 2 != 2g = 4
+        full_bounds_report([5, 0, 1], params)  # degree 2 != 2g = 4
     with pytest.raises(ShapeError):
-        full_bounds_report(IntPoly([1, 0, 0, 0, 2]), params)  # not monic
-    with pytest.raises(ShapeError):
-        full_bounds_report(IntPoly.zero(), params)
+        full_bounds_report([1, 0, 0, 0, 2], params)  # not monic
+    with pytest.raises(ShapeError, match="got degree -inf$"):
+        full_bounds_report((), params)  # the zero polynomial
 
 
 def test_functional_equation_sign():
@@ -197,7 +189,7 @@ def test_q_symmetry_agrees_with_positive_functional_sign():
         params = WeilParams(p=p, n=1, g=2)
         for cand in candidates(verify_parity_theorem(params)):
             sign = functional_equation_sign(cand.poly, params.q)
-            assert (sign == 1) == full_bounds_report(cand.poly, params).symmetric_ok
+            assert (sign == 1) == full_bounds_report(cand.poly.coeffs, params).symmetric_ok
 
 
 def test_archimedean_examples():
@@ -225,9 +217,9 @@ def test_valuation_ceiling():
 
 
 def test_lemma_a1_examples():
-    assert full_bounds_report(IntPoly([25, 0, 10, 0, 1]), WeilParams(p=5, n=1, g=2)).lemma_a1_ok
-    assert full_bounds_report(IntPoly([3, 3, 1]), WeilParams(p=3, n=1, g=1)).lemma_a1_ok  # 3 <= 4
-    assert not full_bounds_report(IntPoly([7, 7, 1]), WeilParams(p=7, n=1, g=1)).lemma_a1_ok  # 7 > 4
+    assert full_bounds_report([25, 0, 10, 0, 1], WeilParams(p=5, n=1, g=2)).lemma_a1_ok
+    assert full_bounds_report([3, 3, 1], WeilParams(p=3, n=1, g=1)).lemma_a1_ok  # 3 <= 4
+    assert not full_bounds_report([7, 7, 1], WeilParams(p=7, n=1, g=1)).lemma_a1_ok  # 7 > 4
 
 
 def test_corollary_threshold_values():
@@ -245,24 +237,23 @@ def test_corollary_threshold_monotone():
 
 
 def test_full_report_examples():
-    report = full_bounds_report(IntPoly([5, 0, 1]), WeilParams(p=5, n=1, g=1))
+    report = full_bounds_report([5, 0, 1], WeilParams(p=5, n=1, g=1))
     assert report.symmetric_ok and report.lemma_a1_ok
-    assert [c.archimedean_ok for c in report.per_coefficient] == [True]
-    assert [c.valuation_ok for c in report.per_coefficient] == [True]
-    assert [c.k for c in report.per_coefficient] == [1]
+    assert report.archimedean_ok == report.valuation_ok == (True,)
+    assert report.a_values == (0,)
 
-    report = full_bounds_report(IntPoly([25, -10, 1]), WeilParams(p=5, n=1, g=1))
+    report = full_bounds_report([25, -10, 1], WeilParams(p=5, n=1, g=1))
     assert not report.symmetric_ok
-    assert report.per_coefficient[0].value == -10
+    assert report.a_values == (-10,)
 
 
 def test_full_report_on_enumerated_candidates():
     params = WeilParams(p=11, n=1, g=3)
     for cand in candidates(verify_parity_theorem(params)):
-        report = full_bounds_report(cand.poly, params)
-        assert all(c.archimedean_ok and c.valuation_ok for c in report.per_coefficient)
+        report = full_bounds_report(cand.poly.coeffs, params)
+        assert all(report.archimedean_ok) and all(report.valuation_ok)
         assert report.lemma_a1_ok
-        assert len(report.per_coefficient) == params.g
+        assert len(report.a_values) == len(report.valuation_ok) == params.g
 
 
 def test_vieta_float_oracle():

@@ -5,6 +5,7 @@ import io
 import json
 import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
@@ -57,6 +58,8 @@ GOLDEN_FILES = {
         "50653 0 0 0 -999 0 1\n"
         "50653 0 0 0 50653000000 0 1\n"
     ),
+    # g=10 p=23 n=3: every 6th enumerated candidate, some perturbed (see its header)
+    "g10": (Path(__file__).parent / "data" / "bounds_g10_p23_n3.txt").read_text(),
 }
 
 # (argv, format) -> (sha256 of stdout, exit code).  The cyclo digests were
@@ -178,6 +181,11 @@ GOLDEN = {
         ("9a242fb23e3726e05060f86c8a54f14f6459178376d1f787cb85309f0d331513", 0),
     (("bounds", "--g", "3", "--p", "37", "--n", "3", "--file", "@g3"), "structured"):
         ("f185b1798092294fcd11fdc997b59476c1c68cb2f9dd4d84a5d58be84dc75c86", 0),
+    # recorded with a check object per a_k, and a file parsed through IntPoly
+    (("bounds", "--g", "10", "--p", "23", "--n", "3", "--file", "@g10"), "tsv"):
+        ("615d61c71c6a33811838ff10291450cc2ee6fbab06d4e89bce72941e863d9ab0", 0),
+    (("bounds", "--g", "10", "--p", "23", "--n", "3", "--file", "@g10"), "structured"):
+        ("036460056d268ecf02cf702a520fb5228dd0d6a5ff9d2b03331e2aef0fb16284", 0),
     # Python prints no integer of more than 4300 digits (its default
     # int_max_str_digits); these cells sit on each side of that limit.
     (("minpoly", "--p", "23", "--n", "801", "--sign", "+", "--t", "5"), "tsv"):
@@ -339,6 +347,19 @@ def test_verify_uncovered_g_is_an_error(capsys):
     assert err == "error: empty grid for g=2..3: no prime p with 2g+1 < p <= 5\n"
 
 
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--gmax", "0", "--n", "1"], "--gmax must be a positive integer"),
+        (["--gmax", "11", "--n", "1"], "--gmax=11 exceeds the enumeration cap 10"),
+        (["--gmax", "1", "--n", "3", "--n", "1", "--n", "3"], "--n must not repeat an n: [3, 1, 3]"),
+    ],
+)
+def test_verify_grid_errors_name_the_flag(capsys, flags, message):
+    code, out, err = invoke(capsys, ["verify", "--pmax", "50", *flags])
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 def test_verify_pmax_above_sieve_cap_is_an_error(capsys):
     code, out, err = invoke(capsys, ["verify", "--gmax", "1", "--pmax", "10000001", "--n", "1"])
     assert (code, out) == (2, "")
@@ -423,24 +444,75 @@ def test_bounds_rejects_even_n(tmp_path, capsys):
     assert "odd" in err
 
 
+BOUNDS_G1 = ["bounds", "--g", "1", "--p", "5", "--n", "1", "--file"]
+
+
 def test_bounds_rejects_malformed_file(tmp_path, capsys):
+    # a bad line anywhere exits 2 with nothing on stdout, in either format:
+    # every line is read and checked before the first row is printed
     ref = tmp_path / "polys.txt"
-    ref.write_text("5 0 1\n5 zero 1\n")
-    code, _, err = invoke(
-        capsys, ["bounds", "--g", "1", "--p", "5", "--n", "1", "--file", str(ref)]
-    )
-    assert code == 2
-    assert ":2:" in err  # line number reported
+    ref.write_text("5 0 1\n-5 0 1\n5 zero 1\n")
+    for fmt in ("tsv", "structured"):
+        code, out, err = invoke(capsys, [*BOUNDS_G1, str(ref), "--format", fmt])
+        assert (code, out) == (2, "")
+        assert ":3: invalid literal" in err  # line number reported
 
 
 def test_bounds_rejects_wrong_shape(tmp_path, capsys):
     ref = tmp_path / "polys.txt"
-    ref.write_text("1 2 3\n")  # not monic
-    code, _, err = invoke(
-        capsys, ["bounds", "--g", "1", "--p", "5", "--n", "1", "--file", str(ref)]
-    )
-    assert code == 2
-    assert "monic" in err
+    ref.write_text("5 0 1\n-5 0 1\n1 2 3\n")  # not monic
+    for fmt in ("tsv", "structured"):
+        code, out, err = invoke(capsys, [*BOUNDS_G1, str(ref), "--format", fmt])
+        assert (code, out) == (2, "")
+        assert err == "error: polynomial must be monic of degree 2, got degree 2\n"
+
+
+def test_bounds_strips_trailing_zeros(tmp_path, capsys):
+    rows = []
+    for line in ("5 0 1", "5 0 1 0", "5 0 1 0 0"):
+        ref = tmp_path / "polys.txt"
+        ref.write_text(line + "\n")
+        code, out, _ = invoke(capsys, [*BOUNDS_G1, str(ref)])
+        assert code == 0
+        rows.append(out)
+    assert rows[0] == rows[1] == rows[2]
+    assert rows[0].endswith("\n1\t5\t1\t0\ttrue\ttrue\ttrue\ttrue\n")
+
+
+@pytest.mark.parametrize("line", ["0", "0 0 0"])
+def test_bounds_zero_line_reads_degree_minus_infinity(tmp_path, capsys, line):
+    ref = tmp_path / "polys.txt"
+    ref.write_text(f"5 0 1\n{line}\n")
+    code, out, err = invoke(capsys, [*BOUNDS_G1, str(ref)])
+    assert (code, out) == (2, "")
+    assert err == "error: polynomial must be monic of degree 2, got degree -inf\n"
+
+
+BOUNDS_GOLDEN = [pytest.param(a, f, id=f"{' '.join(a)} {f}") for a, f in GOLDEN if a[0] == "bounds"]
+
+
+@pytest.mark.parametrize("argv, fmt", BOUNDS_GOLDEN)
+def test_bounds_builds_no_polynomial(monkeypatch, capsys, tmp_path, argv, fmt):
+    # lines are parsed straight to coefficient lists and checked as such
+    def built(self, coeffs=()):
+        raise AssertionError("bounds built an IntPoly")
+
+    monkeypatch.setattr(IntPoly, "__init__", built)
+    assert golden_run(capsys, tmp_path, argv, fmt) == GOLDEN[argv, fmt]
+
+
+def test_bounds_builds_one_threshold_table_per_run(tmp_path, capsys):
+    import weilparity.bounds as bounds
+
+    key = ("bounds", "--g", "10", "--p", "23", "--n", "3", "--file", "@g10")
+    bounds._cell_table.cache_clear()
+    try:
+        assert golden_run(capsys, tmp_path, key, "tsv") == GOLDEN[key, "tsv"]
+        info = bounds._cell_table.cache_info()
+    finally:
+        bounds._cell_table.cache_clear()
+    polys = [line for line in GOLDEN_FILES["g10"].splitlines() if line and line[0] != "#"]
+    assert (info.misses, info.hits) == (1, len(polys) - 1)
 
 
 def test_bounds_missing_file(capsys):
@@ -485,7 +557,7 @@ def test_verify_repeated_n_is_an_error(monkeypatch, capsys):
         argv = ["verify", "--gmax", "1", "--pmax", "5", "--n", "1", "--n", "1", "--format", fmt]
         code, out, err = invoke(capsys, argv)
         assert (code, out) == (2, "")
-        assert err == "error: n_values must not repeat an n: [1, 1]\n"
+        assert err == "error: --n must not repeat an n: [1, 1]\n"
 
 
 @pytest.mark.parametrize("exc", [NotDivisible("remainder 1"), RuntimeError("boom")])
@@ -883,8 +955,8 @@ def test_enumerate_to_bounds_round_trip(tmp_path, capsys):
 
 def test_ingest_reference(tmp_path):
     ref = tmp_path / "ref.txt"
-    ref.write_text("# comment\n\n5 0 1\n")
-    assert ingest_reference(ref) == [IntPoly([5, 0, 1])]
+    ref.write_text("# comment\n\n5 0 1\n-5 0 1 0 0\n0 0\n")
+    assert ingest_reference(ref) == [[5, 0, 1], [-5, 0, 1], []]
 
     bad = tmp_path / "bad.txt"
     bad.write_text("5 0 1\nx y z\n")

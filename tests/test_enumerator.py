@@ -408,7 +408,7 @@ def test_verify_grid_validation(monkeypatch):
         verify_grid(3, 3, [1])  # no cell: nothing would be verified
     with pytest.raises(ValueError, match="g=2..3"):
         verify_grid(3, 5, [1])  # only g = 1 has a cell
-    with pytest.raises(ValueError, match="n_values"):
+    with pytest.raises(ValueError, match="--n must name"):
         verify_grid(3, 50, [])  # no n: nothing would be verified
     with pytest.raises(ValueError, match="repeat"):
         verify_grid(3, 50, [3, 1, 3])  # every cell of n = 3 would be checked twice
