@@ -13,15 +13,15 @@ Every subcommand accepts ``--format {tsv,structured}`` (default tsv) and
 produces byte-identical output for identical inputs.  Exit codes:
 0 success, 1 parity-contract violation, 2 usage or validation error,
 3 internal error (any unexpected exception, reported as
-``internal error:`` and a traceback on stderr).  Structured ``verify``
-writes its cells as they are built, in blocks of about 32 KiB, so its
-exit 1 and stderr line come after the full output, and an internal
-error mid-grid exits 3 with the cells before it already written.  A
-``verify`` grid must cover every g <= gmax with a prime p,
-2g+1 < p <= pmax, name no n twice, and pmax may not exceed the prime
-sieve cap of 10**7; otherwise it exits 2 before any work.  So does a run that would
-print a constant term (q**g, or q**(phi(4t)/2) for ``minpoly``) longer
-than Python converts to text; TSV ``verify`` prints none.
+``internal error:`` and a traceback on stderr).  Output items (TSV lines,
+JSON array elements) are written as they are made, in 32 KiB blocks: a
+run that stops mid-output (exit 2 on a bad ``bounds`` line, or exit 3)
+leaves the items made before the failure, without the final newline, and
+exit 1's stderr line follows the full output.  Every other check runs
+before the first byte: a ``verify`` grid must cover each g <= gmax with
+a prime 2g+1 < p <= pmax <= 10**7 (the sieve cap) and name no n twice, a
+printed constant term (q**g, or q**(phi(4t)/2) for ``minpoly``) must fit
+Python's digit limit, and the ``bounds`` file must open.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ import argparse
 import json
 import sys
 from functools import cache
+from itertools import chain
 from math import log10
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
@@ -45,27 +46,31 @@ _SIGN_TEXT = {1: "+", -1: "-"}
 _CELL = ("g", "p", "n")
 
 
-def ingest_reference(path: str | Path) -> list[list[int]]:
-    """Parse a polynomial text file: one line of ascending coefficients each.
+def ingest_reference(path: str | Path) -> Iterator[list[int]]:
+    """Parse a polynomial text file: one list of ascending coefficients per line.
 
     Lines starting with ``#`` are comments; blank lines are skipped.  Each
-    list ends in its leading coefficient (a zero line gives ``[]``).
-    Raises :class:`ParseError` with the offending line number.
+    list ends in its leading coefficient (a zero line gives ``[]``).  The
+    file is opened now, before any output, and read a line per list; a
+    malformed line raises :class:`ParseError` with its line number.
     """
-    polys = []
-    with open(path, "r", encoding="utf-8") as handle:
-        for lineno, raw in enumerate(handle, 1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            try:
-                coeffs = list(map(int, line.split()))
-            except ValueError as exc:
-                raise ParseError(f"{path}:{lineno}: {exc}") from exc
-            while coeffs and not coeffs[-1]:
-                coeffs.pop()
-            polys.append(coeffs)
-    return polys
+    handle = open(path, "r", encoding="utf-8")
+
+    def polys():
+        with handle:
+            for lineno, raw in enumerate(handle, 1):
+                line = raw.strip()
+                if not line or line.startswith("#"):
+                    continue
+                try:
+                    coeffs = list(map(int, line.split()))
+                except ValueError as exc:
+                    raise ParseError(f"{path}:{lineno}: {exc}") from exc
+                while coeffs and not coeffs[-1]:
+                    coeffs.pop()
+                yield coeffs
+
+    return polys()
 
 
 def _text(value) -> str:
@@ -74,7 +79,7 @@ def _text(value) -> str:
     return str(value)
 
 
-# Structured output is written in blocks of at least this many characters.
+# Output is written in blocks of at least this many characters.
 # Each write to a pipe wakes its reader, and a reader woken on the writer's
 # CPU preempts it: one write per cell cost a thousand context switches on a
 # 5 MB output, and the run time varied with where the reader was placed.
@@ -84,26 +89,26 @@ _WRITE_BLOCK = 1 << 15
 
 
 def _emit(args, text, rows, header=None) -> None:
-    """Write the JSON ``text()``, or the TSV ``header`` and ``rows()``.
+    """Write the JSON ``text()``, or the TSV ``header`` and ``rows()``, then a newline.
 
     Only the requested format is built: ``text`` and ``rows`` are thunks.
-    ``text()`` yields the JSON text in pieces, which are written as they
-    come, a block at a time, so structured output is never held whole.
-    TSV fields are tab-joined, with booleans as ``true``/``false``.
+    ``text()`` yields the JSON text in pieces; a TSV line is a row's fields,
+    tab-joined, with booleans as ``true``/``false``.  Each item is written
+    as it is made: a failure leaves the items before it, with no newline.
     """
     if args.format == "structured":
-        _write_blocks(text())
-        return
-    lines = [] if header is None else ["\t".join(header)]
-    lines.extend("\t".join(map(_text, row)) for row in rows())
-    print("\n".join(lines))
+        pieces = text()
+    else:
+        lines = chain([header] if header else [], rows())
+        pieces = _joined(("\t".join(map(_text, row)) for row in lines), "\n")
+    _write_blocks(pieces)
 
 
 def _write_blocks(pieces: Iterable[str]) -> None:
     """Write ``pieces`` and a newline to stdout, joined into blocks of ``_WRITE_BLOCK``.
 
-    A block is written once it reaches that size.  If making a piece
-    fails, the pieces before it are still written, with no newline.
+    Nothing else writes to stdout.  If making a piece fails, the pieces
+    before it are still written, with no newline.
     """
     block, size = [], 0
     try:
@@ -118,16 +123,15 @@ def _write_blocks(pieces: Iterable[str]) -> None:
         sys.stdout.write("".join(block))
 
 
-def _json_array(items: Iterable[str]) -> Iterator[str]:
-    """``json.dumps`` of a list, from the JSON texts of its items, one piece per item.
-
-    An item is made before its piece is yielded, so a failure while
-    making one leaves exactly the items before it written.
-    """
-    yield "["
+def _joined(items: Iterable[str], sep: str) -> Iterator[str]:
+    """``sep.join(items)``, one piece per item, each yielded once its item is made."""
     for i, item in enumerate(items):
-        yield ", " + item if i else item
-    yield "]"
+        yield sep + item if i else item
+
+
+def _json_array(items: Iterable[str]) -> Iterator[str]:
+    """``json.dumps`` of a list, from the JSON texts of its items, one piece per item."""
+    return chain(["["], _joined(items, ", "), ["]"])
 
 
 def _check_digits(what: str, p: int, e: int) -> None:
@@ -219,17 +223,6 @@ def _bounds_doc(report: BoundsReport) -> dict:
             )
         ],
     }
-
-
-def _bounds_row(report: BoundsReport) -> tuple:
-    return (
-        *_cell(report.params).values(),
-        " ".join(map(str, report.a_values)),
-        report.symmetric_ok,
-        report.lemma_a1_ok,
-        all(report.archimedean_ok),
-        all(report.valuation_ok),
-    )
 
 
 def _cmd_cyclo(args) -> int:
@@ -326,11 +319,16 @@ def _cmd_detect_half(args) -> int:
 
 def _cmd_bounds(args) -> int:
     params = WeilParams(p=args.p, n=args.n, g=args.g)
-    reports = [full_bounds_report(coeffs, params) for coeffs in ingest_reference(args.file)]
+    reports = (full_bounds_report(coeffs, params) for coeffs in ingest_reference(args.file))
+    cell = tuple(_cell(params).values())
     _emit(
         args,
         lambda: _json_array(json.dumps(_bounds_doc(r)) for r in reports),
-        lambda: map(_bounds_row, reports),
+        lambda: (
+            (*cell, " ".join(map(str, r.a_values)), r.symmetric_ok, r.lemma_a1_ok,
+             all(r.archimedean_ok), all(r.valuation_ok))
+            for r in reports
+        ),
         (*_CELL, "a_values", "symmetric", "lemma_a1", "archimedean", "valuation"),
     )
     return 0

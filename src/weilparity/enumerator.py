@@ -234,9 +234,7 @@ def verify_parity_theorem(params: WeilParams) -> ParityReport:
 
 
 def primes_between(low: int, high: int) -> list[int]:
-    """Primes p with low < p <= high, by a sieve of Eratosthenes up to high."""
-    if high > PRIME_SIEVE_CAP:
-        raise OutOfRange(f"p_max={high} exceeds the prime sieve cap {PRIME_SIEVE_CAP}")
+    """Primes p with low < p <= high, by a sieve up to high (``verify_grid`` caps high)."""
     if high < 2:
         return []
     sieve = bytearray([1]) * (high + 1)
@@ -258,7 +256,7 @@ def verify_grid(g_max: int, p_max: int, n_values: list[int]) -> GridResult:
     2g+1 < p <= p_max; a grid that leaves some g uncovered is a
     ``ValueError``, since it would not verify what was asked.  A p_max
     above ``PRIME_SIEVE_CAP`` is :class:`OutOfRange`.  Errors name the
-    ``verify`` flags ``--gmax`` and ``--n``, not g_max and n_values.
+    ``verify`` flags ``--gmax``, ``--pmax`` and ``--n``.
     """
     if g_max < 1:
         raise ValueError("--gmax must be a positive integer")
@@ -267,6 +265,8 @@ def verify_grid(g_max: int, p_max: int, n_values: list[int]) -> GridResult:
     if len(set(n_values)) < len(n_values):
         raise ValueError(f"--n must not repeat an n: {n_values}")
     _check_g_cap(g_max, "--gmax")
+    if p_max > PRIME_SIEVE_CAP:
+        raise OutOfRange(f"--pmax={p_max} exceeds the prime sieve cap {PRIME_SIEVE_CAP}")
     primes = primes_between(1, p_max)
     # g is covered iff 2g+1 < the largest prime, so the uncovered g form a tail
     covered = (primes[-1] - 2) // 2 if primes else 0

@@ -363,7 +363,7 @@ def test_verify_grid_errors_name_the_flag(capsys, flags, message):
 def test_verify_pmax_above_sieve_cap_is_an_error(capsys):
     code, out, err = invoke(capsys, ["verify", "--gmax", "1", "--pmax", "10000001", "--n", "1"])
     assert (code, out) == (2, "")
-    assert err == "error: p_max=10000001 exceeds the prime sieve cap 10000000\n"
+    assert err == "error: --pmax=10000001 exceeds the prime sieve cap 10000000\n"
 
 
 def test_verify_rejects_even_n(capsys):
@@ -445,16 +445,41 @@ def test_bounds_rejects_even_n(tmp_path, capsys):
 
 
 BOUNDS_G1 = ["bounds", "--g", "1", "--p", "5", "--n", "1", "--file"]
+# The items of BOUNDS_G1 on the lines "5 0 1" and "-5 0 1": the TSV header
+# and rows, and the JSON array elements.
+BOUNDS_G1_ITEMS = {
+    "tsv": [
+        "g\tp\tn\ta_values\tsymmetric\tlemma_a1\tarchimedean\tvaluation",
+        "1\t5\t1\t0\ttrue\ttrue\ttrue\ttrue",
+        "1\t5\t1\t0\tfalse\ttrue\ttrue\ttrue",
+    ],
+    "structured": [
+        '{"g": 1, "p": 5, "n": 1, "symmetric": true, "lemma_a1": true, "per_coefficient": '
+        '[{"k": 1, "a_k": 0, "archimedean": true, "valuation": true}]}',
+        '{"g": 1, "p": 5, "n": 1, "symmetric": false, "lemma_a1": true, "per_coefficient": '
+        '[{"k": 1, "a_k": 0, "archimedean": true, "valuation": true}]}',
+    ],
+}
+
+
+def bounds_g1_cut(fmt, k):
+    """The output of BOUNDS_G1 on its first k lines, cut before its final newline."""
+    items = BOUNDS_G1_ITEMS[fmt]
+    return "\n".join(items[:k + 1]) if fmt == "tsv" else "[" + ", ".join(items[:k])
 
 
 def test_bounds_rejects_malformed_file(tmp_path, capsys):
-    # a bad line anywhere exits 2 with nothing on stdout, in either format:
-    # every line is read and checked before the first row is printed
+    # a bad line exits 2, in either format, after the rows of the lines
+    # before it and nothing else: each line is parsed as its row is made
     ref = tmp_path / "polys.txt"
     ref.write_text("5 0 1\n-5 0 1\n5 zero 1\n")
+    assert bounds_g1_cut("tsv", 2) == (
+        "g\tp\tn\ta_values\tsymmetric\tlemma_a1\tarchimedean\tvaluation\n"
+        "1\t5\t1\t0\ttrue\ttrue\ttrue\ttrue\n1\t5\t1\t0\tfalse\ttrue\ttrue\ttrue"
+    )
     for fmt in ("tsv", "structured"):
         code, out, err = invoke(capsys, [*BOUNDS_G1, str(ref), "--format", fmt])
-        assert (code, out) == (2, "")
+        assert (code, out) == (2, bounds_g1_cut(fmt, 2))
         assert ":3: invalid literal" in err  # line number reported
 
 
@@ -463,7 +488,7 @@ def test_bounds_rejects_wrong_shape(tmp_path, capsys):
     ref.write_text("5 0 1\n-5 0 1\n1 2 3\n")  # not monic
     for fmt in ("tsv", "structured"):
         code, out, err = invoke(capsys, [*BOUNDS_G1, str(ref), "--format", fmt])
-        assert (code, out) == (2, "")
+        assert (code, out) == (2, bounds_g1_cut(fmt, 2))
         assert err == "error: polynomial must be monic of degree 2, got degree 2\n"
 
 
@@ -483,9 +508,10 @@ def test_bounds_strips_trailing_zeros(tmp_path, capsys):
 def test_bounds_zero_line_reads_degree_minus_infinity(tmp_path, capsys, line):
     ref = tmp_path / "polys.txt"
     ref.write_text(f"5 0 1\n{line}\n")
-    code, out, err = invoke(capsys, [*BOUNDS_G1, str(ref)])
-    assert (code, out) == (2, "")
-    assert err == "error: polynomial must be monic of degree 2, got degree -inf\n"
+    for fmt in ("tsv", "structured"):
+        code, out, err = invoke(capsys, [*BOUNDS_G1, str(ref), "--format", fmt])
+        assert (code, out) == (2, bounds_g1_cut(fmt, 1))
+        assert err == "error: polynomial must be monic of degree 2, got degree -inf\n"
 
 
 BOUNDS_GOLDEN = [pytest.param(a, f, id=f"{' '.join(a)} {f}") for a, f in GOLDEN if a[0] == "bounds"]
@@ -515,11 +541,12 @@ def test_bounds_builds_one_threshold_table_per_run(tmp_path, capsys):
     assert (info.misses, info.hits) == (1, len(polys) - 1)
 
 
-def test_bounds_missing_file(capsys):
-    code, _, err = invoke(
-        capsys, ["bounds", "--g", "1", "--p", "5", "--n", "1", "--file", "/nonexistent"]
-    )
-    assert code == 2
+def test_bounds_missing_file(capsys, tmp_path):
+    # the file is opened before the first byte, so no TSV header is printed
+    for fmt in ("tsv", "structured"):
+        code, out, err = invoke(capsys, [*BOUNDS_G1, str(tmp_path / "missing.txt"), "--format", fmt])
+        assert (code, out) == (2, "")
+        assert err.startswith("error: [Errno 2]")
 
 
 def half_degree_t3(monkeypatch):
@@ -610,33 +637,36 @@ def odd_factor(monkeypatch, cold_caches):
 
 
 def test_odd_shape_is_an_internal_error(odd_factor, capsys):
-    # an odd shape breaks an invariant of the construction: exit 3, not 2
+    # an odd shape breaks an invariant of the construction: exit 3, not 2;
+    # the header was made before the first row failed
     code, out, err = invoke(capsys, ["enumerate", "--g", "1", "--p", "5", "--n", "1"])
-    assert (code, out) == (3, "")
+    assert (code, out) == (3, "g\tp\tn\tcoeffs\teven\tfactors")
     assert err.startswith("internal error: BrokenInvariant:")
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv, before",
     [
-        pytest.param(a, id=" ".join(a))
-        for a in (
-            ["verify", "--gmax", "1", "--pmax", "5", "--n", "1"],
-            ["verify", "--gmax", "1", "--pmax", "5", "--n", "1", "--format", "structured"],
-            ["enumerate", "--g", "2", "--p", "7", "--n", "1", "--format", "structured"],
-            ["minpoly", "--p", "5", "--n", "1", "--sign", "+", "--t", "1"],
-            ["minpoly", "--p", "5", "--n", "1", "--sign", "+", "--t", "1", "--format", "structured"],
+        pytest.param(a, before, id=" ".join(a))
+        for a, before in (
+            (
+                ["verify", "--gmax", "1", "--pmax", "5", "--n", "1"],
+                "g\tp\tn\ttotal_candidates\todd_candidates\thalf_degree_specs\tok",
+            ),
+            (["verify", "--gmax", "1", "--pmax", "5", "--n", "1", "--format", "structured"], "["),
+            (["enumerate", "--g", "2", "--p", "7", "--n", "1", "--format", "structured"], ""),
+            (["minpoly", "--p", "5", "--n", "1", "--sign", "+", "--t", "1"], ""),
+            (["minpoly", "--p", "5", "--n", "1", "--sign", "+", "--t", "1", "--format", "structured"], ""),
         )
     ],
 )
-def test_odd_factor_is_an_internal_error(odd_factor, capsys, argv):
+def test_odd_factor_is_an_internal_error(odd_factor, capsys, argv, before):
     # each factor is checked as it is built, counted or printed: an odd one
-    # is exit 3, never a parity violation (exit 1) or a usage error (exit 2)
+    # is exit 3, never a parity violation (exit 1) or a usage error (exit 2),
+    # and stdout holds what was made before it
     code, out, err = invoke(capsys, argv)
-    assert code == 3
+    assert (code, out) == (3, before)
     assert err.startswith("internal error: BrokenInvariant:")
-    if "structured" not in argv:
-        assert out == ""
 
 
 @pytest.mark.parametrize(
@@ -789,12 +819,24 @@ def test_structured_verify_expands_each_cell_once(monkeypatch):
     assert (code, "".join(text for _, text in log)) == (0, "[" + ", ".join(cells) + "]\n")
 
 
-@pytest.mark.parametrize("k", [1, 2, 9, 14])
-def test_internal_error_mid_stream_keeps_the_cells_before_it(monkeypatch, k):
-    # the k-th cell fails: the first k-1 cells, and nothing else, are out
+@pytest.mark.parametrize(
+    "fmt, k",
+    [pytest.param("structured", k, id=str(k)) for k in (1, 2, 9, 14)]
+    + [pytest.param("tsv", k, id=f"tsv-{k}") for k in (1, 2, 9, 14)],
+)
+def test_internal_error_mid_stream_keeps_the_cells_before_it(monkeypatch, fmt, k):
+    # the k-th cell fails: the first k-1 cells, and nothing else, are out,
+    # after the TSV header or the opening bracket
     import weilparity.enumerator as enumerator
 
-    cells = small_grid_cells()
+    if fmt == "structured":
+        cells = small_grid_cells()
+        full, cut = "[" + ", ".join(cells) + "]\n", "[" + ", ".join(cells[:k - 1])
+    else:
+        code, full, _ = recorded_run(monkeypatch, SMALL_GRID)
+        assert (hashlib.sha256(full.encode()).hexdigest(), code) == GOLDEN[SMALL_GRID, "tsv"]
+        header, *cells = full.splitlines()
+        cut = "\n".join([header, *cells[:k - 1]])
     assert len(cells) == 14
     real = enumerator.verify_parity_theorem
     calls = []
@@ -806,10 +848,10 @@ def test_internal_error_mid_stream_keeps_the_cells_before_it(monkeypatch, k):
         return real(params)
 
     monkeypatch.setattr(enumerator, "verify_parity_theorem", failing)
-    code, out, log = recorded_run(monkeypatch, [*SMALL_GRID, "--format", "structured"])
+    code, out, log = recorded_run(monkeypatch, [*SMALL_GRID, "--format", fmt])
     assert code == 3
-    assert out == "[" + ", ".join(cells[:k - 1])
-    assert ("[" + ", ".join(cells) + "]\n").startswith(out)
+    assert out == cut
+    assert full.startswith(out)
     err = "".join(text for name, text in log if name == "err")
     assert err.startswith(f"internal error: RuntimeError: cell {k} failed")
 
@@ -877,6 +919,65 @@ def test_structured_verify_writes_in_blocks(monkeypatch):
     assert out == parity_json(verify_grid(5, 200, [1, 3]))
     assert min(sizes[:-1]) >= cli._WRITE_BLOCK > sizes[-1]
     assert len(sizes) <= len(out) // cli._WRITE_BLOCK + 1
+
+
+@pytest.mark.parametrize("fmt", ["tsv", "structured"])
+def test_bounds_writes_each_row_before_the_next_line_is_read(monkeypatch, tmp_path, fmt):
+    # with one-character blocks, the rows of the lines before a line are
+    # out when it is parsed and checked
+    import weilparity.cli as cli
+
+    ref = tmp_path / "polys.txt"
+    ref.write_text("5 0 1\n# comment\n-5 0 1\n")
+    real = cli.full_bounds_report
+    checked = []
+
+    def recording(coeffs, params):
+        checked.append((coeffs, "".join(text for name, text in log if name == "out")))
+        return real(coeffs, params)
+
+    log = []
+    monkeypatch.setattr(cli, "_WRITE_BLOCK", 1)
+    monkeypatch.setattr(cli, "full_bounds_report", recording)
+    monkeypatch.setattr(sys, "stdout", Recorder("out", log))
+    code = run([*BOUNDS_G1, str(ref), "--format", fmt])
+    assert checked == [([5, 0, 1], bounds_g1_cut(fmt, 0)), ([-5, 0, 1], bounds_g1_cut(fmt, 1))]
+    end = "\n" if fmt == "tsv" else "]\n"
+    assert (code, "".join(text for _, text in log)) == (0, bounds_g1_cut(fmt, 2) + end)
+
+
+def test_bounds_memory_does_not_grow_with_the_file(monkeypatch, tmp_path):
+    # only the block being written and the line being read are held, and
+    # both outputs exceed one block: tripling the file (2000 -> 6000 lines)
+    # moves the traced peak by less than 100 KB
+    import weilparity.cli as cli
+
+    header, *rows = BOUNDS_G1_ITEMS["tsv"]
+
+    def digest(lines):
+        ref = tmp_path / f"{lines}.txt"
+        ref.write_text("5 0 1\n-5 0 1\n" * (lines // 2))
+        sink = HashSink()
+        monkeypatch.setattr(sys, "stdout", sink)
+        assert run([*BOUNDS_G1, str(ref)]) == 0
+        monkeypatch.undo()
+        return sink.sha.hexdigest()
+
+    for lines in (2000, 6000):  # fills the threshold table's cache
+        expected = "\n".join([header, *rows * (lines // 2)]) + "\n"
+        assert len(expected) > cli._WRITE_BLOCK
+        assert digest(lines) == hashlib.sha256(expected.encode()).hexdigest()
+    peaks = []
+    tracemalloc.start()
+    try:
+        for lines in (2000, 6000):
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            digest(lines)
+            peaks.append(tracemalloc.get_traced_memory()[1] - before)
+    finally:
+        tracemalloc.stop()
+    assert peaks[1] - peaks[0] < 100_000, peaks
 
 
 @pytest.mark.parametrize(
@@ -956,13 +1057,17 @@ def test_enumerate_to_bounds_round_trip(tmp_path, capsys):
 def test_ingest_reference(tmp_path):
     ref = tmp_path / "ref.txt"
     ref.write_text("# comment\n\n5 0 1\n-5 0 1 0 0\n0 0\n")
-    assert ingest_reference(ref) == [[5, 0, 1], [-5, 0, 1], []]
+    assert list(ingest_reference(ref)) == [[5, 0, 1], [-5, 0, 1], []]
 
     bad = tmp_path / "bad.txt"
     bad.write_text("5 0 1\nx y z\n")
+    polys = ingest_reference(bad)
+    assert next(polys) == [5, 0, 1]  # read a line at a time
     with pytest.raises(ParseError) as info:
-        ingest_reference(bad)
+        next(polys)
     assert ":2:" in str(info.value)
+    with pytest.raises(FileNotFoundError):
+        ingest_reference(tmp_path / "missing.txt")  # opened by the call itself
 
 
 SMALL_PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23]

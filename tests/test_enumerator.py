@@ -368,10 +368,14 @@ def test_primes_between_sieve_matches_is_prime():
     assert primes_between(1000, 3000) == [p for p in range(1001, 3001) if is_prime(p)]
 
 
-def test_primes_between_cap():
+def test_primes_between_cap(monkeypatch):
+    # verify_grid, the sieve's caller, checks the cap before it sieves
+    import weilparity.enumerator as enumerator
+
     assert primes_between(PRIME_SIEVE_CAP - 100, PRIME_SIEVE_CAP)[-1] == 9999991
-    with pytest.raises(OutOfRange):
-        primes_between(1, PRIME_SIEVE_CAP + 1)
+    monkeypatch.setattr(enumerator, "primes_between", lambda low, high: pytest.fail("sieved"))
+    with pytest.raises(OutOfRange, match=f"--pmax={PRIME_SIEVE_CAP + 1} exceeds"):
+        verify_grid(1, PRIME_SIEVE_CAP + 1, [1])
 
 
 def test_verify_grid_small():
