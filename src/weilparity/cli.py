@@ -21,7 +21,10 @@ exit 1's stderr line follows the full output.  Every other check runs
 before the first byte: a ``verify`` grid must cover each g <= gmax with
 a prime 2g+1 < p <= pmax <= 10**7 (the sieve cap) and name no n twice, a
 printed constant term (q**g, or q**(phi(4t)/2) for ``minpoly``) must fit
-Python's digit limit, and the ``bounds`` file must open.
+Python's digit limit, and the ``bounds`` file must open.  ``enumerate``
+and structured ``verify`` write a cell's candidates by filling a q-free
+template, built once per (g, spec set): the cell converts only its
+distinct (power of q, coefficient) slots to decimal.
 """
 
 from __future__ import annotations
@@ -38,9 +41,8 @@ from typing import Iterable, Iterator, Sequence
 from .bounds import BoundsReport, full_bounds_report
 from .cyclotomic import CYCLOTOMIC_CAP, cyclotomic, totient
 from .enumerator import ParityReport, candidate_shapes, verify_grid, verify_parity_theorem
-from .errors import OutOfRange, ParseError
-from .intpoly import IntPoly
-from .weil import WeilParams, minpoly_full_degree, q_powers, scale_shape
+from .errors import BrokenInvariant, OutOfRange, ParseError
+from .weil import WeilParams, minpoly_full_degree, q_powers
 
 _SIGN_TEXT = {1: "+", -1: "-"}
 _CELL = ("g", "p", "n")
@@ -73,12 +75,6 @@ def ingest_reference(path: str | Path) -> Iterator[list[int]]:
     return polys()
 
 
-def _text(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    return str(value)
-
-
 # Output is written in blocks of at least this many characters.
 # Each write to a pipe wakes its reader, and a reader woken on the writer's
 # CPU preempts it: one write per cell cost a thousand context switches on a
@@ -93,14 +89,14 @@ def _emit(args, text, rows, header=None) -> None:
 
     Only the requested format is built: ``text`` and ``rows`` are thunks.
     ``text()`` yields the JSON text in pieces; a TSV line is a row's fields,
-    tab-joined, with booleans as ``true``/``false``.  Each item is written
+    tab-joined, each as ``str`` writes it.  Each item is written
     as it is made: a failure leaves the items before it, with no newline.
     """
     if args.format == "structured":
         pieces = text()
     else:
         lines = chain([header] if header else [], rows())
-        pieces = _joined(("\t".join(map(_text, row)) for row in lines), "\n")
+        pieces = _joined(("\t".join(map(str, row)) for row in lines), "\n")
     _write_blocks(pieces)
 
 
@@ -150,45 +146,59 @@ def _check_digits(what: str, p: int, e: int) -> None:
         )
 
 
-def _cell(params: WeilParams) -> dict:
-    return {"g": params.g, "p": params.p, "n": params.n}
-
-
-def _spec(spec) -> dict:
-    return {"sign": spec.q_star_sign, "t": spec.t}
+def _specs_json(specs) -> str:
+    """The JSON text of the list of ``{"sign", "t"}`` objects of ``specs``."""
+    return "[" + ", ".join(f'{{"sign": {s.q_star_sign}, "t": {s.t}}}' for s in specs) + "]"
 
 
 @cache
-def _factor_json(g: int, specs: tuple) -> tuple[tuple[IntPoly, str], ...]:
-    """:func:`candidate_shapes` of a key, each record replaced by its JSON text.
+def _candidate_template(g: int, specs: tuple, fmt: str) -> tuple[str, tuple[tuple[int, int], ...]]:
+    """(template, slots): the text of a key's candidates in ``fmt``, with q left out.
 
-    The text is what ``json.dumps`` writes for the record's list of
-    ``{"sign", "t", "mult"}`` objects.  It does not depend on q, so it
-    is rendered once per key instead of once per cell.
+    The candidates are :func:`candidate_shapes` of the key: JSON objects
+    joined by ``", "``, or TSV rows starting ``%(cell)s`` joined by newlines.
+    The coefficient c of X**(2g - 2e) is the cell's ``c * q**e``: ``0`` if c
+    is, else ``%(k)s`` for (e, c) the k-th distinct slot.  Each shape is
+    checked here, once per key, to be even of degree 2g (else
+    :class:`BrokenInvariant`); c * q**e is 0 only if c is, so every
+    candidate is even, and ``even`` is the text ``true``.
     """
-    return tuple(
-        (
-            shape,
-            "[" + ", ".join(
+    shapes = candidate_shapes(g, specs)
+    if any(len(shape.coeffs) != 2 * g + 1 or any(shape.coeffs[1::2]) for shape, _ in shapes):
+        raise BrokenInvariant("a candidate shape must be an even polynomial of degree 2g")
+    evens = [shape.coeffs[::2] for shape, _ in shapes]  # c of X**(2g - 2e) at index g - e
+    slots = tuple((g - i, c) for i, cs in enumerate(zip(*evens)) for c in dict.fromkeys(cs) if c)
+    text = [{0: "0"} for _ in range(g + 1)]  # the text of c at index g - e
+    for k, (e, c) in enumerate(slots):
+        text[g - e][c] = f"%({k})s"
+    items = []
+    for even, (_, record) in zip(evens, shapes):
+        coeffs = map(dict.__getitem__, text, even)
+        if fmt == "structured":
+            factors = "[" + ", ".join(
                 f'{{"sign": {s.q_star_sign}, "t": {s.t}, "mult": {m}}}' for s, m in record
-            ) + "]",
-        )
-        for shape, record in candidate_shapes(g, specs)
-    )
+            ) + "]"
+            items.append(f'{{"coeffs": [{", 0, ".join(coeffs)}], "even": true, '
+                         f'"factors": {factors}}}')
+        else:
+            factors = ";".join(f"{_SIGN_TEXT[s.q_star_sign]}:{s.t}:{m}" for s, m in record)
+            items.append(f"%(cell)s{' 0 '.join(coeffs)}\ttrue\t{factors}")
+        assert "%" not in factors  # the only text of the template made from data
+    return (", " if fmt == "structured" else "\n").join(items), slots
 
 
-def _candidates(report: ParityReport, expand) -> Iterator[tuple[list[int], bool, object]]:
-    """(coefficients, even, factors) of each candidate of ``report``, in canonical order.
+def _candidates_text(report: ParityReport, fmt: str) -> str:
+    """The cell's candidates in ``fmt``: its key's template, filled with the cell's q.
 
-    ``expand`` is :func:`candidate_shapes` or :func:`_factor_json`, so
-    ``factors`` is the factor record or its JSON text.  The coefficients
-    are the shape's, scaled by the cell's powers of q.
+    Each slot (e, c) is converted to decimal once per cell, as
+    ``str(c * q**e)``; the slot ``cell`` is the TSV prefix ``g p n``.
     """
     params = report.params
+    template, slots = _candidate_template(params.g, report.full_degree_specs, fmt)
     powers = q_powers(params.q, params.g)
-    for shape, factors in expand(params.g, report.full_degree_specs):
-        coeffs = scale_shape(shape, powers)
-        yield coeffs, not any(coeffs[1::2]), factors
+    texts = {str(k): str(c * powers[e]) for k, (e, c) in enumerate(slots)}
+    texts["cell"] = f"{params.g}\t{params.p}\t{params.n}\t"
+    return template % texts
 
 
 def _parity_json(report: ParityReport) -> str:
@@ -198,22 +208,19 @@ def _parity_json(report: ParityReport) -> str:
     with ``", "`` and ``": "`` as separators.
     """
     params = report.params
-    candidates = ", ".join(
-        f'{{"coeffs": [{", ".join(map(str, coeffs))}], "even": {_text(even)}, "factors": {factors}}}'
-        for coeffs, even, factors in _candidates(report, _factor_json)
-    )
     return (
         f'{{"g": {params.g}, "p": {params.p}, "n": {params.n}, '
         f'"total_candidates": {report.total_candidates}, '
         f'"odd_candidates": {report.odd_candidates}, '
-        f'"candidates": [{candidates}], '
-        f'"half_degree_specs": {json.dumps([_spec(s) for s in report.half_degree_specs])}}}'
+        f'"candidates": [{_candidates_text(report, "structured")}], '
+        f'"half_degree_specs": {_specs_json(report.half_degree_specs)}}}'
     )
 
 
 def _bounds_doc(report: BoundsReport) -> dict:
+    params = report.params
     return {
-        **_cell(report.params),
+        "g": params.g, "p": params.p, "n": params.n,
         "symmetric": report.symmetric_ok,
         "lemma_a1": report.lemma_a1_ok,
         "per_coefficient": [
@@ -258,12 +265,10 @@ def _cmd_enumerate(args) -> int:
     params = WeilParams(p=args.p, n=args.n, g=args.g)
     _check_digits("the constant term", args.p, args.n * args.g)
     report = verify_parity_theorem(params)
-    cell = tuple(_cell(report.params).values())
 
-    def rows():
-        for coeffs, even, record in _candidates(report, candidate_shapes):
-            factors = ";".join(f"{_SIGN_TEXT[s.q_star_sign]}:{s.t}:{m}" for s, m in record)
-            yield (*cell, " ".join(map(str, coeffs)), even, factors)
+    def rows():  # after the header is out, a piece per row, so blocks stay _WRITE_BLOCK
+        for row in _candidates_text(report, "tsv").split("\n"):
+            yield (row,)
 
     _emit(args, lambda: [_parity_json(report)], rows, (*_CELL, "coeffs", "even", "factors"))
     return 0 if report.contract_ok else 1
@@ -284,16 +289,8 @@ def _cmd_verify(args) -> int:
     _emit(
         args,
         lambda: _json_array(map(_parity_json, reports())),
-        lambda: (
-            (
-                *_cell(r.params).values(),
-                r.total_candidates,
-                r.odd_candidates,
-                len(r.half_degree_specs),
-                r.contract_ok,
-            )
-            for r in reports()
-        ),
+        lambda: ((r.params.g, r.params.p, r.params.n, r.total_candidates, r.odd_candidates,
+                  len(r.half_degree_specs), str(r.contract_ok).lower()) for r in reports()),
         (*_CELL, "total_candidates", "odd_candidates", "half_degree_specs", "ok"),
     )
     if not ok:
@@ -307,7 +304,8 @@ def _cmd_detect_half(args) -> int:
     specs = verify_parity_theorem(params).half_degree_specs  # builds no shape
     _emit(
         args,
-        lambda: [json.dumps({**_cell(params), "half_degree_specs": [_spec(s) for s in specs]})],
+        lambda: [f'{{"g": {params.g}, "p": {params.p}, "n": {params.n}, '
+                 f'"half_degree_specs": {_specs_json(specs)}}}'],
         lambda: ((_SIGN_TEXT[s.q_star_sign], s.t, totient(4 * s.t) // 2) for s in specs),
         ("sign", "t", "degree"),
     )
@@ -320,13 +318,15 @@ def _cmd_detect_half(args) -> int:
 def _cmd_bounds(args) -> int:
     params = WeilParams(p=args.p, n=args.n, g=args.g)
     reports = (full_bounds_report(coeffs, params) for coeffs in ingest_reference(args.file))
-    cell = tuple(_cell(params).values())
+    cell = (params.g, params.p, params.n)
     _emit(
         args,
         lambda: _json_array(json.dumps(_bounds_doc(r)) for r in reports),
         lambda: (
-            (*cell, " ".join(map(str, r.a_values)), r.symmetric_ok, r.lemma_a1_ok,
-             all(r.archimedean_ok), all(r.valuation_ok))
+            (*cell, " ".join(map(str, r.a_values)),
+             "true" if r.symmetric_ok else "false", "true" if r.lemma_a1_ok else "false",
+             "true" if all(r.archimedean_ok) else "false",
+             "true" if all(r.valuation_ok) else "false")
             for r in reports
         ),
         (*_CELL, "a_values", "symmetric", "lemma_a1", "archimedean", "valuation"),

@@ -36,9 +36,10 @@ Candidates are expanded only where their coefficients are printed, from
 ``q**(d/2) * S(X/sqrt(q))`` for the integer shape S of its spec (sign,
 t), and that scaling is multiplicative, so every candidate is the
 scaled product of its factors' shapes.  The products are built once per
-key by a recurrence memoized on (spec index, degree left), and a cell
-only scales them by its q (``weil.scale_shape``).  This module writes
-no output text.
+key by a recurrence memoized on (spec index, degree left).  The command
+line turns them, once per key, into a q-free text template, and a cell
+only fills it: each distinct value c * q**e among its coefficients is
+converted to decimal once.  This module writes no output text.
 
 A grid's reports are built as the grid is read, one cell at a time, and
 none is kept: a caller writes each cell out before the next is built.

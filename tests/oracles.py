@@ -2,8 +2,9 @@
 
 None of these is on a command-line path: they are independent
 constructions (the Moebius quotient for cyclotomic polynomials, exact
-polynomial division, a parity report's document built as a dict, the
-candidate count taken over every product), identities from the
+polynomial division, a parity report's document built as a dict and
+its TSV rows rendered one candidate at a time, the candidate count taken
+over every product), identities from the
 literature, and the paper's thresholds, kept here as oracles and
 acceptance checks.
 """
@@ -183,6 +184,26 @@ def parity_doc(report) -> dict:
         ],
         "half_degree_specs": [{"sign": s.q_star_sign, "t": s.t} for s in report.half_degree_specs],
     }
+
+
+def enumerate_rows(report) -> list[str]:
+    """The TSV rows ``enumerate`` prints for the cell, one per candidate, header not included.
+
+    Each row is rendered from its own polynomial: the cell, the
+    coefficients, ``true``/``false`` for evenness and the factor record
+    as ``sign:t:mult`` joined by ``;``.
+    """
+    cell = [str(report.params.g), str(report.params.p), str(report.params.n)]
+    sign_text = {1: "+", -1: "-"}
+    return [
+        "\t".join([
+            *cell,
+            " ".join(map(str, c.poly.coeffs)),
+            "true" if c.poly.is_even() else "false",
+            ";".join(f"{sign_text[s.q_star_sign]}:{s.t}:{m}" for s, m in c.factors),
+        ])
+        for c in candidates(report)
+    ]
 
 
 def parity_json(reports) -> str:

@@ -10,11 +10,11 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
-from oracles import NotDivisible, parity_doc, parity_json
+from oracles import NotDivisible, enumerate_rows, parity_doc, parity_json
 
 from weilparity.cli import ingest_reference, run
 from weilparity.enumerator import G_CAP, primes_between, verify_grid, verify_parity_theorem
-from weilparity.errors import ParseError
+from weilparity.errors import BrokenInvariant, ParseError
 from weilparity.intpoly import IntPoly
 from weilparity.weil import WeilParams
 
@@ -233,6 +233,18 @@ GOLDEN = {
         ("b88ab04423f6fd2bf3bca8f07e2bcf570ebe3e21fc4cbb3f67dac829272e4599", 0),
     (("enumerate", "--g", "6", "--p", "17", "--n", "3"), "structured"):
         ("a700fad711fffc3891fd8d78ca708fd0bee400d8ba21702c6205b85a76ff6aa5", 0),
+    # recorded when each cell scaled every candidate shape by its q and
+    # converted every coefficient to decimal; g = 8 at p = 7 has half-degree specs
+    (("enumerate", "--g", "10", "--p", "23", "--n", "3"), "tsv"):
+        ("436a4f659d2b5919eeba6cf5db82b7cf278387dedd0ca5b47bd167c916c3d35b", 0),
+    (("enumerate", "--g", "10", "--p", "23", "--n", "3"), "structured"):
+        ("076b99b569082068ef75d3986f872d860e1857a3a6d3626e74ffd67948d2f261", 0),
+    (("enumerate", "--g", "8", "--p", "7", "--n", "1"), "tsv"):
+        ("35053a02d2cd2895d73b0245f3b0cae8d8c723e46f3774dae39fef84e547a18b", 0),
+    (("enumerate", "--g", "8", "--p", "7", "--n", "1"), "structured"):
+        ("bd60c03ce7a2829e3f633e4a4042de0bda260c6e030e9db221864b271d3dc681", 0),
+    (("verify", "--gmax", "10", "--pmax", "60", "--n", "1", "--n", "3"), "structured"):
+        ("7636e586270f79beb16a86c266a439ad3853aaa7316175d27cccdcf4509f0904", 0),
 }
 
 
@@ -674,15 +686,15 @@ def test_odd_factor_is_an_internal_error(odd_factor, capsys, argv, before):
     [pytest.param(a, id=" ".join(a)) for a, f in GOLDEN if a[0] == "verify" and f == "tsv"],
 )
 def test_tsv_verify_expands_no_candidate(monkeypatch, capsys, tmp_path, argv):
-    # TSV verify prints counts only, so it never scales a shape
+    # TSV verify prints counts only, so it neither renders nor scales a candidate
     import weilparity.cli as cli
     import weilparity.weil as weil
 
-    def scale(*args):
+    def expand(*args):
         raise RuntimeError("a candidate was expanded")
 
-    monkeypatch.setattr(cli, "scale_shape", scale)
-    monkeypatch.setattr(weil, "scale_shape", scale)
+    monkeypatch.setattr(cli, "_candidate_template", expand)
+    monkeypatch.setattr(weil, "scale_shape", expand)
     assert golden_run(capsys, tmp_path, argv, "tsv") == GOLDEN[argv, "tsv"]
 
 
@@ -798,17 +810,17 @@ def test_structured_verify_expands_each_cell_once(monkeypatch):
     import weilparity.cli as cli
 
     expanded = []
-    real = cli._candidates
+    real = cli._parity_json
 
-    def counting(report, expand):
+    def counting(report):
         written = "".join(text for name, text in log if name == "out")
         expanded.append(((report.params.g, report.params.p, report.params.n), written))
-        return real(report, expand)
+        return real(report)
 
     cells = small_grid_cells()
     log = []
     monkeypatch.setattr(cli, "_WRITE_BLOCK", 1)
-    monkeypatch.setattr(cli, "_candidates", counting)
+    monkeypatch.setattr(cli, "_parity_json", counting)
     monkeypatch.setattr(sys, "stdout", Recorder("out", log))
     code = run([*SMALL_GRID, "--format", "structured"])
     grid = [(g, p, n) for g in (1, 2) for p in (5, 7, 11, 13) if p > 2 * g + 1 for n in (1, 3)]
@@ -1160,3 +1172,92 @@ def test_structured_verify_matches_the_dict_oracle(capsys, gmax, pmax, ns):
         argv += ["--n", str(n)]
     code, out, _ = invoke(capsys, argv)
     assert (code, out) == (0, parity_json(verify_grid(gmax, pmax, ns)))
+
+
+@pytest.mark.parametrize("g", range(1, 7))
+def test_cell_text_matches_the_oracles(capsys, g):
+    # both formats, on both sides of p = 2g+1 and at p = 2, against a
+    # rendering from each candidate's own polynomial
+    import weilparity.cli as cli
+
+    for p in (2, 3, 5, 7, 11, 13, 101):
+        for n in (1, 3):
+            report = verify_parity_theorem(WeilParams(p=p, n=n, g=g))
+            assert cli._parity_json(report) == json.dumps(parity_doc(report))
+            code, out, _ = invoke(capsys, ["enumerate", "--g", str(g), "--p", str(p), "--n", str(n)])
+            assert (code, out.splitlines()[1:]) == (0, enumerate_rows(report))
+
+
+@pytest.mark.parametrize("fmt", ["tsv", "structured"])
+def test_a_cell_converts_each_distinct_slot_once(monkeypatch, cold_caches, fmt):
+    # g = 5 at p = 601: 54 candidates with 288 nonzero coefficients, but
+    # only 44 distinct (power of q, coefficient) pairs, each multiplied out
+    # once per cell
+    import weilparity.cli as cli
+    import weilparity.enumerator as enumerator
+
+    products = []
+
+    class Power(int):
+        def __rmul__(self, c):
+            products.append(c)
+            return c * int(self)
+
+    real = cli.q_powers
+    monkeypatch.setattr(cli, "q_powers", lambda q, k: [Power(x) for x in real(q, k)])
+    argv = ["enumerate", "--g", "5", "--p", "601", "--n", "1", "--format", fmt]
+    code, out, _ = recorded_run(monkeypatch, argv)
+    report = verify_parity_theorem(WeilParams(p=601, n=1, g=5))
+    if fmt == "tsv":
+        assert out.splitlines()[1:] == enumerate_rows(report)
+    else:
+        assert out == json.dumps(parity_doc(report)) + "\n"
+    template, slots = cli._candidate_template(5, report.full_degree_specs, fmt)
+    shapes = enumerator.candidate_shapes(5, report.full_degree_specs)
+    nonzero = [(5 - j // 2, c) for shape, _ in shapes for j, c in enumerate(shape.coeffs) if c]
+    assert (len(shapes), len(nonzero), len(slots)) == (54, 288, 44)
+    assert sorted(slots) == sorted(set(nonzero))
+    assert template.count("%") == len(nonzero) + (len(shapes) if fmt == "tsv" else 0)
+    assert (code, len(products)) == (0, len(slots))
+
+
+def test_one_template_per_spec_set(cold_caches, capsys):
+    # cells with equal spec sets share a template, as they share their shapes
+    import weilparity.cli as cli
+    import weilparity.enumerator as enumerator
+
+    argv = ["verify", "--gmax", "5", "--pmax", "60", "--n", "1", "--n", "3", "--format", "structured"]
+    code, out, _ = invoke(capsys, argv)
+    cells = len(json.loads(out))
+    info = cli._candidate_template.cache_info()
+    assert code == 0
+    assert info.currsize == enumerator.candidate_shapes.cache_info().currsize < cells
+    assert info.hits + info.misses == cells
+
+
+@pytest.mark.parametrize("fmt", ["tsv", "structured"])
+def test_template_rejects_a_shape_not_even_of_degree_2g(monkeypatch, cold_caches, fmt):
+    # every shape is even of degree 2g by construction, so any other breaks
+    # an invariant; it is checked once per template, not once per cell
+    import weilparity.cli as cli
+
+    for coeffs in ([1, 1, 1], [1, 0, 0, 0, 1], [1]):
+        monkeypatch.setattr(cli, "candidate_shapes", lambda g, specs: ((IntPoly(coeffs), ()),))
+        cli._candidate_template.cache_clear()
+        with pytest.raises(BrokenInvariant):
+            cli._candidate_template(1, (), fmt)
+
+
+def test_tsv_enumerate_writes_in_blocks(monkeypatch):
+    # a cell's rows are filled in one piece of text but handed to the writer
+    # one row at a time, so no write is much larger than a block
+    import weilparity.cli as cli
+
+    code, out, log = recorded_run(monkeypatch, ["enumerate", "--g", "10", "--p", "23", "--n", "3"])
+    sizes = [len(text) for name, text in log if name == "out"]
+    assert (hashlib.sha256(out.encode()).hexdigest(), code) == GOLDEN[
+        ("enumerate", "--g", "10", "--p", "23", "--n", "3"), "tsv"
+    ]
+    longest = max(map(len, out.splitlines()))
+    assert min(sizes[:-1]) >= cli._WRITE_BLOCK > sizes[-1]
+    assert max(sizes) <= cli._WRITE_BLOCK + longest + 1
