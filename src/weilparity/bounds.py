@@ -24,19 +24,17 @@ a_1..a_g and their archimedean and valuation flags as three flat tuples.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
 from math import comb
 from operator import eq, le, mod, mul, not_
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import ShapeError
 from .intpoly import NEG_INFINITY
 from .weil import WeilParams, q_powers
 
 
-@dataclass(frozen=True)
-class BoundsReport:
+class BoundsReport(NamedTuple):
     """Bound checks on one polynomial; the tuples hold one entry per k = 1..g."""
 
     params: WeilParams

@@ -16,10 +16,10 @@ and a duplicated computation under contention is harmless.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate
 from math import isqrt, prod
+from typing import NamedTuple
 
 from .errors import OutOfRange
 from .intpoly import IntPoly
@@ -28,27 +28,35 @@ FACTORIZE_CAP = 10 ** 9  # trial-division scale
 CYCLOTOMIC_CAP = 10 ** 6  # about 2**omega(n) * phi(n)/2 coefficient updates
 
 
-@dataclass(frozen=True)
-class FactoredInteger:
+class _FactoredInteger(NamedTuple):
+    n: int
+    factors: tuple[tuple[int, int], ...]
+
+
+class FactoredInteger(_FactoredInteger):
     """A positive integer with its prime factorization.
 
     ``factors`` lists (prime, exponent) pairs with strictly increasing
     primes; their product reconstructs ``n`` (the empty product is 1).
     """
 
-    n: int
-    factors: tuple[tuple[int, int], ...]
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, n: int, factors: tuple[tuple[int, int], ...]):
         acc = 1
         prev = 1
-        for p, e in self.factors:
+        for p, e in factors:
             if p <= prev or e < 1:
                 raise ValueError("factors must be increasing primes with positive exponents")
             prev = p
             acc *= p ** e
-        if acc != self.n:
-            raise ValueError(f"factorization does not multiply back to {self.n}")
+        if acc != n:
+            raise ValueError(f"factorization does not multiply back to {n}")
+        return super().__new__(cls, n, factors)
+
+    @classmethod
+    def _make(cls, iterable):  # _replace builds through _make: check there too
+        return cls(*iterable)
 
 
 @lru_cache(maxsize=None)

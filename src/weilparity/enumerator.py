@@ -9,9 +9,10 @@ numbers cannot be expanded into polynomials, so they are detected and
 reported separately: when p > 2g+1 none may fit inside degree 2g.
 
 One spec scan per cell decides the full/half degree dichotomy.  It runs
-over the root-of-unity indices t with phi(4t)/2 <= 2g, capped by the
-provable bound phi(m) >= sqrt(m/2): once t > 8g**2 every phi(4t)/2
-exceeds 2g, so the scan is complete, not heuristic.  Those t do not
+over the root-of-unity indices t with phi(4t)/2 <= 2g, listed by
+inverse totient: a prime p dividing m = 4t has p - 1 <= phi(m) <= 4g,
+so a walk over the prime powers of the primes up to 4g + 1, carrying
+phi, finds every such t exactly, with no factorization.  Those t do not
 depend on (p, n), so their specs (both signs of each) are built, and
 checked, once per g, and each cell runs ``is_full_degree`` once on each
 spec: a half-degree spec fits if phi(4t)/2 <= 2g, a full-degree one
@@ -47,11 +48,10 @@ none is kept: a caller writes each cell out before the next is built.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
 from itertools import compress
 from math import isqrt
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .cyclotomic import totient
 from .errors import OutOfRange
@@ -67,8 +67,7 @@ def _check_g_cap(g: int, name: str = "g") -> None:
         raise OutOfRange(f"{name}={g} exceeds the enumeration cap {G_CAP}")
 
 
-@dataclass(frozen=True)
-class ParityReport:
+class ParityReport(NamedTuple):
     """Machine-readable verdict of the parity check for one (p, n, g).
 
     The report is the cell's spec scan: the full-degree specs that fit
@@ -105,19 +104,43 @@ class ParityReport:
         return self.params.p <= 2 * self.params.g + 1 or not self.half_degree_specs
 
 
-@dataclass(frozen=True)
 class GridResult:
     """The cells of a checked grid.
 
     Cells are (g, p, n) with p in ``primes`` and p > 2g+1, in grid order
     (g, then p, then the given n order).  Iterating builds their reports
     in that order, one as each is asked for, and keeps none of them, so a
-    caller can write each cell out before the next is built.
+    caller can write each cell out before the next is built.  A value:
+    equal, and hashed, by its three fields, which cannot be assigned.
     """
 
+    __slots__ = ("g_max", "primes", "n_values")
     g_max: int
     primes: tuple[int, ...]
     n_values: tuple[int, ...]
+
+    def __init__(self, g_max: int, primes: tuple[int, ...], n_values: tuple[int, ...]):
+        for name, value in zip(self.__slots__, (g_max, primes, n_values)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _key(self) -> tuple:
+        return self.g_max, self.primes, self.n_values
+
+    def __eq__(self, other):
+        return self._key() == other._key() if type(other) is GridResult else NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self.__slots__, self._key()))
+        return f"GridResult({fields})"
 
     def __iter__(self) -> Iterator[ParityReport]:
         for g in range(1, self.g_max + 1):
@@ -131,17 +154,35 @@ class GridResult:
 def _fitting_specs(g: int) -> tuple[tuple[WeilNumberSpec, int], ...]:
     """Every spec (sign, t) with phi(4t)/2 <= 2g, with its phi(4t), ordered by (t, sign).
 
-    The scan stops at t = 8g**2, beyond which phi(4t)/2 > 2g always.
-    The list depends on g alone, so each spec is built, and checked, once
-    per g; ``G_CAP`` applies, since the list grows as g**2.
+    The m = 4t with phi(m) <= 4g are listed by inverse totient, with no
+    factorization: a prime p dividing m has p - 1 <= phi(m), so m is
+    2**e (e >= 2) times prime powers of the odd primes p <= 4g + 1.  A
+    depth-first walk multiplies in those prime powers, primes in
+    increasing order, carrying phi, and stops where phi exceeds 4g; phi
+    is multiplicative, so no m is missed.  The list depends on g alone,
+    so each spec is built, and checked, once per g; ``G_CAP`` applies.
     """
     _check_g_cap(g)
-    return tuple(
-        (WeilNumberSpec(sign, t), d)
-        for t in range(1, 8 * g * g + 1)
-        if (d := totient(4 * t)) <= 4 * g
-        for sign in (-1, 1)
-    )
+    bound = 4 * g
+    odd_primes = primes_between(2, bound + 1)
+    found = []  # (m, phi(m))
+
+    def walk(m: int, phi: int, start: int) -> None:
+        found.append((m, phi))
+        for i in range(start, len(odd_primes)):
+            p = odd_primes[i]
+            m_p, phi_p = m * p, phi * (p - 1)
+            if phi_p > bound:
+                break  # and so for every larger prime
+            while phi_p <= bound:
+                walk(m_p, phi_p, i + 1)
+                m_p, phi_p = m_p * p, phi_p * p
+
+    m, phi = 4, 2
+    while phi <= bound:
+        walk(m, phi, 0)
+        m, phi = 2 * m, 2 * phi
+    return tuple((WeilNumberSpec(sign, m // 4), d) for m, d in sorted(found) for sign in (-1, 1))
 
 
 def _scan_specs(

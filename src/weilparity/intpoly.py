@@ -13,7 +13,6 @@ instances can be shared between threads without synchronization.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable
 
 NEG_INFINITY = float("-inf")
@@ -28,7 +27,6 @@ def _mul_schoolbook(a: tuple[int, ...], b: tuple[int, ...]) -> list[int]:
     return out
 
 
-@dataclass(frozen=True)
 class IntPoly:
     """An integer polynomial in canonical (trailing-zero-free) form.
 
@@ -40,6 +38,7 @@ class IntPoly:
     IntPoly(coeffs=(-1, 0, 1))
     """
 
+    __slots__ = ("coeffs",)
     coeffs: tuple[int, ...]
 
     def __init__(self, coeffs: Iterable[int] = ()):
@@ -47,6 +46,21 @@ class IntPoly:
         while cs and cs[-1] == 0:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        return self.coeffs == other.coeffs if type(other) is IntPoly else NotImplemented
+
+    def __hash__(self):
+        return hash(self.coeffs)
+
+    def __repr__(self):
+        return f"IntPoly(coeffs={self.coeffs!r})"
 
     # -- constructors -------------------------------------------------
 

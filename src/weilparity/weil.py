@@ -17,17 +17,22 @@ once and scaled to any q.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import accumulate, repeat
 from operator import mul
+from typing import NamedTuple
 
 from .cyclotomic import FACTORIZE_CAP, cyclotomic, is_prime
 from .errors import BrokenInvariant, HalfDegreeUnsupported, OutOfRange
 from .intpoly import IntPoly
 
 
-@dataclass(frozen=True)
-class WeilParams:
+class _WeilParams(NamedTuple):
+    p: int
+    n: int
+    g: int
+
+
+class WeilParams(_WeilParams):
     """The triple (p, n, g) with q = p**n.
 
     ``n`` must be odd: over even powers of p the parity statements
@@ -35,37 +40,48 @@ class WeilParams:
     is a counterexample), so even ``n`` is rejected at construction.
     """
 
-    p: int
-    n: int
-    g: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.p > FACTORIZE_CAP:  # before is_prime, whose cap error would say n
-            raise OutOfRange(f"p={self.p} exceeds the trial-division cap {FACTORIZE_CAP}")
-        if self.p < 2 or not is_prime(self.p):
-            raise ValueError(f"p={self.p} must be prime")
-        if self.n < 1 or self.n % 2 == 0:
-            raise ValueError(f"n={self.n} must be a positive odd integer")
-        if self.g < 1:
-            raise ValueError(f"g={self.g} must be a positive integer")
+    def __new__(cls, p: int, n: int, g: int):
+        if p > FACTORIZE_CAP:  # before is_prime, whose cap error would say n
+            raise OutOfRange(f"p={p} exceeds the trial-division cap {FACTORIZE_CAP}")
+        if p < 2 or not is_prime(p):
+            raise ValueError(f"p={p} must be prime")
+        if n < 1 or n % 2 == 0:
+            raise ValueError(f"n={n} must be a positive odd integer")
+        if g < 1:
+            raise ValueError(f"g={g} must be a positive integer")
+        return super().__new__(cls, p, n, g)
+
+    @classmethod
+    def _make(cls, iterable):  # _replace builds through _make: check there too
+        return cls(*iterable)
 
     @property
     def q(self) -> int:
         return self.p ** self.n
 
 
-@dataclass(frozen=True)
-class WeilNumberSpec:
-    """A Weil number ``sqrt(q_star_sign * q) * zeta_4t``; its degree case also needs (p, n)."""
-
+class _WeilNumberSpec(NamedTuple):
     q_star_sign: int
     t: int
 
-    def __post_init__(self):
-        if self.q_star_sign not in (1, -1):
+
+class WeilNumberSpec(_WeilNumberSpec):
+    """A Weil number ``sqrt(q_star_sign * q) * zeta_4t``; its degree case also needs (p, n)."""
+
+    __slots__ = ()
+
+    def __new__(cls, q_star_sign: int, t: int):
+        if q_star_sign not in (1, -1):
             raise ValueError("q_star_sign must be +1 or -1")
-        if self.t < 1:
+        if t < 1:
             raise ValueError("t must be a positive integer")
+        return super().__new__(cls, q_star_sign, t)
+
+    @classmethod
+    def _make(cls, iterable):  # _replace builds through _make: check there too
+        return cls(*iterable)
 
 
 def is_full_degree(params: WeilParams, q_star_sign: int, t: int) -> bool:

@@ -2,9 +2,9 @@
 
 None of these is on a command-line path: they are independent
 constructions (the Moebius quotient for cyclotomic polynomials, exact
-polynomial division, a parity report's document built as a dict and
-its TSV rows rendered one candidate at a time, the candidate count taken
-over every product), identities from the
+polynomial division, the t-list by a scan of every t, a parity report's
+document built as a dict and its TSV rows rendered one candidate at a
+time, the candidate count taken over every product), identities from the
 literature, and the paper's thresholds, kept here as oracles and
 acceptance checks.
 """
@@ -13,7 +13,7 @@ import json
 from collections import namedtuple
 from math import comb
 
-from weilparity.cyclotomic import _check_cap, cyclotomic, divisors, is_prime, moebius
+from weilparity.cyclotomic import _check_cap, cyclotomic, divisors, is_prime, moebius, totient
 from weilparity.enumerator import candidate_shapes
 from weilparity.errors import ShapeError
 from weilparity.intpoly import IntPoly
@@ -131,6 +131,21 @@ def corollary_threshold(g: int) -> int:
     if g < 1:
         raise ValueError("g must be a positive integer")
     return comb(2 * g, g if g % 2 else g - 1) ** 2
+
+
+def fitting_specs_scan(g: int) -> list[tuple[int, int, int]]:
+    """(sign, t, phi(4t)) for every t with phi(4t) <= 4g, ordered by (t, sign), by a scan of t.
+
+    The scan stops at t = 8g**2: phi(m) >= sqrt(m/2) for every m, so
+    phi(4t) <= 4g forces 4t <= 32g**2.  Each phi(4t) is a trial-division
+    totient.  The library lists the same t by inverse totient.
+    """
+    return [
+        (sign, t, d)
+        for t in range(1, 8 * g * g + 1)
+        if (d := totient(4 * t)) <= 4 * g
+        for sign in (-1, 1)
+    ]
 
 
 Candidate = namedtuple("Candidate", "poly factors")

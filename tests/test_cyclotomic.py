@@ -45,6 +45,8 @@ def test_factored_integer_rejects_corrupt_records():
         FactoredInteger(12, ((2, 2), (5, 1)))
     with pytest.raises(ValueError):
         FactoredInteger(12, ((3, 1), (2, 2)))
+    with pytest.raises(ValueError):
+        factorize(12)._replace(n=13)
 
 
 def test_divisors():

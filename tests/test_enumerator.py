@@ -6,7 +6,7 @@ from functools import cache
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import candidate_counts, candidates, functional_equation_sign
+from oracles import candidate_counts, candidates, fitting_specs_scan, functional_equation_sign
 
 from weilparity.cyclotomic import cyclotomic, is_prime, totient
 from weilparity.enumerator import (
@@ -203,13 +203,13 @@ def test_scan_builds_each_spec_once_per_g(monkeypatch):
     import weilparity.enumerator as enumerator
 
     built = []
-    real = WeilNumberSpec.__post_init__
+    real = WeilNumberSpec.__new__
 
-    def counting(spec):
-        built.append((spec.q_star_sign, spec.t))
-        real(spec)
+    def counting(cls, q_star_sign, t):
+        built.append((q_star_sign, t))
+        return real(cls, q_star_sign, t)
 
-    monkeypatch.setattr(WeilNumberSpec, "__post_init__", counting)
+    monkeypatch.setattr(WeilNumberSpec, "__new__", counting)
     enumerator._fitting_specs.cache_clear()
     reports = [verify_parity_theorem(WeilParams(p=p, n=n, g=3)) for p in ORACLE_PRIMES for n in (1, 3)]
     listed = [spec for spec, _ in enumerator._fitting_specs(3)]
@@ -237,6 +237,16 @@ def test_admissible_specs_g3_excludes_t5():
     pairs = spec_pairs(full_specs(params))
     assert (-1, 5) not in pairs
     assert (1, 5) not in pairs
+
+
+def test_fitting_specs_match_the_scan_oracle(monkeypatch, cold_caches):
+    # the inverse-totient walk lists what the scan of every t <= 8g^2 finds
+    import weilparity.enumerator as enumerator
+
+    monkeypatch.setattr(enumerator, "G_CAP", 60)
+    for g in range(1, 61):
+        walked = [(s.q_star_sign, s.t, d) for s, d in enumerator._fitting_specs(g)]
+        assert walked == fitting_specs_scan(g), g
 
 
 def test_scan_cap_is_complete():

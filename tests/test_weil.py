@@ -24,6 +24,8 @@ def test_params_validation():
         WeilParams(p=5, n=-1, g=1)
     with pytest.raises(ValueError):
         WeilParams(p=5, n=1, g=0)
+    with pytest.raises(ValueError):
+        params._replace(n=2)  # a replaced field is checked too
 
 
 def test_spec_validation():
@@ -31,6 +33,8 @@ def test_spec_validation():
         WeilNumberSpec(q_star_sign=2, t=1)
     with pytest.raises(ValueError):
         WeilNumberSpec(q_star_sign=1, t=0)
+    with pytest.raises(ValueError):
+        WeilNumberSpec(q_star_sign=1, t=1)._replace(t=0)
 
 
 def test_is_full_degree_examples():
