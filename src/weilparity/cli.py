@@ -20,7 +20,7 @@ leaves the items made before the failure, without the final newline, and
 exit 1's stderr line follows the full output.  Every other check runs
 before the first byte: a ``verify`` grid must cover each g <= gmax with
 a prime 2g+1 < p <= pmax <= 10**7 (the sieve cap) and name no n twice, a
-printed constant term (q**g, or q**(phi(4t)/2) for ``minpoly``) must fit
+printed constant term (q**g, or q**phi(2t) for ``minpoly``) must fit
 Python's digit limit, and the ``bounds`` file must open.  ``enumerate``
 and structured ``verify`` write a cell's candidates by filling a q-free
 template, built once per (g, spec set): the cell converts only its
@@ -31,11 +31,11 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from functools import cache
 from itertools import chain
 from math import log10
-from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
 from .bounds import BoundsReport, full_bounds_report
@@ -48,7 +48,7 @@ _SIGN_TEXT = {1: "+", -1: "-"}
 _CELL = ("g", "p", "n")
 
 
-def ingest_reference(path: str | Path) -> Iterator[list[int]]:
+def ingest_reference(path: str | os.PathLike) -> Iterator[list[int]]:
     """Parse a polynomial text file: one list of ascending coefficients per line.
 
     Lines starting with ``#`` are comments; blank lines are skipped.  Each
@@ -157,23 +157,23 @@ def _candidate_template(g: int, specs: tuple, fmt: str) -> tuple[str, tuple[tupl
 
     The candidates are :func:`candidate_shapes` of the key: JSON objects
     joined by ``", "``, or TSV rows starting ``%(cell)s`` joined by newlines.
-    The coefficient c of X**(2g - 2e) is the cell's ``c * q**e``: ``0`` if c
-    is, else ``%(k)s`` for (e, c) the k-th distinct slot.  Each shape is
-    checked here, once per key, to be even of degree 2g (else
-    :class:`BrokenInvariant`); c * q**e is 0 only if c is, so every
-    candidate is even, and ``even`` is the text ``true``.
+    The coefficient c of Y**(g - e) = X**(2g - 2e) is the cell's
+    ``c * q**e``: ``0`` if c is, else ``%(k)s`` for (e, c) the k-th
+    distinct slot; odd powers of X are ``0`` and ``even`` is ``true``.
+    Each shape is checked here, once per key, to have the degree g that the
+    count reads from its factors' phi(2t) (else :class:`BrokenInvariant`).
     """
     shapes = candidate_shapes(g, specs)
-    if any(len(shape.coeffs) != 2 * g + 1 or any(shape.coeffs[1::2]) for shape, _ in shapes):
-        raise BrokenInvariant("a candidate shape must be an even polynomial of degree 2g")
-    evens = [shape.coeffs[::2] for shape, _ in shapes]  # c of X**(2g - 2e) at index g - e
-    slots = tuple((g - i, c) for i, cs in enumerate(zip(*evens)) for c in dict.fromkeys(cs) if c)
+    if any(len(shape.coeffs) != g + 1 for shape, _ in shapes):
+        raise BrokenInvariant("a candidate shape must be a polynomial of degree g in X**2")
+    ys = [shape.coeffs for shape, _ in shapes]  # c of Y**(g - e) at index g - e
+    slots = tuple((g - i, c) for i, cs in enumerate(zip(*ys)) for c in dict.fromkeys(cs) if c)
     text = [{0: "0"} for _ in range(g + 1)]  # the text of c at index g - e
     for k, (e, c) in enumerate(slots):
         text[g - e][c] = f"%({k})s"
     items = []
-    for even, (_, record) in zip(evens, shapes):
-        coeffs = map(dict.__getitem__, text, even)
+    for y, (_, record) in zip(ys, shapes):
+        coeffs = map(dict.__getitem__, text, y)
         if fmt == "structured":
             factors = "[" + ", ".join(
                 f'{{"sign": {s.q_star_sign}, "t": {s.t}, "mult": {m}}}' for s, m in record
@@ -250,7 +250,7 @@ def _cmd_minpoly(args) -> int:
     if args.t > t_cap:
         raise OutOfRange(f"t={args.t} exceeds the cap {t_cap} (4t <= {CYCLOTOMIC_CAP})")
     if args.t >= 1:  # else minpoly_full_degree rejects t
-        _check_digits("the constant term", args.p, args.n * totient(4 * args.t) // 2)
+        _check_digits("the constant term", args.p, args.n * totient(2 * args.t))
     poly = minpoly_full_degree(params, sign, args.t)
     doc = {"p": args.p, "n": args.n, "sign": sign, "t": args.t}
     _emit(
@@ -306,7 +306,7 @@ def _cmd_detect_half(args) -> int:
         args,
         lambda: [f'{{"g": {params.g}, "p": {params.p}, "n": {params.n}, '
                  f'"half_degree_specs": {_specs_json(specs)}}}'],
-        lambda: ((_SIGN_TEXT[s.q_star_sign], s.t, totient(4 * s.t) // 2) for s in specs),
+        lambda: ((_SIGN_TEXT[s.q_star_sign], s.t, totient(2 * s.t)) for s in specs),
         ("sign", "t", "degree"),
     )
     if params.p > 2 * params.g + 1 and specs:

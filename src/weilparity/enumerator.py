@@ -8,36 +8,38 @@ checking statements quantified over all of them.  Half-degree Weil
 numbers cannot be expanded into polynomials, so they are detected and
 reported separately: when p > 2g+1 none may fit inside degree 2g.
 
-One spec scan per cell decides the full/half degree dichotomy.  It runs
-over the root-of-unity indices t with phi(4t)/2 <= 2g, listed by
-inverse totient: a prime p dividing m = 4t has p - 1 <= phi(m) <= 4g,
-so a walk over the prime powers of the primes up to 4g + 1, carrying
-phi, finds every such t exactly, with no factorization.  Those t do not
-depend on (p, n), so their specs (both signs of each) are built, and
-checked, once per g, and each cell runs ``is_full_degree`` once on each
-spec: a half-degree spec fits if phi(4t)/2 <= 2g, a full-degree one
-only if phi(4t) <= 2g.  A :class:`ParityReport` holds that scan and
-nothing else; its count is computed from it when read.
+Everything here is in ``Y = X**2``: the minimal polynomial of spec
+(sign, t) is a polynomial of degree phi(2t) = phi(4t)/2 in Y (see
+``weil``), and a candidate one of degree g.  A polynomial in Y is even
+in X, so no candidate is odd, by construction.
 
-Counting needs no product.  Every factor is built by ``minpoly_shape``,
-which checks that it is even, and a product of even polynomials is
-even, so no candidate is odd.  A cell's candidates are the multisets of
-its full-degree specs whose degrees sum to 2g, and their number is the
-coefficient of x**(2g) in the product of 1/(1 - x**phi(4t)) over those
+One spec scan per cell decides the full/half degree dichotomy.  It runs
+over the root-of-unity indices t with phi(2t) <= 2g, listed by inverse
+totient: a prime p dividing m = 2t has p - 1 <= phi(m) <= 2g, so a walk
+over the prime powers of the primes up to 2g + 1, carrying phi, finds
+every such t exactly, with no factorization.  Those t do not depend on
+(p, n), so their specs (both signs of each) are built, and checked,
+once per g, and each cell runs ``is_full_degree`` once on each spec: a
+half-degree spec fits if phi(2t) <= 2g, a full-degree one only if
+phi(2t) <= g.  A :class:`ParityReport` holds that scan and nothing
+else; its count is computed from it when read.
+
+Counting needs no product.  A cell's candidates are the multisets of
+its full-degree specs whose degrees in Y sum to g, and their number is
+the coefficient of x**g in the product of 1/(1 - x**phi(2t)) over those
 specs: :func:`_candidate_count` computes it by an integer DP over the
-degrees, once per key ``(g, specs)``.  The key is the spec tuple the
-cell itself computes, not the one the theorem predicts: cells whose
-spec sets differ (p <= 2g+1, p = 2) get their own entry, so a run still
-checks every cell's factors instead of assuming the result.  The count
-of every product, each tested with ``is_even``, is kept in the tests as
-the oracle of this one.
+degrees, once per key ``(g, specs)``, and builds no polynomial.  The key
+is the spec tuple the cell itself computes, not the one the theorem
+predicts: cells whose spec sets differ (p <= 2g+1, p = 2) get their own
+entry.  The count of every product, each built in X and tested with
+``is_even``, is kept in the tests as the oracle of this one.
 
 Candidates are expanded only where their coefficients are printed, from
-:func:`candidate_shapes`.  Each minimal polynomial is
-``q**(d/2) * S(X/sqrt(q))`` for the integer shape S of its spec (sign,
-t), and that scaling is multiplicative, so every candidate is the
-scaled product of its factors' shapes.  The products are built once per
-key by a recurrence memoized on (spec index, degree left).  The command
+:func:`candidate_shapes`.  Each minimal polynomial is its spec's q-free
+shape in Y with ``Y**j`` scaled by ``q**(d - j)``, d its degree, and
+that scaling is multiplicative, so every candidate is the scaled
+product of its factors' shapes.  The products are built once per key by
+a recurrence memoized on (spec index, degree left).  The command
 line turns them, once per key, into a q-free text template, and a cell
 only fills it: each distinct value c * q**e among its coefficients is
 converted to decimal once.  This module writes no output text.
@@ -86,11 +88,7 @@ class ParityReport(NamedTuple):
 
     @property
     def odd_candidates(self) -> int:
-        """Always 0, by construction.
-
-        Every factor is checked to be even as it is built
-        (``minpoly_shape``), and a product of even polynomials is even.
-        """
+        """Always 0, by construction: every candidate is a polynomial in ``Y = X**2``."""
         return 0
 
     @property
@@ -152,18 +150,18 @@ class GridResult:
 
 @cache
 def _fitting_specs(g: int) -> tuple[tuple[WeilNumberSpec, int], ...]:
-    """Every spec (sign, t) with phi(4t)/2 <= 2g, with its phi(4t), ordered by (t, sign).
+    """Every spec (sign, t) with phi(2t) <= 2g, with its phi(2t), ordered by (t, sign).
 
-    The m = 4t with phi(m) <= 4g are listed by inverse totient, with no
+    The m = 2t with phi(m) <= 2g are listed by inverse totient, with no
     factorization: a prime p dividing m has p - 1 <= phi(m), so m is
-    2**e (e >= 2) times prime powers of the odd primes p <= 4g + 1.  A
+    2**e (e >= 1) times prime powers of the odd primes p <= 2g + 1.  A
     depth-first walk multiplies in those prime powers, primes in
-    increasing order, carrying phi, and stops where phi exceeds 4g; phi
+    increasing order, carrying phi, and stops where phi exceeds 2g; phi
     is multiplicative, so no m is missed.  The list depends on g alone,
     so each spec is built, and checked, once per g; ``G_CAP`` applies.
     """
     _check_g_cap(g)
-    bound = 4 * g
+    bound = 2 * g
     odd_primes = primes_between(2, bound + 1)
     found = []  # (m, phi(m))
 
@@ -178,11 +176,11 @@ def _fitting_specs(g: int) -> tuple[tuple[WeilNumberSpec, int], ...]:
                 walk(m_p, phi_p, i + 1)
                 m_p, phi_p = m_p * p, phi_p * p
 
-    m, phi = 4, 2
+    m, phi = 2, 1
     while phi <= bound:
         walk(m, phi, 0)
         m, phi = 2 * m, 2 * phi
-    return tuple((WeilNumberSpec(sign, m // 4), d) for m, d in sorted(found) for sign in (-1, 1))
+    return tuple((WeilNumberSpec(sign, m // 2), d) for m, d in sorted(found) for sign in (-1, 1))
 
 
 def _scan_specs(
@@ -191,8 +189,8 @@ def _scan_specs(
     """(full, half): the specs whose minimal polynomial fits, or would fit, in degree 2g.
 
     Each spec of :func:`_fitting_specs` goes to one side by
-    ``is_full_degree``: a half-degree spec fits if phi(4t)/2 <= 2g, a
-    full-degree one only if phi(4t) <= 2g.  For odd p the half side
+    ``is_full_degree``: a half-degree spec fits if phi(2t) <= 2g, a
+    full-degree one only if phi(2t) <= g.  For odd p the half side
     reduces to: t odd, p | t, q_star = 3 mod 4 and phi(t) <= 2g.  Both
     are ordered by (t, sign).
     """
@@ -200,37 +198,36 @@ def _scan_specs(
     for spec, degree in _fitting_specs(params.g):
         if not is_full_degree(params, spec.q_star_sign, spec.t):
             half.append(spec)
-        elif degree <= 2 * params.g:
+        elif degree <= params.g:
             full.append(spec)
     return tuple(full), tuple(half)
 
 
 @cache
 def _candidate_count(g: int, specs: tuple[WeilNumberSpec, ...]) -> int:
-    """The number of degree-2g products of the specs' shapes, from their degrees alone.
+    """The number of degree-g products of the specs' shapes, from their degrees alone.
 
     ``ways[k]`` counts the multisets of the specs taken so far whose
-    degrees sum to k: the coefficient of x**k in the product of
-    1/(1 - x**d) over their degrees d.  Each degree is read from the
-    spec's shape, so every factor is checked to be even on the way.
+    degrees phi(2t) sum to k: the coefficient of x**k in the product of
+    1/(1 - x**d) over their degrees d.  No shape is built.
     """
-    ways = [1] + [0] * (2 * g)
+    ways = [1] + [0] * g
     for spec in specs:
-        d = minpoly_shape(spec.q_star_sign, spec.t).degree
-        for k in range(d, 2 * g + 1):
+        d = totient(2 * spec.t)
+        for k in range(d, g + 1):
             ways[k] += ways[k - d]
-    return ways[2 * g]
+    return ways[g]
 
 
 @cache
 def candidate_shapes(
     g: int, specs: tuple[WeilNumberSpec, ...]
 ) -> tuple[tuple[IntPoly, tuple[tuple[WeilNumberSpec, int], ...]], ...]:
-    """Every degree-2g product of the specs' shapes with its factor record.
+    """Every degree-g product of the specs' shapes, in ``Y = X**2``, with its factor record.
 
-    A cell's candidates are these products scaled by its q
-    (``weil.scale_shape``), for ``specs`` its full-degree specs; a record
-    lists (spec, multiplicity) pairs.  ``products(i, left)``, memoized
+    A cell's candidates are these products, for ``specs`` its full-degree
+    specs, with ``Y**j`` scaled by ``q**(g - j)`` and read in ``X**2``; a
+    record lists (spec, multiplicity) pairs.  ``products(i, left)``, memoized
     for the call, lists the products of ``specs[i:]`` of degree ``left``
     > 0: ``shape_i**m`` itself if its degree is ``left``, else times each
     product of ``specs[i+1:]`` of degree ``left - m*d_i``, for m = 1, 2,
@@ -240,7 +237,7 @@ def candidate_shapes(
     then sign), so the result is canonical as built: sorted by the factor
     record, lexicographically on (t, sign, multiplicity) triples.
     """
-    degrees = [totient(4 * s.t) for s in specs]
+    degrees = [totient(2 * s.t) for s in specs]
     shapes = [minpoly_shape(s.q_star_sign, s.t) for s in specs]
 
     @cache
@@ -260,7 +257,7 @@ def candidate_shapes(
         return (*out, *products(i + 1, left))
 
     try:
-        return products(0, 2 * g)
+        return products(0, g)
     finally:  # the memo is a reference cycle through products: free it now
         products.cache_clear()
 

@@ -6,13 +6,16 @@ written as ``sqrt(q_star) * zeta`` where ``q_star`` is ``q`` or ``-q``
 and ``zeta`` is a primitive ``4t``-th root of unity.  Depending on
 ``(q_star, t, p)`` the minimal polynomial of such a number has degree
 ``phi(4t)`` (the full degree case) or ``phi(4t)/2`` (the half degree
-case).  Only the full-degree polynomial is constructed here; it is
-obtained from the ``4t``-th cyclotomic polynomial by an exact integer
-coefficient substitution, so no square root is ever materialized.  The
-substitution is split in two: a q-free *shape* that carries the sign of
-q_star (:func:`minpoly_shape`), and a scaling by q (:func:`scale_shape`)
-that commutes with multiplication, so products of shapes can be built
-once and scaled to any q.
+case).  Only the full-degree polynomial is constructed here, in
+``Y = X**2``: since 2t is even, ``Phi_4t(X) = Phi_2t(X**2)``, so it is
+``Q(X**2)`` for Q the minimal polynomial of ``q_star * zeta_2t``, of
+degree phi(2t), which an exact integer coefficient substitution makes
+from ``Phi_2t``; no square root is ever materialized.  The substitution
+is split in two: a q-free *shape* in Y that carries the sign of q_star
+(:func:`minpoly_shape`), and a scaling of ``Y**j`` by ``q**(d - j)`` on
+a shape of degree d, which commutes with multiplication, so products of
+shapes can be built once and scaled to any q.  A polynomial in Y is
+even in X, so nothing here needs a parity check.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from operator import mul
 from typing import NamedTuple
 
 from .cyclotomic import FACTORIZE_CAP, cyclotomic, is_prime
-from .errors import BrokenInvariant, HalfDegreeUnsupported, OutOfRange
+from .errors import HalfDegreeUnsupported, OutOfRange
 from .intpoly import IntPoly
 
 
@@ -101,55 +104,32 @@ def is_full_degree(params: WeilParams, q_star_sign: int, t: int) -> bool:
 
 
 def minpoly_shape(q_star_sign: int, t: int) -> IntPoly:
-    """The q-free shape of the minimal polynomial of ``sqrt(q_star) * zeta_4t``.
+    """The q-free shape, in ``Y = X**2``, of the minimal polynomial of ``sqrt(q_star) * zeta_4t``.
 
-    The coefficient ``c_j`` of ``X**j`` in the cyclotomic polynomial of
-    index 4t becomes ``c_j * q_star_sign**((phi(4t) - j)/2)``.  Scaling
-    the shape by q (:func:`scale_shape`) gives the minimal polynomial
-    itself.  That cyclotomic polynomial is even, since 4 | 4t, and so is
-    the shape; this is checked here, once per factor, and a shape that is
-    not even is :class:`BrokenInvariant`.  Every factor of every
-    candidate is built here, and a product of even polynomials is even,
-    so no candidate needs a check of its own.
+    The coefficient ``c_j`` of ``Y**j`` in the cyclotomic polynomial of
+    index 2t becomes ``c_j * q_star_sign**(phi(2t) - j)``.  Scaling
+    ``Y**j`` by ``q**(phi(2t) - j)`` gives the minimal polynomial of
+    ``q_star * zeta_2t``, which is the minimal polynomial of
+    ``sqrt(q_star) * zeta_4t`` in ``X**2``.
     """
     WeilNumberSpec(q_star_sign, t)  # the spec's own checks on sign and t
-    phi = cyclotomic(4 * t).coeffs
-    if any(phi[1::2]):
-        raise BrokenInvariant(f"the cyclotomic polynomial of index {4 * t} is not even")
+    phi = cyclotomic(2 * t).coeffs
     m = len(phi) - 1
-    # odd m - j carry c_j = 0, so the floor in the exponent never matters
-    return IntPoly(c * q_star_sign ** ((m - j) // 2) for j, c in enumerate(phi))
+    return IntPoly(c * q_star_sign ** (m - j) for j, c in enumerate(phi))
 
 
 def q_powers(q: int, k: int) -> list[int]:
-    """``[1, q, q**2, ..., q**k]``: enough for :func:`scale_shape` on shapes of degree <= 2k."""
+    """``[1, q, q**2, ..., q**k]``: enough to scale a shape of degree <= k in Y."""
     return list(accumulate(repeat(q, k), mul, initial=1))
-
-
-def scale_shape(shape: IntPoly, powers: list[int]) -> list[int]:
-    """The coefficients of ``q**(d/2) * shape(X / sqrt(q))``, for an even shape of even degree d.
-
-    ``powers`` is :func:`q_powers` of q up to at least d/2.  The
-    coefficient of ``X**j`` is multiplied by ``q**((d - j)/2)``, an exact
-    integer because only even j carry nonzero coefficients.  The map is
-    multiplicative, so scaling a product of shapes equals the product of
-    the scaled shapes.  Every shape built from a cyclotomic polynomial of
-    index 4t is even; any other is :class:`BrokenInvariant`.
-    """
-    coeffs = list(shape.coeffs)
-    if len(coeffs) % 2 == 0 or any(coeffs[1::2]):
-        raise BrokenInvariant("a shape must be an even polynomial of even degree")
-    # from the top coefficient down: q**0, q**1, ... on X**d, X**(d-2), ...
-    coeffs[::-2] = map(mul, coeffs[::-2], powers)
-    return coeffs
 
 
 def minpoly_full_degree(params: WeilParams, q_star_sign: int, t: int) -> IntPoly:
     """Minimal polynomial of ``sqrt(q_star) * zeta_4t`` in the full degree case.
 
-    It is the shape of :func:`minpoly_shape` scaled by q: the coefficient
-    of ``X**j`` is ``c_j * q_star**((phi(4t) - j)/2)``, an exact monic
-    integer polynomial of degree phi(4t).
+    It is the shape of :func:`minpoly_shape`, with ``Y**j`` scaled by
+    ``q**(phi(2t) - j)``, in ``Y = X**2``: the coefficient of ``X**(2j)``
+    is ``c_j * q_star**(phi(2t) - j)``, an exact monic integer polynomial
+    of degree phi(4t) = 2 phi(2t).
     """
     WeilNumberSpec(q_star_sign, t)  # the spec's own checks on sign and t
     if not is_full_degree(params, q_star_sign, t):
@@ -157,5 +137,7 @@ def minpoly_full_degree(params: WeilParams, q_star_sign: int, t: int) -> IntPoly
             f"(sign={q_star_sign:+d}, t={t}) at p={params.p}, n={params.n} is a "
             "half degree case; its minimal polynomial is not constructed"
         )
-    shape = minpoly_shape(q_star_sign, t)
-    return IntPoly(scale_shape(shape, q_powers(params.q, shape.degree // 2)))
+    shape = minpoly_shape(q_star_sign, t).coeffs
+    m = len(shape) - 1
+    powers = q_powers(params.q, m)
+    return IntPoly(c * powers[m - j] for j, c in enumerate(shape)).compose_power(2)

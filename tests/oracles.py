@@ -2,11 +2,12 @@
 
 None of these is on a command-line path: they are independent
 constructions (the Moebius quotient for cyclotomic polynomials, exact
-polynomial division, the t-list by a scan of every t, a parity report's
-document built as a dict and its TSV rows rendered one candidate at a
-time, the candidate count taken over every product), identities from the
-literature, and the paper's thresholds, kept here as oracles and
-acceptance checks.
+polynomial division, the t-list by a scan of every t, the minimal
+polynomials and candidates built in X from the cyclotomic polynomial of
+index 4t, a parity report's document built as a dict and its TSV rows
+rendered one candidate at a time, the candidate count taken over every
+product), identities from the literature, and the paper's thresholds,
+kept here as oracles and acceptance checks.
 """
 
 import json
@@ -17,7 +18,6 @@ from weilparity.cyclotomic import _check_cap, cyclotomic, divisors, is_prime, mo
 from weilparity.enumerator import candidate_shapes
 from weilparity.errors import ShapeError
 from weilparity.intpoly import IntPoly
-from weilparity.weil import q_powers, scale_shape
 
 
 class NotDivisible(ArithmeticError):
@@ -148,30 +148,82 @@ def fitting_specs_scan(g: int) -> list[tuple[int, int, int]]:
     ]
 
 
+def minpoly_shape_x(q_star_sign: int, t: int) -> IntPoly:
+    """The q-free shape, in X, of the minimal polynomial of ``sqrt(q_star) * zeta_4t``.
+
+    The coefficient ``c_j`` of ``X**j`` in the cyclotomic polynomial of
+    index 4t becomes ``c_j * q_star_sign**((phi(4t) - j)/2)``.  That
+    polynomial is even, since 4 | 4t: an odd coefficient is an
+    ``AssertionError``, so the floor in the exponent never matters.  The
+    library builds the same shape in ``Y = X**2``, from index 2t.
+    """
+    phi = cyclotomic(4 * t).coeffs
+    assert not any(phi[1::2]), f"the cyclotomic polynomial of index {4 * t} is not even"
+    m = len(phi) - 1
+    return IntPoly(c * q_star_sign ** ((m - j) // 2) for j, c in enumerate(phi))
+
+
+def scale_x(shape: IntPoly, q: int) -> IntPoly:
+    """``q**(d/2) * shape(X / sqrt(q))`` for an even shape of even degree d.
+
+    The coefficient of ``X**j`` is multiplied by ``q**((d - j)/2)``, an
+    exact integer because only even j carry nonzero coefficients.
+    """
+    d = shape.degree
+    assert d % 2 == 0 and shape.is_even(), f"{shape} is not even of even degree"
+    return IntPoly(c * q ** ((d - j) // 2) for j, c in enumerate(shape.coeffs))
+
+
+def product_x(record) -> IntPoly:
+    """The product, in X, of the :func:`minpoly_shape_x` of a factor record's (spec, mult) pairs."""
+    product = IntPoly.one()
+    for spec, mult in record:
+        product = product * minpoly_shape_x(spec.q_star_sign, spec.t) ** mult
+    return product
+
+
+def products_x(g: int, specs) -> list[tuple[IntPoly, IntPoly, tuple]]:
+    """(product in X, product in Y, record) for each record of ``candidate_shapes``.
+
+    The product in X is built from the record's factors by
+    :func:`product_x`, not read from the library; the product in
+    ``Y = X**2`` is the library's.
+    """
+    return [(product_x(record), shape, record) for shape, record in candidate_shapes(g, specs)]
+
+
 Candidate = namedtuple("Candidate", "poly factors")
 
 
 def candidates(report) -> list[Candidate]:
     """The cell's candidates as polynomials, with their factor records, in canonical order.
 
-    Each is its shape product of ``candidate_shapes`` scaled by the
-    cell's q, as the command line prints it.
+    Each is the X product of its record, scaled by the cell's q, as the
+    command line prints it; it must equal the library's Y product in X**2.
     """
-    powers = q_powers(report.params.q, report.params.g)
-    return [
-        Candidate(IntPoly(scale_shape(shape, powers)), factors)
-        for shape, factors in candidate_shapes(report.params.g, report.full_degree_specs)
-    ]
+    out = []
+    for poly, shape, record in products_x(report.params.g, report.full_degree_specs):
+        assert poly == shape.compose_power(2), record
+        out.append(Candidate(scale_x(poly, report.params.q), record))
+    return out
 
 
 def candidate_counts(g: int, specs) -> tuple[int, int]:
-    """(number, number not even) of the shape products of ``candidate_shapes``.
+    """(number, number not even) of the X products of ``candidate_shapes``' records.
 
     The count the library took before it counted from the factors'
-    degrees: every product is built and tested with ``is_even``.
+    degrees: every product is built in X and tested with ``is_even``.  An
+    even one must equal the library's Y product in X**2; an odd one
+    cannot, and is counted.
     """
-    shapes = candidate_shapes(g, specs)
-    return len(shapes), sum(not shape.is_even() for shape, _ in shapes)
+    products = products_x(g, specs)
+    odd = 0
+    for poly, shape, record in products:
+        if poly.is_even():
+            assert poly == shape.compose_power(2), record
+        else:
+            odd += 1
+    return len(products), odd
 
 
 def parity_doc(report) -> dict:

@@ -270,6 +270,32 @@ def test_golden_digests(capsys, tmp_path, argv, fmt):
     assert golden_run(capsys, tmp_path, argv, fmt) == GOLDEN[argv, fmt]
 
 
+# TSV runs past the enumeration cap G_CAP = 10, each recorded with the cap
+# lifted (exit 0); with the cap in place each is exit 2
+GOLDEN_PAST_THE_CAP = {
+    ("verify", "--gmax", "12", "--pmax", "40", "--n", "1", "--n", "3"):
+        "eec2dbc2d93ebaacba0713f616e4bdccbb44ea76209bf1cfca001fa2554b7ae3",
+    ("verify", "--gmax", "20", "--pmax", "60", "--n", "1"):
+        "525a714565e8e54769ddcd61b6bb6b870f50f7e6f49c26ec5e9ce0bc26369d6d",
+    ("detect-half", "--g", "20", "--p", "13", "--n", "3"):
+        "c4e788485f3a2ad22695a72786fbc9117b8d1ab04e80731eaf0e77c947b64eea",
+    ("verify", "--gmax", "40", "--pmax", "100", "--n", "1", "--n", "3"):
+        "955eec511a415a4138503979219f67a4eac831bf4565ec11ea0f519913c20d80",
+    ("detect-half", "--g", "40", "--p", "41", "--n", "3"):
+        "08d2d2b5b8215dae4b294bce0c0e3186460078d53db4a3433bbfca7c241c2bab",
+}
+
+
+@pytest.mark.parametrize("argv", [pytest.param(a, id=" ".join(a)) for a in GOLDEN_PAST_THE_CAP])
+def test_golden_digests_past_the_cap(monkeypatch, cold_caches, capsys, tmp_path, argv):
+    # the t-list and the counts past g = 10; cold_caches drops what the
+    # lifted cap let in, so no later test finds a t-list above the cap
+    import weilparity.enumerator as enumerator
+
+    monkeypatch.setattr(enumerator, "G_CAP", 40)
+    assert golden_run(capsys, tmp_path, argv, "tsv") == (GOLDEN_PAST_THE_CAP[argv], 0)
+
+
 def test_cyclo_out_of_range(capsys):
     code, _, err = invoke(capsys, ["cyclo", "2000000"])
     assert code == 2
@@ -638,19 +664,19 @@ def test_digit_limit_is_checked_before_any_work(monkeypatch, cold_caches, capsys
 
 
 @pytest.fixture
-def odd_factor(monkeypatch, cold_caches):
-    # the cyclotomic polynomial of index 4 becomes X**2 + X + 1, which is
-    # not even, so the factor of t = 1 in every spec set is odd; no cached
-    # count or shape hides it
+def wrong_degree_factor(monkeypatch, cold_caches):
+    # the cyclotomic polynomial of index 2 becomes Y**2 + Y + 1, of degree 2,
+    # not phi(2) = 1, so the factor of t = 1 in every spec set has the wrong
+    # degree; no cached shape or template hides it
     import weilparity.weil as weil
 
     real = weil.cyclotomic
-    monkeypatch.setattr(weil, "cyclotomic", lambda n: IntPoly([1, 1, 1]) if n == 4 else real(n))
+    monkeypatch.setattr(weil, "cyclotomic", lambda n: IntPoly([1, 1, 1]) if n == 2 else real(n))
 
 
-def test_odd_shape_is_an_internal_error(odd_factor, capsys):
-    # an odd shape breaks an invariant of the construction: exit 3, not 2;
-    # the header was made before the first row failed
+def test_odd_shape_is_an_internal_error(wrong_degree_factor, capsys):
+    # a product of the wrong degree breaks an invariant of the construction:
+    # exit 3, not 2; the header was made before the first row failed
     code, out, err = invoke(capsys, ["enumerate", "--g", "1", "--p", "5", "--n", "1"])
     assert (code, out) == (3, "g\tp\tn\tcoeffs\teven\tfactors")
     assert err.startswith("internal error: BrokenInvariant:")
@@ -661,21 +687,16 @@ def test_odd_shape_is_an_internal_error(odd_factor, capsys):
     [
         pytest.param(a, before, id=" ".join(a))
         for a, before in (
-            (
-                ["verify", "--gmax", "1", "--pmax", "5", "--n", "1"],
-                "g\tp\tn\ttotal_candidates\todd_candidates\thalf_degree_specs\tok",
-            ),
             (["verify", "--gmax", "1", "--pmax", "5", "--n", "1", "--format", "structured"], "["),
             (["enumerate", "--g", "2", "--p", "7", "--n", "1", "--format", "structured"], ""),
-            (["minpoly", "--p", "5", "--n", "1", "--sign", "+", "--t", "1"], ""),
-            (["minpoly", "--p", "5", "--n", "1", "--sign", "+", "--t", "1", "--format", "structured"], ""),
         )
     ],
 )
-def test_odd_factor_is_an_internal_error(odd_factor, capsys, argv, before):
-    # each factor is checked as it is built, counted or printed: an odd one
-    # is exit 3, never a parity violation (exit 1) or a usage error (exit 2),
-    # and stdout holds what was made before it
+def test_odd_factor_is_an_internal_error(wrong_degree_factor, capsys, argv, before):
+    # each product is checked to be of degree g once its key's template is
+    # built: a wrong factor is exit 3 wherever candidates are printed, never
+    # a parity violation (exit 1) or a usage error (exit 2), and stdout
+    # holds what was made before it
     code, out, err = invoke(capsys, argv)
     assert (code, out) == (3, before)
     assert err.startswith("internal error: BrokenInvariant:")
@@ -686,15 +707,14 @@ def test_odd_factor_is_an_internal_error(odd_factor, capsys, argv, before):
     [pytest.param(a, id=" ".join(a)) for a, f in GOLDEN if a[0] == "verify" and f == "tsv"],
 )
 def test_tsv_verify_expands_no_candidate(monkeypatch, capsys, tmp_path, argv):
-    # TSV verify prints counts only, so it neither renders nor scales a candidate
+    # TSV verify prints counts only, so it neither renders nor builds a candidate
     import weilparity.cli as cli
-    import weilparity.weil as weil
 
     def expand(*args):
         raise RuntimeError("a candidate was expanded")
 
     monkeypatch.setattr(cli, "_candidate_template", expand)
-    monkeypatch.setattr(weil, "scale_shape", expand)
+    monkeypatch.setattr(cli, "candidate_shapes", expand)
     assert golden_run(capsys, tmp_path, argv, "tsv") == GOLDEN[argv, "tsv"]
 
 
@@ -748,17 +768,25 @@ def test_tsv_verify_at_huge_n(no_q, capsys):
 
 @pytest.mark.parametrize(
     "argv, fmt",
-    [pytest.param(a, f, id=f"{' '.join(a)} {f}") for a, f in GOLDEN if a[0] == "detect-half"],
+    [
+        pytest.param(a, f, id=f"{' '.join(a)} {f}")
+        for a, f in GOLDEN
+        if a[0] == "detect-half" or (a[0], f) == ("verify", "tsv")
+    ],
 )
 def test_detect_half_builds_no_shape(monkeypatch, cold_caches, capsys, tmp_path, argv, fmt):
-    # detect-half prints the half-degree specs only; every shape that the
-    # counts or the candidates need is built by minpoly_shape
+    # detect-half prints the half-degree specs only, and TSV verify counts
+    # from the factors' degrees phi(2t): neither builds a shape (every shape
+    # the candidates need is built by minpoly_shape) or a cyclotomic
+    # polynomial for one
     import weilparity.enumerator as enumerator
+    import weilparity.weil as weil
 
     def shapes(*args):
         raise RuntimeError("a shape was built")
 
     monkeypatch.setattr(enumerator, "minpoly_shape", shapes)
+    monkeypatch.setattr(weil, "cyclotomic", shapes)
     assert golden_run(capsys, tmp_path, argv, fmt) == GOLDEN[argv, fmt]
 
 
@@ -1214,7 +1242,7 @@ def test_a_cell_converts_each_distinct_slot_once(monkeypatch, cold_caches, fmt):
         assert out == json.dumps(parity_doc(report)) + "\n"
     template, slots = cli._candidate_template(5, report.full_degree_specs, fmt)
     shapes = enumerator.candidate_shapes(5, report.full_degree_specs)
-    nonzero = [(5 - j // 2, c) for shape, _ in shapes for j, c in enumerate(shape.coeffs) if c]
+    nonzero = [(5 - j, c) for shape, _ in shapes for j, c in enumerate(shape.coeffs) if c]
     assert (len(shapes), len(nonzero), len(slots)) == (54, 288, 44)
     assert sorted(slots) == sorted(set(nonzero))
     assert template.count("%") == len(nonzero) + (len(shapes) if fmt == "tsv" else 0)
@@ -1237,8 +1265,9 @@ def test_one_template_per_spec_set(cold_caches, capsys):
 
 @pytest.mark.parametrize("fmt", ["tsv", "structured"])
 def test_template_rejects_a_shape_not_even_of_degree_2g(monkeypatch, cold_caches, fmt):
-    # every shape is even of degree 2g by construction, so any other breaks
-    # an invariant; it is checked once per template, not once per cell
+    # every shape is a polynomial of degree g in Y = X**2, so even of degree
+    # 2g in X, by construction; any other degree breaks an invariant, checked
+    # once per template, not once per cell
     import weilparity.cli as cli
 
     for coeffs in ([1, 1, 1], [1, 0, 0, 0, 1], [1]):

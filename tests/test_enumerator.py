@@ -6,7 +6,14 @@ from functools import cache
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import candidate_counts, candidates, fitting_specs_scan, functional_equation_sign
+from oracles import (
+    candidate_counts,
+    candidates,
+    fitting_specs_scan,
+    functional_equation_sign,
+    minpoly_shape_x,
+    scale_x,
+)
 
 from weilparity.cyclotomic import cyclotomic, is_prime, totient
 from weilparity.enumerator import (
@@ -18,7 +25,7 @@ from weilparity.enumerator import (
     verify_grid,
     verify_parity_theorem,
 )
-from weilparity.errors import BrokenInvariant, OutOfRange
+from weilparity.errors import OutOfRange
 from weilparity.intpoly import IntPoly
 from weilparity.weil import (
     WeilNumberSpec,
@@ -27,7 +34,6 @@ from weilparity.weil import (
     minpoly_full_degree,
     minpoly_shape,
     q_powers,
-    scale_shape,
 )
 
 
@@ -137,12 +143,15 @@ def test_counts_match_per_cell_expansion(g, p, n):
 
 
 def test_counts_read_evenness_from_the_shapes(monkeypatch):
-    # the per-product count oracle tests every product: it sees an odd one
+    # the per-product count oracle builds every product in X from its own
+    # factors and tests it: an odd factor makes every product it enters odd
     import oracles
 
-    shapes = [IntPoly([1, 0, 1]), IntPoly([1, 1, 1]), IntPoly([0, 1]), IntPoly([4, 0, 0, 0, 1])]
-    monkeypatch.setattr(oracles, "candidate_shapes", lambda g, specs: [(s, ()) for s in shapes])
-    assert candidate_counts(2, ()) == (4, 2)
+    real = oracles.minpoly_shape_x
+    odd = lambda sign, t: IntPoly([1, 1, 1]) if (sign, t) == (-1, 1) else real(sign, t)
+    monkeypatch.setattr(oracles, "minpoly_shape_x", odd)
+    specs = verify_parity_theorem(WeilParams(p=5, n=1, g=2)).full_degree_specs
+    assert candidate_counts(2, specs) == (7, 2)  # (-,1)**2 and (-,1)(+,1)
 
 
 @pytest.mark.parametrize("g", range(1, 13))
@@ -169,16 +178,23 @@ def test_counts_are_shared_across_cells_with_equal_spec_sets(cold_caches):
     assert _candidate_count.cache_info().hits == len(reports) - 4
 
 
+def scale_y(shape, q):
+    """A shape in Y scaled as the command line fills it: Y**j times q**(d - j), read in X**2."""
+    d = shape.degree
+    powers = q_powers(q, d)
+    return IntPoly(c * powers[d - j] for j, c in enumerate(shape.coeffs)).compose_power(2)
+
+
 def test_shape_scaling_matches_minpoly_for_every_admissible_spec():
     for p in (2, 3, 5, 7, 13):
         for n in (1, 3):
             for g in (1, 2, 4, 6):
                 params = WeilParams(p=p, n=n, g=g)
                 for s in full_specs(params):
-                    shape = minpoly_shape(s.q_star_sign, s.t)
-                    scaled = IntPoly(scale_shape(shape, q_powers(params.q, shape.degree // 2)))
+                    scaled = scale_y(minpoly_shape(s.q_star_sign, s.t), params.q)
                     assert scaled == minpoly_full_degree(params, s.q_star_sign, s.t)
                     assert scaled == substituted_minpoly(params, s.q_star_sign, s.t)
+                    assert scaled == scale_x(minpoly_shape_x(s.q_star_sign, s.t), params.q)
 
 
 def test_shape_scaling_is_multiplicative():
@@ -186,16 +202,8 @@ def test_shape_scaling_is_multiplicative():
     for _ in range(100):
         a = minpoly_shape(rng.choice((-1, 1)), rng.randint(1, 12))
         b = minpoly_shape(rng.choice((-1, 1)), rng.randint(1, 12))
-        powers = q_powers(rng.choice((2, 3, 5 ** 3, 7 ** 5)), 20)  # phi(4t) <= 20 for t <= 12
-        product = IntPoly(scale_shape(a * b, powers))
-        assert product == IntPoly(scale_shape(a, powers)) * IntPoly(scale_shape(b, powers))
-
-
-def test_scale_shape_rejects_odd_shapes():
-    for bad in (IntPoly([1, 1, 1]), IntPoly([0, 1]), IntPoly([1, 0, 0, 1])):
-        with pytest.raises(BrokenInvariant):
-            scale_shape(bad, q_powers(5, 2))
-    assert scale_shape(IntPoly([3]), q_powers(5, 2)) == [3]
+        q = rng.choice((2, 3, 5 ** 3, 7 ** 5))
+        assert scale_y(a * b, q) == scale_y(a, q) * scale_y(b, q)
 
 
 def test_scan_builds_each_spec_once_per_g(monkeypatch):
@@ -246,7 +254,8 @@ def test_fitting_specs_match_the_scan_oracle(monkeypatch, cold_caches):
     monkeypatch.setattr(enumerator, "G_CAP", 60)
     for g in range(1, 61):
         walked = [(s.q_star_sign, s.t, d) for s, d in enumerator._fitting_specs(g)]
-        assert walked == fitting_specs_scan(g), g
+        # the walk carries phi(2t), the scan phi(4t) = 2 phi(2t)
+        assert walked == [(sign, t, d // 2) for sign, t, d in fitting_specs_scan(g)], g
 
 
 def test_scan_cap_is_complete():

@@ -4,13 +4,19 @@ from math import gcd
 
 import mpmath
 import pytest
-from oracles import functional_equation_sign
+from oracles import functional_equation_sign, minpoly_shape_x
 
 from weilparity.cyclotomic import totient
 from weilparity.enumerator import verify_parity_theorem
 from weilparity.errors import HalfDegreeUnsupported
 from weilparity.intpoly import IntPoly
-from weilparity.weil import WeilNumberSpec, WeilParams, is_full_degree, minpoly_full_degree
+from weilparity.weil import (
+    WeilNumberSpec,
+    WeilParams,
+    is_full_degree,
+    minpoly_full_degree,
+    minpoly_shape,
+)
 
 
 def test_params_validation():
@@ -78,6 +84,14 @@ def test_minpoly_examples():
     assert minpoly_full_degree(p5, -1, 1) == IntPoly([-5, 0, 1])   # X^2 - 5
     p7 = WeilParams(p=7, n=1, g=2)
     assert minpoly_full_degree(p7, -1, 3) == IntPoly([49, 0, 7, 0, 1])
+
+
+def test_shape_in_y_matches_the_x_domain_oracle():
+    # Phi_4t(X) = Phi_2t(X**2), as 2t is even: the shape built in Y = X**2
+    # from index 2t, read in X**2, is the one built in X from index 4t
+    for t in range(1, 2001):
+        for sign in (-1, 1):
+            assert minpoly_shape(sign, t).compose_power(2) == minpoly_shape_x(sign, t), (sign, t)
 
 
 def test_minpoly_half_degree_is_an_error():
