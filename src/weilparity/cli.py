@@ -246,9 +246,9 @@ def _cmd_minpoly(args) -> int:
     # g plays no role in the minimal polynomial; pin the smallest value.
     sign = 1 if args.sign == "+" else -1
     params = WeilParams(p=args.p, n=args.n, g=1)
-    t_cap = CYCLOTOMIC_CAP // 4  # checked here, so the message names t, not 4t
+    t_cap = CYCLOTOMIC_CAP // 2  # checked here, so the message names t, not 2t
     if args.t > t_cap:
-        raise OutOfRange(f"t={args.t} exceeds the cap {t_cap} (4t <= {CYCLOTOMIC_CAP})")
+        raise OutOfRange(f"t={args.t} exceeds the cap {t_cap} (2t <= {CYCLOTOMIC_CAP})")
     if args.t >= 1:  # else minpoly_full_degree rejects t
         _check_digits("the constant term", args.p, args.n * totient(2 * args.t))
     poly = minpoly_full_degree(params, sign, args.t)

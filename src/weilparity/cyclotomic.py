@@ -1,17 +1,20 @@
-"""Cyclotomic polynomials and the totient/Moebius arithmetic they need.
+"""Cyclotomic polynomials and the prime factorizations they need.
 
 :func:`cyclotomic` builds the n-th cyclotomic polynomial by the sparse
 power-series method of Arnold and Monagan ("Calculating cyclotomic
 polynomials", Math. Comp. 80, 2011): reduce ``n`` to its radical, strip
-a factor 2 by ``X -> -X``, apply the factors ``(1 - X**d)**moebius(n/d)``
+a factor 2 by ``X -> -X``, apply the factors ``(1 - X**d)**mu(n/d)``
 to the lower half of the coefficients in place, and mirror the
-palindrome.  The test suite checks it against an independent oracle,
-the same Moebius product taken as one exact polynomial quotient
-(``cyclotomic_mobius`` in ``tests/oracles.py``).
+palindrome.  The divisors d of a squarefree n and the signs mu(n/d) are
+read off its prime list.  The test suite checks the result against an
+independent oracle, the same Moebius product taken as one exact
+polynomial quotient (``cyclotomic_mobius`` in ``tests/oracles.py``),
+which shares no arithmetic helper with this module.
 
-The memo table behind :func:`cyclotomic` is the only shared mutable
-state in the package: readers only ever see fully constructed entries,
-and a duplicated computation under contention is harmless.
+Like every functools cache in the package, the memo tables of
+:func:`factorize` and :func:`cyclotomic` hold only immutable values:
+a reader never sees a partly built entry, and a duplicated computation
+under contention is harmless.
 """
 
 from __future__ import annotations
@@ -19,7 +22,6 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import accumulate
 from math import isqrt, prod
-from typing import NamedTuple
 
 from .errors import OutOfRange
 from .intpoly import IntPoly
@@ -28,40 +30,12 @@ FACTORIZE_CAP = 10 ** 9  # trial-division scale
 CYCLOTOMIC_CAP = 10 ** 6  # about 2**omega(n) * phi(n)/2 coefficient updates
 
 
-class _FactoredInteger(NamedTuple):
-    n: int
-    factors: tuple[tuple[int, int], ...]
-
-
-class FactoredInteger(_FactoredInteger):
-    """A positive integer with its prime factorization.
-
-    ``factors`` lists (prime, exponent) pairs with strictly increasing
-    primes; their product reconstructs ``n`` (the empty product is 1).
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, n: int, factors: tuple[tuple[int, int], ...]):
-        acc = 1
-        prev = 1
-        for p, e in factors:
-            if p <= prev or e < 1:
-                raise ValueError("factors must be increasing primes with positive exponents")
-            prev = p
-            acc *= p ** e
-        if acc != n:
-            raise ValueError(f"factorization does not multiply back to {n}")
-        return super().__new__(cls, n, factors)
-
-    @classmethod
-    def _make(cls, iterable):  # _replace builds through _make: check there too
-        return cls(*iterable)
-
-
 @lru_cache(maxsize=None)
-def factorize(n: int) -> FactoredInteger:
-    """Complete prime factorization by trial division."""
+def factorize(n: int) -> tuple[tuple[int, int], ...]:
+    """Prime factorization by trial division.
+
+    The (prime, exponent) pairs of ``n``, primes increasing; 1 has none.
+    """
     if n < 1:
         raise ValueError("n must be a positive integer")
     if n > FACTORIZE_CAP:
@@ -79,35 +53,19 @@ def factorize(n: int) -> FactoredInteger:
         d += 1 if d == 2 else 2
     if rest > 1:
         factors.append((rest, 1))
-    return FactoredInteger(n, tuple(factors))
+    return tuple(factors)
 
 
 def is_prime(n: int) -> bool:
-    return n >= 2 and factorize(n).factors == ((n, 1),)
-
-
-def divisors(n: int) -> tuple[int, ...]:
-    """All positive divisors of ``n`` in increasing order."""
-    divs = [1]
-    for p, e in factorize(n).factors:
-        divs = [d * p ** j for d in divs for j in range(e + 1)]
-    return tuple(sorted(divs))
+    return n >= 2 and factorize(n) == ((n, 1),)
 
 
 def totient(n: int) -> int:
     """Euler's totient via the product formula over the factorization."""
     result = 1
-    for p, e in factorize(n).factors:
+    for p, e in factorize(n):
         result *= p ** (e - 1) * (p - 1)
     return result
-
-
-def moebius(n: int) -> int:
-    """0 if n is not squarefree, else (-1)**(number of prime factors)."""
-    factors = factorize(n).factors
-    if any(e > 1 for _, e in factors):
-        return 0
-    return -1 if len(factors) & 1 else 1
 
 
 def _check_cap(n: int) -> None:
@@ -123,20 +81,25 @@ def _cyclotomic(n: int) -> IntPoly:
         return IntPoly((-1, 1))
     if n == 2:
         return IntPoly((1, 1))
-    rad = prod(p for p, _ in factorize(n).factors)
+    primes = [p for p, _ in factorize(n)]
+    rad = prod(primes)
     if rad != n:
         return _cyclotomic(rad).compose_power(n // rad)
     if n % 2 == 0:
         return _cyclotomic(n // 2).sign_flip()
-    # Odd squarefree n > 1: prod_{d | n} (1 - X**d)**moebius(n/d) as a
-    # power series truncated after X**half, where factors with d > half
-    # are 1.  The palindrome fixes the upper half.
+    # Odd squarefree n > 1: prod_{d | n} (1 - X**d)**mu(n/d) as a power
+    # series truncated after X**half, where factors with d > half are 1.
+    # The palindrome fixes the upper half.  Each pair is (d, mu(n/d) == 1):
+    # n/d has one prime fewer for each prime d takes.
+    pairs = [(1, len(primes) % 2 == 0)]
+    for p in primes:
+        pairs += [(d * p, not plus) for d, plus in pairs]
     half = totient(n) // 2
     series = [1] + [0] * half
-    for d in divisors(n):
+    for d, plus in sorted(pairs):
         if d > half:
             break
-        if moebius(n // d) == 1:
+        if plus:
             series[d:] = [hi - lo for hi, lo in zip(series[d:], series)]
         else:
             # 1/(1 - X**d): running sums along each residue class mod d.

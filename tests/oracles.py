@@ -1,7 +1,8 @@
 """Reference implementations the tests compare the library against.
 
 None of these is on a command-line path: they are independent
-constructions (the Moebius quotient for cyclotomic polynomials, exact
+constructions (the Moebius quotient for cyclotomic polynomials, over
+divisors and a Moebius function found here by trial division, exact
 polynomial division, the t-list by a scan of every t, the minimal
 polynomials and candidates built in X from the cyclotomic polynomial of
 index 4t, a parity report's document built as a dict and its TSV rows
@@ -12,9 +13,9 @@ kept here as oracles and acceptance checks.
 
 import json
 from collections import namedtuple
-from math import comb
+from math import comb, isqrt
 
-from weilparity.cyclotomic import _check_cap, cyclotomic, divisors, is_prime, moebius, totient
+from weilparity.cyclotomic import _check_cap, cyclotomic, is_prime, totient
 from weilparity.enumerator import candidate_shapes
 from weilparity.errors import ShapeError
 from weilparity.intpoly import IntPoly
@@ -65,6 +66,29 @@ def horner(poly: IntPoly, x: int) -> int:
     for c in reversed(poly.coeffs):
         acc = acc * x + c
     return acc
+
+
+def divisors(n: int) -> list[int]:
+    """All positive divisors of ``n`` in increasing order, by trial division up to sqrt(n)."""
+    small = [d for d in range(1, isqrt(n) + 1) if n % d == 0]
+    return small + [n // d for d in reversed(small) if d * d != n]
+
+
+def moebius(n: int) -> int:
+    """0 if a prime square divides ``n``, else (-1)**(number of primes dividing n).
+
+    By trial division: each prime p found is divided out once, and a
+    second p left in the rest means n is not squarefree.
+    """
+    mu, rest, p = 1, n, 2
+    while p * p <= rest:
+        if rest % p == 0:
+            rest //= p
+            if rest % p == 0:
+                return 0
+            mu = -mu
+        p += 1
+    return -mu if rest > 1 else mu
 
 
 def cyclotomic_mobius(n: int) -> IntPoly:

@@ -13,13 +13,14 @@ from oracles import (
     candidates,
     corollary_threshold,
     cyclotomic_mobius,
+    divisors,
     functional_equation_sign,
     prime_power_identity_check,
 )
 
 from weilparity.bounds import full_bounds_report
 from weilparity.cli import run
-from weilparity.cyclotomic import cyclotomic, divisors, totient
+from weilparity.cyclotomic import cyclotomic, totient
 from weilparity.enumerator import primes_between, verify_grid, verify_parity_theorem
 from weilparity.intpoly import IntPoly
 from weilparity.weil import WeilParams, is_full_degree, minpoly_full_degree

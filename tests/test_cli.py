@@ -13,8 +13,9 @@ from hypothesis import strategies as st
 from oracles import NotDivisible, enumerate_rows, parity_doc, parity_json
 
 from weilparity.cli import ingest_reference, run
+from weilparity.cyclotomic import _check_cap
 from weilparity.enumerator import G_CAP, primes_between, verify_grid, verify_parity_theorem
-from weilparity.errors import BrokenInvariant, ParseError
+from weilparity.errors import BrokenInvariant, OutOfRange, ParseError
 from weilparity.intpoly import IntPoly
 from weilparity.weil import WeilParams
 
@@ -316,7 +317,7 @@ def test_minpoly_half_degree_exits_2(capsys):
 
 
 def test_cap_errors_name_the_flag(capsys):
-    # p and 4t are factored by trial division and 4t indexes a cyclotomic
+    # p and 2t are factored by trial division and 2t indexes a cyclotomic
     # polynomial; a cap error names the flag given, not that internal n
     code, out, err = invoke(capsys, ["enumerate", "--g", "1", "--p", "1000000007", "--n", "1"])
     assert (code, out) == (2, "")
@@ -324,14 +325,19 @@ def test_cap_errors_name_the_flag(capsys):
     argv = ["minpoly", "--p", "5", "--n", "1", "--sign", "+", "--t"]
     code, out, err = invoke(capsys, [*argv, "100000000000"])
     assert (code, out) == (2, "")
-    assert err == "error: t=100000000000 exceeds the cap 250000 (4t <= 1000000)\n"
+    assert err == "error: t=100000000000 exceeds the cap 500000 (2t <= 1000000)\n"
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)  # no digit check before the cyclotomic cap
     try:
-        code, out, err = invoke(capsys, [*argv, "250001"])
+        code, out, err = invoke(capsys, [*argv, "500001"])
     finally:
         sys.set_int_max_str_digits(limit)
-    assert (code, out, err) == (2, "", "error: t=250001 exceeds the cap 250000 (4t <= 1000000)\n")
+    assert (code, out, err) == (2, "", "error: t=500001 exceeds the cap 500000 (2t <= 1000000)\n")
+    # the t cap is the largest t whose index 2t is within the cyclotomic cap
+    t_cap = 500000
+    _check_cap(2 * t_cap)
+    with pytest.raises(OutOfRange):
+        _check_cap(2 * (t_cap + 1))
 
 
 def test_enumerate_tsv(capsys):

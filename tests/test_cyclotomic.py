@@ -1,21 +1,22 @@
 """Cyclotomic construction, oracle equivalence, parity law, shift identity."""
 
+import ast
 from math import gcd
+from pathlib import Path
 
+import oracles
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import cyclotomic_mobius, horner, prime_power_identity_check
+from oracles import cyclotomic_mobius, divisors, horner, moebius, prime_power_identity_check
 
+import weilparity.cyclotomic as cyclotomic_module
 from weilparity.cyclotomic import (
     CYCLOTOMIC_CAP,
     FACTORIZE_CAP,
-    FactoredInteger,
     cyclotomic,
-    divisors,
     factorize,
     is_prime,
-    moebius,
     totient,
 )
 from weilparity.errors import OutOfRange
@@ -27,10 +28,10 @@ def brute_totient(n: int) -> int:
 
 
 def test_factorize_examples():
-    assert factorize(12).factors == ((2, 2), (3, 1))
-    assert factorize(1).factors == ()
-    assert factorize(28).factors == ((2, 2), (7, 1))
-    assert factorize(97).factors == ((97, 1),)
+    assert factorize(12) == ((2, 2), (3, 1))
+    assert factorize(1) == ()
+    assert factorize(28) == ((2, 2), (7, 1))
+    assert factorize(97) == ((97, 1),)
 
 
 def test_factorize_bounds():
@@ -40,19 +41,11 @@ def test_factorize_bounds():
         factorize(FACTORIZE_CAP + 1)
 
 
-def test_factored_integer_rejects_corrupt_records():
-    with pytest.raises(ValueError):
-        FactoredInteger(12, ((2, 2), (5, 1)))
-    with pytest.raises(ValueError):
-        FactoredInteger(12, ((3, 1), (2, 2)))
-    with pytest.raises(ValueError):
-        factorize(12)._replace(n=13)
-
-
 def test_divisors():
-    assert divisors(12) == (1, 2, 3, 4, 6, 12)
-    assert divisors(1) == (1,)
-    assert divisors(49) == (1, 7, 49)
+    # the oracle's own divisors, which the Moebius quotient runs over
+    assert divisors(12) == [1, 2, 3, 4, 6, 12]
+    assert divisors(1) == [1]
+    assert divisors(49) == [1, 7, 49]
 
 
 def test_is_prime():
@@ -75,11 +68,49 @@ def test_totient_doubling_for_odd_t():
 
 
 def test_moebius_examples():
+    # the oracle's own Moebius function
     assert moebius(1) == 1
     assert moebius(12) == 0
     assert moebius(6) == 1
     assert moebius(30) == -1
     assert moebius(7) == -1
+    assert moebius(49) == 0
+
+
+def test_oracle_divisor_sums():
+    # sum_{d | n} mu(d) = [n = 1] and sum_{d | n} phi(d) = n
+    for n in range(1, 5001):
+        divs = divisors(n)
+        assert divs == sorted(set(divs)) and all(n % d == 0 for d in divs)
+        assert sum(moebius(d) for d in divs) == (n == 1)
+        assert sum(totient(d) for d in divs) == n
+
+
+def test_oracles_share_no_arithmetic_helper_with_the_construction():
+    # the Moebius oracle finds its own divisors and signs; from this module
+    # it may use only the cap check, the construction it is compared
+    # against, and the primality and totient the other oracles need
+    allowed = {"_check_cap", "cyclotomic", "is_prime", "totient"}
+    imported = set()
+    for node in ast.walk(ast.parse(Path(oracles.__file__).read_text())):
+        if isinstance(node, ast.ImportFrom) and node.module == "weilparity.cyclotomic":
+            imported |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module == "weilparity":
+            assert "cyclotomic" not in {alias.name for alias in node.names}
+        elif isinstance(node, ast.Import):
+            assert all(alias.name != "weilparity.cyclotomic" for alias in node.names)
+    assert imported <= allowed, sorted(imported - allowed)
+
+
+def test_cold_cyclotomic_factors_its_index_once():
+    # the divisors and signs of a squarefree index come from its one prime list
+    cyclotomic_module._cyclotomic.cache_clear()
+    factorize.cache_clear()
+    cyclotomic(15015)
+    assert factorize.cache_info().misses == 1
+    cyclotomic_module._cyclotomic.cache_clear()
+    cyclotomic(30030)  # and from Phi_15015 by X -> -X
+    assert factorize.cache_info().misses == 2
 
 
 def test_cyclotomic_small_cases():

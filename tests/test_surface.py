@@ -9,7 +9,6 @@ from pathlib import Path
 import pytest
 
 from weilparity.bounds import full_bounds_report
-from weilparity.cyclotomic import FactoredInteger
 from weilparity.enumerator import verify_grid, verify_parity_theorem
 from weilparity.intpoly import IntPoly
 from weilparity.weil import WeilNumberSpec, WeilParams
@@ -57,8 +56,6 @@ def test_importing_the_cli_loads_no_introspection_modules():
 
 P5 = dict(p=5, n=1, g=1)
 VALUES = [  # (a zero-argument constructor of a value, its repr text)
-    (lambda: FactoredInteger(12, ((2, 2), (3, 1))),
-     "FactoredInteger(n=12, factors=((2, 2), (3, 1)))"),
     (lambda: IntPoly([-1, 0, 1, 0]), "IntPoly(coeffs=(-1, 0, 1))"),
     (lambda: WeilParams(**P5), "WeilParams(p=5, n=1, g=1)"),
     (lambda: WeilNumberSpec(-1, 3), "WeilNumberSpec(q_star_sign=-1, t=3)"),
