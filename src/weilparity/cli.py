@@ -21,16 +21,17 @@ exit 1's stderr line follows the full output.  Every other check runs
 before the first byte: a ``verify`` grid must cover each g <= gmax with
 a prime 2g+1 < p <= pmax <= 10**7 (the sieve cap) and name no n twice, a
 printed constant term (q**g, or q**phi(2t) for ``minpoly``) must fit
-Python's digit limit, and the ``bounds`` file must open.  ``enumerate``
-and structured ``verify`` write a cell's candidates by filling a q-free
-template, built once per (g, spec set): the cell converts only its
-distinct (power of q, coefficient) slots to decimal.
+Python's digit limit (for ``bounds`` q**g too: no row past it could be
+symmetric), and the ``bounds`` file must open.  Each JSON item is the text
+``json.dumps`` would write, made by f-strings without ``json``.
+``enumerate`` and structured ``verify`` write a cell's candidates by
+filling a q-free template, built once per (g, spec set): the cell
+converts only its distinct (power of q, coefficient) slots to decimal.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from functools import cache
@@ -45,6 +46,7 @@ from .errors import BrokenInvariant, OutOfRange, ParseError
 from .weil import WeilParams, minpoly_full_degree, q_powers
 
 _SIGN_TEXT = {1: "+", -1: "-"}
+_BOOL_TEXT = ("false", "true")  # indexed by a bool
 _CELL = ("g", "p", "n")
 
 
@@ -88,15 +90,14 @@ def _emit(args, text, rows, header=None) -> None:
     """Write the JSON ``text()``, or the TSV ``header`` and ``rows()``, then a newline.
 
     Only the requested format is built: ``text`` and ``rows`` are thunks.
-    ``text()`` yields the JSON text in pieces; a TSV line is a row's fields,
-    tab-joined, each as ``str`` writes it.  Each item is written
-    as it is made: a failure leaves the items before it, with no newline.
+    ``text()`` yields the JSON text in pieces, ``rows()`` the TSV lines; the
+    header's fields are tab-joined.  Each item is written as it is made: a
+    failure leaves the items before it, with no newline.
     """
     if args.format == "structured":
         pieces = text()
     else:
-        lines = chain([header] if header else [], rows())
-        pieces = _joined(("\t".join(map(str, row)) for row in lines), "\n")
+        pieces = _joined(chain(["\t".join(header)] if header else [], rows()), "\n")
     _write_blocks(pieces)
 
 
@@ -217,27 +218,26 @@ def _parity_json(report: ParityReport) -> str:
     )
 
 
-def _bounds_doc(report: BoundsReport) -> dict:
-    params = report.params
-    return {
-        "g": params.g, "p": params.p, "n": params.n,
-        "symmetric": report.symmetric_ok,
-        "lemma_a1": report.lemma_a1_ok,
-        "per_coefficient": [
-            {"k": k, "a_k": a_k, "archimedean": arch, "valuation": val}
-            for k, (a_k, arch, val) in enumerate(
-                zip(report.a_values, report.archimedean_ok, report.valuation_ok), 1
-            )
-        ],
-    }
+def _bounds_json(r: BoundsReport) -> str:
+    """The bound checks of report ``r``, as :func:`_parity_json` writes a cell."""
+    p, n, g = r.params
+    per_k = zip(range(1, g + 1), r.a_values, r.archimedean_ok, r.valuation_ok)
+    per_coefficient = ", ".join(
+        f'{{"k": {k}, "a_k": {a_k}, "archimedean": {_BOOL_TEXT[arch]}, '
+        f'"valuation": {_BOOL_TEXT[val]}}}' for k, a_k, arch, val in per_k
+    )
+    return (
+        f'{{"g": {g}, "p": {p}, "n": {n}, "symmetric": {_BOOL_TEXT[r.symmetric_ok]}, '
+        f'"lemma_a1": {_BOOL_TEXT[r.lemma_a1_ok]}, "per_coefficient": [{per_coefficient}]}}'
+    )
 
 
 def _cmd_cyclo(args) -> int:
     poly = cyclotomic(args.n)
     _emit(
         args,
-        lambda: [json.dumps({"n": args.n, "coeffs": list(poly.coeffs)})],
-        lambda: [(poly.to_line(),)],
+        lambda: [f'{{"n": {args.n}, "coeffs": [{", ".join(map(str, poly.coeffs))}]}}'],
+        lambda: [poly.to_line()],
     )
     return 0
 
@@ -252,11 +252,12 @@ def _cmd_minpoly(args) -> int:
     if args.t >= 1:  # else minpoly_full_degree rejects t
         _check_digits("the constant term", args.p, args.n * totient(2 * args.t))
     poly = minpoly_full_degree(params, sign, args.t)
-    doc = {"p": args.p, "n": args.n, "sign": sign, "t": args.t}
     _emit(
         args,
-        lambda: [json.dumps({**doc, "degree": len(poly.coeffs) - 1, "coeffs": list(poly.coeffs)})],
-        lambda: [(poly.to_line(),)],
+        lambda: [f'{{"p": {args.p}, "n": {args.n}, "sign": {sign}, "t": {args.t}, '
+                 f'"degree": {len(poly.coeffs) - 1}, '
+                 f'"coeffs": [{", ".join(map(str, poly.coeffs))}]}}'],
+        lambda: [poly.to_line()],
     )
     return 0
 
@@ -267,8 +268,7 @@ def _cmd_enumerate(args) -> int:
     report = verify_parity_theorem(params)
 
     def rows():  # after the header is out, a piece per row, so blocks stay _WRITE_BLOCK
-        for row in _candidates_text(report, "tsv").split("\n"):
-            yield (row,)
+        yield from _candidates_text(report, "tsv").split("\n")
 
     _emit(args, lambda: [_parity_json(report)], rows, (*_CELL, "coeffs", "even", "factors"))
     return 0 if report.contract_ok else 1
@@ -289,8 +289,9 @@ def _cmd_verify(args) -> int:
     _emit(
         args,
         lambda: _json_array(map(_parity_json, reports())),
-        lambda: ((r.params.g, r.params.p, r.params.n, r.total_candidates, r.odd_candidates,
-                  len(r.half_degree_specs), str(r.contract_ok).lower()) for r in reports()),
+        lambda: (f"{r.params.g}\t{r.params.p}\t{r.params.n}\t{r.total_candidates}\t"
+                 f"{r.odd_candidates}\t{len(r.half_degree_specs)}\t{_BOOL_TEXT[r.contract_ok]}"
+                 for r in reports()),
         (*_CELL, "total_candidates", "odd_candidates", "half_degree_specs", "ok"),
     )
     if not ok:
@@ -306,7 +307,7 @@ def _cmd_detect_half(args) -> int:
         args,
         lambda: [f'{{"g": {params.g}, "p": {params.p}, "n": {params.n}, '
                  f'"half_degree_specs": {_specs_json(specs)}}}'],
-        lambda: ((_SIGN_TEXT[s.q_star_sign], s.t, totient(2 * s.t)) for s in specs),
+        lambda: (f"{_SIGN_TEXT[s.q_star_sign]}\t{s.t}\t{totient(2 * s.t)}" for s in specs),
         ("sign", "t", "degree"),
     )
     if params.p > 2 * params.g + 1 and specs:
@@ -317,16 +318,16 @@ def _cmd_detect_half(args) -> int:
 
 def _cmd_bounds(args) -> int:
     params = WeilParams(p=args.p, n=args.n, g=args.g)
+    _check_digits("the constant term", args.p, args.n * args.g)  # before the file opens
     reports = (full_bounds_report(coeffs, params) for coeffs in ingest_reference(args.file))
-    cell = (params.g, params.p, params.n)
+    cell = f"{args.g}\t{args.p}\t{args.n}\t"
     _emit(
         args,
-        lambda: _json_array(json.dumps(_bounds_doc(r)) for r in reports),
+        lambda: _json_array(map(_bounds_json, reports)),
         lambda: (
-            (*cell, " ".join(map(str, r.a_values)),
-             "true" if r.symmetric_ok else "false", "true" if r.lemma_a1_ok else "false",
-             "true" if all(r.archimedean_ok) else "false",
-             "true" if all(r.valuation_ok) else "false")
+            f"{cell}{' '.join(map(str, r.a_values))}\t{_BOOL_TEXT[r.symmetric_ok]}\t"
+            f"{_BOOL_TEXT[r.lemma_a1_ok]}\t{_BOOL_TEXT[all(r.archimedean_ok)]}\t"
+            f"{_BOOL_TEXT[all(r.valuation_ok)]}"
             for r in reports
         ),
         (*_CELL, "a_values", "symmetric", "lemma_a1", "archimedean", "valuation"),

@@ -6,9 +6,10 @@ divisors and a Moebius function found here by trial division, exact
 polynomial division, the t-list by a scan of every t, the minimal
 polynomials and candidates built in X from the cyclotomic polynomial of
 index 4t, a parity report's document built as a dict and its TSV rows
-rendered one candidate at a time, the candidate count taken over every
-product), identities from the literature, and the paper's thresholds,
-kept here as oracles and acceptance checks.
+rendered one candidate at a time, a bounds report's document built as a
+dict and its TSV row, the candidate count taken over every product),
+identities from the literature, and the paper's thresholds, kept here as
+oracles and acceptance checks.
 """
 
 import json
@@ -300,3 +301,35 @@ def enumerate_rows(report) -> list[str]:
 def parity_json(reports) -> str:
     """What structured ``verify`` prints for ``reports``: one ``json.dumps`` of every document."""
     return json.dumps([parity_doc(r) for r in reports]) + "\n"
+
+
+def bounds_doc(report) -> dict:
+    """The structured document of one bounds report, built as a dict.
+
+    Through ``json.dumps`` it gives the text the command line writes for
+    the report: the oracle of its text renderer, which builds no dict.
+    """
+    params = report.params
+    return {
+        "g": params.g, "p": params.p, "n": params.n,
+        "symmetric": report.symmetric_ok,
+        "lemma_a1": report.lemma_a1_ok,
+        "per_coefficient": [
+            {"k": k, "a_k": a_k, "archimedean": arch, "valuation": val}
+            for k, (a_k, arch, val) in enumerate(
+                zip(report.a_values, report.archimedean_ok, report.valuation_ok), 1
+            )
+        ],
+    }
+
+
+def bounds_row(report) -> str:
+    """The TSV row ``bounds`` prints for the report: its cell, a_1..a_g and four flags."""
+    params = report.params
+    flags = (report.symmetric_ok, report.lemma_a1_ok,
+             all(report.archimedean_ok), all(report.valuation_ok))
+    return "\t".join([
+        str(params.g), str(params.p), str(params.n),
+        " ".join(map(str, report.a_values)),
+        *(json.dumps(flag) for flag in flags),
+    ])

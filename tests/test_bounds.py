@@ -2,7 +2,7 @@
 
 import cmath
 from bisect import bisect_right
-from math import comb, gcd
+from math import comb, gcd, isqrt
 
 import pytest
 from hypothesis import given, settings
@@ -198,6 +198,21 @@ def test_archimedean_examples():
     assert flags == [True, True]  # a1 = 0; a2 = 7: 49 <= 36*49
     flags = archimedean_flags(IntPoly([5, 6, 1]), WeilParams(p=5, n=1, g=1))
     assert flags == [False]  # 36 > 4*5
+
+
+def test_archimedean_bound_at_its_edge():
+    # |a_k| = isqrt(C(2g,k)**2 * q**k) passes and one more fails, at either
+    # sign and every k, against the squared form a_k**2 <= C(2g,k)**2 * q**k;
+    # the bound is a perfect square for even k
+    for g, p, n in ((1, 5, 1), (3, 37, 1), (3, 37, 3), (4, 2, 1), (5, 401, 5)):
+        params = WeilParams(p=p, n=n, g=g)
+        for k in range(1, g + 1):
+            bound = comb(2 * g, k) ** 2 * params.q ** k
+            for a in (isqrt(bound), isqrt(bound) + 1, -isqrt(bound), -isqrt(bound) - 1):
+                coeffs = [0] * (2 * g) + [1]
+                coeffs[2 * g - k] = a
+                flags = full_bounds_report(coeffs, params).archimedean_ok
+                assert flags[k - 1] == (a * a <= bound), (g, p, n, k, a)
 
 
 def test_valuation_examples():

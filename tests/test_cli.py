@@ -5,19 +5,28 @@ import io
 import json
 import sys
 import tracemalloc
+from itertools import product
 from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
-from oracles import NotDivisible, enumerate_rows, parity_doc, parity_json
+from oracles import (
+    NotDivisible,
+    bounds_doc,
+    bounds_row,
+    enumerate_rows,
+    parity_doc,
+    parity_json,
+)
 
+from weilparity.bounds import BoundsReport, full_bounds_report
 from weilparity.cli import ingest_reference, run
-from weilparity.cyclotomic import _check_cap
+from weilparity.cyclotomic import _check_cap, cyclotomic
 from weilparity.enumerator import G_CAP, primes_between, verify_grid, verify_parity_theorem
 from weilparity.errors import BrokenInvariant, OutOfRange, ParseError
 from weilparity.intpoly import IntPoly
-from weilparity.weil import WeilParams
+from weilparity.weil import WeilParams, minpoly_full_degree
 
 
 def invoke(capsys, argv):
@@ -58,6 +67,20 @@ GOLDEN_FILES = {
         "50653 0 37 0 1 0 1\n"
         "50653 0 0 0 -999 0 1\n"
         "50653 0 0 0 50653000000 0 1\n"
+    ),
+    # g=3 p=401 sits past C(6,3)**2 = 400, so a_1 and a_3 must both vanish:
+    # rows with neither, either or both nonzero, a nonzero a_2 passing every
+    # bound, a row failing only the valuation bound, and the negative sign
+    "g3p401": (
+        "# g=3 p=401\n"
+        "64481201 0 0 0 0 0 1\n"
+        "64481201 0 160801 0 401 0 1\n"
+        "64481201 160801 0 0 0 1 1\n"
+        "64481201 0 0 160801 0 0 1\n"
+        "64481201 0 0 7 0 0 1\n"
+        "64481201 160801 0 7 0 1 1\n"
+        "64481201 0 1203 0 3 0 1\n"
+        "-64481201 0 0 0 0 0 1\n"
     ),
     # g=10 p=23 n=3: every 6th enumerated candidate, some perturbed (see its header)
     "g10": (Path(__file__).parent / "data" / "bounds_g10_p23_n3.txt").read_text(),
@@ -182,6 +205,11 @@ GOLDEN = {
         ("9a242fb23e3726e05060f86c8a54f14f6459178376d1f787cb85309f0d331513", 0),
     (("bounds", "--g", "3", "--p", "37", "--n", "3", "--file", "@g3"), "structured"):
         ("f185b1798092294fcd11fdc997b59476c1c68cb2f9dd4d84a5d58be84dc75c86", 0),
+    # recorded with each row rendered through json.dumps and tuple fields
+    (("bounds", "--g", "3", "--p", "401", "--n", "1", "--file", "@g3p401"), "tsv"):
+        ("ba7f1df37d0be55240d625746628cdf93cb80d4a3131fd593c3f26f815f0b02e", 0),
+    (("bounds", "--g", "3", "--p", "401", "--n", "1", "--file", "@g3p401"), "structured"):
+        ("c4e442a18e27d30d76114adefed78e2edf69507a06514d6ef7d2673c5f065fcd", 0),
     # recorded with a check object per a_k, and a file parsed through IntPoly
     (("bounds", "--g", "10", "--p", "23", "--n", "3", "--file", "@g10"), "tsv"):
         ("615d61c71c6a33811838ff10291450cc2ee6fbab06d4e89bce72941e863d9ab0", 0),
@@ -591,6 +619,32 @@ def test_bounds_missing_file(capsys, tmp_path):
         code, out, err = invoke(capsys, [*BOUNDS_G1, str(tmp_path / "missing.txt"), "--format", fmt])
         assert (code, out) == (2, "")
         assert err.startswith("error: [Errno 2]")
+
+
+def test_bounds_checks_the_digit_limit_before_opening_the_file(monkeypatch, capsys, tmp_path):
+    # a row is symmetric only if its constant term +q**g parsed, so past
+    # Python's digit limit no row could be: the run stops before any work
+    import weilparity.cli as cli
+
+    ref = tmp_path / "one.txt"
+    ref.write_text("1 " * 20 + "1\n")  # monic of degree 20
+
+    def work(*args):
+        raise RuntimeError("bounds read its file before the digit check")
+
+    argv = ["bounds", "--g", "10", "--p", "3", "--n", "1000001", "--file", str(ref)]
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "ingest_reference", work)
+        for fmt in ("tsv", "structured"):
+            code, out, err = invoke(capsys, [*argv, "--format", fmt])
+            assert (code, out) == (2, "")
+            assert err.startswith("error: the constant term = 3**10000010 has more than 4300 digits")
+    # on each side of the limit at g = 1: q = 23**3157 has 4299 digits, 23**3159 4302
+    ref.write_text("5 0 1\n")
+    cell = ["bounds", "--g", "1", "--p", "23", "--file", str(ref), "--n"]
+    assert invoke(capsys, [*cell, "3159"])[:2] == (2, "")
+    code, out, _ = invoke(capsys, [*cell, "3157"])
+    assert (code, out.splitlines()[1]) == (0, "1\t23\t3157\t0\tfalse\ttrue\ttrue\ttrue")
 
 
 def half_degree_t3(monkeypatch):
@@ -1296,3 +1350,83 @@ def test_tsv_enumerate_writes_in_blocks(monkeypatch):
     longest = max(map(len, out.splitlines()))
     assert min(sizes[:-1]) >= cli._WRITE_BLOCK > sizes[-1]
     assert max(sizes) <= cli._WRITE_BLOCK + longest + 1
+
+
+# (file, g, p) of each golden bounds run
+BOUNDS_CELLS = sorted({(a[-1][1:], int(a[2]), int(a[4])) for a, _ in GOLDEN if a[0] == "bounds"})
+
+
+@pytest.mark.parametrize("name, g, p", BOUNDS_CELLS)
+@pytest.mark.parametrize("n", [1, 3])
+def test_bounds_text_matches_the_oracles(capsys, tmp_path, name, g, p, n):
+    # both formats, on every line of every golden file, against a document
+    # built as a dict and a row joined from its fields
+    import weilparity.cli as cli
+
+    ref = tmp_path / "polys.txt"
+    ref.write_text(GOLDEN_FILES[name])
+    params = WeilParams(p=p, n=n, g=g)
+    reports = [full_bounds_report(coeffs, params) for coeffs in ingest_reference(ref)]
+    for report in reports:
+        assert cli._bounds_json(report) == json.dumps(bounds_doc(report))
+    argv = ["bounds", "--g", str(g), "--p", str(p), "--n", str(n), "--file", str(ref)]
+    header = "g\tp\tn\ta_values\tsymmetric\tlemma_a1\tarchimedean\tvaluation"
+    assert invoke(capsys, argv)[:2] == (0, "\n".join([header, *map(bounds_row, reports)]) + "\n")
+    code, out, _ = invoke(capsys, [*argv, "--format", "structured"])
+    assert (code, out) == (0, json.dumps([bounds_doc(r) for r in reports]) + "\n")
+
+
+A_K = st.one_of(
+    st.just(0),
+    st.integers(-(2 ** 70), 2 ** 70),
+    st.integers(2 ** 64, 2 ** 300).flatmap(lambda a: st.sampled_from([a, -a])),
+)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(data=st.data(), g=st.integers(1, 6), p=st.sampled_from([2, 3, 5, 401, 999_999_937]),
+       n=st.sampled_from([1, 3, 2 ** 65 + 1]))
+def test_bounds_json_matches_json_dumps(data, g, p, n):
+    # any a_k, beyond 64 bits and negative too, and any flags, drawn apart
+    # from the checks that would set them
+    import weilparity.cli as cli
+
+    flags = st.tuples(*[st.booleans()] * g)
+    report = BoundsReport(
+        WeilParams(p=p, n=n, g=g), data.draw(st.tuples(*[A_K] * g)), data.draw(flags),
+        data.draw(flags), data.draw(st.booleans()), data.draw(st.booleans()),
+    )
+    assert cli._bounds_json(report) == json.dumps(bounds_doc(report))
+
+
+def test_bounds_json_every_flag_combination():
+    import weilparity.cli as cli
+
+    params = WeilParams(p=5, n=1, g=2)
+    for bits in range(1 << 6):
+        flag = [bool(bits >> i & 1) for i in range(6)]
+        report = BoundsReport(params, (-(2 ** 64), 0), tuple(flag[:2]), tuple(flag[2:4]), *flag[4:])
+        assert cli._bounds_json(report) == json.dumps(bounds_doc(report))
+
+
+def test_structured_cyclo_matches_json_dumps(capsys):
+    for n in range(1, 401):
+        code, out, _ = invoke(capsys, ["cyclo", str(n), "--format", "structured"])
+        doc = {"n": n, "coeffs": list(cyclotomic(n).coeffs)}
+        assert (code, out) == (0, json.dumps(doc) + "\n"), n
+
+
+def test_structured_minpoly_matches_json_dumps(capsys):
+    # a half-degree t (the polynomial would be odd) is exit 2 with no output
+    for p, n, sign, t in product((2, 3, 5, 7, 11, 101), (1, 3, 5), (1, -1), range(1, 16)):
+        argv = ["minpoly", "--p", str(p), "--n", str(n), "--sign", "+-"[sign < 0],
+                "--t", str(t), "--format", "structured"]
+        code, out, _ = invoke(capsys, argv)
+        try:
+            poly = minpoly_full_degree(WeilParams(p=p, n=n, g=1), sign, t)
+        except ValueError:
+            assert (code, out) == (2, "")
+            continue
+        doc = {"p": p, "n": n, "sign": sign, "t": t,
+               "degree": len(poly.coeffs) - 1, "coeffs": list(poly.coeffs)}
+        assert (code, out) == (0, json.dumps(doc) + "\n"), argv

@@ -42,10 +42,11 @@ def test_every_public_definition_is_used_in_src():
 
 def test_importing_the_cli_loads_no_introspection_modules():
     # every run pays for its imports: dataclasses alone pulls in inspect, ast and dis,
-    # and no annotation is worth pathlib
+    # no annotation is worth pathlib, and JSON text is written without json
     code = (
         "import sys; before = set(sys.modules); import weilparity.cli; print(sorted("
-        "{'ast', 'dataclasses', 'dis', 'inspect', 'pathlib'} & (set(sys.modules) - before)))"
+        "{'ast', 'dataclasses', 'dis', 'inspect', 'json', 'pathlib'}"
+        " & (set(sys.modules) - before)))"
     )
     env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
     out = subprocess.run(
