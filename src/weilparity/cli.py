@@ -25,8 +25,10 @@ Python's digit limit (for ``bounds`` q**g too: no row past it could be
 symmetric), and the ``bounds`` file must open.  Each JSON item is the text
 ``json.dumps`` would write, made by f-strings without ``json``.
 ``enumerate`` and structured ``verify`` write a cell's candidates by
-filling a q-free template, built once per (g, spec set): the cell
-converts only its distinct (power of q, coefficient) slots to decimal.
+filling a q-free template, built once per (g, spec set) as the literal
+pieces between its placeholders and the slot of each placeholder: the
+cell converts only its distinct (power of q, coefficient) slots to
+decimal and joins them between the pieces once.
 """
 
 from __future__ import annotations
@@ -35,8 +37,9 @@ import argparse
 import os
 import sys
 from functools import cache
-from itertools import chain
+from itertools import chain, compress
 from math import log10
+from operator import itemgetter
 from typing import Iterable, Iterator, Sequence
 
 from .bounds import BoundsReport, full_bounds_report
@@ -152,54 +155,79 @@ def _specs_json(specs) -> str:
     return "[" + ", ".join(f'{{"sign": {s.q_star_sign}, "t": {s.t}}}' for s in specs) + "]"
 
 
+# Where a slot's text goes in a template; no text made from data holds it.
+_MARK = "\0"
+
+
 @cache
-def _candidate_template(g: int, specs: tuple, fmt: str) -> tuple[str, tuple[tuple[int, int], ...]]:
-    """(template, slots): the text of a key's candidates in ``fmt``, with q left out.
+def _candidate_template(
+    g: int, specs: tuple, fmt: str
+) -> tuple[tuple[str, ...], itemgetter, tuple[tuple[int, int], ...]]:
+    """(pieces, pick, slots): the text of a key's candidates in ``fmt``, with q left out.
 
     The candidates are :func:`candidate_shapes` of the key: JSON objects
-    joined by ``", "``, or TSV rows starting ``%(cell)s`` joined by newlines.
-    The coefficient c of Y**(g - e) = X**(2g - 2e) is the cell's
-    ``c * q**e``: ``0`` if c is, else ``%(k)s`` for (e, c) the k-th
-    distinct slot; odd powers of X are ``0`` and ``even`` is ``true``.
-    Each shape is checked here, once per key, to have the degree g that the
-    count reads from its factors' phi(2t) (else :class:`BrokenInvariant`).
+    joined by ``", "``, or TSV rows, each starting with the cell prefix,
+    joined by newlines.  The coefficient c of Y**(g - e) = X**(2g - 2e) is
+    the cell's ``c * q**e``: ``0`` if c is, else a placeholder for (e, c)
+    the k-th distinct slot; odd powers of X are ``0`` and ``even`` is
+    ``true``.  ``pieces`` is the literal text before, between and after
+    the placeholders, and ``pick`` takes from a list of slot texts the
+    text of each placeholder in order: slot k, or ``len(slots)`` for a
+    TSV cell prefix.  The text is made with ``_MARK`` for each placeholder
+    and split on it once.  Each shape is checked here, once per key, to
+    have the degree g that the count reads from its factors' phi(2t), and
+    the nonzero constant term of a product of cyclotomic shapes (else
+    :class:`BrokenInvariant`); so each candidate has two placeholders, and
+    ``pick``, an ``itemgetter``, returns a tuple.
     """
     shapes = candidate_shapes(g, specs)
-    if any(len(shape.coeffs) != g + 1 for shape, _ in shapes):
-        raise BrokenInvariant("a candidate shape must be a polynomial of degree g in X**2")
+    if not shapes or any(len(shape.coeffs) != g + 1 or not shape.coeffs[0] for shape, _ in shapes):
+        raise BrokenInvariant(
+            "a candidate shape must be a polynomial of degree g in X**2 with a nonzero constant"
+        )
     ys = [shape.coeffs for shape, _ in shapes]  # c of Y**(g - e) at index g - e
     slots = tuple((g - i, c) for i, cs in enumerate(zip(*ys)) for c in dict.fromkeys(cs) if c)
-    text = [{0: "0"} for _ in range(g + 1)]  # the text of c at index g - e
+    slot_of = [{} for _ in range(g + 1)]  # the k of c at index g - e
     for k, (e, c) in enumerate(slots):
-        text[g - e][c] = f"%({k})s"
-    items = []
+        slot_of[g - e][c] = k
+    text = [{**dict.fromkeys(ks, _MARK), 0: "0"} for ks in slot_of]  # the text of c
+    factor_text = {  # the text of each distinct (spec, multiplicity) pair
+        (s, m): f'{{"sign": {s.q_star_sign}, "t": {s.t}, "mult": {m}}}' if fmt == "structured"
+        else f"{_SIGN_TEXT[s.q_star_sign]}:{s.t}:{m}"
+        for s, m in set(chain.from_iterable(record for _, record in shapes))
+    }
+    assert _MARK not in "".join(factor_text.values())  # the only text made from data
+    items, index = [], []
     for y, (_, record) in zip(ys, shapes):
         coeffs = map(dict.__getitem__, text, y)
         if fmt == "structured":
-            factors = "[" + ", ".join(
-                f'{{"sign": {s.q_star_sign}, "t": {s.t}, "mult": {m}}}' for s, m in record
-            ) + "]"
             items.append(f'{{"coeffs": [{", 0, ".join(coeffs)}], "even": true, '
-                         f'"factors": {factors}}}')
+                         f'"factors": [{", ".join(map(factor_text.__getitem__, record))}]}}')
         else:
-            factors = ";".join(f"{_SIGN_TEXT[s.q_star_sign]}:{s.t}:{m}" for s, m in record)
-            items.append(f"%(cell)s{' 0 '.join(coeffs)}\ttrue\t{factors}")
-        assert "%" not in factors  # the only text of the template made from data
-    return (", " if fmt == "structured" else "\n").join(items), slots
+            items.append(f"{_MARK}{' 0 '.join(coeffs)}\ttrue\t"
+                         f"{';'.join(map(factor_text.__getitem__, record))}")
+            index.append(len(slots))
+        index += compress(map(dict.get, slot_of, y), y)
+    pieces = (", " if fmt == "structured" else "\n").join(items).split(_MARK)
+    return tuple(pieces), itemgetter(*index), slots
 
 
 def _candidates_text(report: ParityReport, fmt: str) -> str:
     """The cell's candidates in ``fmt``: its key's template, filled with the cell's q.
 
     Each slot (e, c) is converted to decimal once per cell, as
-    ``str(c * q**e)``; the slot ``cell`` is the TSV prefix ``g p n``.
+    ``str(c * q**e)``, and slot ``len(slots)`` is the TSV prefix ``g p n``;
+    the text is one join of the pieces with the slots' texts between them.
     """
     params = report.params
-    template, slots = _candidate_template(params.g, report.full_degree_specs, fmt)
+    pieces, pick, slots = _candidate_template(params.g, report.full_degree_specs, fmt)
     powers = q_powers(params.q, params.g)
-    texts = {str(k): str(c * powers[e]) for k, (e, c) in enumerate(slots)}
-    texts["cell"] = f"{params.g}\t{params.p}\t{params.n}\t"
-    return template % texts
+    texts = [str(c * powers[e]) for e, c in slots]
+    texts.append(f"{params.g}\t{params.p}\t{params.n}\t")
+    out = [None] * (2 * len(pieces) - 1)
+    out[::2] = pieces
+    out[1::2] = pick(texts)
+    return "".join(out)
 
 
 def _parity_json(report: ParityReport) -> str:

@@ -13,16 +13,20 @@ Everything here is in ``Y = X**2``: the minimal polynomial of spec
 ``weil``), and a candidate one of degree g.  A polynomial in Y is even
 in X, so no candidate is odd, by construction.
 
-One spec scan per cell decides the full/half degree dichotomy.  It runs
-over the root-of-unity indices t with phi(2t) <= 2g, listed by inverse
-totient: a prime p dividing m = 2t has p - 1 <= phi(m) <= 2g, so a walk
-over the prime powers of the primes up to 2g + 1, carrying phi, finds
-every such t exactly, with no factorization.  Those t do not depend on
-(p, n), so their specs (both signs of each) are built, and checked,
-once per g, and each cell runs ``is_full_degree`` once on each spec: a
-half-degree spec fits if phi(2t) <= 2g, a full-degree one only if
-phi(2t) <= g.  A :class:`ParityReport` holds that scan and nothing
-else; its count is computed from it when read.
+One spec scan per class of p decides the full/half degree dichotomy.
+It runs over the root-of-unity indices t with phi(2t) <= 2g, listed by
+inverse totient: a prime p dividing m = 2t has p - 1 <= phi(m) <= 2g,
+so a walk over the prime powers of the primes up to 2g + 1, carrying
+phi, finds every such t exactly, with no factorization.  Those t do not
+depend on (p, n), so their specs (both signs of each) are built, and
+checked, once per g.  ``is_full_degree`` reads of p only its residue
+mod 4 and which t it divides, so a class is one p at most the largest
+fitting t, or every p above it (p divides no fitting t), which holds
+most cells of a wide ``verify`` grid.  The scan of a class is cached;
+it runs ``is_full_degree`` once on each spec: a half-degree spec fits
+if phi(2t) <= 2g, a full-degree one only if phi(2t) <= g.  A
+:class:`ParityReport` holds that scan and nothing else; its count is
+computed from it when read.
 
 Counting needs no product.  A cell's candidates are the multisets of
 its full-degree specs whose degrees in Y sum to g, and their number is
@@ -40,9 +44,11 @@ shape in Y with ``Y**j`` scaled by ``q**(d - j)``, d its degree, and
 that scaling is multiplicative, so every candidate is the scaled
 product of its factors' shapes.  The products are built once per key by
 a recurrence memoized on (spec index, degree left).  The command
-line turns them, once per key, into a q-free text template, and a cell
-only fills it: each distinct value c * q**e among its coefficients is
-converted to decimal once.  This module writes no output text.
+line turns them, once per key, into a q-free text template of literal
+pieces and slots, and a cell only fills it: each distinct value
+c * q**e among its coefficients is converted to decimal once, and the
+pieces and those texts are joined once.  This module writes no output
+text.
 
 A grid's reports are built as the grid is read, one cell at a time, and
 none is kept: a caller writes each cell out before the next is built.
@@ -188,17 +194,38 @@ def _scan_specs(
 ) -> tuple[tuple[WeilNumberSpec, ...], tuple[WeilNumberSpec, ...]]:
     """(full, half): the specs whose minimal polynomial fits, or would fit, in degree 2g.
 
-    Each spec of :func:`_fitting_specs` goes to one side by
-    ``is_full_degree``: a half-degree spec fits if phi(2t) <= 2g, a
-    full-degree one only if phi(2t) <= g.  For odd p the half side
-    reduces to: t odd, p | t, q_star = 3 mod 4 and phi(t) <= 2g.  Both
-    are ordered by (t, sign).
+    The scan of the cell's class, :func:`_scan_class`: p's own class if p
+    is at most the largest fitting t, else the one class of every p above it.
     """
+    g, p = params.g, params.p
+    return _scan_class(g, p if p <= _fitting_specs(g)[-1][0].t else None)
+
+
+@cache
+def _scan_class(
+    g: int, p: int | None
+) -> tuple[tuple[WeilNumberSpec, ...], tuple[WeilNumberSpec, ...]]:
+    """(full, half) for the cells of g with prime p, or (``None``) with p above every fitting t.
+
+    ``is_full_degree`` reads t mod 4 at p = 2, and at odd p only whether p
+    divides t and q mod 4, which is p mod 4 since n is odd: so it gives
+    every cell of the class one answer per spec, and is run once on each
+    spec of :func:`_fitting_specs`, for one cell of the class: n = 1 and,
+    for ``None``, the least prime above the largest t (below twice it, by
+    Bertrand).  A half-degree spec fits if phi(2t) <= 2g, a full-degree
+    one only if phi(2t) <= g.  For odd p the half side reduces to: t odd,
+    p | t, q_star = 3 mod 4 and phi(t) <= 2g.  Both are ordered by (t, sign).
+    """
+    specs = _fitting_specs(g)
+    if p is None:
+        largest = specs[-1][0].t
+        p = primes_between(largest, 2 * largest)[0]
+    params = WeilParams(p=p, n=1, g=g)
     full, half = [], []
-    for spec, degree in _fitting_specs(params.g):
+    for spec, degree in specs:
         if not is_full_degree(params, spec.q_star_sign, spec.t):
             half.append(spec)
-        elif degree <= params.g:
+        elif degree <= g:
             full.append(spec)
     return tuple(full), tuple(half)
 

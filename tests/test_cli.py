@@ -659,7 +659,7 @@ def half_degree_t3(monkeypatch):
     )
 
 
-def test_verify_exit_1_on_contract_violation(monkeypatch, capsys):
+def test_verify_exit_1_on_contract_violation(monkeypatch, cold_caches, capsys):
     # a fabricated violating report checks the exit-code wiring
     half_degree_t3(monkeypatch)
     assert not verify_parity_theorem(WeilParams(p=11, n=1, g=1)).contract_ok
@@ -957,7 +957,7 @@ def test_internal_error_mid_stream_keeps_the_cells_before_it(monkeypatch, fmt, k
 
 
 @pytest.mark.parametrize("fmt", ["tsv", "structured"])
-def test_violation_is_reported_after_the_full_output(monkeypatch, fmt):
+def test_violation_is_reported_after_the_full_output(monkeypatch, cold_caches, fmt):
     half_degree_t3(monkeypatch)
     argv = ["verify", "--gmax", "1", "--pmax", "11", "--n", "1", "--format", fmt]
     code, out, log = recorded_run(monkeypatch, argv)
@@ -1300,12 +1300,16 @@ def test_a_cell_converts_each_distinct_slot_once(monkeypatch, cold_caches, fmt):
         assert out.splitlines()[1:] == enumerate_rows(report)
     else:
         assert out == json.dumps(parity_doc(report)) + "\n"
-    template, slots = cli._candidate_template(5, report.full_degree_specs, fmt)
+    pieces, pick, slots = cli._candidate_template(5, report.full_degree_specs, fmt)
+    index = pick(range(len(slots) + 1))  # the slot of each placeholder
     shapes = enumerator.candidate_shapes(5, report.full_degree_specs)
     nonzero = [(5 - j, c) for shape, _ in shapes for j, c in enumerate(shape.coeffs) if c]
     assert (len(shapes), len(nonzero), len(slots)) == (54, 288, 44)
     assert sorted(slots) == sorted(set(nonzero))
-    assert template.count("%") == len(nonzero) + (len(shapes) if fmt == "tsv" else 0)
+    # a placeholder per nonzero coefficient, and per row for the TSV cell prefix
+    assert len(pieces) - 1 == len(index) == len(nonzero) + (len(shapes) if fmt == "tsv" else 0)
+    assert [slots[k] for k in index if k < len(slots)] == nonzero
+    assert index.count(len(slots)) == (len(shapes) if fmt == "tsv" else 0)
     assert (code, len(products)) == (0, len(slots))
 
 
@@ -1327,11 +1331,13 @@ def test_one_template_per_spec_set(cold_caches, capsys):
 def test_template_rejects_a_shape_not_even_of_degree_2g(monkeypatch, cold_caches, fmt):
     # every shape is a polynomial of degree g in Y = X**2, so even of degree
     # 2g in X, by construction; any other degree breaks an invariant, checked
-    # once per template, not once per cell
+    # once per template, not once per cell; so do a zero constant term (a
+    # product of cyclotomic shapes has constant +-1) and a key with no shape
     import weilparity.cli as cli
 
-    for coeffs in ([1, 1, 1], [1, 0, 0, 0, 1], [1]):
-        monkeypatch.setattr(cli, "candidate_shapes", lambda g, specs: ((IntPoly(coeffs), ()),))
+    for shapes in ([[1, 1, 1]], [[1, 0, 0, 0, 1]], [[1]], [[0, 1]], []):
+        made = tuple((IntPoly(coeffs), ()) for coeffs in shapes)
+        monkeypatch.setattr(cli, "candidate_shapes", lambda g, specs: made)
         cli._candidate_template.cache_clear()
         with pytest.raises(BrokenInvariant):
             cli._candidate_template(1, (), fmt)

@@ -206,7 +206,7 @@ def test_shape_scaling_is_multiplicative():
         assert scale_y(a * b, q) == scale_y(a, q) * scale_y(b, q)
 
 
-def test_scan_builds_each_spec_once_per_g(monkeypatch):
+def test_scan_builds_each_spec_once_per_g(monkeypatch, cold_caches):
     # every cell hands out the specs listed, and checked, once for its g
     import weilparity.enumerator as enumerator
 
@@ -224,6 +224,61 @@ def test_scan_builds_each_spec_once_per_g(monkeypatch):
     assert built == spec_pairs(listed)
     ids = {id(spec) for spec in listed}
     assert all(id(s) in ids for r in reports for s in (*r.full_degree_specs, *r.half_degree_specs))
+
+
+def per_spec_scan(params):
+    """(full, half): ``is_full_degree`` on each fitting spec of the cell itself."""
+    import weilparity.enumerator as enumerator
+
+    full, half = [], []
+    for spec, degree in enumerator._fitting_specs(params.g):
+        if not is_full_degree(params, spec.q_star_sign, spec.t):
+            half.append(spec)
+        elif degree <= params.g:
+            full.append(spec)
+    return tuple(full), tuple(half)
+
+
+def test_scan_per_class_matches_the_per_spec_scan(cold_caches):
+    # each class's scan is made by its first cell, in grid order, and read
+    # by every later cell of the class, whose own scan it must equal: p at
+    # or below the largest fitting t is its own class, every larger p one
+    import weilparity.enumerator as enumerator
+
+    primes = [*primes_between(1, 60), 401, 999_999_937]
+    classes, cells = set(), 0
+    for g in range(1, G_CAP + 1):
+        largest = enumerator._fitting_specs(g)[-1][0].t
+        for p in primes:
+            for n in (1, 3, 5):
+                params = WeilParams(p=p, n=n, g=g)
+                report = verify_parity_theorem(params)
+                assert (report.full_degree_specs, report.half_degree_specs) == per_spec_scan(params)
+                classes.add((g, p if p <= largest else None))
+                cells += 1
+    info = enumerator._scan_class.cache_info()
+    assert (info.misses, info.hits) == (len(classes), cells - len(classes))
+
+
+def test_scan_calls_is_full_degree_once_per_class_and_spec(monkeypatch, cold_caches, capsys):
+    # verify --gmax 5 --pmax 600: 1,054 cells, 17,636 calls if each cell
+    # scanned its specs, but only eight classes of p: one per g for p above
+    # every fitting t, and p = 11, 13 at g = 4 and p = 13 at g = 5
+    import weilparity.cli as cli
+    import weilparity.enumerator as enumerator
+
+    calls = []
+    real = enumerator.is_full_degree
+    monkeypatch.setattr(
+        enumerator, "is_full_degree", lambda params, sign, t: calls.append(t) or real(params, sign, t)
+    )
+    assert cli.run(["verify", "--gmax", "5", "--pmax", "600", "--n", "1", "--n", "7"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 1 + 1054
+    specs = [len(enumerator._fitting_specs(g)) for g in range(1, 6)]
+    assert specs == [6, 12, 16, 24, 26]
+    primes = primes_between(1, 600)
+    assert sum(2 * specs[g - 1] for g in range(1, 6) for p in primes if p > 2 * g + 1) == 17_636
+    assert len(calls) == 6 + 12 + 16 + 3 * 24 + 2 * 26 == 158
 
 
 def test_admissible_specs_g1():
