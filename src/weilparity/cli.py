@@ -28,25 +28,38 @@ symmetric), and the ``bounds`` file must open.  Each JSON item is the text
 filling a q-free template, built once per (g, spec set) as the literal
 pieces between its placeholders and the slot of each placeholder: the
 cell converts only its distinct (power of q, coefficient) slots to
-decimal and joins them between the pieces once.
+decimal and joins them between the pieces once.  ``cyclo`` prints Phi_n
+from Phi_rad(n), with k - 1 zeros between its coefficients for
+k = n / rad(n), and never builds Phi_n.
+
+Each call is a fresh process, so it loads only what its subcommand uses.
+Importing this module loads no layer: each ``_cmd_*`` imports its layers
+when it runs, reading each name off its module at that time (so a
+wrapper installed there is seen).  The command line is read from one
+table, ``_COMMANDS``, which both the parser and ``-h``/``--help`` read;
+it accepts what the argparse parser it replaced accepted, with the same
+values: flags as ``--flag value`` or ``--flag=value``, any unique prefix
+of a flag, ``--format`` before or after the subcommand (the last wins),
+a repeated ``verify --n`` appended and any other repeated flag kept
+last, negative numbers as values, and ``--`` ending the options.
+Help goes to stdout with exit 0; a usage error writes its usage line
+and ``weilparity: error: ...`` to stderr, with exit 2.
 """
 
 from __future__ import annotations
 
-import argparse
 import os
 import sys
 from functools import cache
 from itertools import chain, compress
 from math import log10
 from operator import itemgetter
-from typing import Iterable, Iterator, Sequence
+from types import SimpleNamespace
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
-from .bounds import BoundsReport, full_bounds_report
-from .cyclotomic import CYCLOTOMIC_CAP, cyclotomic, totient
-from .enumerator import ParityReport, candidate_shapes, verify_grid, verify_parity_theorem
-from .errors import BrokenInvariant, OutOfRange, ParseError
-from .weil import WeilParams, minpoly_full_degree, q_powers
+if TYPE_CHECKING:
+    from .bounds import BoundsReport
+    from .enumerator import ParityReport
 
 _SIGN_TEXT = {1: "+", -1: "-"}
 _BOOL_TEXT = ("false", "true")  # indexed by a bool
@@ -61,6 +74,8 @@ def ingest_reference(path: str | os.PathLike) -> Iterator[list[int]]:
     file is opened now, before any output, and read a line per list; a
     malformed line raises :class:`ParseError` with its line number.
     """
+    from .errors import ParseError
+
     handle = open(path, "r", encoding="utf-8")
 
     def polys():
@@ -180,6 +195,9 @@ def _candidate_template(
     :class:`BrokenInvariant`); so each candidate has two placeholders, and
     ``pick``, an ``itemgetter``, returns a tuple.
     """
+    from .enumerator import candidate_shapes
+    from .errors import BrokenInvariant
+
     shapes = candidate_shapes(g, specs)
     if not shapes or any(len(shape.coeffs) != g + 1 or not shape.coeffs[0] for shape, _ in shapes):
         raise BrokenInvariant(
@@ -219,6 +237,8 @@ def _candidates_text(report: ParityReport, fmt: str) -> str:
     ``str(c * q**e)``, and slot ``len(slots)`` is the TSV prefix ``g p n``;
     the text is one join of the pieces with the slots' texts between them.
     """
+    from .weil import q_powers
+
     params = report.params
     pieces, pick, slots = _candidate_template(params.g, report.full_degree_specs, fmt)
     powers = q_powers(params.q, params.g)
@@ -261,16 +281,24 @@ def _bounds_json(r: BoundsReport) -> str:
 
 
 def _cmd_cyclo(args) -> int:
-    poly = cyclotomic(args.n)
+    from .cyclotomic import cyclotomic_radical
+
+    # Phi_n(X) = Phi_m(X**k): Phi_m's coefficients with k - 1 zeros between each two
+    base, k = cyclotomic_radical(args.n)
+    coeffs = list(map(str, base.coeffs))
     _emit(
         args,
-        lambda: [f'{{"n": {args.n}, "coeffs": [{", ".join(map(str, poly.coeffs))}]}}'],
-        lambda: [poly.to_line()],
+        lambda: [f'{{"n": {args.n}, "coeffs": [{(", " + "0, " * (k - 1)).join(coeffs)}]}}'],
+        lambda: [(" " + "0 " * (k - 1)).join(coeffs)],
     )
     return 0
 
 
 def _cmd_minpoly(args) -> int:
+    from .cyclotomic import CYCLOTOMIC_CAP, totient
+    from .errors import OutOfRange
+    from .weil import WeilParams, minpoly_full_degree
+
     # g plays no role in the minimal polynomial; pin the smallest value.
     sign = 1 if args.sign == "+" else -1
     params = WeilParams(p=args.p, n=args.n, g=1)
@@ -291,6 +319,9 @@ def _cmd_minpoly(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
+    from .enumerator import verify_parity_theorem
+    from .weil import WeilParams
+
     params = WeilParams(p=args.p, n=args.n, g=args.g)
     _check_digits("the constant term", args.p, args.n * args.g)
     report = verify_parity_theorem(params)
@@ -303,6 +334,8 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from .enumerator import verify_grid
+
     grid = verify_grid(args.gmax, args.pmax, args.n)  # checks the grid, runs no cell
     if args.format == "structured":
         _check_digits("the largest constant term", grid.primes[-1], max(args.n) * args.gmax)
@@ -329,6 +362,10 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_detect_half(args) -> int:
+    from .cyclotomic import totient
+    from .enumerator import verify_parity_theorem
+    from .weil import WeilParams
+
     params = WeilParams(p=args.p, n=args.n, g=args.g)
     specs = verify_parity_theorem(params).half_degree_specs  # builds no shape
     _emit(
@@ -345,6 +382,9 @@ def _cmd_detect_half(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
+    from .bounds import full_bounds_report
+    from .weil import WeilParams
+
     params = WeilParams(p=args.p, n=args.n, g=args.g)
     _check_digits("the constant term", args.p, args.n * args.g)  # before the file opens
     reports = (full_bounds_report(coeffs, params) for coeffs in ingest_reference(args.file))
@@ -363,67 +403,215 @@ def _cmd_bounds(args) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
-    # --format is accepted before or after the subcommand; SUPPRESS keeps
-    # the subparser from clobbering a value parsed by the main parser.
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--format",
-        choices=("tsv", "structured"),
-        default=argparse.SUPPRESS,
-        help="output format (default tsv)",
+# The command line, as one table that the parser and the help both read.
+# A flag (or the positional argument) is (name, type, choices or None,
+# repeats): a flag that repeats appends each value to a list, any other
+# keeps its last value.  Every flag of a command is required; --format,
+# accepted before or after the command, is the one optional flag.
+_FORMAT = ("format", str, ("tsv", "structured"), False)
+_CELL_FLAGS = tuple((name, int, None, False) for name in _CELL)
+_COMMANDS = {  # name -> (function, summary, positional or None, flags)
+    "cyclo": (_cmd_cyclo, "print a cyclotomic polynomial", ("n", int, None, False), ()),
+    "minpoly": (_cmd_minpoly, "full-degree Weil number minimal polynomial", None, (
+        ("p", int, None, False), ("n", int, None, False),
+        ("sign", str, ("+", "-"), False), ("t", int, None, False),
+    )),
+    "enumerate": (_cmd_enumerate, "enumerate degree-2g candidates", None, _CELL_FLAGS),
+    "verify": (_cmd_verify, "check the parity contract over a grid", None, (
+        ("gmax", int, None, False), ("pmax", int, None, False), ("n", int, None, True),
+    )),
+    "detect-half": (_cmd_detect_half, "list half-degree specs fitting in 2g", None, _CELL_FLAGS),
+    "bounds": (_cmd_bounds, "bound checks on a polynomial file", None,
+               (*_CELL_FLAGS, ("file", str, None, False))),
+}
+_HELP = ("help", None, None, False)
+
+
+class _Stop(Exception):
+    """Ends parsing with ``(code, text)``: help (0, for stdout) or a usage error (2, for stderr)."""
+
+
+def _arg(spec) -> str:
+    name, _, choices, _ = spec
+    return "{" + ",".join(choices) + "}" if choices else name.upper()
+
+
+def _usage(command: str | None) -> str:
+    """The usage line of ``command``, or of the top level for None."""
+    if command is None:
+        return f"usage: weilparity [-h] [--format {_arg(_FORMAT)}] {{{','.join(_COMMANDS)}}} ..."
+    _, _, positional, flags = _COMMANDS[command]
+    words = [f"--{spec[0]} {_arg(spec)}" + (f" [--{spec[0]} ...]" if spec[3] else "")
+             for spec in flags]
+    words += [_arg(positional)] if positional else []
+    return f"usage: weilparity {command} [-h] [--format {_arg(_FORMAT)}] {' '.join(words)}"
+
+
+def _help(command: str | None) -> str:
+    if command is not None:
+        return f"{_usage(command)}\n\n{_COMMANDS[command][1]}"
+    width = max(map(len, _COMMANDS))
+    rows = "\n".join(f"  {name:{width}}  {row[1]}" for name, row in _COMMANDS.items())
+    return (
+        f"{_usage(None)}\n\nExact checks on supersingular Weil polynomial candidates.\n\n"
+        f"commands:\n{rows}\n\n"
+        "--format (default tsv) goes before or after the command; the last one given wins.\n"
+        "A flag may be shortened to any prefix that names no other flag of its command.\n"
+        "'weilparity COMMAND -h' lists the flags of a command."
     )
-    cell = argparse.ArgumentParser(add_help=False)
-    for name in _CELL:
-        cell.add_argument(f"--{name}", type=int, required=True)
 
-    parser = argparse.ArgumentParser(
-        prog="weilparity",
-        description="Exact checks on supersingular Weil polynomial candidates.",
-    )
-    parser.add_argument(
-        "--format", choices=("tsv", "structured"), default="tsv", help=argparse.SUPPRESS
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, func, summary, *parents):
-        command = sub.add_parser(name, parents=[common, *parents], help=summary)
-        command.set_defaults(func=func)
-        return command
+def _option(token: str, options: dict, command: str | None):
+    """How argparse reads ``token`` against ``options`` ({"--name": spec}, with -h and --help).
 
-    cyclo = add("cyclo", _cmd_cyclo, "print a cyclotomic polynomial")
-    cyclo.add_argument("n", type=int)
+    None for a value; else (spec, option, explicit value or None), with
+    spec None for an option that is not in ``options``.  A ``--`` prefix
+    names the one option it starts (an exact name first), ``--name=value``
+    carries its value, and ``-h`` takes the rest of its token as an
+    explicit value.  A token that names no option is a value if it is
+    ``-`` alone, reads as a negative number, or holds a space.
+    """
+    if token[:1] != "-" or token == "-":
+        return None
+    if token in options:
+        return options[token], token, None
+    name, equals, explicit = token.partition("=")
+    if equals and name in options:
+        return options[name], name, explicit
+    if token[1] == "-":
+        matches = [option for option in options if option.startswith(name)]
+        if len(matches) > 1:
+            raise _Stop(2, _error(command, f"ambiguous option: {name} could match "
+                                           f"{', '.join(matches)}"))
+        if matches:
+            return options[matches[0]], matches[0], explicit if equals else None
+    elif token[:2] in options:
+        return options[token[:2]], token[:2], token[2:]
+    import re
 
-    minpoly = add("minpoly", _cmd_minpoly, "full-degree Weil number minimal polynomial")
-    minpoly.add_argument("--p", type=int, required=True)
-    minpoly.add_argument("--n", type=int, required=True)
-    minpoly.add_argument("--sign", choices=("+", "-"), required=True)
-    minpoly.add_argument("--t", type=int, required=True)
+    if re.match(r"^-\d+$|^-\d*\.\d+$", token) or " " in token:
+        return None
+    return None, token, None
 
-    add("enumerate", _cmd_enumerate, "enumerate degree-2g candidates", cell)
 
-    verify = add("verify", _cmd_verify, "check the parity contract over a grid")
-    verify.add_argument("--gmax", type=int, required=True)
-    verify.add_argument("--pmax", type=int, required=True)
-    verify.add_argument("--n", type=int, action="append", required=True)
+def _error(command: str | None, message: str) -> str:
+    return f"{_usage(command)}\nweilparity: error: {message}"
 
-    add("detect-half", _cmd_detect_half, "list half-degree specs fitting in 2g", cell)
 
-    bounds = add("bounds", _cmd_bounds, "bound checks on a polynomial file", cell)
-    bounds.add_argument("--file", type=str, required=True)
+def _read(tokens: list[str], command: str | None, values: dict, strays: list) -> int:
+    """Read the tokens of the top level (``command`` None) or of a command into ``values``.
 
-    return parser
+    As argparse does: every token before the first ``--`` is classified
+    first (an ambiguous prefix is an error before anything else), then
+    the tokens are read in order.  Help stops at once, and so does a bad
+    or missing flag value.  Unknown options and tokens left over go to
+    ``strays``.  The top level stops at its first value, the command's
+    name, and returns its index; a command reads to the end.
+    """
+    if command is None:
+        flags, positional = (_FORMAT,), None
+    else:
+        _, _, positional, flags = _COMMANDS[command]
+        flags = (_FORMAT, *flags)
+    options = {"-h": _HELP, "--help": _HELP, **{f"--{spec[0]}": spec for spec in flags}}
+    cut = tokens.index("--") if "--" in tokens else len(tokens)
+    kinds = [_option(token, options, command) for token in tokens[:cut]]
+    kinds += [None] * (len(tokens) - cut)  # after "--", every token is a value
+    i = 0
+    while i < len(tokens):
+        kind = kinds[i]
+        if kind is None or i == cut:  # a value, or the first "--"
+            if command is None:
+                return i
+            if positional is None:
+                strays.append(tokens[i])
+                i += 1
+                continue
+            # the positional takes one value, with the "--" before or after it
+            if i == cut:
+                i += 1
+                if i == len(tokens):
+                    strays.append("--")
+                    break
+            values[positional[0]] = _value(positional, tokens[i], command, positional[0])
+            positional = None
+            i += 2 if i + 1 == cut else 1
+            continue
+        spec, option, explicit = kind
+        if spec is None:
+            strays.append(tokens[i])
+        elif spec is _HELP:
+            # -hh... is -h repeated; any other explicit value is an error
+            if explicit is None or (option == "-h" and explicit and not explicit.strip("h")):
+                raise _Stop(0, _help(command))
+            raise _Stop(2, _error(command, f"argument -h/--help: ignored explicit argument "
+                                           f"{explicit!r}"))
+        else:
+            if explicit is None:  # the value is the next token
+                i += 1
+                if i < len(tokens) and i != cut and (i > cut or kinds[i] is None):
+                    explicit = tokens[i]
+            if explicit in (None, "--"):  # argparse stored [] for --flag=--
+                raise _Stop(2, _error(command, f"argument {option}: expected one argument"))
+            name, _, _, repeats = spec
+            value = _value(spec, explicit, command, option)
+            if repeats:
+                values.setdefault(name, []).append(value)
+            else:
+                values[name] = value
+        i += 1
+    return len(tokens)
+
+
+def _value(spec, text: str, command: str, where: str):
+    """``text`` converted to ``spec``'s type and checked against its choices."""
+    _, kind, choices, _ = spec
+    try:
+        value = kind(text)
+    except ValueError:
+        raise _Stop(2, _error(command, f"argument {where}: invalid {kind.__name__} value: "
+                                       f"{text!r}")) from None
+    if choices and value not in choices:
+        raise _Stop(2, _error(command, f"argument {where}: invalid choice: {value!r} "
+                                       f"(choose from {', '.join(map(repr, choices))})"))
+    return value
+
+
+def _parse(argv: list[str]) -> SimpleNamespace:
+    """The command and flag values of ``argv``, read from the table as argparse read them.
+
+    Raises :class:`_Stop` for help and for usage errors.
+    """
+    values, strays = {"format": "tsv"}, []
+    start = _read(argv, None, values, strays)
+    if start == len(argv):
+        raise _Stop(2, _error(None, "the following arguments are required: command"))
+    command = argv[start]
+    if command not in _COMMANDS:
+        raise _Stop(2, _error(None, f"argument command: invalid choice: {command!r} "
+                                    f"(choose from {', '.join(map(repr, _COMMANDS))})"))
+    _read(argv[start + 1:], command, values, strays)
+    _, _, positional, flags = _COMMANDS[command]
+    missing = [f"--{spec[0]}" for spec in flags if spec[0] not in values]
+    missing += [positional[0]] if positional and positional[0] not in values else []
+    if missing:
+        raise _Stop(2, _error(command, "the following arguments are required: "
+                                       + ", ".join(missing)))
+    if strays:
+        raise _Stop(2, _error(None, f"unrecognized arguments: {' '.join(strays)}"))
+    return SimpleNamespace(command=command, **values)
 
 
 def run(argv: Sequence[str] | None = None) -> int:
     """Parse and dispatch; returns the process exit code."""
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
+        args = _parse(sys.argv[1:] if argv is None else list(argv))
+    except _Stop as stop:
+        code, text = stop.args
+        print(text, file=sys.stderr if code else sys.stdout)
+        return code
     try:
-        return args.func(args)
+        return _COMMANDS[args.command][0](args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -6,10 +6,13 @@ polynomials", Math. Comp. 80, 2011): reduce ``n`` to its radical, strip
 a factor 2 by ``X -> -X``, apply the factors ``(1 - X**d)**mu(n/d)``
 to the lower half of the coefficients in place, and mirror the
 palindrome.  The divisors d of a squarefree n and the signs mu(n/d) are
-read off its prime list.  The test suite checks the result against an
-independent oracle, the same Moebius product taken as one exact
-polynomial quotient (``cyclotomic_mobius`` in ``tests/oracles.py``),
-which shares no arithmetic helper with this module.
+read off its prime list.  The reduction Phi_n(X) = Phi_rad(n)(X**k),
+k = n / rad(n), is :func:`cyclotomic_radical`, which a caller that only
+prints Phi_n uses without substituting.  The test suite checks the
+result against an independent oracle, the same Moebius product taken as
+one exact polynomial quotient (``cyclotomic_mobius`` in
+``tests/oracles.py``), which shares no arithmetic helper with this
+module.
 
 Like every functools cache in the package, the memo tables of
 :func:`factorize` and :func:`cyclotomic` hold only immutable values:
@@ -75,6 +78,18 @@ def _check_cap(n: int) -> None:
         raise OutOfRange(f"n={n} exceeds the cyclotomic cap {CYCLOTOMIC_CAP}")
 
 
+def cyclotomic_radical(n: int) -> tuple[IntPoly, int]:
+    """(Phi_m, k) for m = rad(n) and k = n // m, so that Phi_n(X) = Phi_m(X**k).
+
+    The n-th cyclotomic polynomial is then read off Phi_m without being
+    built: its coefficients are those of Phi_m, each followed by k - 1
+    zeros, the last excepted.
+    """
+    _check_cap(n)
+    rad = prod(p for p, _ in factorize(n))
+    return _cyclotomic(rad), n // rad
+
+
 @lru_cache(maxsize=None)
 def _cyclotomic(n: int) -> IntPoly:
     if n == 1:
@@ -82,9 +97,9 @@ def _cyclotomic(n: int) -> IntPoly:
     if n == 2:
         return IntPoly((1, 1))
     primes = [p for p, _ in factorize(n)]
-    rad = prod(primes)
-    if rad != n:
-        return _cyclotomic(rad).compose_power(n // rad)
+    if prod(primes) != n:
+        base, k = cyclotomic_radical(n)
+        return base.compose_power(k)
     if n % 2 == 0:
         return _cyclotomic(n // 2).sign_flip()
     # Odd squarefree n > 1: prod_{d | n} (1 - X**d)**mu(n/d) as a power

@@ -7,15 +7,29 @@ polynomial division, the t-list by a scan of every t, the minimal
 polynomials and candidates built in X from the cyclotomic polynomial of
 index 4t, a parity report's document built as a dict and its TSV rows
 rendered one candidate at a time, a bounds report's document built as a
-dict and its TSV row, the candidate count taken over every product),
+dict and its TSV row, the candidate count taken over every product, the
+argparse parser the command line had before its table-driven one),
 identities from the literature, and the paper's thresholds, kept here as
 oracles and acceptance checks.
 """
 
+import argparse
+import io
 import json
 from collections import namedtuple
+from contextlib import redirect_stderr, redirect_stdout
 from math import comb, isqrt
+from unittest import mock
 
+from weilparity.cli import (
+    _CELL,
+    _cmd_bounds,
+    _cmd_cyclo,
+    _cmd_detect_half,
+    _cmd_enumerate,
+    _cmd_minpoly,
+    _cmd_verify,
+)
 from weilparity.cyclotomic import _check_cap, cyclotomic, is_prime, totient
 from weilparity.enumerator import candidate_shapes
 from weilparity.errors import ShapeError
@@ -333,3 +347,82 @@ def bounds_row(report) -> str:
         " ".join(map(str, report.a_values)),
         *(json.dumps(flag) for flag in flags),
     ])
+
+
+# The command line's argparse parser, kept as the oracle of the table-driven one.
+def build_parser() -> argparse.ArgumentParser:
+    # --format is accepted before or after the subcommand; SUPPRESS keeps
+    # the subparser from clobbering a value parsed by the main parser.
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument(
+        "--format",
+        choices=("tsv", "structured"),
+        default=argparse.SUPPRESS,
+        help="output format (default tsv)",
+    )
+    cell = argparse.ArgumentParser(add_help=False)
+    for name in _CELL:
+        cell.add_argument(f"--{name}", type=int, required=True)
+
+    parser = argparse.ArgumentParser(
+        prog="weilparity",
+        description="Exact checks on supersingular Weil polynomial candidates.",
+    )
+    parser.add_argument(
+        "--format", choices=("tsv", "structured"), default="tsv", help=argparse.SUPPRESS
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    def add(name, func, summary, *parents):
+        command = sub.add_parser(name, parents=[common, *parents], help=summary)
+        command.set_defaults(func=func)
+        return command
+
+    cyclo = add("cyclo", _cmd_cyclo, "print a cyclotomic polynomial")
+    cyclo.add_argument("n", type=int)
+
+    minpoly = add("minpoly", _cmd_minpoly, "full-degree Weil number minimal polynomial")
+    minpoly.add_argument("--p", type=int, required=True)
+    minpoly.add_argument("--n", type=int, required=True)
+    minpoly.add_argument("--sign", choices=("+", "-"), required=True)
+    minpoly.add_argument("--t", type=int, required=True)
+
+    add("enumerate", _cmd_enumerate, "enumerate degree-2g candidates", cell)
+
+    verify = add("verify", _cmd_verify, "check the parity contract over a grid")
+    verify.add_argument("--gmax", type=int, required=True)
+    verify.add_argument("--pmax", type=int, required=True)
+    verify.add_argument("--n", type=int, action="append", required=True)
+
+    add("detect-half", _cmd_detect_half, "list half-degree specs fitting in 2g", cell)
+
+    bounds = add("bounds", _cmd_bounds, "bound checks on a polynomial file", cell)
+    bounds.add_argument("--file", type=str, required=True)
+
+    return parser
+
+
+def parse_reference(argv):
+    """(None, namespace) if :func:`build_parser` accepts ``argv``, else (exit code, None).
+
+    The readings are those of Python 3.11's argparse, which the command
+    line's own parser was checked against.  Its help and error text are
+    dropped.  One reading differs from plain argparse, which strips the
+    ``--`` out of ``--flag=--`` and stores ``[]`` as the flag's value (so
+    ``--p=--`` failed at run time, exit 3): here, as on the command line
+    now, that is a missing value, exit 2.
+    """
+    real = argparse.ArgumentParser._get_values
+
+    def get_values(self, action, arg_strings):
+        if action.option_strings and arg_strings == ["--"]:
+            raise argparse.ArgumentError(action, "expected one argument")
+        return real(self, action, arg_strings)
+
+    sink = io.StringIO()
+    try:
+        with mock.patch.object(argparse.ArgumentParser, "_get_values", get_values), \
+                redirect_stdout(sink), redirect_stderr(sink):
+            return None, build_parser().parse_args(argv)
+    except SystemExit as exc:
+        return exc.code, None

@@ -15,9 +15,11 @@ from oracles import (
     NotDivisible,
     bounds_doc,
     bounds_row,
+    build_parser,
     enumerate_rows,
     parity_doc,
     parity_json,
+    parse_reference,
 )
 
 from weilparity.bounds import BoundsReport, full_bounds_report
@@ -45,6 +47,19 @@ def test_cyclo_structured(capsys):
     code, out, _ = invoke(capsys, ["cyclo", "12", "--format", "structured"])
     assert code == 0
     assert json.loads(out) == {"n": 12, "coeffs": [1, 0, -1, 0, 1]}
+
+
+def test_cyclo_text_is_read_off_the_radical(capsys):
+    # Phi_n is printed from Phi_rad(n) and k = n / rad(n), never built; its
+    # text must be that of the polynomial built whole, as it was printed before
+    for n in [*range(1, 3001), 2 ** 19, 3 ** 12, 5 ** 8, 7 ** 7]:
+        poly = cyclotomic(n)
+        expected = {
+            "tsv": poly.to_line(),
+            "structured": f'{{"n": {n}, "coeffs": [{", ".join(map(str, poly.coeffs))}]}}',
+        }
+        for fmt, text in expected.items():
+            assert invoke(capsys, ["cyclo", str(n), "--format", fmt]) == (0, text + "\n", ""), n
 
 
 # Input files of the golden `bounds` runs; "@name" in an argv is its path.
@@ -689,12 +704,12 @@ def test_verify_repeated_n_is_an_error(monkeypatch, capsys):
 def test_internal_errors_exit_3(monkeypatch, capsys, exc):
     # a broken identity or any unexpected fault is neither a usage error
     # (2) nor a parity violation (1)
-    import weilparity.cli as cli
+    import weilparity.enumerator as enumerator
 
     def broken(*args):
         raise exc
 
-    monkeypatch.setattr(cli, "verify_grid", broken)
+    monkeypatch.setattr(enumerator, "verify_grid", broken)
     code, out, err = invoke(capsys, ["verify", "--gmax", "1", "--pmax", "11", "--n", "1"])
     assert (code, out) == (3, "")
     assert err.startswith("internal error:") and str(exc) in err
@@ -710,13 +725,13 @@ def test_internal_errors_exit_3(monkeypatch, capsys, exc):
 )
 def test_digit_limit_is_checked_before_any_work(monkeypatch, cold_caches, capsys, argv):
     # each run would print an integer past Python's 4300-digit limit
-    import weilparity.cli as cli
     import weilparity.enumerator as enumerator
+    import weilparity.weil as weil
 
     def work(*args):
         raise RuntimeError("work started before the digit check")
 
-    monkeypatch.setattr(cli, "minpoly_full_degree", work)
+    monkeypatch.setattr(weil, "minpoly_full_degree", work)
     monkeypatch.setattr(enumerator, "minpoly_shape", work)
     code, out, err = invoke(capsys, argv)
     assert (code, out) == (2, "")
@@ -769,12 +784,13 @@ def test_odd_factor_is_an_internal_error(wrong_degree_factor, capsys, argv, befo
 def test_tsv_verify_expands_no_candidate(monkeypatch, capsys, tmp_path, argv):
     # TSV verify prints counts only, so it neither renders nor builds a candidate
     import weilparity.cli as cli
+    import weilparity.enumerator as enumerator
 
     def expand(*args):
         raise RuntimeError("a candidate was expanded")
 
     monkeypatch.setattr(cli, "_candidate_template", expand)
-    monkeypatch.setattr(cli, "candidate_shapes", expand)
+    monkeypatch.setattr(enumerator, "candidate_shapes", expand)
     assert golden_run(capsys, tmp_path, argv, "tsv") == GOLDEN[argv, "tsv"]
 
 
@@ -1025,11 +1041,12 @@ def test_structured_verify_writes_in_blocks(monkeypatch):
 def test_bounds_writes_each_row_before_the_next_line_is_read(monkeypatch, tmp_path, fmt):
     # with one-character blocks, the rows of the lines before a line are
     # out when it is parsed and checked
+    import weilparity.bounds as bounds
     import weilparity.cli as cli
 
     ref = tmp_path / "polys.txt"
     ref.write_text("5 0 1\n# comment\n-5 0 1\n")
-    real = cli.full_bounds_report
+    real = bounds.full_bounds_report
     checked = []
 
     def recording(coeffs, params):
@@ -1038,7 +1055,7 @@ def test_bounds_writes_each_row_before_the_next_line_is_read(monkeypatch, tmp_pa
 
     log = []
     monkeypatch.setattr(cli, "_WRITE_BLOCK", 1)
-    monkeypatch.setattr(cli, "full_bounds_report", recording)
+    monkeypatch.setattr(bounds, "full_bounds_report", recording)
     monkeypatch.setattr(sys, "stdout", Recorder("out", log))
     code = run([*BOUNDS_G1, str(ref), "--format", fmt])
     assert checked == [([5, 0, 1], bounds_g1_cut(fmt, 0)), ([-5, 0, 1], bounds_g1_cut(fmt, 1))]
@@ -1128,6 +1145,118 @@ def test_usage_errors(capsys):
     assert invoke(capsys, ["frobnicate"])[0] == 2
     assert invoke(capsys, ["cyclo"])[0] == 2
     assert invoke(capsys, ["--help"])[0] == 0
+
+
+# Each command's flags, with a value that each accepts; other values, and
+# tokens that may land anywhere, for argvs that the parsers should reject
+FLAG_VALUES = {
+    "cyclo": (),
+    "minpoly": (("p", "5"), ("n", "1"), ("sign", "+"), ("t", "3")),
+    "enumerate": (("g", "1"), ("p", "5"), ("n", "1")),
+    "verify": (("gmax", "1"), ("pmax", "7"), ("n", "1")),
+    "detect-half": (("g", "1"), ("p", "5"), ("n", "1")),
+    "bounds": (("g", "1"), ("p", "5"), ("n", "1"), ("file", "polys.txt")),
+}
+ODD_VALUES = ("-3", "0", "+2", " 4", "1_0", "٣", "-", "-.5", "1.5", "x", "", "-x", "-x y",
+              "--", "-h", "tsv", "structured", "xml")
+ANYWHERE = ("--", "-h", "-hh", "-hx", "-h=h", "--he", "--help=", "--zz", "-q", "stray", "-5",
+            "--=x", "---", "--format", "--fo=structured", "--form=xml", "tsv")
+
+
+@st.composite
+def argvs(draw):
+    """An argv near a valid one: flags spelled by prefixes, with ``=``, repeated
+    or left out, odd values, --format on either side, and stray tokens."""
+    command = draw(st.sampled_from([*FLAG_VALUES, "frobnicate"]))
+    words = []
+    for name, good in FLAG_VALUES.get(command, ()):
+        for _ in range(draw(st.sampled_from([1, 1, 1, 2, 0]))):
+            flag = f"--{name}"[: draw(st.integers(3, len(name) + 2))]
+            value = draw(st.sampled_from(ODD_VALUES)) if draw(st.integers(0, 3)) == 0 else good
+            words += [f"{flag}={value}"] if draw(st.booleans()) else [flag, value]
+    if command == "cyclo":
+        words.insert(draw(st.integers(0, len(words))), draw(st.sampled_from(("12", *ODD_VALUES))))
+    for token in draw(st.lists(st.sampled_from(ANYWHERE), max_size=2)):
+        words.insert(draw(st.integers(0, len(words))), token)
+    if draw(st.booleans()):
+        words = draw(st.permutations(words))
+    before = draw(st.sampled_from([[], [], ["--format", "structured"], ["--f=tsv"], ["--fo", "x"]]))
+    return [*before, command, *words]
+
+
+def assert_parsed_as_before(capsys, argv):
+    # where argparse accepts, the same command and values; else the same exit
+    # code from run, with a usage error on stderr alone or help on stdout alone
+    import weilparity.cli as cli
+
+    code, expected = parse_reference(argv)
+    if code is None:
+        args = cli._parse(list(argv))
+        assert vars(args) == {k: v for k, v in vars(expected).items() if k != "func"}
+        assert cli._COMMANDS[args.command][0] is expected.func
+        return
+    got, out, err = invoke(capsys, argv)
+    assert got == code
+    if code:
+        usage, error = err.split("\n", 1)
+        assert out == "" and usage.startswith("usage: weilparity")
+        assert error.startswith("weilparity: error: ") and error.endswith("\n")
+    else:
+        assert out.startswith("usage: weilparity") and err == ""
+
+
+def test_every_golden_argv_parses_as_before(capsys):
+    for argv, fmt in GOLDEN:
+        for full in ([*argv, "--format", fmt], ["--format", fmt, *argv], [*argv, f"--fo={fmt}"]):
+            assert parse_reference(full)[0] is None
+            assert_parsed_as_before(capsys, full)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["-h"], ["-hh"], ["-hx"], ["-h=h"], ["-h="], ["--help=x"], ["--he"], ["cyclo", "-hh"],
+        ["cyclo", "--", "5"], ["cyclo", "5", "--"], ["cyclo", "--", "--"], ["cyclo", "--"],
+        ["cyclo", "-3"], ["cyclo", "-.5"], ["cyclo", "abc", "-h"], ["cyclo", "-h", "abc"],
+        ["cyclo", "1", "--format=--"], ["cyclo", "--format", "--", "1"], ["--", "cyclo", "1"],
+        ["--=x", "cyclo", "1"], ["-h", "--=x"], ["--zz", "cyclo", "-h"], ["--zz", "cyclo", "1"],
+        ["--format", "tsv", "cyclo", "1", "--format", "structured", "--fo=tsv"],
+        ["minpoly", "--p", "5", "--n", "1", "--sign", "-", "--t", "-2"],
+        ["minpoly", "--p", "5", "--n", "1", "--s", "-", "--t=-2", "--p=7"],
+        ["minpoly", "--p", "5", "--n", "1", "--sign", "x", "--t", "2", "-h"],
+        ["verify", "--g", "1", "--p", "7", "--n", "1", "--n=3", "--n", "-5"],
+        ["verify", "--gmax", "1", "--pmax", "7", "--n", "1", "--", "--n", "3"],
+        ["bounds", "--g", "1", "--p", "5", "--n", "1", "--f", "x"],
+        ["bounds", "--g", "1", "--p", "5", "--n", "1", "--fi", "-.5"],
+        ["bounds", "--g", "1", "--p", "5", "--n", "1", "--file", "-x y"],
+        ["bounds", "--g", "1", "--p", "5", "--n", "1", "--file", "-x"],
+        ["bounds", "--g", "1", "--p", "5", "--n", "1", "--file=-x", "--file=--"],
+        ["enumerate", "--g", "1_0", "--p", " 5", "--n", "+1"],
+        ["detect-half", "--g", "1", "--p", "5", "--n", "1", "stray"],
+        [], ["frobnicate"], ["cyclo"], ["--help"],
+    ],
+    ids=repr,
+)
+def test_argv_parses_as_before(capsys, argv):
+    assert_parsed_as_before(capsys, argv)
+
+
+@settings(
+    max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(argv=argvs())
+def test_drawn_argv_parses_as_before(capsys, argv):
+    assert_parsed_as_before(capsys, argv)
+
+
+def test_an_explicit_double_dash_is_a_usage_error(capsys):
+    # argparse read "--format=--" as the value [] (run printed TSV) and
+    # "--p=--" as p = [] (exit 3); the one reading that changed is now exit 2
+    assert vars(build_parser().parse_args(["cyclo", "1", "--format=--"]))["format"] == []
+    minpoly = ["minpoly", "--p=--", "--n", "1", "--sign", "+", "--t", "1"]
+    for argv in (["cyclo", "1", "--format=--"], minpoly):
+        code, out, err = invoke(capsys, argv)
+        assert (code, out) == (2, "") and err.endswith(": expected one argument\n")
 
 
 def test_enumerate_to_bounds_round_trip(tmp_path, capsys):
@@ -1283,6 +1412,7 @@ def test_a_cell_converts_each_distinct_slot_once(monkeypatch, cold_caches, fmt):
     # once per cell
     import weilparity.cli as cli
     import weilparity.enumerator as enumerator
+    import weilparity.weil as weil
 
     products = []
 
@@ -1291,8 +1421,8 @@ def test_a_cell_converts_each_distinct_slot_once(monkeypatch, cold_caches, fmt):
             products.append(c)
             return c * int(self)
 
-    real = cli.q_powers
-    monkeypatch.setattr(cli, "q_powers", lambda q, k: [Power(x) for x in real(q, k)])
+    real = weil.q_powers
+    monkeypatch.setattr(weil, "q_powers", lambda q, k: [Power(x) for x in real(q, k)])
     argv = ["enumerate", "--g", "5", "--p", "601", "--n", "1", "--format", fmt]
     code, out, _ = recorded_run(monkeypatch, argv)
     report = verify_parity_theorem(WeilParams(p=601, n=1, g=5))
@@ -1334,10 +1464,11 @@ def test_template_rejects_a_shape_not_even_of_degree_2g(monkeypatch, cold_caches
     # once per template, not once per cell; so do a zero constant term (a
     # product of cyclotomic shapes has constant +-1) and a key with no shape
     import weilparity.cli as cli
+    import weilparity.enumerator as enumerator
 
     for shapes in ([[1, 1, 1]], [[1, 0, 0, 0, 1]], [[1]], [[0, 1]], []):
         made = tuple((IntPoly(coeffs), ()) for coeffs in shapes)
-        monkeypatch.setattr(cli, "candidate_shapes", lambda g, specs: made)
+        monkeypatch.setattr(enumerator, "candidate_shapes", lambda g, specs: made)
         cli._candidate_template.cache_clear()
         with pytest.raises(BrokenInvariant):
             cli._candidate_template(1, (), fmt)

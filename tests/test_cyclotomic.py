@@ -15,6 +15,7 @@ from weilparity.cyclotomic import (
     CYCLOTOMIC_CAP,
     FACTORIZE_CAP,
     cyclotomic,
+    cyclotomic_radical,
     factorize,
     is_prime,
     totient,
@@ -137,11 +138,21 @@ def test_cyclotomic_monic_of_totient_degree():
         assert poly.degree == totient(n)
 
 
+def test_radical_form():
+    # Phi_n(X) = Phi_m(X**k) for the radical m of n and k = n / m
+    for n in range(1, 300):
+        base, k = cyclotomic_radical(n)
+        m, primes = n // k, [p for p, _ in factorize(n)]
+        assert k * m == n and factorize(m) == tuple((p, 1) for p in primes)
+        assert base == cyclotomic(m) and base.compose_power(k) == cyclotomic(n)
+
+
 def test_cyclotomic_caps():
-    with pytest.raises(ValueError):
-        cyclotomic(0)
-    with pytest.raises(OutOfRange):
-        cyclotomic(CYCLOTOMIC_CAP + 1)
+    for build in (cyclotomic, cyclotomic_radical):
+        with pytest.raises(ValueError):
+            build(0)
+        with pytest.raises(OutOfRange):
+            build(CYCLOTOMIC_CAP + 1)
     with pytest.raises(OutOfRange):
         cyclotomic_mobius(CYCLOTOMIC_CAP + 1)
 

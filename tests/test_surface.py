@@ -40,19 +40,79 @@ def test_every_public_definition_is_used_in_src():
     assert not unused, f"public names that nothing in src/ uses: {unused}"
 
 
-def test_importing_the_cli_loads_no_introspection_modules():
-    # every run pays for its imports: dataclasses alone pulls in inspect, ast and dis,
-    # no annotation is worth pathlib, and JSON text is written without json
-    code = (
-        "import sys; before = set(sys.modules); import weilparity.cli; print(sorted("
-        "{'ast', 'dataclasses', 'dis', 'inspect', 'json', 'pathlib'}"
-        " & (set(sys.modules) - before)))"
-    )
+def run_bare(code: str, *args: str) -> str:
+    """The stdout of ``code`` run with ``args`` by a fresh interpreter without ``site``."""
     env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
     out = subprocess.run(
-        [sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, check=True
+        [sys.executable, "-S", "-c", code, *args],
+        env=env, capture_output=True, text=True, check=True,
     )
-    assert out.stdout == "[]\n"
+    return out.stdout
+
+
+def test_importing_the_cli_loads_no_introspection_modules():
+    # every run pays for its imports: dataclasses alone pulls in inspect, ast and dis,
+    # no annotation is worth pathlib, JSON text is written without json, and the
+    # command line is parsed without argparse (and the gettext it loads)
+    code = (
+        "import sys; before = set(sys.modules); import weilparity.cli; print(sorted("
+        "{'argparse', 'ast', 'dataclasses', 'dis', 'gettext', 'inspect', 'json', 'pathlib'}"
+        " & (set(sys.modules) - before)))"
+    )
+    assert run_bare(code) == "[]\n"
+
+
+CYCLO_LAYERS = {"cyclotomic", "intpoly", "errors"}
+ENUMERATOR_LAYERS = {*CYCLO_LAYERS, "weil", "enumerator"}
+LOADS = {  # argv -> the package modules its run loads besides the root and cli; "@" is a file
+    ("--help",): set(),
+    ("cyclo", "12"): CYCLO_LAYERS,
+    ("minpoly", "--p", "5", "--n", "1", "--sign", "+", "--t", "3"): {*CYCLO_LAYERS, "weil"},
+    ("enumerate", "--g", "2", "--p", "7", "--n", "1"): ENUMERATOR_LAYERS,
+    ("verify", "--gmax", "1", "--pmax", "7", "--n", "1"): ENUMERATOR_LAYERS,
+    ("detect-half", "--g", "2", "--p", "3", "--n", "1"): ENUMERATOR_LAYERS,
+    ("bounds", "--g", "1", "--p", "5", "--n", "1", "--file", "@"):
+        {*CYCLO_LAYERS, "weil", "bounds"},
+}
+
+
+@pytest.mark.parametrize("argv", LOADS, ids=" ".join)
+def test_a_run_loads_only_the_layers_of_its_subcommand(tmp_path, argv):
+    # a call compiles and runs each module it imports, so it imports no layer it does not use
+    (tmp_path / "polys.txt").write_text("5 0 1\n")
+    args = [str(tmp_path / "polys.txt") if a == "@" else a for a in argv]
+    code = (
+        "import sys, weilparity.cli; code = weilparity.cli.run(sys.argv[1:]); print(code, sorted("
+        "m for m in sys.modules if m.startswith('weilparity') or m in ('argparse', 'gettext')))"
+    )
+    loaded = ["weilparity", "weilparity.cli", *(f"weilparity.{m}" for m in LOADS[argv])]
+    assert run_bare(code, *args).splitlines()[-1] == f"0 {sorted(loaded)}"
+
+
+def test_importing_the_package_runs_no_layer():
+    code = "import sys, weilparity; print(sorted(m for m in sys.modules if 'weilparity' in m))"
+    assert run_bare(code) == "['weilparity']\n"
+
+
+def test_the_root_loads_each_entry_point_from_its_submodule():
+    # the names are loaded on first access, each the object its submodule defines
+    import weilparity
+    from weilparity import bounds, enumerator, intpoly, weil
+
+    homes = {
+        "BoundsReport": bounds, "IntPoly": intpoly, "ParityReport": enumerator,
+        "WeilParams": weil, "full_bounds_report": bounds, "minpoly_full_degree": weil,
+        "verify_grid": enumerator, "verify_parity_theorem": enumerator,
+    }
+    assert weilparity.__all__ == sorted(homes)
+    for name, module in homes.items():
+        assert getattr(weilparity, name) is getattr(module, name)
+    assert set(weilparity.__all__) <= set(dir(weilparity))
+    assert {"bounds", "cli", "__version__"} <= set(dir(weilparity))
+    with pytest.raises(AttributeError, match="no_such_name"):
+        weilparity.no_such_name  # noqa: B018
+    with pytest.raises(ImportError):
+        from weilparity import no_such_name  # noqa: F401
 
 
 P5 = dict(p=5, n=1, g=1)
