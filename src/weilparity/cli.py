@@ -36,12 +36,14 @@ Each call is a fresh process, so it loads only what its subcommand uses.
 Importing this module loads no layer: each ``_cmd_*`` imports its layers
 when it runs, reading each name off its module at that time (so a
 wrapper installed there is seen).  The command line is read from one
-table, ``_COMMANDS``, which both the parser and ``-h``/``--help`` read;
-it accepts what the argparse parser it replaced accepted, with the same
-values: flags as ``--flag value`` or ``--flag=value``, any unique prefix
-of a flag, ``--format`` before or after the subcommand (the last wins),
-a repeated ``verify --n`` appended and any other repeated flag kept
-last, negative numbers as values, and ``--`` ending the options.
+table, ``_COMMANDS``, with the top level as one more row, ``_TOP``,
+whose positional is the command; the parser and ``-h``/``--help`` both
+read it.  It accepts what the argparse parser it replaced accepted,
+with the same values: flags as ``--flag value`` or ``--flag=value``, any
+unique prefix of a flag, ``--format`` before or after the subcommand
+(the last wins), a repeated ``verify --n`` appended and any other
+repeated flag kept last, negative numbers as values, and ``--`` ending
+the options.
 Help goes to stdout with exit 0; a usage error writes its usage line
 and ``weilparity: error: ...`` to stderr, with exit 2.
 """
@@ -302,7 +304,9 @@ def _cmd_minpoly(args) -> int:
     # g plays no role in the minimal polynomial; pin the smallest value.
     sign = 1 if args.sign == "+" else -1
     params = WeilParams(p=args.p, n=args.n, g=1)
-    t_cap = CYCLOTOMIC_CAP // 2  # checked here, so the message names t, not 2t
+    # The strictest case across signs: sign + and even t need Phi_2t, so
+    # t is capped at half the cyclotomic cap for every sign and t alike.
+    t_cap = CYCLOTOMIC_CAP // 2
     if args.t > t_cap:
         raise OutOfRange(f"t={args.t} exceeds the cap {t_cap} (2t <= {CYCLOTOMIC_CAP})")
     if args.t >= 1:  # else minpoly_full_degree rejects t
@@ -367,7 +371,8 @@ def _cmd_detect_half(args) -> int:
     from .weil import WeilParams
 
     params = WeilParams(p=args.p, n=args.n, g=args.g)
-    specs = verify_parity_theorem(params).half_degree_specs  # builds no shape
+    report = verify_parity_theorem(params)
+    specs = report.half_degree_specs  # builds no shape
     _emit(
         args,
         lambda: [f'{{"g": {params.g}, "p": {params.p}, "n": {params.n}, '
@@ -375,7 +380,7 @@ def _cmd_detect_half(args) -> int:
         lambda: (f"{_SIGN_TEXT[s.q_star_sign]}\t{s.t}\t{totient(2 * s.t)}" for s in specs),
         ("sign", "t", "degree"),
     )
-    if params.p > 2 * params.g + 1 and specs:
+    if not report.contract_ok:
         print("half-degree spec found although p > 2g+1", file=sys.stderr)
         return 1
     return 0
@@ -404,7 +409,7 @@ def _cmd_bounds(args) -> int:
 
 
 # The command line, as one table that the parser and the help both read.
-# A flag (or the positional argument) is (name, type, choices or None,
+# A flag (or a positional argument) is (name, type, choices or None,
 # repeats): a flag that repeats appends each value to a list, any other
 # keeps its last value.  Every flag of a command is required; --format,
 # accepted before or after the command, is the one optional flag.
@@ -424,6 +429,18 @@ _COMMANDS = {  # name -> (function, summary, positional or None, flags)
     "bounds": (_cmd_bounds, "bound checks on a polynomial file", None,
                (*_CELL_FLAGS, ("file", str, None, False))),
 }
+# The top level is one more row, whose summary is its help text.  Its
+# positional is the command: as argparse's subparsers do, it takes the
+# token in its place even if that is "--", and the command it names reads
+# every token after it.  The parser knows it by identity, not by a field.
+_COMMAND = ("command", str, tuple(_COMMANDS), False)
+_TOP = (None, (
+    "Exact checks on supersingular Weil polynomial candidates.\n\ncommands:\n"
+    + "\n".join(f"  {name:{max(map(len, _COMMANDS))}}  {row[1]}" for name, row in _COMMANDS.items())
+    + "\n\n--format (default tsv) goes before or after the command; the last one given wins.\n"
+    "A flag may be shortened to any prefix that names no other flag of its command.\n"
+    "'weilparity COMMAND -h' lists the flags of a command."
+), _COMMAND, ())
 _HELP = ("help", None, None, False)
 
 
@@ -436,32 +453,16 @@ def _arg(spec) -> str:
     return "{" + ",".join(choices) + "}" if choices else name.upper()
 
 
-def _usage(command: str | None) -> str:
-    """The usage line of ``command``, or of the top level for None."""
-    if command is None:
-        return f"usage: weilparity [-h] [--format {_arg(_FORMAT)}] {{{','.join(_COMMANDS)}}} ..."
-    _, _, positional, flags = _COMMANDS[command]
+def _usage(prog: str, row) -> str:
+    """The usage line of ``row``, the table row that ``prog`` runs."""
+    _, _, positional, flags = row
     words = [f"--{spec[0]} {_arg(spec)}" + (f" [--{spec[0]} ...]" if spec[3] else "")
              for spec in flags]
-    words += [_arg(positional)] if positional else []
-    return f"usage: weilparity {command} [-h] [--format {_arg(_FORMAT)}] {' '.join(words)}"
+    words += [_arg(positional) + (" ..." if positional is _COMMAND else "")] if positional else []
+    return f"usage: {prog} [-h] [--format {_arg(_FORMAT)}] {' '.join(words)}"
 
 
-def _help(command: str | None) -> str:
-    if command is not None:
-        return f"{_usage(command)}\n\n{_COMMANDS[command][1]}"
-    width = max(map(len, _COMMANDS))
-    rows = "\n".join(f"  {name:{width}}  {row[1]}" for name, row in _COMMANDS.items())
-    return (
-        f"{_usage(None)}\n\nExact checks on supersingular Weil polynomial candidates.\n\n"
-        f"commands:\n{rows}\n\n"
-        "--format (default tsv) goes before or after the command; the last one given wins.\n"
-        "A flag may be shortened to any prefix that names no other flag of its command.\n"
-        "'weilparity COMMAND -h' lists the flags of a command."
-    )
-
-
-def _option(token: str, options: dict, command: str | None):
+def _option(token: str, options: dict, usage: str):
     """How argparse reads ``token`` against ``options`` ({"--name": spec}, with -h and --help).
 
     None for a value; else (spec, option, explicit value or None), with
@@ -481,8 +482,8 @@ def _option(token: str, options: dict, command: str | None):
     if token[1] == "-":
         matches = [option for option in options if option.startswith(name)]
         if len(matches) > 1:
-            raise _Stop(2, _error(command, f"ambiguous option: {name} could match "
-                                           f"{', '.join(matches)}"))
+            raise _Stop(2, _error(usage, f"ambiguous option: {name} could match "
+                                         f"{', '.join(matches)}"))
         if matches:
             return options[matches[0]], matches[0], explicit if equals else None
     elif token[:2] in options:
@@ -494,47 +495,46 @@ def _option(token: str, options: dict, command: str | None):
     return None, token, None
 
 
-def _error(command: str | None, message: str) -> str:
-    return f"{_usage(command)}\nweilparity: error: {message}"
+def _error(usage: str, message: str) -> str:
+    return f"{usage}\nweilparity: error: {message}"
 
 
-def _read(tokens: list[str], command: str | None, values: dict, strays: list) -> int:
-    """Read the tokens of the top level (``command`` None) or of a command into ``values``.
+def _read(tokens: list[str], prog: str, row, values: dict, strays: list) -> None:
+    """Read ``tokens`` into ``values`` against ``row``: ``_TOP``, or the command ``prog`` runs.
 
     As argparse does: every token before the first ``--`` is classified
     first (an ambiguous prefix is an error before anything else), then
     the tokens are read in order.  Help stops at once, and so does a bad
     or missing flag value.  Unknown options and tokens left over go to
-    ``strays``.  The top level stops at its first value, the command's
-    name, and returns its index; a command reads to the end.
+    ``strays``.  The top level's positional, the command, ends the read:
+    the command's row reads the tokens after it.  At the end, a
+    flag or positional not read is an error.
     """
-    if command is None:
-        flags, positional = (_FORMAT,), None
-    else:
-        _, _, positional, flags = _COMMANDS[command]
-        flags = (_FORMAT, *flags)
-    options = {"-h": _HELP, "--help": _HELP, **{f"--{spec[0]}": spec for spec in flags}}
+    _, summary, positional, flags = row
+    usage = _usage(prog, row)
+    options = {"-h": _HELP, "--help": _HELP, **{f"--{spec[0]}": spec for spec in (_FORMAT, *flags)}}
     cut = tokens.index("--") if "--" in tokens else len(tokens)
-    kinds = [_option(token, options, command) for token in tokens[:cut]]
+    kinds = [_option(token, options, usage) for token in tokens[:cut]]
     kinds += [None] * (len(tokens) - cut)  # after "--", every token is a value
+    wanted = positional  # until it is read
     i = 0
     while i < len(tokens):
         kind = kinds[i]
         if kind is None or i == cut:  # a value, or the first "--"
-            if command is None:
-                return i
-            if positional is None:
+            if wanted is None:
                 strays.append(tokens[i])
                 i += 1
                 continue
-            # the positional takes one value, with the "--" before or after it
-            if i == cut:
+            name, rest = wanted[0], wanted is _COMMAND
+            if i == cut and not rest:  # one value, with the "--" before or after it
                 i += 1
                 if i == len(tokens):
                     strays.append("--")
                     break
-            values[positional[0]] = _value(positional, tokens[i], command, positional[0])
-            positional = None
+            values[name] = value = _value(wanted, tokens[i], usage, name)
+            if rest:
+                return _read(tokens[i + 1:], f"{prog} {value}", _COMMANDS[value], values, strays)
+            wanted = None
             i += 2 if i + 1 == cut else 1
             continue
         spec, option, explicit = kind
@@ -543,37 +543,40 @@ def _read(tokens: list[str], command: str | None, values: dict, strays: list) ->
         elif spec is _HELP:
             # -hh... is -h repeated; any other explicit value is an error
             if explicit is None or (option == "-h" and explicit and not explicit.strip("h")):
-                raise _Stop(0, _help(command))
-            raise _Stop(2, _error(command, f"argument -h/--help: ignored explicit argument "
-                                           f"{explicit!r}"))
+                raise _Stop(0, f"{usage}\n\n{summary}")
+            raise _Stop(2, _error(usage, f"argument -h/--help: ignored explicit argument "
+                                         f"{explicit!r}"))
         else:
             if explicit is None:  # the value is the next token
                 i += 1
                 if i < len(tokens) and i != cut and (i > cut or kinds[i] is None):
                     explicit = tokens[i]
             if explicit in (None, "--"):  # argparse stored [] for --flag=--
-                raise _Stop(2, _error(command, f"argument {option}: expected one argument"))
+                raise _Stop(2, _error(usage, f"argument {option}: expected one argument"))
             name, _, _, repeats = spec
-            value = _value(spec, explicit, command, option)
+            value = _value(spec, explicit, usage, option)
             if repeats:
                 values.setdefault(name, []).append(value)
             else:
                 values[name] = value
         i += 1
-    return len(tokens)
+    missing = [f"--{spec[0]}" for spec in flags if spec[0] not in values]
+    missing += [positional[0]] if wanted else []
+    if missing:
+        raise _Stop(2, _error(usage, "the following arguments are required: " + ", ".join(missing)))
 
 
-def _value(spec, text: str, command: str, where: str):
+def _value(spec, text: str, usage: str, where: str):
     """``text`` converted to ``spec``'s type and checked against its choices."""
     _, kind, choices, _ = spec
     try:
         value = kind(text)
     except ValueError:
-        raise _Stop(2, _error(command, f"argument {where}: invalid {kind.__name__} value: "
-                                       f"{text!r}")) from None
+        raise _Stop(2, _error(usage, f"argument {where}: invalid {kind.__name__} value: "
+                                     f"{text!r}")) from None
     if choices and value not in choices:
-        raise _Stop(2, _error(command, f"argument {where}: invalid choice: {value!r} "
-                                       f"(choose from {', '.join(map(repr, choices))})"))
+        raise _Stop(2, _error(usage, f"argument {where}: invalid choice: {value!r} "
+                                     f"(choose from {', '.join(map(repr, choices))})"))
     return value
 
 
@@ -583,23 +586,11 @@ def _parse(argv: list[str]) -> SimpleNamespace:
     Raises :class:`_Stop` for help and for usage errors.
     """
     values, strays = {"format": "tsv"}, []
-    start = _read(argv, None, values, strays)
-    if start == len(argv):
-        raise _Stop(2, _error(None, "the following arguments are required: command"))
-    command = argv[start]
-    if command not in _COMMANDS:
-        raise _Stop(2, _error(None, f"argument command: invalid choice: {command!r} "
-                                    f"(choose from {', '.join(map(repr, _COMMANDS))})"))
-    _read(argv[start + 1:], command, values, strays)
-    _, _, positional, flags = _COMMANDS[command]
-    missing = [f"--{spec[0]}" for spec in flags if spec[0] not in values]
-    missing += [positional[0]] if positional and positional[0] not in values else []
-    if missing:
-        raise _Stop(2, _error(command, "the following arguments are required: "
-                                       + ", ".join(missing)))
+    _read(argv, "weilparity", _TOP, values, strays)
     if strays:
-        raise _Stop(2, _error(None, f"unrecognized arguments: {' '.join(strays)}"))
-    return SimpleNamespace(command=command, **values)
+        raise _Stop(2, _error(_usage("weilparity", _TOP),
+                              f"unrecognized arguments: {' '.join(strays)}"))
+    return SimpleNamespace(**values)
 
 
 def run(argv: Sequence[str] | None = None) -> int:

@@ -20,11 +20,11 @@ so a walk over the prime powers of the primes up to 2g + 1, carrying
 phi, finds every such t exactly, with no factorization.  Those t do not
 depend on (p, n), so their specs (both signs of each) are built, and
 checked, once per g.  ``is_full_degree`` reads of p only its residue
-mod 4 and which t it divides, so a class is one p at most the largest
-fitting t, or every p above it (p divides no fitting t), which holds
-most cells of a wide ``verify`` grid.  The scan of a class is cached;
-it runs ``is_full_degree`` once on each spec: a half-degree spec fits
-if phi(2t) <= 2g, a full-degree one only if phi(2t) <= g.  A
+mod 4 and which t it divides, and by the same bound no p above 2g + 1
+divides a fitting t: so a class is one p <= 2g + 1, or every p above
+it, which holds every cell of a ``verify`` grid.  The scan of a class
+is cached; it runs ``is_full_degree`` once on each spec: a half-degree
+spec fits if phi(2t) <= 2g, a full-degree one only if phi(2t) <= g.  A
 :class:`ParityReport` holds that scan and nothing else; its count is
 computed from it when read.
 
@@ -42,10 +42,10 @@ Candidates are expanded only where their coefficients are printed, from
 :func:`candidate_shapes`.  Each minimal polynomial is its spec's q-free
 shape in Y with ``Y**j`` scaled by ``q**(d - j)``, d its degree, and
 that scaling is multiplicative, so every candidate is the scaled
-product of its factors' shapes.  The products are built once per key by
-a recurrence memoized on (spec index, degree left).  The command
-line turns them, once per key, into a q-free text template of literal
-pieces and slots, and a cell only fills it: each distinct value
+product of its factors' shapes.  The products are built by a
+recurrence memoized on (spec index, degree left).  The command line
+builds them once per key and turns them into a q-free text template of
+literal pieces and slots, and a cell only fills it: each distinct value
 c * q**e among its coefficients is converted to decimal once, and the
 pieces and those texts are joined once.  This module writes no output
 text.
@@ -114,37 +114,13 @@ class GridResult:
     Cells are (g, p, n) with p in ``primes`` and p > 2g+1, in grid order
     (g, then p, then the given n order).  Iterating builds their reports
     in that order, one as each is asked for, and keeps none of them, so a
-    caller can write each cell out before the next is built.  A value:
-    equal, and hashed, by its three fields, which cannot be assigned.
+    caller can write each cell out before the next is built.
     """
 
     __slots__ = ("g_max", "primes", "n_values")
-    g_max: int
-    primes: tuple[int, ...]
-    n_values: tuple[int, ...]
 
     def __init__(self, g_max: int, primes: tuple[int, ...], n_values: tuple[int, ...]):
-        for name, value in zip(self.__slots__, (g_max, primes, n_values)):
-            object.__setattr__(self, name, value)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def _key(self) -> tuple:
-        return self.g_max, self.primes, self.n_values
-
-    def __eq__(self, other):
-        return self._key() == other._key() if type(other) is GridResult else NotImplemented
-
-    def __hash__(self):
-        return hash(self._key())
-
-    def __repr__(self):
-        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self.__slots__, self._key()))
-        return f"GridResult({fields})"
+        self.g_max, self.primes, self.n_values = g_max, primes, n_values
 
     def __iter__(self) -> Iterator[ParityReport]:
         for g in range(1, self.g_max + 1):
@@ -189,37 +165,26 @@ def _fitting_specs(g: int) -> tuple[tuple[WeilNumberSpec, int], ...]:
     return tuple((WeilNumberSpec(sign, m // 2), d) for m, d in sorted(found) for sign in (-1, 1))
 
 
-def _scan_specs(
-    params: WeilParams,
-) -> tuple[tuple[WeilNumberSpec, ...], tuple[WeilNumberSpec, ...]]:
-    """(full, half): the specs whose minimal polynomial fits, or would fit, in degree 2g.
-
-    The scan of the cell's class, :func:`_scan_class`: p's own class if p
-    is at most the largest fitting t, else the one class of every p above it.
-    """
-    g, p = params.g, params.p
-    return _scan_class(g, p if p <= _fitting_specs(g)[-1][0].t else None)
-
-
 @cache
 def _scan_class(
     g: int, p: int | None
 ) -> tuple[tuple[WeilNumberSpec, ...], tuple[WeilNumberSpec, ...]]:
-    """(full, half) for the cells of g with prime p, or (``None``) with p above every fitting t.
+    """(full, half): the specs of g whose minimal polynomial fits, or would fit, in degree 2g.
 
-    ``is_full_degree`` reads t mod 4 at p = 2, and at odd p only whether p
-    divides t and q mod 4, which is p mod 4 since n is odd: so it gives
-    every cell of the class one answer per spec, and is run once on each
-    spec of :func:`_fitting_specs`, for one cell of the class: n = 1 and,
-    for ``None``, the least prime above the largest t (below twice it, by
+    For the cells of g with prime p <= 2g + 1, or (``None``) with any p
+    above it, which divides no fitting t.  ``is_full_degree`` reads t mod
+    4 at p = 2, and at odd p only whether p divides t and q mod 4, which
+    is p mod 4 since n is odd: so it gives every cell of the class one
+    answer per spec, and is run once on each spec of
+    :func:`_fitting_specs`, for one cell of the class: n = 1 and, for
+    ``None``, the least prime above 2g + 1 (at most 4g + 2, by
     Bertrand).  A half-degree spec fits if phi(2t) <= 2g, a full-degree
     one only if phi(2t) <= g.  For odd p the half side reduces to: t odd,
     p | t, q_star = 3 mod 4 and phi(t) <= 2g.  Both are ordered by (t, sign).
     """
-    specs = _fitting_specs(g)
+    specs = _fitting_specs(g)  # first: it checks G_CAP before any sieve sized by g
     if p is None:
-        largest = specs[-1][0].t
-        p = primes_between(largest, 2 * largest)[0]
+        p = primes_between(2 * g + 1, 4 * g + 2)[0]
     params = WeilParams(p=p, n=1, g=g)
     full, half = [], []
     for spec, degree in specs:
@@ -246,7 +211,6 @@ def _candidate_count(g: int, specs: tuple[WeilNumberSpec, ...]) -> int:
     return ways[g]
 
 
-@cache
 def candidate_shapes(
     g: int, specs: tuple[WeilNumberSpec, ...]
 ) -> tuple[tuple[IntPoly, tuple[tuple[WeilNumberSpec, int], ...]], ...]:
@@ -296,7 +260,8 @@ def verify_parity_theorem(params: WeilParams) -> ParityReport:
     the report states what was found either way and never raises on a
     violation.
     """
-    return ParityReport(params, *_scan_specs(params))
+    g, p = params.g, params.p
+    return ParityReport(params, *_scan_class(g, p if p <= 2 * g + 1 else None))
 
 
 def primes_between(low: int, high: int) -> list[int]:

@@ -7,11 +7,10 @@ and ``zeta`` is a primitive ``4t``-th root of unity.  Depending on
 ``(q_star, t, p)`` the minimal polynomial of such a number has degree
 ``phi(4t)`` (the full degree case) or ``phi(4t)/2`` (the half degree
 case).  Only the full-degree polynomial is constructed here, in
-``Y = X**2``: since 2t is even, ``Phi_4t(X) = Phi_2t(X**2)``, so it is
-``Q(X**2)`` for Q the minimal polynomial of ``q_star * zeta_2t``, of
-degree phi(2t), which an exact integer coefficient substitution makes
-from ``Phi_2t``; no square root is ever materialized.  The substitution
-is split in two: a q-free *shape* in Y that carries the sign of q_star
+``Y = X**2``: it is ``Q(X**2)`` for Q the minimal polynomial of
+``alpha**2 = q_star * zeta_2t``, of degree phi(2t), so no square root is
+ever materialized.  Q is built in two steps: a q-free *shape* in Y,
+``Phi_M`` for M the order of ``alpha**2 / q = sign * zeta_2t``
 (:func:`minpoly_shape`), and a scaling of ``Y**j`` by ``q**(d - j)`` on
 a shape of degree d, which commutes with multiplication, so products of
 shapes can be built once and scaled to any q.  A polynomial in Y is
@@ -106,16 +105,14 @@ def is_full_degree(params: WeilParams, q_star_sign: int, t: int) -> bool:
 def minpoly_shape(q_star_sign: int, t: int) -> IntPoly:
     """The q-free shape, in ``Y = X**2``, of the minimal polynomial of ``sqrt(q_star) * zeta_4t``.
 
-    The coefficient ``c_j`` of ``Y**j`` in the cyclotomic polynomial of
-    index 2t becomes ``c_j * q_star_sign**(phi(2t) - j)``.  Scaling
-    ``Y**j`` by ``q**(phi(2t) - j)`` gives the minimal polynomial of
-    ``q_star * zeta_2t``, which is the minimal polynomial of
-    ``sqrt(q_star) * zeta_4t`` in ``X**2``.
+    It is ``Phi_M`` for M the order of ``q_star_sign * zeta_2t``: t for
+    sign -1 and odd t, else 2t, so both signs of an even t give one
+    shape.  Scaling ``Y**j`` by ``q**(phi(M) - j)`` gives the minimal
+    polynomial of ``q_star * zeta_2t``, which is the minimal polynomial
+    of ``sqrt(q_star) * zeta_4t`` in ``X**2``.
     """
     WeilNumberSpec(q_star_sign, t)  # the spec's own checks on sign and t
-    phi = cyclotomic(2 * t).coeffs
-    m = len(phi) - 1
-    return IntPoly(c * q_star_sign ** (m - j) for j, c in enumerate(phi))
+    return cyclotomic(t if q_star_sign == -1 and t % 2 else 2 * t)
 
 
 def q_powers(q: int, k: int) -> list[int]:
@@ -128,8 +125,8 @@ def minpoly_full_degree(params: WeilParams, q_star_sign: int, t: int) -> IntPoly
 
     It is the shape of :func:`minpoly_shape`, with ``Y**j`` scaled by
     ``q**(phi(2t) - j)``, in ``Y = X**2``: the coefficient of ``X**(2j)``
-    is ``c_j * q_star**(phi(2t) - j)``, an exact monic integer polynomial
-    of degree phi(4t) = 2 phi(2t).
+    is ``c_j * q**(phi(2t) - j)`` for ``c_j`` that of ``Y**j`` in the
+    shape, an exact monic integer polynomial of degree phi(4t) = 2 phi(2t).
     """
     WeilNumberSpec(q_star_sign, t)  # the spec's own checks on sign and t
     if not is_full_degree(params, q_star_sign, t):

@@ -3,6 +3,7 @@
 import hashlib
 import io
 import json
+import shlex
 import sys
 import tracemalloc
 from itertools import product
@@ -35,6 +36,25 @@ def invoke(capsys, argv):
     code = run(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def test_readme_command_lines_run(monkeypatch, tmp_path, capsys):
+    # each line of the README's "Command line" block runs as written
+    section = README.read_text(encoding="utf-8").split("\n## Command line\n", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = [shlex.split(line, comments=True) for line in block.splitlines()]
+    assert lines and all(words[0] == "weilparity" for words in lines)
+    assert ["weilparity", "cyclo", "12"] in lines
+    (tmp_path / "polys.txt").write_text("5 0 1\n")
+    monkeypatch.chdir(tmp_path)
+    for words in lines:
+        code, out, err = invoke(capsys, words[1:])
+        assert (code, err) == (0, ""), words
+        if words[1:] == ["cyclo", "12"]:
+            assert out == "1 0 -1 0 1\n"
 
 
 def test_cyclo_tsv(capsys):
@@ -451,6 +471,18 @@ def test_verify_pmax_above_sieve_cap_is_an_error(capsys):
     code, out, err = invoke(capsys, ["verify", "--gmax", "1", "--pmax", "10000001", "--n", "1"])
     assert (code, out) == (2, "")
     assert err == "error: --pmax=10000001 exceeds the prime sieve cap 10000000\n"
+
+
+def test_detect_half_past_the_cap_fails_before_sieving_to_g(monkeypatch, capsys):
+    import weilparity.enumerator as enumerator
+
+    def capped_sieve(low, high):
+        assert high <= 4 * G_CAP + 2, f"sieved up to {high}"
+        return primes_between(low, high)
+
+    monkeypatch.setattr(enumerator, "primes_between", capped_sieve)
+    code, out, err = invoke(capsys, ["detect-half", "--g", "400000000", "--p", "999999937", "--n", "1"])
+    assert (code, out, err) == (2, "", f"error: g=400000000 exceeds the enumeration cap {G_CAP}\n")
 
 
 def test_verify_rejects_even_n(capsys):
@@ -1443,17 +1475,23 @@ def test_a_cell_converts_each_distinct_slot_once(monkeypatch, cold_caches, fmt):
     assert (code, len(products)) == (0, len(slots))
 
 
-def test_one_template_per_spec_set(cold_caches, capsys):
-    # cells with equal spec sets share a template, as they share their shapes
+def test_one_template_per_spec_set(monkeypatch, cold_caches, capsys):
+    # cells with equal spec sets share a template, and its shapes are built
+    # once, when the template is
     import weilparity.cli as cli
     import weilparity.enumerator as enumerator
 
+    keys = []
+    real = enumerator.candidate_shapes
+    monkeypatch.setattr(
+        enumerator, "candidate_shapes", lambda g, specs: keys.append((g, specs)) or real(g, specs)
+    )
     argv = ["verify", "--gmax", "5", "--pmax", "60", "--n", "1", "--n", "3", "--format", "structured"]
     code, out, _ = invoke(capsys, argv)
     cells = len(json.loads(out))
     info = cli._candidate_template.cache_info()
     assert code == 0
-    assert info.currsize == enumerator.candidate_shapes.cache_info().currsize < cells
+    assert info.currsize == info.misses == len(keys) == len(set(keys)) < cells
     assert info.hits + info.misses == cells
 
 

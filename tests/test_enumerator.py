@@ -15,7 +15,7 @@ from oracles import (
     scale_x,
 )
 
-from weilparity.cyclotomic import cyclotomic, is_prime, totient
+from weilparity.cyclotomic import cyclotomic, factorize, is_prime, totient
 from weilparity.enumerator import (
     G_CAP,
     PRIME_SIEVE_CAP,
@@ -242,19 +242,18 @@ def per_spec_scan(params):
 def test_scan_per_class_matches_the_per_spec_scan(cold_caches):
     # each class's scan is made by its first cell, in grid order, and read
     # by every later cell of the class, whose own scan it must equal: p at
-    # or below the largest fitting t is its own class, every larger p one
+    # or below 2g + 1 is its own class, every larger p one
     import weilparity.enumerator as enumerator
 
     primes = [*primes_between(1, 60), 401, 999_999_937]
     classes, cells = set(), 0
     for g in range(1, G_CAP + 1):
-        largest = enumerator._fitting_specs(g)[-1][0].t
         for p in primes:
             for n in (1, 3, 5):
                 params = WeilParams(p=p, n=n, g=g)
                 report = verify_parity_theorem(params)
                 assert (report.full_degree_specs, report.half_degree_specs) == per_spec_scan(params)
-                classes.add((g, p if p <= largest else None))
+                classes.add((g, p if p <= 2 * g + 1 else None))
                 cells += 1
     info = enumerator._scan_class.cache_info()
     assert (info.misses, info.hits) == (len(classes), cells - len(classes))
@@ -262,8 +261,8 @@ def test_scan_per_class_matches_the_per_spec_scan(cold_caches):
 
 def test_scan_calls_is_full_degree_once_per_class_and_spec(monkeypatch, cold_caches, capsys):
     # verify --gmax 5 --pmax 600: 1,054 cells, 17,636 calls if each cell
-    # scanned its specs, but only eight classes of p: one per g for p above
-    # every fitting t, and p = 11, 13 at g = 4 and p = 13 at g = 5
+    # scanned its specs, but only five classes of p, one per g: every p of
+    # the grid is above 2g + 1
     import weilparity.cli as cli
     import weilparity.enumerator as enumerator
 
@@ -278,7 +277,34 @@ def test_scan_calls_is_full_degree_once_per_class_and_spec(monkeypatch, cold_cac
     assert specs == [6, 12, 16, 24, 26]
     primes = primes_between(1, 600)
     assert sum(2 * specs[g - 1] for g in range(1, 6) for p in primes if p > 2 * g + 1) == 17_636
-    assert len(calls) == 6 + 12 + 16 + 3 * 24 + 2 * 26 == 158
+    assert len(calls) == 6 + 12 + 16 + 24 + 26 == 84
+    assert enumerator._scan_class.cache_info().misses == 5
+
+
+def test_no_prime_above_2g_plus_1_divides_a_fitting_t(monkeypatch, cold_caches):
+    # a prime p dividing t has p - 1 <= phi(2t) <= 2g, so every p above
+    # 2g + 1 divides no fitting t, and all such p make one class
+    import weilparity.enumerator as enumerator
+
+    monkeypatch.setattr(enumerator, "G_CAP", 40)
+    for g in range(1, 41):
+        for spec, _ in enumerator._fitting_specs(g):
+            assert all(p <= 2 * g + 1 for p, _ in factorize(spec.t)), (g, spec)
+
+
+def test_every_prime_above_2g_plus_1_scans_as_the_top_class(cold_caches):
+    # the primes the scan once split off, from 2g + 1 up to the largest
+    # fitting t, each scan as the class of every p above 2g + 1
+    import weilparity.enumerator as enumerator
+
+    checked = 0
+    for g in range(1, G_CAP + 1):
+        top = enumerator._scan_class(g, None)
+        for p in primes_between(2 * g + 1, enumerator._fitting_specs(g)[-1][0].t):
+            for n in (1, 3):
+                assert per_spec_scan(WeilParams(p=p, n=n, g=g)) == top, (g, p, n)
+                checked += 1
+    assert checked > 20
 
 
 def test_admissible_specs_g1():
@@ -369,6 +395,20 @@ def test_enumeration_order_is_canonical():
 def test_enumerate_cap():
     with pytest.raises(OutOfRange):
         candidates_of(WeilParams(p=23, n=1, g=G_CAP + 1))
+
+
+def test_scan_past_the_cap_fails_before_sieving_to_g(monkeypatch):
+    # p above 2g+1 is the top class, scanned at a prime sieved for up to 4g+2:
+    # the cap is read first, so no sieve is sized by an uncapped g
+    import weilparity.enumerator as enumerator
+
+    def capped_sieve(low, high):
+        assert high <= 4 * G_CAP + 2, f"sieved up to {high}"
+        return primes_between(low, high)
+
+    monkeypatch.setattr(enumerator, "primes_between", capped_sieve)
+    with pytest.raises(OutOfRange, match=f"g=400000000 exceeds the enumeration cap {G_CAP}"):
+        verify_parity_theorem(WeilParams(p=999999937, n=1, g=4 * 10**8))
 
 
 def test_half_degree_examples():
@@ -550,18 +590,6 @@ def test_partition_search_is_order_independent():
         order = list(range(len(specs)))
         rng.shuffle(order)
         assert multisets(order) == canonical
-
-
-def test_shapes_are_shared_across_cells_with_equal_spec_sets(cold_caches):
-    # above 2g+1 the spec set, hence the cache entry, does not depend on (p, n)
-    for p in (11, 13, 17):
-        for n in (1, 3):
-            candidates_of(WeilParams(p=p, n=n, g=4))
-    assert candidate_shapes.cache_info().currsize == 1
-    # p = 2 and p = 5 <= 2g+1 compute other spec sets, so other entries
-    candidates_of(WeilParams(p=2, n=1, g=4))
-    candidates_of(WeilParams(p=5, n=1, g=4))
-    assert candidate_shapes.cache_info().currsize == 3
 
 
 def test_totient_lower_bound_supporting_scan_cap():

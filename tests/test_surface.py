@@ -9,35 +9,69 @@ from pathlib import Path
 import pytest
 
 from weilparity.bounds import full_bounds_report
-from weilparity.enumerator import verify_grid, verify_parity_theorem
+from weilparity.enumerator import verify_parity_theorem
 from weilparity.intpoly import IntPoly
 from weilparity.weil import WeilNumberSpec, WeilParams
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "weilparity"
 
 
-def test_every_public_definition_is_used_in_src():
-    # (name, module, top-level statement it sits in) of every name read in src/
-    modules = {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
-    uses = {
-        (node.id if isinstance(node, ast.Name) else node.attr, module, getattr(stmt, "name", None))
-        for module, tree in modules.items()
-        for stmt in tree.body
+def src_definitions():
+    """(definitions, reads) of src/: each module-level function, class and constant, as
+    (name, defining statement), and each name read, as (name, top-level statement it sits in)."""
+    statements = [
+        stmt for path in sorted(SRC.glob("*.py")) for stmt in ast.parse(path.read_text()).body
+    ]
+    definitions = [
+        (node.id, stmt)
+        for stmt in statements
+        if isinstance(stmt, (ast.Assign, ast.AnnAssign))
+        for target in (stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target])
+        for node in ast.walk(target)
+        if isinstance(node, ast.Name)
+    ]
+    definitions += [
+        (stmt.name, stmt) for stmt in statements if isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
+    ]
+    reads = {
+        (node.id if isinstance(node, ast.Name) else node.attr, id(stmt))
+        for stmt in statements
         for node in ast.walk(stmt)
-        if isinstance(node, (ast.Name, ast.Attribute))
+        if isinstance(node, ast.Attribute)
+        or isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
     }
-    unused = sorted(
-        stmt.name
-        for module, tree in modules.items()
-        for stmt in tree.body
-        if isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
-        and not stmt.name.startswith("_")
-        and not any(
-            name == stmt.name and (where, owner) != (module, stmt.name)
-            for name, where, owner in uses
-        )
+    return definitions, reads
+
+
+def unread(definitions, reads):
+    """The names of ``definitions`` that src/ reads nowhere but in their own statement."""
+    return sorted(
+        name for name, stmt in definitions
+        if not any(used == name and where != id(stmt) for used, where in reads)
     )
+
+
+def test_every_public_definition_is_used_in_src():
+    definitions, reads = src_definitions()
+    public = [
+        (name, stmt) for name, stmt in definitions
+        if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) and not name.startswith("_")
+    ]
+    unused = unread(public, reads)
     assert not unused, f"public names that nothing in src/ uses: {unused}"
+
+
+def test_every_private_definition_is_read_in_src():
+    # a private function, class or constant that nothing reads is dead code;
+    # dunder names (__all__, __getattr__, ...) are read by the interpreter
+    definitions, reads = src_definitions()
+    private = [
+        (name, stmt) for name, stmt in definitions
+        if name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+    ]
+    assert len(private) > 30  # the walk sees the modules' definitions
+    unused = unread(private, reads)
+    assert not unused, f"private names that nothing in src/ reads: {unused}"
 
 
 def run_bare(code: str, *args: str) -> str:
@@ -124,7 +158,6 @@ VALUES = [  # (a zero-argument constructor of a value, its repr text)
      "ParityReport(params=WeilParams(p=5, n=1, g=1), full_degree_specs="
      "(WeilNumberSpec(q_star_sign=-1, t=1), WeilNumberSpec(q_star_sign=1, t=1)), "
      "half_degree_specs=())"),
-    (lambda: verify_grid(1, 5, [1]), "GridResult(g_max=1, primes=(2, 3, 5), n_values=(1,))"),
     (lambda: full_bounds_report([5, 0, 1], WeilParams(**P5)),
      "BoundsReport(params=WeilParams(p=5, n=1, g=1), a_values=(0,), archimedean_ok=(True,), "
      "valuation_ok=(True,), lemma_a1_ok=True, symmetric_ok=True)"),

@@ -6,7 +6,7 @@ import mpmath
 import pytest
 from oracles import functional_equation_sign, minpoly_shape_x
 
-from weilparity.cyclotomic import totient
+from weilparity.cyclotomic import cyclotomic, totient
 from weilparity.enumerator import verify_parity_theorem
 from weilparity.errors import HalfDegreeUnsupported
 from weilparity.intpoly import IntPoly
@@ -92,6 +92,21 @@ def test_shape_in_y_matches_the_x_domain_oracle():
     for t in range(1, 2001):
         for sign in (-1, 1):
             assert minpoly_shape(sign, t).compose_power(2) == minpoly_shape_x(sign, t), (sign, t)
+
+
+def test_shape_is_phi_of_the_order_of_alpha_squared_over_q():
+    # alpha**2 / q = sign * zeta_2t has order M = t for sign -1 and odd t,
+    # else 2t: Phi_2t(-Y), made monic by the sign flip of its coefficients
+    # below, is Phi_t(Y) for odd t and Phi_2t(Y) for even t
+    for t in range(1, 2001):
+        phi = list(cyclotomic(2 * t).coeffs)
+        flipped = phi[:]
+        flipped[-2::-2] = [-c for c in phi[-2::-2]]  # c_j * (-1)**(phi(2t) - j)
+        for sign, coeffs in ((1, phi), (-1, flipped)):
+            m = t if sign == -1 and t % 2 else 2 * t
+            assert minpoly_shape(sign, t) == IntPoly(coeffs) == cyclotomic(m), (sign, t)
+        if t % 2 == 0:  # one Weil number: sqrt(-q) zeta_4t = sqrt(q) zeta_4t**(t + 1)
+            assert minpoly_shape(-1, t) == minpoly_shape(1, t), t
 
 
 def test_minpoly_half_degree_is_an_error():
