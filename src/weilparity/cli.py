@@ -232,38 +232,38 @@ def _candidate_template(
     return tuple(pieces), itemgetter(*index), slots
 
 
-def _candidates_text(report: ParityReport, fmt: str) -> str:
-    """The cell's candidates in ``fmt``: its key's template, filled with the cell's q.
+def _candidates_text(report: ParityReport, p: int, n: int, fmt: str) -> str:
+    """The candidates of cell (g, p, n) in ``fmt``: its key's template, filled with its q.
 
-    Each slot (e, c) is converted to decimal once per cell, as
-    ``str(c * q**e)``, and slot ``len(slots)`` is the TSV prefix ``g p n``;
-    the text is one join of the pieces with the slots' texts between them.
+    The key is ``report``'s, which may stand for a whole scan class.  Each
+    slot (e, c) is converted to decimal once per cell, as ``str(c * q**e)``,
+    and slot ``len(slots)`` is the TSV prefix ``g p n``; the text is one
+    join of the pieces with the slots' texts between them.
     """
     from .weil import q_powers
 
-    params = report.params
-    pieces, pick, slots = _candidate_template(params.g, report.full_degree_specs, fmt)
-    powers = q_powers(params.q, params.g)
+    g = report.params.g
+    pieces, pick, slots = _candidate_template(g, report.full_degree_specs, fmt)
+    powers = q_powers(p ** n, g)
     texts = [str(c * powers[e]) for e, c in slots]
-    texts.append(f"{params.g}\t{params.p}\t{params.n}\t")
+    texts.append(f"{g}\t{p}\t{n}\t")
     out = [None] * (2 * len(pieces) - 1)
     out[::2] = pieces
     out[1::2] = pick(texts)
     return "".join(out)
 
 
-def _parity_json(report: ParityReport) -> str:
-    """The cell document of ``report``, as the text ``json.dumps`` writes for it.
+def _parity_json(report: ParityReport, p: int, n: int) -> str:
+    """The document of cell (g, p, n) under ``report``, as the text ``json.dumps`` writes for it.
 
     Ints are written by ``int.__repr__``, booleans as ``true``/``false``,
     with ``", "`` and ``": "`` as separators.
     """
-    params = report.params
     return (
-        f'{{"g": {params.g}, "p": {params.p}, "n": {params.n}, '
+        f'{{"g": {report.params.g}, "p": {p}, "n": {n}, '
         f'"total_candidates": {report.total_candidates}, '
         f'"odd_candidates": {report.odd_candidates}, '
-        f'"candidates": [{_candidates_text(report, "structured")}], '
+        f'"candidates": [{_candidates_text(report, p, n, "structured")}], '
         f'"half_degree_specs": {_specs_json(report.half_degree_specs)}}}'
     )
 
@@ -331,35 +331,38 @@ def _cmd_enumerate(args) -> int:
     report = verify_parity_theorem(params)
 
     def rows():  # after the header is out, a piece per row, so blocks stay _WRITE_BLOCK
-        yield from _candidates_text(report, "tsv").split("\n")
+        yield from _candidates_text(report, args.p, args.n, "tsv").split("\n")
 
-    _emit(args, lambda: [_parity_json(report)], rows, (*_CELL, "coeffs", "even", "factors"))
+    _emit(args, lambda: [_parity_json(report, args.p, args.n)], rows,
+          (*_CELL, "coeffs", "even", "factors"))
     return 0 if report.contract_ok else 1
+
+
+def _verify_rows(grid, n_values) -> Iterator[str]:
+    """The TSV rows of a checked grid: ``g p n`` and a tail made once per g."""
+    for r, primes in grid:
+        g = r.params.g
+        tail = (f"\t{r.total_candidates}\t{r.odd_candidates}\t{len(r.half_degree_specs)}\t"
+                f"{_BOOL_TEXT[r.contract_ok]}")
+        for p in primes:
+            for n in n_values:
+                yield f"{g}\t{p}\t{n}{tail}"
 
 
 def _cmd_verify(args) -> int:
     from .enumerator import verify_grid
 
-    grid = verify_grid(args.gmax, args.pmax, args.n)  # checks the grid, runs no cell
-    if args.format == "structured":
-        _check_digits("the largest constant term", grid.primes[-1], max(args.n) * args.gmax)
-    ok = True
-
-    def reports():  # the grid's cells as they are built, noting any violation
-        nonlocal ok
-        for report in grid:
-            ok &= report.contract_ok
-            yield report
-
+    grid = verify_grid(args.gmax, args.pmax, args.n)  # checks the grid, then one report per g
+    if args.format == "structured":  # every g's primes end at the largest, grid[0][1][-1]
+        _check_digits("the largest constant term", grid[0][1][-1], max(args.n) * args.gmax)
     _emit(
         args,
-        lambda: _json_array(map(_parity_json, reports())),
-        lambda: (f"{r.params.g}\t{r.params.p}\t{r.params.n}\t{r.total_candidates}\t"
-                 f"{r.odd_candidates}\t{len(r.half_degree_specs)}\t{_BOOL_TEXT[r.contract_ok]}"
-                 for r in reports()),
+        lambda: _json_array(_parity_json(report, p, n)
+                            for report, primes in grid for p in primes for n in args.n),
+        lambda: _verify_rows(grid, args.n),
         (*_CELL, "total_candidates", "odd_candidates", "half_degree_specs", "ok"),
     )
-    if not ok:
+    if not all(report.contract_ok for report, _ in grid):
         print("parity contract violated in at least one grid cell", file=sys.stderr)
         return 1
     return 0

@@ -50,16 +50,22 @@ c * q**e among its coefficients is converted to decimal once, and the
 pieces and those texts are joined once.  This module writes no output
 text.
 
-A grid's reports are built as the grid is read, one cell at a time, and
-none is kept: a caller writes each cell out before the next is built.
+A ``verify`` grid is decided once per g: its cells above 2g + 1 are one
+scan class, so they share one report, and :func:`verify_grid` returns
+that report with the grid's primes above 2g + 1, a view of one array
+shared by every g.  No cell gets a report or a :class:`WeilParams` of its
+own: only the first cell of each g, and one cell per n (to check n),
+prove their p prime again by trial division.
 """
 
 from __future__ import annotations
 
+from array import array
+from bisect import bisect_right
 from functools import cache
 from itertools import compress
 from math import isqrt
-from typing import Iterator, NamedTuple
+from typing import NamedTuple
 
 from .cyclotomic import totient
 from .errors import OutOfRange
@@ -82,6 +88,8 @@ class ParityReport(NamedTuple):
     in degree 2g and the half-degree specs that would.  The candidate
     count is the cached count of the full-degree spec tuple; the
     candidates themselves are :func:`candidate_shapes` of the same key.
+    A report of :func:`verify_grid` stands for its whole scan class, and
+    its ``params`` are the class's first cell.
     """
 
     params: WeilParams
@@ -106,28 +114,6 @@ class ParityReport(NamedTuple):
         threshold the report is informational and always consistent.
         """
         return self.params.p <= 2 * self.params.g + 1 or not self.half_degree_specs
-
-
-class GridResult:
-    """The cells of a checked grid.
-
-    Cells are (g, p, n) with p in ``primes`` and p > 2g+1, in grid order
-    (g, then p, then the given n order).  Iterating builds their reports
-    in that order, one as each is asked for, and keeps none of them, so a
-    caller can write each cell out before the next is built.
-    """
-
-    __slots__ = ("g_max", "primes", "n_values")
-
-    def __init__(self, g_max: int, primes: tuple[int, ...], n_values: tuple[int, ...]):
-        self.g_max, self.primes, self.n_values = g_max, primes, n_values
-
-    def __iter__(self) -> Iterator[ParityReport]:
-        for g in range(1, self.g_max + 1):
-            for p in self.primes:
-                if p > 2 * g + 1:
-                    for n in self.n_values:
-                        yield verify_parity_theorem(WeilParams(p=p, n=n, g=g))
 
 
 @cache
@@ -185,7 +171,7 @@ def _scan_class(
     specs = _fitting_specs(g)  # first: it checks G_CAP before any sieve sized by g
     if p is None:
         p = primes_between(2 * g + 1, 4 * g + 2)[0]
-    params = WeilParams(p=p, n=1, g=g)
+    params = tuple.__new__(WeilParams, (p, 1, g))  # p is checked or sieved: not proved again
     full, half = [], []
     for spec, degree in specs:
         if not is_full_degree(params, spec.q_star_sign, spec.t):
@@ -277,17 +263,23 @@ def primes_between(low: int, high: int) -> list[int]:
     return list(compress(range(start, high + 1), sieve[start:]))
 
 
-def verify_grid(g_max: int, p_max: int, n_values: list[int]) -> GridResult:
-    """One parity report per (g, p, n) with 2g+1 < p <= p_max.
+def verify_grid(
+    g_max: int, p_max: int, n_values: list[int]
+) -> tuple[tuple[ParityReport, memoryview], ...]:
+    """One (report, primes) pair per g <= g_max: the grid's cells are (g, p, n) with p in primes.
 
-    The grid is checked here, before any cell; the reports are built as
-    the result is iterated.  Every n must be valid for
-    :class:`WeilParams`, none may be repeated (each cell would be
-    checked twice), and every g <= g_max must have a prime p with
-    2g+1 < p <= p_max; a grid that leaves some g uncovered is a
-    ``ValueError``, since it would not verify what was asked.  A p_max
-    above ``PRIME_SIEVE_CAP`` is :class:`OutOfRange`.  Errors name the
-    ``verify`` flags ``--gmax``, ``--pmax`` and ``--n``.
+    ``primes`` are the primes p with 2g+1 < p <= p_max, a view of one
+    array that every g shares, and the cells of g are in grid order (p,
+    then the given n order).  They form one scan class, so they share
+    ``report``: :func:`verify_parity_theorem` at the class's first cell,
+    the least of the primes and the first n.  The grid is checked before
+    any report is built.  Every n must be valid for :class:`WeilParams`,
+    none may be repeated (each cell would be checked twice), and every
+    g <= g_max must have a prime p with 2g+1 < p <= p_max; a grid that
+    leaves some g uncovered is a ``ValueError``, since it would not
+    verify what was asked.  A p_max above ``PRIME_SIEVE_CAP`` is
+    :class:`OutOfRange`.  Errors name the ``verify`` flags ``--gmax``,
+    ``--pmax`` and ``--n``.
     """
     if g_max < 1:
         raise ValueError("--gmax must be a positive integer")
@@ -307,4 +299,9 @@ def verify_grid(g_max: int, p_max: int, n_values: list[int]) -> GridResult:
         )
     for n in n_values:
         WeilParams(p=primes[-1], n=n, g=g_max)  # a cell of the grid, so n is checked
-    return GridResult(g_max=g_max, primes=tuple(primes), n_values=tuple(n_values))
+    shared = memoryview(array("l", primes))
+    firsts = [bisect_right(primes, 2 * g + 1) for g in range(1, g_max + 1)]
+    return tuple(
+        (verify_parity_theorem(WeilParams(p=primes[i], n=n_values[0], g=g)), shared[i:])
+        for g, i in enumerate(firsts, 1)
+    )

@@ -3,12 +3,14 @@
 None of these is on a command-line path: they are independent
 constructions (the Moebius quotient for cyclotomic polynomials, over
 divisors and a Moebius function found here by trial division, exact
-polynomial division, the t-list by a scan of every t, the minimal
-polynomials and candidates built in X from the cyclotomic polynomial of
-index 4t, a parity report's document built as a dict and its TSV rows
-rendered one candidate at a time, a bounds report's document built as a
-dict and its TSV row, the candidate count taken over every product, the
-argparse parser the command line had before its table-driven one),
+polynomial division, polynomial products by Kronecker substitution, the
+t-list by a scan of every t, the minimal polynomials and candidates
+built in X from the cyclotomic polynomial of index 4t, a ``verify``
+grid's report built for each cell on its own, a parity report's document
+built as a dict and its TSV rows rendered one candidate at a time, a
+bounds report's document built as a dict and its TSV row, the candidate
+count taken over every product, the argparse parser the command line had
+before its table-driven one),
 identities from the literature, and the paper's thresholds, kept here as
 oracles and acceptance checks.
 """
@@ -31,9 +33,10 @@ from weilparity.cli import (
     _cmd_verify,
 )
 from weilparity.cyclotomic import _check_cap, cyclotomic, is_prime, totient
-from weilparity.enumerator import candidate_shapes
+from weilparity.enumerator import candidate_shapes, verify_parity_theorem
 from weilparity.errors import ShapeError
 from weilparity.intpoly import IntPoly
+from weilparity.weil import WeilParams
 
 
 class NotDivisible(ArithmeticError):
@@ -213,11 +216,48 @@ def scale_x(shape: IntPoly, q: int) -> IntPoly:
     return IntPoly(c * q ** ((d - j) // 2) for j, c in enumerate(shape.coeffs))
 
 
+def kronecker_mul(a: IntPoly, b: IntPoly) -> IntPoly:
+    """``a * b`` by Kronecker substitution (Harvey, J. Symbolic Comput. 44, 2009).
+
+    Each polynomial is packed into one integer, its value at X = 2**bits,
+    the two integers are multiplied once, and the product is unpacked in
+    signed digits: a digit of at least 2**(bits - 1) stands for itself
+    minus 2**bits, and borrows one from the next.  ``bits`` leaves room
+    for the largest coefficient the product can have, with its sign.
+    """
+    if a.is_zero() or b.is_zero():
+        return IntPoly.zero()
+    bound = min(len(a.coeffs), len(b.coeffs)) * max(map(abs, a.coeffs)) * max(map(abs, b.coeffs))
+    bits = bound.bit_length() + 1  # every |c| < 2**(bits - 1)
+
+    def pack(coeffs):
+        value = 0
+        for c in reversed(coeffs):
+            value = (value << bits) + c
+        return value
+
+    packed, out = pack(a.coeffs) * pack(b.coeffs), []
+    for _ in range(len(a.coeffs) + len(b.coeffs) - 1):
+        digit = packed & ((1 << bits) - 1)
+        if digit >> (bits - 1):
+            digit -= 1 << bits
+        out.append(digit)
+        packed = (packed - digit) >> bits
+    assert packed == 0, "a product coefficient overflowed its digit"
+    return IntPoly(out)
+
+
 def product_x(record) -> IntPoly:
-    """The product, in X, of the :func:`minpoly_shape_x` of a factor record's (spec, mult) pairs."""
+    """The product, in X, of the :func:`minpoly_shape_x` of a factor record's (spec, mult) pairs.
+
+    Multiplied by :func:`kronecker_mul`, not by ``IntPoly``'s own product,
+    which builds the library's shapes that this product is checked against.
+    """
     product = IntPoly.one()
     for spec, mult in record:
-        product = product * minpoly_shape_x(spec.q_star_sign, spec.t) ** mult
+        shape = minpoly_shape_x(spec.q_star_sign, spec.t)
+        for _ in range(mult):
+            product = kronecker_mul(product, shape)
     return product
 
 
@@ -312,9 +352,35 @@ def enumerate_rows(report) -> list[str]:
     ]
 
 
+def grid_reports(g_max: int, p_max: int, n_values) -> list:
+    """The report of every cell (g, p, n) of a ``verify`` grid, in grid order, each built on its own.
+
+    The primes are found by trial division, and each cell gets its own
+    :class:`WeilParams` and its own :func:`verify_parity_theorem`; the
+    library decides a grid once per scan class instead.
+    """
+    return [
+        verify_parity_theorem(WeilParams(p=p, n=n, g=g))
+        for g in range(1, g_max + 1)
+        for p in range(2 * g + 2, p_max + 1)
+        if is_prime(p)
+        for n in n_values
+    ]
+
+
 def parity_json(reports) -> str:
     """What structured ``verify`` prints for ``reports``: one ``json.dumps`` of every document."""
     return json.dumps([parity_doc(r) for r in reports]) + "\n"
+
+
+def verify_tsv(reports) -> str:
+    """What TSV ``verify`` prints for ``reports``: its header, then each cell's counts and verdict."""
+    lines = ["g\tp\tn\ttotal_candidates\todd_candidates\thalf_degree_specs\tok"]
+    for r in reports:
+        fields = (r.params.g, r.params.p, r.params.n, r.total_candidates, r.odd_candidates,
+                  len(r.half_degree_specs), json.dumps(r.contract_ok))
+        lines.append("\t".join(map(str, fields)))
+    return "\n".join(lines) + "\n"
 
 
 def bounds_doc(report) -> dict:

@@ -15,13 +15,14 @@ from oracles import (
     cyclotomic_mobius,
     divisors,
     functional_equation_sign,
+    grid_reports,
     prime_power_identity_check,
 )
 
 from weilparity.bounds import full_bounds_report
 from weilparity.cli import run
 from weilparity.cyclotomic import cyclotomic, totient
-from weilparity.enumerator import primes_between, verify_grid, verify_parity_theorem
+from weilparity.enumerator import primes_between, verify_parity_theorem
 from weilparity.intpoly import IntPoly
 from weilparity.weil import WeilParams, is_full_degree, minpoly_full_degree
 
@@ -82,7 +83,7 @@ def test_criterion_3_prime_power_identities():
 
 def test_criterion_4_parity_theorem_grid():
     started = time.perf_counter()
-    reports = list(verify_grid(5, 100, [1, 3]))
+    reports = grid_reports(5, 100, [1, 3])  # every cell, each on its own
     bad = [
         (r.params.p, r.params.n, r.params.g)
         for r in reports

@@ -18,15 +18,17 @@ from oracles import (
     bounds_row,
     build_parser,
     enumerate_rows,
+    grid_reports,
     parity_doc,
     parity_json,
     parse_reference,
+    verify_tsv,
 )
 
 from weilparity.bounds import BoundsReport, full_bounds_report
 from weilparity.cli import ingest_reference, run
 from weilparity.cyclotomic import _check_cap, cyclotomic
-from weilparity.enumerator import G_CAP, primes_between, verify_grid, verify_parity_theorem
+from weilparity.enumerator import G_CAP, primes_between, verify_parity_theorem
 from weilparity.errors import BrokenInvariant, OutOfRange, ParseError
 from weilparity.intpoly import IntPoly
 from weilparity.weil import WeilParams, minpoly_full_degree
@@ -934,7 +936,7 @@ SMALL_GRID = ("verify", "--gmax", "2", "--pmax", "13", "--n", "1", "--n", "3")
 
 def small_grid_cells():
     """The JSON text of each cell of ``SMALL_GRID`` by the oracle, checked against its digest."""
-    reports = list(verify_grid(2, 13, [1, 3]))
+    reports = grid_reports(2, 13, [1, 3])
     golden = parity_json(reports)
     assert hashlib.sha256(golden.encode()).hexdigest() == GOLDEN[SMALL_GRID, "structured"][0]
     return [json.dumps(parity_doc(r)) for r in reports]
@@ -948,10 +950,10 @@ def test_structured_verify_expands_each_cell_once(monkeypatch):
     expanded = []
     real = cli._parity_json
 
-    def counting(report):
+    def counting(report, p, n):
         written = "".join(text for name, text in log if name == "out")
-        expanded.append(((report.params.g, report.params.p, report.params.n), written))
-        return real(report)
+        expanded.append(((report.params.g, p, n), written))
+        return real(report, p, n)
 
     cells = small_grid_cells()
     log = []
@@ -975,7 +977,7 @@ def test_structured_verify_expands_each_cell_once(monkeypatch):
 def test_internal_error_mid_stream_keeps_the_cells_before_it(monkeypatch, fmt, k):
     # the k-th cell fails: the first k-1 cells, and nothing else, are out,
     # after the TSV header or the opening bracket
-    import weilparity.enumerator as enumerator
+    import weilparity.cli as cli
 
     if fmt == "structured":
         cells = small_grid_cells()
@@ -986,16 +988,30 @@ def test_internal_error_mid_stream_keeps_the_cells_before_it(monkeypatch, fmt, k
         header, *cells = full.splitlines()
         cut = "\n".join([header, *cells[:k - 1]])
     assert len(cells) == 14
-    real = enumerator.verify_parity_theorem
     calls = []
 
-    def failing(params):
-        calls.append(params)
+    def fail_at_k(cell):
+        calls.append(cell)
         if len(calls) == k:
             raise RuntimeError(f"cell {k} failed")
-        return real(params)
 
-    monkeypatch.setattr(enumerator, "verify_parity_theorem", failing)
+    if fmt == "structured":  # a cell's document is made by one call
+        real_json = cli._parity_json
+
+        def failing_json(report, p, n):
+            fail_at_k((report.params.g, p, n))
+            return real_json(report, p, n)
+
+        monkeypatch.setattr(cli, "_parity_json", failing_json)
+    else:  # the rows are made one at a time, as they are asked for
+        real_rows = cli._verify_rows
+
+        def failing_rows(grid, n_values):
+            for row in real_rows(grid, n_values):
+                fail_at_k(row)
+                yield row
+
+        monkeypatch.setattr(cli, "_verify_rows", failing_rows)
     code, out, log = recorded_run(monkeypatch, [*SMALL_GRID, "--format", fmt])
     assert code == 3
     assert out == cut
@@ -1039,7 +1055,7 @@ def test_structured_verify_memory_does_not_grow_with_the_grid(monkeypatch):
         return sink.sha.hexdigest()
 
     for pmax in (200, 600):  # fills the caches, which do not depend on pmax
-        oracle = parity_json(verify_grid(5, pmax, [1, 3]))
+        oracle = parity_json(grid_reports(5, pmax, [1, 3]))
         assert digest(pmax) == hashlib.sha256(oracle.encode()).hexdigest()
     peaks = []
     tracemalloc.start()
@@ -1064,7 +1080,7 @@ def test_structured_verify_writes_in_blocks(monkeypatch):
     code, out, log = recorded_run(monkeypatch, argv)
     sizes = [len(text) for name, text in log if name == "out"]
     assert code == 0
-    assert out == parity_json(verify_grid(5, 200, [1, 3]))
+    assert out == parity_json(grid_reports(5, 200, [1, 3]))
     assert min(sizes[:-1]) >= cli._WRITE_BLOCK > sizes[-1]
     assert len(sizes) <= len(out) // cli._WRITE_BLOCK + 1
 
@@ -1420,7 +1436,36 @@ def test_structured_verify_matches_the_dict_oracle(capsys, gmax, pmax, ns):
     for n in ns:
         argv += ["--n", str(n)]
     code, out, _ = invoke(capsys, argv)
-    assert (code, out) == (0, parity_json(verify_grid(gmax, pmax, ns)))
+    assert (code, out) == (0, parity_json(grid_reports(gmax, pmax, ns)))
+
+
+@pytest.mark.parametrize("fmt", ["tsv", "structured"])
+@pytest.mark.parametrize("gmax, pmax, ns", [
+    (1, 5, [1]), (3, 60, [3, 1, 5]), (5, 200, [7]), (2, 10 ** 4, [1, 3]),
+])
+def test_verify_matches_the_per_cell_grid(capsys, fmt, gmax, pmax, ns):
+    # a grid decided once per g prints what every cell, built on its own, gives
+    argv = ["verify", "--gmax", str(gmax), "--pmax", str(pmax), "--format", fmt]
+    for n in ns:
+        argv += ["--n", str(n)]
+    reports = grid_reports(gmax, pmax, ns)
+    oracle = parity_json(reports) if fmt == "structured" else verify_tsv(reports)
+    assert invoke(capsys, argv) == (0, oracle, "")
+
+
+def test_verify_proves_no_sieved_prime_again(monkeypatch, cold_caches, capsys):
+    # a grid builds one WeilParams per g and one per n to check it, each
+    # proving its p by trial division, however many primes the sieve finds
+    import weilparity.weil as weil
+
+    real, counts = weil.is_prime, []
+    for pmax in (100, 20000):
+        calls = []
+        monkeypatch.setattr(weil, "is_prime", lambda p: calls.append(p) or real(p))
+        assert run(["verify", "--gmax", "3", "--pmax", str(pmax), "--n", "1", "--n", "3"]) == 0
+        counts.append(len(calls))
+    capsys.readouterr()
+    assert counts[0] == counts[1] <= 3 + 2, counts
 
 
 @pytest.mark.parametrize("g", range(1, 7))
@@ -1432,7 +1477,7 @@ def test_cell_text_matches_the_oracles(capsys, g):
     for p in (2, 3, 5, 7, 11, 13, 101):
         for n in (1, 3):
             report = verify_parity_theorem(WeilParams(p=p, n=n, g=g))
-            assert cli._parity_json(report) == json.dumps(parity_doc(report))
+            assert cli._parity_json(report, p, n) == json.dumps(parity_doc(report))
             code, out, _ = invoke(capsys, ["enumerate", "--g", str(g), "--p", str(p), "--n", str(n)])
             assert (code, out.splitlines()[1:]) == (0, enumerate_rows(report))
 

@@ -15,6 +15,7 @@ from oracles import (
     scale_x,
 )
 
+from weilparity.cli import run
 from weilparity.cyclotomic import cyclotomic, factorize, is_prime, totient
 from weilparity.enumerator import (
     G_CAP,
@@ -168,14 +169,15 @@ def test_count_matches_the_per_product_oracle(monkeypatch, cold_caches, g):
             assert counts == candidate_counts(g, report.full_degree_specs), (p, n)
 
 
-def test_counts_are_shared_across_cells_with_equal_spec_sets(cold_caches):
-    reports = list(verify_grid(4, 17, [1, 3]))
-    assert {r.params.g for r in reports} == {1, 2, 3, 4}
-    for r in reports:
-        r.total_candidates  # the counts are read, and cached, on first use
-    # one entry per g: above 2g+1 the spec set does not depend on (p, n)
-    assert _candidate_count.cache_info().currsize == 4
-    assert _candidate_count.cache_info().hits == len(reports) - 4
+def test_counts_are_shared_across_cells_with_equal_spec_sets(cold_caches, capsys):
+    # one count per g: above 2g+1 the spec set does not depend on (p, n),
+    # and a TSV grid reads the count once per g, not once per cell
+    grid = verify_grid(4, 17, [1, 3])
+    assert [r.params.g for r, _ in grid] == [1, 2, 3, 4]
+    assert run(["verify", "--gmax", "4", "--pmax", "17", "--n", "1", "--n", "3"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 1 + 2 * (5 + 4 + 3 + 3)
+    info = _candidate_count.cache_info()
+    assert (info.currsize, info.misses, info.hits) == (4, 4, 0)
 
 
 def scale_y(shape, q):
@@ -493,19 +495,27 @@ def test_primes_between_cap(monkeypatch):
 
 
 def test_verify_grid_small():
-    reports = list(verify_grid(3, 50, [1]))
+    reports = [r for r, _ in verify_grid(3, 50, [1])]
+    assert len(reports) == 3
     assert all(r.contract_ok for r in reports)
     assert all(r.odd_candidates == 0 for r in reports)
     assert all(r.half_degree_specs == () for r in reports)
 
 
+def grid_cells(grid, n_values):
+    return [(r.params.g, p, n) for r, primes in grid for p in primes for n in n_values]
+
+
 def test_verify_grid_cells():
-    cells = [(r.params.g, r.params.p, r.params.n) for r in verify_grid(1, 7, [1])]
-    assert cells == [(1, 5, 1), (1, 7, 1)]
-    reports = list(verify_grid(2, 7, [3]))
-    cells = [(r.params.g, r.params.p, r.params.n) for r in reports]
-    assert cells == [(1, 5, 3), (1, 7, 3), (2, 7, 3)]
-    assert all(r.contract_ok for r in reports)
+    assert grid_cells(verify_grid(1, 7, [1]), [1]) == [(1, 5, 1), (1, 7, 1)]
+    grid = verify_grid(2, 7, [3])
+    assert grid_cells(grid, [3]) == [(1, 5, 3), (1, 7, 3), (2, 7, 3)]
+    # a g's report is its class's first cell: the least prime above 2g+1 and the first n
+    assert [r.params for r, _ in grid] == [WeilParams(p=5, n=3, g=1), WeilParams(p=7, n=3, g=2)]
+    assert all(r.contract_ok for r, _ in grid)
+    # every g walks one shared array of the grid's primes from its own first index
+    (_, low), (_, high) = grid
+    assert low.obj is high.obj and list(low.obj) == [2, 3, 5, 7]
 
 
 def test_verify_grid_validation(monkeypatch):

@@ -6,9 +6,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import NotDivisible, exact_div, horner
+from oracles import NotDivisible, exact_div, horner, kronecker_mul
 
-from weilparity.intpoly import NEG_INFINITY, IntPoly
+from weilparity.intpoly import NEG_INFINITY, IntPoly, _mul_schoolbook
 
 X = IntPoly.x()
 ONE = IntPoly.one()
@@ -253,6 +253,14 @@ def test_ring_laws_property(a, b, c):
 @given(polys, polys.filter(lambda b: not b.is_zero()))
 def test_exact_div_round_trip_property(a, b):
     assert exact_div(a * b, b) == a
+
+
+@RING_LAWS
+@given(polys, polys)
+def test_kronecker_product_matches_the_schoolbook_product(a, b):
+    # the oracle's product packs each polynomial into one integer and
+    # multiplies once; the library's convolves coefficient by coefficient
+    assert kronecker_mul(a, b) == IntPoly(_mul_schoolbook(a.coeffs, b.coeffs))
 
 
 # -- large operands -----------------------------------------------------------
