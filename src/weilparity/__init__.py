@@ -18,7 +18,6 @@ __version__ = "0.1.0"
 # the submodule that defines each name of __all__
 _HOME = {
     "BoundsReport": "bounds",
-    "IntPoly": "intpoly",
     "ParityReport": "enumerator",
     "WeilParams": "weil",
     "full_bounds_report": "bounds",

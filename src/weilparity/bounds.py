@@ -30,7 +30,6 @@ from operator import eq, le, mod, mul, not_
 from typing import NamedTuple, Sequence
 
 from .errors import ShapeError
-from .intpoly import NEG_INFINITY
 from .weil import WeilParams, q_powers
 
 
@@ -63,7 +62,7 @@ def full_bounds_report(coeffs: Sequence[int], params: WeilParams) -> BoundsRepor
     """Every bound check on the polynomial with ascending, trailing-zero-free ``coeffs``."""
     p, n, g = params
     if len(coeffs) != 2 * g + 1 or coeffs[-1] != 1:
-        degree = len(coeffs) - 1 if coeffs else NEG_INFINITY
+        degree = len(coeffs) - 1 if coeffs else "-inf"
         raise ShapeError(f"polynomial must be monic of degree {2 * g}, got degree {degree}")
     arch, val, powers, vanish = _cell_table(g, p, n)
     a = tuple(coeffs[2 * g - 1:g - 1:-1])  # a_k = c_{2g-k}, k = 1..g

@@ -317,7 +317,7 @@ def _cmd_minpoly(args) -> int:
         lambda: [f'{{"p": {args.p}, "n": {args.n}, "sign": {sign}, "t": {args.t}, '
                  f'"degree": {len(poly.coeffs) - 1}, '
                  f'"coeffs": [{", ".join(map(str, poly.coeffs))}]}}'],
-        lambda: [poly.to_line()],
+        lambda: [" ".join(map(str, poly.coeffs))],
     )
     return 0
 

@@ -97,11 +97,13 @@ def _cyclotomic(n: int) -> IntPoly:
     if n == 2:
         return IntPoly((1, 1))
     primes = [p for p, _ in factorize(n)]
-    if prod(primes) != n:
+    if prod(primes) != n:  # Phi_n(X) = Phi_m(X**k)
         base, k = cyclotomic_radical(n)
-        return base.compose_power(k)
-    if n % 2 == 0:
-        return _cyclotomic(n // 2).sign_flip()
+        out = [0] * ((len(base.coeffs) - 1) * k + 1)
+        out[::k] = base.coeffs
+        return IntPoly(out)
+    if n % 2 == 0:  # Phi_n(X) = Phi_{n/2}(-X)
+        return IntPoly(-c if i & 1 else c for i, c in enumerate(_cyclotomic(n // 2).coeffs))
     # Odd squarefree n > 1: prod_{d | n} (1 - X**d)**mu(n/d) as a power
     # series truncated after X**half, where factors with d > half are 1.
     # The palindrome fixes the upper half.  Each pair is (d, mu(n/d) == 1):

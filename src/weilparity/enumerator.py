@@ -159,22 +159,21 @@ def _scan_class(
 
     For the cells of g with prime p <= 2g + 1, or (``None``) with any p
     above it, which divides no fitting t.  ``is_full_degree`` reads t mod
-    4 at p = 2, and at odd p only whether p divides t and q mod 4, which
-    is p mod 4 since n is odd: so it gives every cell of the class one
+    4 at p = 2, and at odd p only whether p divides t and p mod 4 (that
+    of q, since n is odd): so it gives every cell of the class one
     answer per spec, and is run once on each spec of
-    :func:`_fitting_specs`, for one cell of the class: n = 1 and, for
-    ``None``, the least prime above 2g + 1 (at most 4g + 2, by
-    Bertrand).  A half-degree spec fits if phi(2t) <= 2g, a full-degree
-    one only if phi(2t) <= g.  For odd p the half side reduces to: t odd,
-    p | t, q_star = 3 mod 4 and phi(t) <= 2g.  Both are ordered by (t, sign).
+    :func:`_fitting_specs`, at one p of the class: for ``None``, the
+    least prime above 2g + 1 (at most 4g + 2, by Bertrand).  A
+    half-degree spec fits if phi(2t) <= 2g, a full-degree one only if
+    phi(2t) <= g.  For odd p the half side reduces to: t odd, p | t,
+    q_star = 3 mod 4 and phi(t) <= 2g.  Both are ordered by (t, sign).
     """
     specs = _fitting_specs(g)  # first: it checks G_CAP before any sieve sized by g
     if p is None:
         p = primes_between(2 * g + 1, 4 * g + 2)[0]
-    params = tuple.__new__(WeilParams, (p, 1, g))  # p is checked or sieved: not proved again
     full, half = [], []
     for spec, degree in specs:
-        if not is_full_degree(params, spec.q_star_sign, spec.t):
+        if not is_full_degree(p, spec.q_star_sign, spec.t):
             half.append(spec)
         elif degree <= g:
             full.append(spec)
@@ -250,17 +249,19 @@ def verify_parity_theorem(params: WeilParams) -> ParityReport:
     return ParityReport(params, *_scan_class(g, p if p <= 2 * g + 1 else None))
 
 
-def primes_between(low: int, high: int) -> list[int]:
-    """Primes p with low < p <= high, by a sieve up to high (``verify_grid`` caps high)."""
+def primes_between(low: int, high: int) -> array:
+    """Primes p with low < p <= high, as an ``array("l")``, by a sieve up to high.
+
+    ``verify_grid`` caps high.  The sieve, a byte per integer, is read through a view."""
     if high < 2:
-        return []
+        return array("l")
     sieve = bytearray([1]) * (high + 1)
     sieve[:2] = b"\0\0"
     for d in range(2, isqrt(high) + 1):
         if sieve[d]:
             sieve[d * d::d] = bytes(len(range(d * d, high + 1, d)))
     start = max(low + 1, 2)
-    return list(compress(range(start, high + 1), sieve[start:]))
+    return array("l", compress(range(start, high + 1), memoryview(sieve)[start:]))
 
 
 def verify_grid(
@@ -299,7 +300,7 @@ def verify_grid(
         )
     for n in n_values:
         WeilParams(p=primes[-1], n=n, g=g_max)  # a cell of the grid, so n is checked
-    shared = memoryview(array("l", primes))
+    shared = memoryview(primes)
     firsts = [bisect_right(primes, 2 * g + 1) for g in range(1, g_max + 1)]
     return tuple(
         (verify_parity_theorem(WeilParams(p=primes[i], n=n_values[0], g=g)), shared[i:])

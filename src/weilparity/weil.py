@@ -86,19 +86,19 @@ class WeilNumberSpec(_WeilNumberSpec):
         return cls(*iterable)
 
 
-def is_full_degree(params: WeilParams, q_star_sign: int, t: int) -> bool:
-    """Decide the full/half degree dichotomy for ``sqrt(q_star)*zeta_4t``.
+def is_full_degree(p: int, q_star_sign: int, t: int) -> bool:
+    """Decide the full/half degree dichotomy for ``sqrt(q_star)*zeta_4t`` over q = p**n.
 
     Full degree holds iff either q_star is odd and (t is even, or p does
     not divide t, or q_star = 1 mod 4), or q_star is even and
     t != 2 mod 4.  q itself is never built: q_star is odd iff p is, and
-    its residue mod 4 is that of q_star_sign * (p**n mod 4).  Sign and t
-    are not checked here: they are those of a :class:`WeilNumberSpec`,
-    which checks them once, when it is built.
+    n is odd (see :class:`WeilParams`), so q = p mod 4 and q_star's
+    residue mod 4 is that of q_star_sign * p.  Sign and t are not
+    checked here: they are those of a :class:`WeilNumberSpec`, which
+    checks them once, when it is built.
     """
-    p, n = params.p, params.n
     if p % 2:
-        return t % 2 == 0 or t % p != 0 or q_star_sign * pow(p, n, 4) % 4 == 1
+        return t % 2 == 0 or t % p != 0 or q_star_sign * p % 4 == 1
     return t % 4 != 2
 
 
@@ -129,7 +129,7 @@ def minpoly_full_degree(params: WeilParams, q_star_sign: int, t: int) -> IntPoly
     shape, an exact monic integer polynomial of degree phi(4t) = 2 phi(2t).
     """
     WeilNumberSpec(q_star_sign, t)  # the spec's own checks on sign and t
-    if not is_full_degree(params, q_star_sign, t):
+    if not is_full_degree(params.p, q_star_sign, t):
         raise HalfDegreeUnsupported(
             f"(sign={q_star_sign:+d}, t={t}) at p={params.p}, n={params.n} is a "
             "half degree case; its minimal polynomial is not constructed"
@@ -137,4 +137,6 @@ def minpoly_full_degree(params: WeilParams, q_star_sign: int, t: int) -> IntPoly
     shape = minpoly_shape(q_star_sign, t).coeffs
     m = len(shape) - 1
     powers = q_powers(params.q, m)
-    return IntPoly(c * powers[m - j] for j, c in enumerate(shape)).compose_power(2)
+    out = [0] * (2 * m + 1)
+    out[::2] = [c * powers[m - j] for j, c in enumerate(shape)]  # Y**j is X**(2j)
+    return IntPoly(out)

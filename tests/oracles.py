@@ -1,9 +1,10 @@
 """Reference implementations the tests compare the library against.
 
 None of these is on a command-line path: they are independent
-constructions (the Moebius quotient for cyclotomic polynomials, over
-divisors and a Moebius function found here by trial division, exact
-polynomial division, polynomial products by Kronecker substitution, the
+constructions (a polynomial ring of the tests' own, :class:`Poly`,
+whose product is a Kronecker substitution, and on it the Moebius
+quotient for cyclotomic polynomials, over divisors and a Moebius
+function found here by trial division, exact polynomial division, the
 t-list by a scan of every t, the minimal polynomials and candidates
 built in X from the cyclotomic polynomial of index 4t, a ``verify``
 grid's report built for each cell on its own, a parity report's document
@@ -12,14 +13,17 @@ bounds report's document built as a dict and its TSV row, the candidate
 count taken over every product, the argparse parser the command line had
 before its table-driven one),
 identities from the literature, and the paper's thresholds, kept here as
-oracles and acceptance checks.
+oracles and acceptance checks.  No oracle multiplies through the
+library's ``IntPoly``: a library polynomial enters as ``Poly(value.coeffs)``.
 """
 
 import argparse
 import io
 import json
+import math
 from collections import namedtuple
 from contextlib import redirect_stderr, redirect_stdout
+from itertools import zip_longest
 from math import comb, isqrt
 from unittest import mock
 
@@ -35,8 +39,132 @@ from weilparity.cli import (
 from weilparity.cyclotomic import _check_cap, cyclotomic, is_prime, totient
 from weilparity.enumerator import candidate_shapes, verify_parity_theorem
 from weilparity.errors import ShapeError
-from weilparity.intpoly import IntPoly
 from weilparity.weil import WeilParams
+
+
+class Poly:
+    """An integer polynomial of the tests' own ring, in canonical (trailing-zero-free) form.
+
+    ``coeffs`` holds the coefficients in ascending degree order, as in
+    the library.  An int acts as a constant on the right of ``+`` and
+    ``-`` and on either side of ``*``, and a product of two polynomials
+    is :func:`kronecker_mul`.  Equality is by coefficients, between
+    ``Poly`` values only: a library polynomial is compared as
+    ``Poly(value.coeffs)``.
+    """
+
+    __slots__ = ("coeffs",)
+
+    def __init__(self, coeffs=()):
+        cs = list(coeffs)
+        while cs and cs[-1] == 0:
+            cs.pop()
+        self.coeffs = tuple(cs)
+
+    def __eq__(self, other):
+        return self.coeffs == other.coeffs if isinstance(other, Poly) else NotImplemented
+
+    def __repr__(self):
+        return f"Poly({list(self.coeffs)})"
+
+    @property
+    def degree(self) -> int | float:
+        """The degree; ``-inf`` for the zero polynomial, so arithmetic on it fails loudly."""
+        return len(self.coeffs) - 1 if self.coeffs else -math.inf
+
+    def is_zero(self) -> bool:
+        return not self.coeffs
+
+    def is_monic(self) -> bool:
+        return self.coeffs[-1:] == (1,)
+
+    def is_even(self) -> bool:
+        """True iff every odd-degree coefficient vanishes (so for zero too)."""
+        return not any(self.coeffs[1::2])
+
+    def coefficient(self, i: int) -> int:
+        """The coefficient of ``X**i``, zero beyond the degree."""
+        if i < 0:
+            raise ValueError("coefficient index must be nonnegative")
+        return self.coeffs[i] if i < len(self.coeffs) else 0
+
+    def __add__(self, other):
+        if isinstance(other, int):
+            other = Poly((other,))
+        elif not isinstance(other, Poly):
+            return NotImplemented
+        return Poly(map(sum, zip_longest(self.coeffs, other.coeffs, fillvalue=0)))
+
+    def __neg__(self):
+        return Poly(-c for c in self.coeffs)
+
+    def __sub__(self, other):
+        return self + -other
+
+    def __mul__(self, other):
+        if isinstance(other, int):
+            return Poly(c * other for c in self.coeffs)
+        if not isinstance(other, Poly):
+            return NotImplemented
+        return Poly(kronecker_mul(self.coeffs, other.coeffs))
+
+    __rmul__ = __mul__
+
+    def __pow__(self, n: int):
+        if n < 0:
+            raise ValueError("negative powers are not polynomials")
+        result, base = Poly((1,)), self
+        while n:  # square and multiply
+            if n & 1:
+                result *= base
+            n >>= 1
+            if n:
+                base *= base
+        return result
+
+    def compose_power(self, k: int):
+        """``self(X**k)``: k - 1 zeros after each coefficient but the last."""
+        if k < 1:
+            raise ValueError("k must be a positive integer")
+        out = [0] * ((len(self.coeffs) - 1) * k + 1)  # [] for zero
+        out[::k] = self.coeffs
+        return Poly(out)
+
+    def sign_flip(self):
+        """``self(-X)``: every odd-degree coefficient negated."""
+        return Poly(-c if i & 1 else c for i, c in enumerate(self.coeffs))
+
+
+def kronecker_mul(a, b) -> list[int]:
+    """The product of two coefficient sequences by Kronecker substitution.
+
+    (Harvey, J. Symbolic Comput. 44, 2009.)  Each polynomial is packed
+    into one integer, its value at X = B = 2**(8 * width), the two
+    integers are multiplied once, and the product is unpacked in signed
+    digits.  ``width`` bytes leave room for the largest coefficient the
+    product can have, with its sign: every |c| < B/2.  Packing and
+    unpacking go through bytes, each digit shifted by B/2 to be
+    nonnegative, so both are linear in the size of the integers.
+    """
+    if not any(a) or not any(b):
+        return []
+    bound = min(len(a), len(b)) * max(map(abs, a)) * max(map(abs, b))
+    width = (bound.bit_length() + 8) // 8  # bound < 2**(8 * width - 1) = B/2
+    half = 1 << (8 * width - 1)
+    half_digit = half.to_bytes(width, "little")
+
+    def halves(count):  # the value of ``count`` digits B/2
+        return int.from_bytes(half_digit * count, "little")
+
+    def pack(coeffs):
+        digits = b"".join([(c + half).to_bytes(width, "little") for c in coeffs])
+        return int.from_bytes(digits, "little") - halves(len(coeffs))
+
+    size = len(a) + len(b) - 1
+    digits = (pack(a) * pack(b) + halves(size)).to_bytes(size * width, "little")
+    return [
+        int.from_bytes(digits[i:i + width], "little") - half for i in range(0, len(digits), width)
+    ]
 
 
 class NotDivisible(ArithmeticError):
@@ -48,12 +176,12 @@ class NotDivisible(ArithmeticError):
     """
 
 
-def exact_div(num: IntPoly, den: IntPoly) -> IntPoly:
+def exact_div(num: Poly, den: Poly) -> Poly:
     """Exact quotient ``num / den`` over the integers, by long division."""
     if den.is_zero():
         raise ZeroDivisionError("division by the zero polynomial")
     if num.is_zero():
-        return IntPoly.zero()
+        return Poly()
     a, b = num.coeffs, den.coeffs
     if len(a) < len(b):
         raise NotDivisible("divisor degree exceeds dividend degree")
@@ -75,11 +203,11 @@ def exact_div(num: IntPoly, den: IntPoly) -> IntPoly:
             rem[pos + i] -= t * dc
     if any(rem[:dn - 1]):
         raise NotDivisible("division leaves a nonzero remainder")
-    return IntPoly(quot)
+    return Poly(quot)
 
 
-def horner(poly: IntPoly, x: int) -> int:
-    """Exact value of ``poly`` at the integer ``x``."""
+def horner(poly, x: int) -> int:
+    """Exact value at the integer ``x`` of ``poly``, a library or oracle polynomial."""
     acc = 0
     for c in reversed(poly.coeffs):
         acc = acc * x + c
@@ -109,17 +237,17 @@ def moebius(n: int) -> int:
     return -mu if rest > 1 else mu
 
 
-def cyclotomic_mobius(n: int) -> IntPoly:
+def cyclotomic_mobius(n: int) -> Poly:
     """The n-th cyclotomic polynomial as one exact Moebius quotient.
 
     ``prod_{d | n} (X**(n/d) - 1)**moebius(d)``, under the same cap as
     :func:`weilparity.cyclotomic.cyclotomic`.
     """
     _check_cap(n)
-    numerator = denominator = IntPoly.one()
+    numerator = denominator = Poly((1,))
     for d in divisors(n):
         mu, m = moebius(d), n // d
-        factor = IntPoly((-1,) + (0,) * (m - 1) + (1,))  # X**m - 1
+        factor = Poly((-1,) + (0,) * (m - 1) + (1,))  # X**m - 1
         if mu == 1:
             numerator = numerator * factor
         elif mu == -1:
@@ -132,7 +260,8 @@ def prime_power_identity_check(p: int, k: int, n: int) -> bool:
 
     For prime ``p`` and ``k >= 1`` the polynomial ``Phi_{p**k * n}``
     equals ``Phi_n(X**(p**k))`` when ``p`` divides ``n``, and
-    ``Phi_n(X**(p**k)) / Phi_n(X**(p**(k-1)))`` otherwise.
+    ``Phi_n(X**(p**k)) / Phi_n(X**(p**(k-1)))`` otherwise.  Both sides
+    are taken from the library's cyclotomic polynomials into :class:`Poly`.
     """
     if not is_prime(p):
         raise ValueError(f"p={p} must be prime")
@@ -140,20 +269,23 @@ def prime_power_identity_check(p: int, k: int, n: int) -> bool:
         raise ValueError("k must be a positive integer")
     if n < 1:
         raise ValueError("n must be a positive integer")
-    lhs = cyclotomic(p ** k * n)
-    composed = cyclotomic(n).compose_power(p ** k)
+    lhs = Poly(cyclotomic(p ** k * n).coeffs)
+    base = Poly(cyclotomic(n).coeffs)
+    composed = base.compose_power(p ** k)
     if n % p == 0:
         return lhs == composed
-    return lhs == exact_div(composed, cyclotomic(n).compose_power(p ** (k - 1)))
+    return lhs == exact_div(composed, base.compose_power(p ** (k - 1)))
 
 
-def functional_equation_sign(poly: IntPoly, q: int) -> int | None:
+def functional_equation_sign(poly, q: int) -> int | None:
     """Sign s with X**d P(q/X) = s * q**(d/2) P(X), or None if neither fits.
 
     Accepts any monic polynomial of even degree d (factors as well as
-    full candidates).  Products of factors can meet the identity with
-    either sign: (X**2+q)(X**2-q) has sign -1 and is not q-symmetric.
+    full candidates), a library or oracle one, read as a :class:`Poly`.
+    Products of factors can meet the identity with either sign:
+    (X**2+q)(X**2-q) has sign -1 and is not q-symmetric.
     """
+    poly = Poly(poly.coeffs)
     d = poly.degree
     if not poly.is_monic() or d % 2:
         raise ShapeError("functional equation requires a monic even-degree polynomial")
@@ -190,7 +322,7 @@ def fitting_specs_scan(g: int) -> list[tuple[int, int, int]]:
     ]
 
 
-def minpoly_shape_x(q_star_sign: int, t: int) -> IntPoly:
+def minpoly_shape_x(q_star_sign: int, t: int) -> Poly:
     """The q-free shape, in X, of the minimal polynomial of ``sqrt(q_star) * zeta_4t``.
 
     The coefficient ``c_j`` of ``X**j`` in the cyclotomic polynomial of
@@ -202,10 +334,10 @@ def minpoly_shape_x(q_star_sign: int, t: int) -> IntPoly:
     phi = cyclotomic(4 * t).coeffs
     assert not any(phi[1::2]), f"the cyclotomic polynomial of index {4 * t} is not even"
     m = len(phi) - 1
-    return IntPoly(c * q_star_sign ** ((m - j) // 2) for j, c in enumerate(phi))
+    return Poly(c * q_star_sign ** ((m - j) // 2) for j, c in enumerate(phi))
 
 
-def scale_x(shape: IntPoly, q: int) -> IntPoly:
+def scale_x(shape: Poly, q: int) -> Poly:
     """``q**(d/2) * shape(X / sqrt(q))`` for an even shape of even degree d.
 
     The coefficient of ``X**j`` is multiplied by ``q**((d - j)/2)``, an
@@ -213,62 +345,35 @@ def scale_x(shape: IntPoly, q: int) -> IntPoly:
     """
     d = shape.degree
     assert d % 2 == 0 and shape.is_even(), f"{shape} is not even of even degree"
-    return IntPoly(c * q ** ((d - j) // 2) for j, c in enumerate(shape.coeffs))
+    return Poly(c * q ** ((d - j) // 2) for j, c in enumerate(shape.coeffs))
 
 
-def kronecker_mul(a: IntPoly, b: IntPoly) -> IntPoly:
-    """``a * b`` by Kronecker substitution (Harvey, J. Symbolic Comput. 44, 2009).
-
-    Each polynomial is packed into one integer, its value at X = 2**bits,
-    the two integers are multiplied once, and the product is unpacked in
-    signed digits: a digit of at least 2**(bits - 1) stands for itself
-    minus 2**bits, and borrows one from the next.  ``bits`` leaves room
-    for the largest coefficient the product can have, with its sign.
-    """
-    if a.is_zero() or b.is_zero():
-        return IntPoly.zero()
-    bound = min(len(a.coeffs), len(b.coeffs)) * max(map(abs, a.coeffs)) * max(map(abs, b.coeffs))
-    bits = bound.bit_length() + 1  # every |c| < 2**(bits - 1)
-
-    def pack(coeffs):
-        value = 0
-        for c in reversed(coeffs):
-            value = (value << bits) + c
-        return value
-
-    packed, out = pack(a.coeffs) * pack(b.coeffs), []
-    for _ in range(len(a.coeffs) + len(b.coeffs) - 1):
-        digit = packed & ((1 << bits) - 1)
-        if digit >> (bits - 1):
-            digit -= 1 << bits
-        out.append(digit)
-        packed = (packed - digit) >> bits
-    assert packed == 0, "a product coefficient overflowed its digit"
-    return IntPoly(out)
-
-
-def product_x(record) -> IntPoly:
+def product_x(record) -> Poly:
     """The product, in X, of the :func:`minpoly_shape_x` of a factor record's (spec, mult) pairs.
 
-    Multiplied by :func:`kronecker_mul`, not by ``IntPoly``'s own product,
-    which builds the library's shapes that this product is checked against.
+    Multiplied in :class:`Poly`, by :func:`kronecker_mul`, not by
+    ``IntPoly``'s own product, which builds the library's shapes that
+    this product is checked against.
     """
-    product = IntPoly.one()
+    product = Poly((1,))
     for spec, mult in record:
         shape = minpoly_shape_x(spec.q_star_sign, spec.t)
         for _ in range(mult):
-            product = kronecker_mul(product, shape)
+            product *= shape
     return product
 
 
-def products_x(g: int, specs) -> list[tuple[IntPoly, IntPoly, tuple]]:
+def products_x(g: int, specs) -> list[tuple[Poly, Poly, tuple]]:
     """(product in X, product in Y, record) for each record of ``candidate_shapes``.
 
     The product in X is built from the record's factors by
     :func:`product_x`, not read from the library; the product in
-    ``Y = X**2`` is the library's.
+    ``Y = X**2`` is the library's, read into :class:`Poly`.
     """
-    return [(product_x(record), shape, record) for shape, record in candidate_shapes(g, specs)]
+    return [
+        (product_x(record), Poly(shape.coeffs), record)
+        for shape, record in candidate_shapes(g, specs)
+    ]
 
 
 Candidate = namedtuple("Candidate", "poly factors")

@@ -9,6 +9,7 @@ from math import gcd
 
 import mpmath
 from oracles import (
+    Poly,
     candidate_counts,
     candidates,
     corollary_threshold,
@@ -23,7 +24,6 @@ from weilparity.bounds import full_bounds_report
 from weilparity.cli import run
 from weilparity.cyclotomic import cyclotomic, totient
 from weilparity.enumerator import primes_between, verify_parity_theorem
-from weilparity.intpoly import IntPoly
 from weilparity.weil import WeilParams, is_full_degree, minpoly_full_degree
 
 # Heavy polynomial-construction suites stay within this index cap.
@@ -39,7 +39,7 @@ def test_criterion_1_cyclotomic_parity_law():
     started = time.perf_counter()
     mismatches = [
         n for n in range(1, 2001)
-        if cyclotomic(n).is_even() != (n % 4 == 0)
+        if Poly(cyclotomic(n).coeffs).is_even() != (n % 4 == 0)
     ]
     ok = not mismatches
     _report(1, "cyclotomic(n) is even iff 4 | n, for all n <= 2000", ok, started)
@@ -50,12 +50,12 @@ def test_criterion_2_product_formula_and_oracle():
     started = time.perf_counter()
     failures = []
     for n in range(1, 501):
-        product = IntPoly.one()
+        product = Poly([1])
         for d in divisors(n):
-            product = product * cyclotomic(d)
-        if product != IntPoly.x() ** n - 1:
+            product = product * Poly(cyclotomic(d).coeffs)
+        if product != Poly([0, 1]) ** n - 1:
             failures.append(("product", n))
-        if cyclotomic(n) != cyclotomic_mobius(n):
+        if Poly(cyclotomic(n).coeffs) != cyclotomic_mobius(n):
             failures.append(("oracle", n))
     ok = not failures
     _report(2, "divisor product equals X^n - 1 and both constructions agree, n <= 500",
@@ -153,10 +153,10 @@ def test_criterion_8_minpoly_evenness_and_roots():
                 if totient(4 * t) > 20:
                     continue
                 for sign in (-1, 1):
-                    if not is_full_degree(params, sign, t):
+                    if not is_full_degree(p, sign, t):
                         continue
                     total += 1
-                    poly = minpoly_full_degree(params, sign, t)
+                    poly = Poly(minpoly_full_degree(params, sign, t).coeffs)
                     if not poly.is_even():
                         failures.append(("parity", p, n, sign, t))
                         continue

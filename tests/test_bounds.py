@@ -7,16 +7,13 @@ from math import comb, gcd, isqrt
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import candidates, corollary_threshold, functional_equation_sign
+from oracles import Poly, candidates, corollary_threshold, functional_equation_sign
 
 from weilparity.bounds import BoundsReport, full_bounds_report
 from weilparity.cyclotomic import totient
 from weilparity.enumerator import primes_between, verify_parity_theorem
 from weilparity.errors import ShapeError
-from weilparity.intpoly import IntPoly
 from weilparity.weil import WeilParams, is_full_degree, minpoly_full_degree
-
-X = IntPoly.x()
 
 
 # -- reference: one function per check, each reading a_k on its own ----------
@@ -129,7 +126,7 @@ def bounds_cases(draw):
         coeffs.append(1)
     elif shape == "non-monic":
         coeffs[-1] = 2
-    return IntPoly(coeffs), params
+    return Poly(coeffs), params
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
@@ -174,14 +171,14 @@ def test_is_q_symmetric_shape_errors():
 
 
 def test_functional_equation_sign():
-    assert functional_equation_sign(IntPoly([-25, 0, 0, 0, 1]), 5) == -1
-    assert functional_equation_sign(IntPoly([25, 0, 10, 0, 1]), 5) == 1
-    assert functional_equation_sign(IntPoly([5, 5, 1]), 5) == 1
-    assert functional_equation_sign(IntPoly([3, 1, 1]), 5) is None
+    assert functional_equation_sign(Poly([-25, 0, 0, 0, 1]), 5) == -1
+    assert functional_equation_sign(Poly([25, 0, 10, 0, 1]), 5) == 1
+    assert functional_equation_sign(Poly([5, 5, 1]), 5) == 1
+    assert functional_equation_sign(Poly([3, 1, 1]), 5) is None
     with pytest.raises(ShapeError):
-        functional_equation_sign(IntPoly([1, 1]), 5)  # odd degree
+        functional_equation_sign(Poly([1, 1]), 5)  # odd degree
     with pytest.raises(ShapeError):
-        functional_equation_sign(IntPoly([1, 0, 2]), 5)  # not monic
+        functional_equation_sign(Poly([1, 0, 2]), 5)  # not monic
 
 
 def test_q_symmetry_agrees_with_positive_functional_sign():
@@ -193,10 +190,10 @@ def test_q_symmetry_agrees_with_positive_functional_sign():
 
 
 def test_archimedean_examples():
-    assert archimedean_flags(IntPoly([5, 0, 1]), WeilParams(p=5, n=1, g=1)) == [True]
-    flags = archimedean_flags(IntPoly([49, 0, 7, 0, 1]), WeilParams(p=7, n=1, g=2))
+    assert archimedean_flags(Poly([5, 0, 1]), WeilParams(p=5, n=1, g=1)) == [True]
+    flags = archimedean_flags(Poly([49, 0, 7, 0, 1]), WeilParams(p=7, n=1, g=2))
     assert flags == [True, True]  # a1 = 0; a2 = 7: 49 <= 36*49
-    flags = archimedean_flags(IntPoly([5, 6, 1]), WeilParams(p=5, n=1, g=1))
+    flags = archimedean_flags(Poly([5, 6, 1]), WeilParams(p=5, n=1, g=1))
     assert flags == [False]  # 36 > 4*5
 
 
@@ -216,18 +213,18 @@ def test_archimedean_bound_at_its_edge():
 
 
 def test_valuation_examples():
-    assert valuation_flags(IntPoly([5, 0, 1]), WeilParams(p=5, n=1, g=1)) == [True]
-    flags = valuation_flags(IntPoly([49, 0, 7, 0, 1]), WeilParams(p=7, n=1, g=2))
+    assert valuation_flags(Poly([5, 0, 1]), WeilParams(p=5, n=1, g=1)) == [True]
+    flags = valuation_flags(Poly([49, 0, 7, 0, 1]), WeilParams(p=7, n=1, g=2))
     assert flags == [True, True]  # ord_7(7) = 1 >= ceil(1*2/2)
-    flags = valuation_flags(IntPoly([49, 0, 7, 0, 1]), WeilParams(p=7, n=3, g=2))
+    flags = valuation_flags(Poly([49, 0, 7, 0, 1]), WeilParams(p=7, n=3, g=2))
     assert flags == [True, False]  # need ord_7(a2) >= 3 but a2 = 7
 
 
 def test_valuation_ceiling():
     # ceil(n*k/2): a1 = p passes at n=1 (need ord >= 1), fails at n=3 (need >= 2)
-    poly_one = IntPoly([-5 * 5, 5, 1])  # artificial monic quadratic, a1 = 5
+    poly_one = Poly([-5 * 5, 5, 1])  # artificial monic quadratic, a1 = 5
     assert valuation_flags(poly_one, WeilParams(p=5, n=1, g=1)) == [True]
-    poly_three = IntPoly([0, 5, 1])
+    poly_three = Poly([0, 5, 1])
     assert valuation_flags(poly_three, WeilParams(p=5, n=3, g=1)) == [False]
 
 
@@ -280,7 +277,7 @@ def test_vieta_float_oracle():
             if totient(4 * t) > 8:
                 continue
             for sign in (-1, 1):
-                if not is_full_degree(params, sign, t):
+                if not is_full_degree(p, sign, t):
                     continue
                 poly = minpoly_full_degree(params, sign, t)
                 m = 4 * t

@@ -14,6 +14,7 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 from oracles import (
     NotDivisible,
+    Poly,
     bounds_doc,
     bounds_row,
     build_parser,
@@ -30,8 +31,11 @@ from weilparity.cli import ingest_reference, run
 from weilparity.cyclotomic import _check_cap, cyclotomic
 from weilparity.enumerator import G_CAP, primes_between, verify_parity_theorem
 from weilparity.errors import BrokenInvariant, OutOfRange, ParseError
-from weilparity.intpoly import IntPoly
 from weilparity.weil import WeilParams, minpoly_full_degree
+
+# The library's polynomial type, as its values carry it: the tests below
+# guard its construction and its product.
+LIBRARY_POLY = type(cyclotomic(1))
 
 
 def invoke(capsys, argv):
@@ -77,7 +81,7 @@ def test_cyclo_text_is_read_off_the_radical(capsys):
     for n in [*range(1, 3001), 2 ** 19, 3 ** 12, 5 ** 8, 7 ** 7]:
         poly = cyclotomic(n)
         expected = {
-            "tsv": poly.to_line(),
+            "tsv": " ".join(map(str, poly.coeffs)),
             "structured": f'{{"n": {n}, "coeffs": [{", ".join(map(str, poly.coeffs))}]}}',
         }
         for fmt, text in expected.items():
@@ -642,9 +646,9 @@ BOUNDS_GOLDEN = [pytest.param(a, f, id=f"{' '.join(a)} {f}") for a, f in GOLDEN 
 def test_bounds_builds_no_polynomial(monkeypatch, capsys, tmp_path, argv, fmt):
     # lines are parsed straight to coefficient lists and checked as such
     def built(self, coeffs=()):
-        raise AssertionError("bounds built an IntPoly")
+        raise AssertionError("bounds built a library polynomial")
 
-    monkeypatch.setattr(IntPoly, "__init__", built)
+    monkeypatch.setattr(LIBRARY_POLY, "__init__", built)
     assert golden_run(capsys, tmp_path, argv, fmt) == GOLDEN[argv, fmt]
 
 
@@ -704,7 +708,7 @@ def half_degree_t3(monkeypatch):
 
     real = enumerator.is_full_degree
     monkeypatch.setattr(
-        enumerator, "is_full_degree", lambda params, sign, t: (sign, t) != (1, 3) and real(params, sign, t)
+        enumerator, "is_full_degree", lambda p, sign, t: (sign, t) != (1, 3) and real(p, sign, t)
     )
 
 
@@ -780,7 +784,7 @@ def wrong_degree_factor(monkeypatch, cold_caches):
     import weilparity.weil as weil
 
     real = weil.cyclotomic
-    monkeypatch.setattr(weil, "cyclotomic", lambda n: IntPoly([1, 1, 1]) if n == 2 else real(n))
+    monkeypatch.setattr(weil, "cyclotomic", lambda n: real(3) if n == 2 else real(n))
 
 
 def test_odd_shape_is_an_internal_error(wrong_degree_factor, capsys):
@@ -840,12 +844,10 @@ def test_tsv_verify_and_detect_half_multiply_no_polynomial(
     monkeypatch, cold_caches, capsys, tmp_path, argv, fmt
 ):
     # the counts come from the factors' degrees, so no product is built
-    import weilparity.intpoly as intpoly
-
-    def mul(a, b):
+    def mul(self, other):
         raise RuntimeError("two polynomials were multiplied")
 
-    monkeypatch.setattr(intpoly, "_mul_schoolbook", mul)
+    monkeypatch.setattr(LIBRARY_POLY, "__mul__", mul)
     assert golden_run(capsys, tmp_path, argv, fmt) == GOLDEN[argv, fmt]
 
 
@@ -1155,16 +1157,14 @@ def test_bounds_memory_does_not_grow_with_the_file(monkeypatch, tmp_path):
 )
 def test_shapes_are_never_multiplied_by_one(monkeypatch, cold_caches, capsys, tmp_path, argv, fmt):
     # the caches are cold, so the run builds its shapes under the guard
-    import weilparity.intpoly as intpoly
+    real = LIBRARY_POLY.__mul__
 
-    real = intpoly._mul_schoolbook
-
-    def guarded(a, b):
-        if a == (1,) or b == (1,):
+    def guarded(self, other):
+        if (1,) in (self.coeffs, other.coeffs):
             raise AssertionError("a polynomial was multiplied by the constant 1")
-        return real(a, b)
+        return real(self, other)
 
-    monkeypatch.setattr(intpoly, "_mul_schoolbook", guarded)
+    monkeypatch.setattr(LIBRARY_POLY, "__mul__", guarded)
     assert golden_run(capsys, tmp_path, argv, fmt) == GOLDEN[argv, fmt]
 
 
@@ -1550,7 +1550,7 @@ def test_template_rejects_a_shape_not_even_of_degree_2g(monkeypatch, cold_caches
     import weilparity.enumerator as enumerator
 
     for shapes in ([[1, 1, 1]], [[1, 0, 0, 0, 1]], [[1]], [[0, 1]], []):
-        made = tuple((IntPoly(coeffs), ()) for coeffs in shapes)
+        made = tuple((Poly(coeffs), ()) for coeffs in shapes)
         monkeypatch.setattr(enumerator, "candidate_shapes", lambda g, specs: made)
         cli._candidate_template.cache_clear()
         with pytest.raises(BrokenInvariant):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import (
+    Poly,
     candidate_counts,
     candidates,
     fitting_specs_scan,
@@ -27,7 +28,6 @@ from weilparity.enumerator import (
     verify_parity_theorem,
 )
 from weilparity.errors import OutOfRange
-from weilparity.intpoly import IntPoly
 from weilparity.weil import (
     WeilNumberSpec,
     WeilParams,
@@ -71,14 +71,14 @@ def _bounded_partitions(degrees: tuple[int, ...], total: int) -> tuple[tuple[int
 
 
 def oracle_candidates(params):
-    """(poly, factors) per candidate: each rebuilt from one, factor by factor."""
+    """(poly, factors) per candidate: each rebuilt from one, factor by factor, in ``Poly``."""
     specs = full_specs(params)
     degrees = tuple(totient(4 * s.t) for s in specs)
     out = []
     for mults in _bounded_partitions(degrees, 2 * params.g):
-        poly = IntPoly.one()
+        poly = Poly([1])
         for s, m in zip(specs, mults):
-            poly = poly * minpoly_full_degree(params, s.q_star_sign, s.t) ** m
+            poly = poly * Poly(minpoly_full_degree(params, s.q_star_sign, s.t).coeffs) ** m
         out.append((poly, tuple((s, m) for s, m in zip(specs, mults) if m)))
     out.sort(key=lambda c: tuple((s.t, s.q_star_sign, m) for s, m in c[1]))
     return out
@@ -89,7 +89,7 @@ def substituted_minpoly(params, sign, t):
     phi = cyclotomic(4 * t).coeffs
     m = len(phi) - 1
     q_star = sign * params.q
-    return IntPoly(c * q_star ** ((m - j) // 2) if c else 0 for j, c in enumerate(phi))
+    return Poly(c * q_star ** ((m - j) // 2) if c else 0 for j, c in enumerate(phi))
 
 
 # p = 2 and 3 and primes on both sides of 2g+1 for every g <= 4
@@ -113,7 +113,7 @@ def oracle_spec_scans(params):
     full, half = [], []
     for t in range(1, 8 * params.g * params.g + 1):
         for sign in (-1, 1):
-            if is_full_degree(params, sign, t):
+            if is_full_degree(params.p, sign, t):
                 if t <= 2 * params.g * params.g and totient(4 * t) <= 2 * params.g:
                     full.append(WeilNumberSpec(sign, t))
             elif totient(4 * t) // 2 <= 2 * params.g:
@@ -149,7 +149,7 @@ def test_counts_read_evenness_from_the_shapes(monkeypatch):
     import oracles
 
     real = oracles.minpoly_shape_x
-    odd = lambda sign, t: IntPoly([1, 1, 1]) if (sign, t) == (-1, 1) else real(sign, t)
+    odd = lambda sign, t: Poly([1, 1, 1]) if (sign, t) == (-1, 1) else real(sign, t)
     monkeypatch.setattr(oracles, "minpoly_shape_x", odd)
     specs = verify_parity_theorem(WeilParams(p=5, n=1, g=2)).full_degree_specs
     assert candidate_counts(2, specs) == (7, 2)  # (-,1)**2 and (-,1)(+,1)
@@ -182,9 +182,9 @@ def test_counts_are_shared_across_cells_with_equal_spec_sets(cold_caches, capsys
 
 def scale_y(shape, q):
     """A shape in Y scaled as the command line fills it: Y**j times q**(d - j), read in X**2."""
-    d = shape.degree
+    d = len(shape.coeffs) - 1
     powers = q_powers(q, d)
-    return IntPoly(c * powers[d - j] for j, c in enumerate(shape.coeffs)).compose_power(2)
+    return Poly(c * powers[d - j] for j, c in enumerate(shape.coeffs)).compose_power(2)
 
 
 def test_shape_scaling_matches_minpoly_for_every_admissible_spec():
@@ -194,7 +194,7 @@ def test_shape_scaling_matches_minpoly_for_every_admissible_spec():
                 params = WeilParams(p=p, n=n, g=g)
                 for s in full_specs(params):
                     scaled = scale_y(minpoly_shape(s.q_star_sign, s.t), params.q)
-                    assert scaled == minpoly_full_degree(params, s.q_star_sign, s.t)
+                    assert scaled == Poly(minpoly_full_degree(params, s.q_star_sign, s.t).coeffs)
                     assert scaled == substituted_minpoly(params, s.q_star_sign, s.t)
                     assert scaled == scale_x(minpoly_shape_x(s.q_star_sign, s.t), params.q)
 
@@ -234,7 +234,7 @@ def per_spec_scan(params):
 
     full, half = [], []
     for spec, degree in enumerator._fitting_specs(params.g):
-        if not is_full_degree(params, spec.q_star_sign, spec.t):
+        if not is_full_degree(params.p, spec.q_star_sign, spec.t):
             half.append(spec)
         elif degree <= params.g:
             full.append(spec)
@@ -271,7 +271,7 @@ def test_scan_calls_is_full_degree_once_per_class_and_spec(monkeypatch, cold_cac
     calls = []
     real = enumerator.is_full_degree
     monkeypatch.setattr(
-        enumerator, "is_full_degree", lambda params, sign, t: calls.append(t) or real(params, sign, t)
+        enumerator, "is_full_degree", lambda p, sign, t: calls.append(t) or real(p, sign, t)
     )
     assert cli.run(["verify", "--gmax", "5", "--pmax", "600", "--n", "1", "--n", "7"]) == 0
     assert len(capsys.readouterr().out.splitlines()) == 1 + 1054
@@ -471,8 +471,8 @@ def test_parity_report_violations_consistency():
 
 
 def test_primes_between():
-    assert primes_between(3, 20) == [5, 7, 11, 13, 17, 19]
-    assert primes_between(7, 7) == []
+    assert primes_between(3, 20).tolist() == [5, 7, 11, 13, 17, 19]
+    assert primes_between(7, 7).tolist() == []
 
 
 def test_primes_between_sieve_matches_is_prime():
@@ -480,8 +480,23 @@ def test_primes_between_sieve_matches_is_prime():
     for low in range(-2, 40):
         for high in range(-2, 80):
             expected = [p for p in range(max(low + 1, 2), high + 1) if is_prime(p)]
-            assert primes_between(low, high) == expected, (low, high)
-    assert primes_between(1000, 3000) == [p for p in range(1001, 3001) if is_prime(p)]
+            assert primes_between(low, high).tolist() == expected, (low, high)
+    assert primes_between(1000, 3000).tolist() == [p for p in range(1001, 3001) if is_prime(p)]
+
+
+def test_primes_between_holds_about_a_byte_per_integer():
+    # the sieve is a byte per integer, read through a view, and the primes are
+    # kept as machine integers: no copy of the sieve and no int object per prime
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        primes = primes_between(1, 10 ** 6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(primes) == 78_498
+    assert peak <= 2.5 * 10 ** 6, f"{peak / 10 ** 6:.2f} bytes per integer sieved"
 
 
 def test_primes_between_cap(monkeypatch):
@@ -547,8 +562,8 @@ def test_verify_grid_validation(monkeypatch):
 def test_product_of_even_polynomials_is_even():
     rng = random.Random(111)
     for _ in range(200):
-        a = IntPoly([rng.randint(-9, 9) if i % 2 == 0 else 0 for i in range(rng.randint(1, 9))])
-        b = IntPoly([rng.randint(-9, 9) if i % 2 == 0 else 0 for i in range(rng.randint(1, 9))])
+        a = Poly([rng.randint(-9, 9) if i % 2 == 0 else 0 for i in range(rng.randint(1, 9))])
+        b = Poly([rng.randint(-9, 9) if i % 2 == 0 else 0 for i in range(rng.randint(1, 9))])
         assert a.is_even() and b.is_even()
         assert (a * b).is_even()
 
@@ -576,9 +591,9 @@ def test_candidate_factorization_recomputes():
 
     params = WeilParams(p=7, n=1, g=3)
     for cand in candidates_of(params):
-        product = IntPoly.one()
+        product = Poly([1])
         for spec, mult in cand.factors:
-            product = product * minpoly_full_degree(params, spec.q_star_sign, spec.t) ** mult
+            product *= Poly(minpoly_full_degree(params, spec.q_star_sign, spec.t).coeffs) ** mult
         assert product == cand.poly
 
 

@@ -1,17 +1,26 @@
-"""Integer polynomial arithmetic: examples, ring laws, division oracle."""
+"""Integer polynomial arithmetic: the library's product, and the tests' own ring.
 
+The library's ``IntPoly`` holds coefficients and multiplies; its product
+is checked against naive convolution and against the ring of the tests,
+``oracles.Poly``, which multiplies by Kronecker substitution.  The ring
+laws, the substitutions and exact division are checked on ``Poly``.
+"""
+
+import math
 import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import NotDivisible, exact_div, horner, kronecker_mul
+from oracles import NotDivisible, Poly, exact_div, horner, kronecker_mul
 
-from weilparity.intpoly import NEG_INFINITY, IntPoly, _mul_schoolbook
+from weilparity.cli import run
+from weilparity.intpoly import IntPoly, _mul_schoolbook
+from weilparity.weil import WeilParams, minpoly_full_degree
 
-X = IntPoly.x()
-ONE = IntPoly.one()
+X = Poly([0, 1])
+ONE = Poly([1])
 
 
 # -- independent oracles ----------------------------------------------------
@@ -47,32 +56,48 @@ def oracle_exact_div(a: list[int], b: list[int]) -> list[int] | None:
     return [int(t) for t in quot]
 
 
-def random_poly(rng, max_len, lo, hi) -> IntPoly:
-    return IntPoly([rng.randint(lo, hi) for _ in range(rng.randint(0, max_len))])
+def random_poly(rng, max_len, lo, hi) -> Poly:
+    return Poly([rng.randint(lo, hi) for _ in range(rng.randint(0, max_len))])
 
 
 # -- construction and representation ----------------------------------------
 
 
 def test_canonical_form_strips_trailing_zeros():
-    assert IntPoly([1, 2, 0, 0]).coeffs == (1, 2)
-    assert IntPoly([0, 0, 0]).coeffs == ()
-    assert IntPoly([0, 0, 3]).coeffs == (0, 0, 3)
+    for make in (IntPoly, Poly):
+        assert make([1, 2, 0, 0]).coeffs == (1, 2)
+        assert make([0, 0, 0]).coeffs == ()
+        assert make([0, 0, 3]).coeffs == (0, 0, 3)
+
+
+def test_intpoly_values_cannot_be_assigned():
+    # the lru_cache of cyclotomic polynomials hands out shared values
+    value = IntPoly([-1, 0, 1, 0])
+    for name in ("coeffs", "extra"):
+        with pytest.raises(AttributeError):
+            setattr(value, name, None)
+    with pytest.raises(AttributeError):
+        del value.coeffs
+    assert value.coeffs == (-1, 0, 1)
 
 
 def test_zero_polynomial_degree_is_minus_infinity():
-    zero = IntPoly.zero()
-    assert zero.degree == NEG_INFINITY
+    zero = Poly()
+    assert zero.degree == -math.inf
     assert not isinstance(zero.degree, int)
     assert zero.is_zero()
-    assert IntPoly([5]).degree == 0
+    assert Poly([5]).degree == 0
     assert (X ** 7).degree == 7
 
 
-def test_text_format_round_trip():
-    p = IntPoly([1, 0, -1, 0, 1])
-    assert p.to_line() == "1 0 -1 0 1"
-    assert IntPoly.zero().to_line() == ""
+def test_text_format_round_trip(capsys):
+    # minpoly prints the library's coefficients as one line of decimals
+    for p, sign, t in ((5, "+", 1), (7, "-", 3), (2, "+", 4)):
+        assert run(["minpoly", "--p", str(p), "--n", "1", "--sign", sign, "--t", str(t)]) == 0
+        line = capsys.readouterr().out
+        poly = minpoly_full_degree(WeilParams(p=p, n=1, g=1), 1 if sign == "+" else -1, t)
+        assert line == " ".join(map(str, poly.coeffs)) + "\n"
+        assert tuple(map(int, line.split())) == poly.coeffs
 
 
 # -- add ---------------------------------------------------------------------
@@ -80,9 +105,9 @@ def test_text_format_round_trip():
 
 def test_add_examples():
     assert (X + 1) + (X - 1) == 2 * X
-    p = IntPoly([3, -2, 7])
-    assert p + IntPoly.zero() == p
-    assert (X ** 2 + 1) + (-(X ** 2) - 1) == IntPoly.zero()
+    p = Poly([3, -2, 7])
+    assert p + Poly() == p
+    assert (X ** 2 + 1) + (-(X ** 2) - 1) == Poly()
 
 
 # -- mul ---------------------------------------------------------------------
@@ -90,11 +115,14 @@ def test_add_examples():
 
 def test_mul_examples():
     assert (X + 1) * (X - 1) == X ** 2 - 1
-    # hand convolution: (X^2+5)(X^2-5) = X^4 - 25
-    assert (X ** 2 + 5) * (X ** 2 - 5) == IntPoly([-25, 0, 0, 0, 1])
-    p = IntPoly([3, -2, 7])
+    # hand convolution: (X^2+5)(X^2-5) = X^4 - 25, in the ring and in the library
+    assert (X ** 2 + 5) * (X ** 2 - 5) == Poly([-25, 0, 0, 0, 1])
+    assert (IntPoly([5, 0, 1]) * IntPoly([-5, 0, 1])).coeffs == (-25, 0, 0, 0, 1)
+    p = Poly([3, -2, 7])
     assert p * ONE == p
-    assert p * IntPoly.zero() == IntPoly.zero()
+    assert p * Poly() == Poly()
+    assert (IntPoly([3, -2, 7]) * IntPoly([1])).coeffs == p.coeffs
+    assert (IntPoly([3, -2, 7]) * IntPoly()).coeffs == ()
 
 
 def test_mul_degree_additivity():
@@ -113,7 +141,9 @@ def test_mul_matches_naive_convolution():
     for _ in range(200):
         a = random_poly(rng, 8, -9, 9)
         b = random_poly(rng, 8, -9, 9)
-        assert list((a * b).coeffs) == naive_mul(list(a.coeffs), list(b.coeffs))
+        expected = naive_mul(list(a.coeffs), list(b.coeffs))
+        assert list((a * b).coeffs) == expected
+        assert list((IntPoly(a.coeffs) * IntPoly(b.coeffs)).coeffs) == expected
 
 
 # -- exact_div ----------------------------------------------------------------
@@ -123,25 +153,25 @@ def test_exact_div_examples():
     assert exact_div(X ** 2 - 1, X - 1) == X + 1
     # long-division oracle: (X^12-1) / ((X-1)(X+1)(X^2+X+1)(X^2+1)(X^2-X+1))
     num = X ** 12 - 1
-    den = (X - 1) * (X + 1) * IntPoly([1, 1, 1]) * IntPoly([1, 0, 1]) * IntPoly([1, -1, 1])
+    den = (X - 1) * (X + 1) * Poly([1, 1, 1]) * Poly([1, 0, 1]) * Poly([1, -1, 1])
     expected = oracle_exact_div(list(num.coeffs), list(den.coeffs))
     assert expected == [1, 0, -1, 0, 1]
-    assert exact_div(num, den) == IntPoly(expected)
+    assert exact_div(num, den) == Poly(expected)
 
 
 def test_exact_div_remainder_raises():
     with pytest.raises(NotDivisible):
         exact_div(X ** 2 + 1, X + 1)  # remainder 2
     with pytest.raises(NotDivisible):
-        exact_div(IntPoly([1, 2]), IntPoly([0, 0, 1]))  # divisor degree too large
+        exact_div(Poly([1, 2]), Poly([0, 0, 1]))  # divisor degree too large
     with pytest.raises(NotDivisible):
-        exact_div(2 * X + 2, IntPoly([3]))  # fractional step
+        exact_div(2 * X + 2, Poly([3]))  # fractional step
 
 
 def test_exact_div_by_zero():
     with pytest.raises(ZeroDivisionError):
-        exact_div(ONE, IntPoly.zero())
-    assert exact_div(IntPoly.zero(), X + 1) == IntPoly.zero()
+        exact_div(ONE, Poly())
+    assert exact_div(Poly(), X + 1) == Poly()
 
 
 def test_exact_div_matches_rational_oracle():
@@ -163,8 +193,9 @@ def test_exact_div_matches_rational_oracle():
 
 def test_compose_power_examples():
     assert (X + 1).compose_power(3) == X ** 3 + 1
-    assert IntPoly([1, 1, 1]).compose_power(2) == IntPoly([1, 0, 1, 0, 1])
-    p = IntPoly([4, -1, 3])
+    assert Poly([1, 1, 1]).compose_power(2) == Poly([1, 0, 1, 0, 1])
+    assert Poly().compose_power(3) == Poly()
+    p = Poly([4, -1, 3])
     assert p.compose_power(1) == p
     with pytest.raises(ValueError):
         p.compose_power(0)
@@ -179,15 +210,15 @@ def test_compose_power_composes():
 
 
 def test_sign_flip_examples():
-    assert IntPoly([1, -1, 1]).sign_flip() == IntPoly([1, 1, 1])
-    assert IntPoly([1, 0, 1]).sign_flip() == IntPoly([1, 0, 1])
+    assert Poly([1, -1, 1]).sign_flip() == Poly([1, 1, 1])
+    assert Poly([1, 0, 1]).sign_flip() == Poly([1, 0, 1])
     assert (X ** 3).sign_flip() == -(X ** 3)
 
 
 def test_is_even_examples():
-    assert IntPoly([1, 0, -1, 0, 1]).is_even()
-    assert not IntPoly([1, -1, 1]).is_even()
-    assert IntPoly.zero().is_even()
+    assert Poly([1, 0, -1, 0, 1]).is_even()
+    assert not Poly([1, -1, 1]).is_even()
+    assert Poly().is_even()
 
 
 def test_is_even_iff_fixed_by_sign_flip():
@@ -198,11 +229,11 @@ def test_is_even_iff_fixed_by_sign_flip():
 
 
 def test_eval_int_examples():
-    assert horner(IntPoly([1, 0, 1]), 0) == 1
-    assert horner(IntPoly([-5, 0, 1]), 3) == 4
-    phi5 = IntPoly([1, 1, 1, 1, 1])
+    assert horner(Poly([1, 0, 1]), 0) == 1
+    assert horner(Poly([-5, 0, 1]), 3) == 4
+    phi5 = Poly([1, 1, 1, 1, 1])
     assert horner(phi5, 1) == 5 == sum(phi5.coeffs)
-    assert horner(IntPoly.zero(), 17) == 0
+    assert horner(Poly(), 17) == 0
 
 
 # -- ring laws ----------------------------------------------------------------
@@ -234,7 +265,7 @@ def test_ring_laws_larger_random_cases():
             assert exact_div(a * b, b) == a
 
 
-polys = st.lists(st.integers(-(2 ** 70), 2 ** 70), max_size=8).map(IntPoly)
+polys = st.lists(st.integers(-(2 ** 70), 2 ** 70), max_size=8).map(Poly)
 RING_LAWS = settings(max_examples=200, deadline=None, derandomize=True)
 
 
@@ -260,7 +291,8 @@ def test_exact_div_round_trip_property(a, b):
 def test_kronecker_product_matches_the_schoolbook_product(a, b):
     # the oracle's product packs each polynomial into one integer and
     # multiplies once; the library's convolves coefficient by coefficient
-    assert kronecker_mul(a, b) == IntPoly(_mul_schoolbook(a.coeffs, b.coeffs))
+    assert Poly(kronecker_mul(a.coeffs, b.coeffs)) == Poly(_mul_schoolbook(a.coeffs, b.coeffs))
+    assert (IntPoly(a.coeffs) * IntPoly(b.coeffs)).coeffs == (a * b).coeffs
 
 
 # -- large operands -----------------------------------------------------------
@@ -272,13 +304,14 @@ def test_packed_mul_handles_huge_coefficients():
     a = [rng.randint(-big, big) for _ in range(50)]
     b = [rng.randint(-big, big) for _ in range(50)]
     assert list((IntPoly(a) * IntPoly(b)).coeffs) == naive_mul(a, b)
+    assert list((Poly(a) * Poly(b)).coeffs) == naive_mul(a, b)
 
 
 def test_large_division_exercises_packed_path():
     rng = random.Random(909)
     for _ in range(10):
-        a = IntPoly([rng.randint(-999, 999) for _ in range(80)] + [1])
-        b = IntPoly([rng.randint(-999, 999) for _ in range(60)] + [1])
+        a = Poly([rng.randint(-999, 999) for _ in range(80)] + [1])
+        b = Poly([rng.randint(-999, 999) for _ in range(60)] + [1])
         product = a * b
         assert exact_div(product, b) == a
         assert list(exact_div(product, b).coeffs) \
@@ -296,13 +329,13 @@ def test_packed_division_value_coincidence_is_caught():
     # X^2 + 2^40 is not divisible by X, although its value at X = 2^40
     # is divisible by 2^40; the division must still report the remainder.
     with pytest.raises(NotDivisible):
-        exact_div(IntPoly([1 << 40, 0, 1]), IntPoly.x())
+        exact_div(Poly([1 << 40, 0, 1]), X)
 
 
 def test_pow():
     assert (X + 1) ** 0 == ONE
     assert (X + 1) ** 1 == X + 1
-    assert (X + 1) ** 2 == IntPoly([1, 2, 1])
-    assert (X - 2) ** 3 == IntPoly([-8, 12, -6, 1])
+    assert (X + 1) ** 2 == Poly([1, 2, 1])
+    assert (X - 2) ** 3 == Poly([-8, 12, -6, 1])
     with pytest.raises(ValueError):
         (X + 1) ** -1

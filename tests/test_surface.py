@@ -4,13 +4,14 @@ import ast
 import os
 import subprocess
 import sys
+from collections import Counter
+from importlib import import_module
 from pathlib import Path
 
 import pytest
 
 from weilparity.bounds import full_bounds_report
 from weilparity.enumerator import verify_parity_theorem
-from weilparity.intpoly import IntPoly
 from weilparity.weil import WeilNumberSpec, WeilParams
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "weilparity"
@@ -74,6 +75,43 @@ def test_every_private_definition_is_read_in_src():
     assert not unused, f"private names that nothing in src/ reads: {unused}"
 
 
+def name_reads(tree) -> Counter:
+    """How often each name is read in ``tree``: as a loaded name or as any attribute."""
+    return Counter(
+        node.id if isinstance(node, ast.Name) else node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        or isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+    )
+
+
+def test_every_class_member_is_read_in_src():
+    # a method or property of a src/ class that nothing in src/ reads, outside
+    # its own body, is dead code; dunders are read by the interpreter, and a
+    # name a base class defines (the _make overrides) is read through the base
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    reads = sum(map(name_reads, trees.values()), Counter())
+    members = [
+        (f"{cls.name}.{node.name}", node)
+        for stem, tree in trees.items()
+        for cls in tree.body
+        if isinstance(cls, ast.ClassDef)
+        for node in cls.body
+        if isinstance(node, ast.FunctionDef)
+        and not (node.name.startswith("__") and node.name.endswith("__"))
+        and not any(
+            hasattr(base, node.name)
+            for base in getattr(import_module(f"weilparity.{stem}"), cls.name).__mro__[1:]
+        )
+    ]
+    assert len(members) >= 4  # the walk sees the classes' members
+    unused = sorted(
+        name for name, node in members
+        if reads[node.name] == name_reads(node)[node.name]
+    )
+    assert not unused, f"class members that nothing in src/ reads: {unused}"
+
+
 def run_bare(code: str, *args: str) -> str:
     """The stdout of ``code`` run with ``args`` by a fresh interpreter without ``site``."""
     env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
@@ -131,10 +169,10 @@ def test_importing_the_package_runs_no_layer():
 def test_the_root_loads_each_entry_point_from_its_submodule():
     # the names are loaded on first access, each the object its submodule defines
     import weilparity
-    from weilparity import bounds, enumerator, intpoly, weil
+    from weilparity import bounds, enumerator, weil
 
     homes = {
-        "BoundsReport": bounds, "IntPoly": intpoly, "ParityReport": enumerator,
+        "BoundsReport": bounds, "ParityReport": enumerator,
         "WeilParams": weil, "full_bounds_report": bounds, "minpoly_full_degree": weil,
         "verify_grid": enumerator, "verify_parity_theorem": enumerator,
     }
@@ -151,7 +189,6 @@ def test_the_root_loads_each_entry_point_from_its_submodule():
 
 P5 = dict(p=5, n=1, g=1)
 VALUES = [  # (a zero-argument constructor of a value, its repr text)
-    (lambda: IntPoly([-1, 0, 1, 0]), "IntPoly(coeffs=(-1, 0, 1))"),
     (lambda: WeilParams(**P5), "WeilParams(p=5, n=1, g=1)"),
     (lambda: WeilNumberSpec(-1, 3), "WeilNumberSpec(q_star_sign=-1, t=3)"),
     (lambda: verify_parity_theorem(WeilParams(**P5)),

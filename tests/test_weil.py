@@ -4,12 +4,11 @@ from math import gcd
 
 import mpmath
 import pytest
-from oracles import functional_equation_sign, minpoly_shape_x
+from oracles import Poly, functional_equation_sign, minpoly_shape_x
 
 from weilparity.cyclotomic import cyclotomic, totient
 from weilparity.enumerator import verify_parity_theorem
 from weilparity.errors import HalfDegreeUnsupported
-from weilparity.intpoly import IntPoly
 from weilparity.weil import (
     WeilNumberSpec,
     WeilParams,
@@ -44,13 +43,13 @@ def test_spec_validation():
 
 
 def test_is_full_degree_examples():
-    p7 = WeilParams(p=7, n=1, g=1)
-    assert is_full_degree(p7, -1, 3)       # p does not divide t
-    assert not is_full_degree(p7, 1, 7)    # t odd, 7 | t, +7 = 3 mod 4
-    assert is_full_degree(p7, -1, 7)       # -7 = 1 mod 4
-    p2 = WeilParams(p=2, n=1, g=1)
-    assert not is_full_degree(p2, 1, 2)    # q* even, t = 2 mod 4
-    assert is_full_degree(p2, 1, 4)
+    assert is_full_degree(7, -1, 3)       # p does not divide t
+    assert not is_full_degree(7, 1, 7)    # t odd, 7 | t, +7 = 3 mod 4
+    assert is_full_degree(7, -1, 7)       # -7 = 1 mod 4
+    assert not is_full_degree(2, 1, 2)    # q* even, t = 2 mod 4
+    assert is_full_degree(2, 1, 4)
+    # p alone decides: at p = 2 only t counts, and at odd p, as n is odd, q = p**n = p mod 4
+    assert all(pow(p, n, 4) == p % 4 for p in (3, 5, 7, 11) for n in (1, 3, 5, 7))
 
 
 def test_classify_matches_predicate():
@@ -64,7 +63,7 @@ def test_classify_matches_predicate():
         for t in range(1, 40):
             for sign in (-1, 1):
                 spec = WeilNumberSpec(sign, t)
-                if is_full_degree(params, sign, t):
+                if is_full_degree(p, sign, t):
                     assert (spec in full) == (totient(4 * t) <= 2 * params.g)
                 else:
                     assert (spec in half) == (totient(4 * t) // 2 <= 2 * params.g)
@@ -72,18 +71,18 @@ def test_classify_matches_predicate():
 
 def test_weil_factor_degree_examples():
     # phi(4t) in the full degree case, phi(4t)/2 in the half degree case
-    assert minpoly_full_degree(WeilParams(p=5, n=1, g=1), 1, 1).degree == 2
-    assert not is_full_degree(WeilParams(p=7, n=1, g=1), 1, 7)
+    assert len(minpoly_full_degree(WeilParams(p=5, n=1, g=1), 1, 1).coeffs) - 1 == 2
+    assert not is_full_degree(7, 1, 7)
     assert totient(28) // 2 == 6
-    assert minpoly_full_degree(WeilParams(p=7, n=1, g=1), -1, 3).degree == 4
+    assert len(minpoly_full_degree(WeilParams(p=7, n=1, g=1), -1, 3).coeffs) - 1 == 4
 
 
 def test_minpoly_examples():
     p5 = WeilParams(p=5, n=1, g=1)
-    assert minpoly_full_degree(p5, 1, 1) == IntPoly([5, 0, 1])     # X^2 + p
-    assert minpoly_full_degree(p5, -1, 1) == IntPoly([-5, 0, 1])   # X^2 - 5
+    assert minpoly_full_degree(p5, 1, 1).coeffs == (5, 0, 1)     # X^2 + p
+    assert minpoly_full_degree(p5, -1, 1).coeffs == (-5, 0, 1)   # X^2 - 5
     p7 = WeilParams(p=7, n=1, g=2)
-    assert minpoly_full_degree(p7, -1, 3) == IntPoly([49, 0, 7, 0, 1])
+    assert minpoly_full_degree(p7, -1, 3).coeffs == (49, 0, 7, 0, 1)
 
 
 def test_shape_in_y_matches_the_x_domain_oracle():
@@ -91,7 +90,8 @@ def test_shape_in_y_matches_the_x_domain_oracle():
     # from index 2t, read in X**2, is the one built in X from index 4t
     for t in range(1, 2001):
         for sign in (-1, 1):
-            assert minpoly_shape(sign, t).compose_power(2) == minpoly_shape_x(sign, t), (sign, t)
+            shape = Poly(minpoly_shape(sign, t).coeffs)
+            assert shape.compose_power(2) == minpoly_shape_x(sign, t), (sign, t)
 
 
 def test_shape_is_phi_of_the_order_of_alpha_squared_over_q():
@@ -104,9 +104,9 @@ def test_shape_is_phi_of_the_order_of_alpha_squared_over_q():
         flipped[-2::-2] = [-c for c in phi[-2::-2]]  # c_j * (-1)**(phi(2t) - j)
         for sign, coeffs in ((1, phi), (-1, flipped)):
             m = t if sign == -1 and t % 2 else 2 * t
-            assert minpoly_shape(sign, t) == IntPoly(coeffs) == cyclotomic(m), (sign, t)
+            assert minpoly_shape(sign, t).coeffs == tuple(coeffs) == cyclotomic(m).coeffs, (sign, t)
         if t % 2 == 0:  # one Weil number: sqrt(-q) zeta_4t = sqrt(q) zeta_4t**(t + 1)
-            assert minpoly_shape(-1, t) == minpoly_shape(1, t), t
+            assert minpoly_shape(-1, t).coeffs == minpoly_shape(1, t).coeffs, t
 
 
 def test_minpoly_half_degree_is_an_error():
@@ -143,7 +143,7 @@ def test_minpoly_roots_small_grid():
         params = WeilParams(p=p, n=1, g=1)
         for t in (1, 2, 3):
             for sign in (-1, 1):
-                if is_full_degree(params, sign, t):
+                if is_full_degree(p, sign, t):
                     _primitive_roots_check(params, sign, t)
 
 
@@ -155,9 +155,9 @@ def test_minpoly_even_monic_constant_term():
                 if totient(4 * t) > 20:
                     continue
                 for sign in (-1, 1):
-                    if not is_full_degree(params, sign, t):
+                    if not is_full_degree(p, sign, t):
                         continue
-                    poly = minpoly_full_degree(params, sign, t)
+                    poly = Poly(minpoly_full_degree(params, sign, t).coeffs)
                     d = totient(4 * t)
                     assert poly.is_monic()
                     assert poly.degree == d
@@ -172,7 +172,7 @@ def test_minpoly_functional_equation_sign():
         params = WeilParams(p=p, n=1, g=1)
         for t in range(1, 16):
             for sign in (-1, 1):
-                if not is_full_degree(params, sign, t):
+                if not is_full_degree(p, sign, t):
                     continue
                 poly = minpoly_full_degree(params, sign, t)
                 d = totient(4 * t)
@@ -193,9 +193,9 @@ def test_minpoly_distinctness():
             if totient(4 * t) > 10:
                 continue
             polys = {
-                sign: minpoly_full_degree(params, sign, t)
+                sign: minpoly_full_degree(params, sign, t).coeffs
                 for sign in (-1, 1)
-                if is_full_degree(params, sign, t)
+                if is_full_degree(p, sign, t)
             }
             by_t[t] = polys
             if len(polys) == 2:
@@ -205,8 +205,7 @@ def test_minpoly_distinctness():
                     assert polys[-1] != polys[1], t
         seen = {}
         for t, polys in by_t.items():
-            for sign, poly in polys.items():
-                key = poly.coeffs
+            for sign, key in polys.items():
                 if key in seen:
                     other_sign, other_t = seen[key]
                     assert other_t == t and t % 2 == 0, (seen[key], (sign, t))
