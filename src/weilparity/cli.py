@@ -22,8 +22,11 @@ before the first byte: a ``verify`` grid must cover each g <= gmax with
 a prime 2g+1 < p <= pmax <= 10**7 (the sieve cap) and name no n twice, a
 printed constant term (q**g, or q**phi(2t) for ``minpoly``) must fit
 Python's digit limit (for ``bounds`` q**g too: no row past it could be
-symmetric), and the ``bounds`` file must open.  Each JSON item is the text
-``json.dumps`` would write, made by f-strings without ``json``.
+symmetric), and the ``bounds`` file must open.  ``bounds`` parses, checks
+and renders each distinct line text once per run, and repeats its item
+for the text's later lines until ``_MEMO_BUDGET`` characters are kept.
+Each JSON item is the text ``json.dumps`` would write, made by f-strings
+without ``json``.
 ``enumerate`` and structured ``verify`` write a cell's candidates by
 filling a q-free template, built once per (g, spec set) as the literal
 pieces between its placeholders and the slot of each placeholder: the
@@ -68,33 +71,36 @@ _BOOL_TEXT = ("false", "true")  # indexed by a bool
 _CELL = ("g", "p", "n")
 
 
-def ingest_reference(path: str | os.PathLike) -> Iterator[list[int]]:
-    """Parse a polynomial text file: one list of ascending coefficients per line.
+def ingest_reference(path: str | os.PathLike) -> Iterator[tuple[str, int]]:
+    """The polynomial lines of a text file: (stripped text, line number) per line.
 
-    Lines starting with ``#`` are comments; blank lines are skipped.  Each
-    list ends in its leading coefficient (a zero line gives ``[]``).  The
-    file is opened now, before any output, and read a line per list; a
-    malformed line raises :class:`ParseError` with its line number.
+    Lines starting with ``#`` are comments; blank lines are skipped.  The
+    file is opened now, before any output, and read a line per item;
+    :func:`_coeffs` parses an item.
     """
-    from .errors import ParseError
-
     handle = open(path, "r", encoding="utf-8")
 
-    def polys():
+    def lines():
         with handle:
             for lineno, raw in enumerate(handle, 1):
                 line = raw.strip()
-                if not line or line.startswith("#"):
-                    continue
-                try:
-                    coeffs = list(map(int, line.split()))
-                except ValueError as exc:
-                    raise ParseError(f"{path}:{lineno}: {exc}") from exc
-                while coeffs and not coeffs[-1]:
-                    coeffs.pop()
-                yield coeffs
+                if line and line[0] != "#":
+                    yield line, lineno
 
-    return polys()
+    return lines()
+
+
+def _coeffs(line: str, path: str | os.PathLike, lineno: int) -> list[int]:
+    """``line``'s ascending coefficients up to the leading one (``[]`` for zero), or ParseError."""
+    try:
+        coeffs = list(map(int, line.split()))
+    except ValueError as exc:
+        from .errors import ParseError
+
+        raise ParseError(f"{path}:{lineno}: {exc}") from exc
+    while coeffs and not coeffs[-1]:
+        coeffs.pop()
+    return coeffs
 
 
 # Output is written in blocks of at least this many characters.
@@ -389,25 +395,37 @@ def _cmd_detect_half(args) -> int:
     return 0
 
 
+# ``bounds`` keeps each distinct line text's item for its repeats until the kept
+# keys and items reach this many characters; later lines are made every time.
+_MEMO_BUDGET = 1 << 22
+
+
 def _cmd_bounds(args) -> int:
     from .bounds import full_bounds_report
     from .weil import WeilParams
 
     params = WeilParams(p=args.p, n=args.n, g=args.g)
     _check_digits("the constant term", args.p, args.n * args.g)  # before the file opens
-    reports = (full_bounds_report(coeffs, params) for coeffs in ingest_reference(args.file))
+    lines = ingest_reference(args.file)
     cell = f"{args.g}\t{args.p}\t{args.n}\t"
-    _emit(
-        args,
-        lambda: _json_array(map(_bounds_json, reports)),
-        lambda: (
-            f"{cell}{' '.join(map(str, r.a_values))}\t{_BOOL_TEXT[r.symmetric_ok]}\t"
-            f"{_BOOL_TEXT[r.lemma_a1_ok]}\t{_BOOL_TEXT[all(r.archimedean_ok)]}\t"
-            f"{_BOOL_TEXT[all(r.valuation_ok)]}"
-            for r in reports
-        ),
-        (*_CELL, "a_values", "symmetric", "lemma_a1", "archimedean", "valuation"),
-    )
+    render = _bounds_json if args.format == "structured" else lambda r: (
+        f"{cell}{' '.join(map(str, r.a_values))}\t{_BOOL_TEXT[r.symmetric_ok]}\t"
+        f"{_BOOL_TEXT[r.lemma_a1_ok]}\t{_BOOL_TEXT[all(r.archimedean_ok)]}\t"
+        f"{_BOOL_TEXT[all(r.valuation_ok)]}")
+
+    def items():  # a line that fails is never kept: it exits at its own number
+        memo, room = {}, _MEMO_BUDGET
+        for line, lineno in lines:
+            item = memo.get(line)
+            if item is None:
+                item = render(full_bounds_report(_coeffs(line, args.file, lineno), params))
+                if room > 0:
+                    memo[line] = item
+                    room -= len(line) + len(item)
+            yield item
+
+    _emit(args, lambda: _json_array(items()), items,
+          (*_CELL, "a_values", "symmetric", "lemma_a1", "archimedean", "valuation"))
     return 0
 
 

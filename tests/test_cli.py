@@ -593,6 +593,20 @@ def bounds_g1_cut(fmt, k):
     return "\n".join(items[:k + 1]) if fmt == "tsv" else "[" + ", ".join(items[:k])
 
 
+def poly_lines(text):
+    """The stripped polynomial lines of a file's text, read as a text file splits it."""
+    lines = (line.strip() for line in text.replace("\r\n", "\n").replace("\r", "\n").split("\n"))
+    return [line for line in lines if line and not line.startswith("#")]
+
+
+def coeffs_of(line):
+    """The ascending coefficients of a polynomial line, its trailing zeros dropped."""
+    coeffs = [int(word) for word in line.split()]
+    while coeffs and coeffs[-1] == 0:
+        coeffs.pop()
+    return coeffs
+
+
 def test_bounds_rejects_malformed_file(tmp_path, capsys):
     # a bad line exits 2, in either format, after the rows of the lines
     # before it and nothing else: each line is parsed as its row is made
@@ -662,8 +676,10 @@ def test_bounds_builds_one_threshold_table_per_run(tmp_path, capsys):
         info = bounds._cell_table.cache_info()
     finally:
         bounds._cell_table.cache_clear()
-    polys = [line for line in GOLDEN_FILES["g10"].splitlines() if line and line[0] != "#"]
-    assert (info.misses, info.hits) == (1, len(polys) - 1)
+    # a repeated line reuses its row, so the table is read once per distinct line
+    polys = poly_lines(GOLDEN_FILES["g10"])
+    assert (len(polys), len(set(polys))) == (197, 187)
+    assert (info.misses, info.hits) == (1, len(set(polys)) - 1)
 
 
 def test_bounds_missing_file(capsys, tmp_path):
@@ -1114,8 +1130,9 @@ def test_bounds_writes_each_row_before_the_next_line_is_read(monkeypatch, tmp_pa
 
 
 def test_bounds_memory_does_not_grow_with_the_file(monkeypatch, tmp_path):
-    # only the block being written and the line being read are held, and
-    # both outputs exceed one block: tripling the file (2000 -> 6000 lines)
+    # only the block being written, the line being read and the memo of the
+    # file's two distinct lines are held, and both outputs exceed one block:
+    # tripling the file (2000 -> 6000 lines)
     # moves the traced peak by less than 100 KB
     import weilparity.cli as cli
 
@@ -1332,17 +1349,24 @@ def test_enumerate_to_bounds_round_trip(tmp_path, capsys):
 
 
 def test_ingest_reference(tmp_path):
+    # the file yields each polynomial line's stripped text and number, and
+    # cli._coeffs parses one: the run parses a line's first occurrence only
+    import weilparity.cli as cli
+
     ref = tmp_path / "ref.txt"
-    ref.write_text("# comment\n\n5 0 1\n-5 0 1 0 0\n0 0\n")
-    assert list(ingest_reference(ref)) == [[5, 0, 1], [-5, 0, 1], []]
+    ref.write_bytes(b"# comment\n\n 5 0 1\r\n-5 0 1 0 0\n0 0\n")
+    lines = list(ingest_reference(ref))
+    assert lines == [("5 0 1", 3), ("-5 0 1 0 0", 4), ("0 0", 5)]
+    assert [cli._coeffs(line, ref, n) for line, n in lines] == [[5, 0, 1], [-5, 0, 1], []]
 
     bad = tmp_path / "bad.txt"
     bad.write_text("5 0 1\nx y z\n")
     polys = ingest_reference(bad)
-    assert next(polys) == [5, 0, 1]  # read a line at a time
+    assert next(polys) == ("5 0 1", 1)  # read a line at a time
+    line, lineno = next(polys)
     with pytest.raises(ParseError) as info:
-        next(polys)
-    assert ":2:" in str(info.value)
+        cli._coeffs(line, bad, lineno)
+    assert str(info.value) == f"{bad}:2: invalid literal for int() with base 10: 'x'"
     with pytest.raises(FileNotFoundError):
         ingest_reference(tmp_path / "missing.txt")  # opened by the call itself
 
@@ -1586,7 +1610,7 @@ def test_bounds_text_matches_the_oracles(capsys, tmp_path, name, g, p, n):
     ref = tmp_path / "polys.txt"
     ref.write_text(GOLDEN_FILES[name])
     params = WeilParams(p=p, n=n, g=g)
-    reports = [full_bounds_report(coeffs, params) for coeffs in ingest_reference(ref)]
+    reports = [full_bounds_report(coeffs_of(line), params) for line in poly_lines(ref.read_text())]
     for report in reports:
         assert cli._bounds_json(report) == json.dumps(bounds_doc(report))
     argv = ["bounds", "--g", str(g), "--p", str(p), "--n", str(n), "--file", str(ref)]
@@ -1594,6 +1618,155 @@ def test_bounds_text_matches_the_oracles(capsys, tmp_path, name, g, p, n):
     assert invoke(capsys, argv)[:2] == (0, "\n".join([header, *map(bounds_row, reports)]) + "\n")
     code, out, _ = invoke(capsys, [*argv, "--format", "structured"])
     assert (code, out) == (0, json.dumps([bounds_doc(r) for r in reports]) + "\n")
+
+
+@pytest.mark.parametrize("fmt", ["tsv", "structured"])
+def test_bounds_checks_each_distinct_line_once(monkeypatch, capsys, tmp_path, fmt):
+    # the golden g = 10 file repeats 10 of its 197 lines: each distinct
+    # text is parsed, checked and rendered once, and its repeats reuse it
+    import weilparity.bounds as bounds
+
+    real = bounds.full_bounds_report
+    checked = []
+
+    def counting(coeffs, params):
+        checked.append(tuple(coeffs))
+        return real(coeffs, params)
+
+    monkeypatch.setattr(bounds, "full_bounds_report", counting)
+    key = ("bounds", "--g", "10", "--p", "23", "--n", "3", "--file", "@g10")
+    assert golden_run(capsys, tmp_path, key, fmt) == GOLDEN[key, fmt]
+    lines = poly_lines(GOLDEN_FILES["g10"])
+    assert checked == [tuple(coeffs_of(line)) for line in dict.fromkeys(lines)]
+    assert (len(lines), len(checked)) == (197, 187)
+
+
+# g = 2 lines for p = 7, n = 1 (q = 7): valid and perturbed ones, one
+# polynomial written four ways, trailing zeros, comments and blank lines
+BOUNDS_POOL = [
+    "49 0 7 0 1", "49 -14 3 -2 1", "49 0 8 1 1", "-49 0 7 0 1",
+    "49 0 1000000000000000000000 0 1", "343 0 49 0 1",
+    " 49 0 7 0 1", "49  0 7 0 1\t", "\t49 0 7 0 1  ", "49 0 7 0 1 0", "49 0 7 0 1 0 0",
+    "# 49 0 7 0 1", "#", "  # indented", "", "   ",
+]
+
+
+@settings(max_examples=60, **SHARED_CAPSYS)
+@given(
+    drawn=st.lists(st.tuples(st.sampled_from(BOUNDS_POOL), st.sampled_from(["\n", "\r\n"])),
+                   max_size=30),
+    last_ending=st.booleans(),
+    budget=st.sampled_from([0, 40, 1 << 22]),
+)
+def test_bounds_with_repeated_lines_matches_the_per_line_oracle(
+    monkeypatch, capsys, tmp_path, drawn, last_ending, budget
+):
+    # a file drawn with replacement from a small pool gives, in both
+    # formats and at any budget, the output of checking every line afresh
+    import weilparity.cli as cli
+
+    text = "".join(line + ending for line, ending in drawn)
+    if drawn and not last_ending:
+        text = text[:-len(drawn[-1][1])]
+    ref = tmp_path / "polys.txt"
+    ref.write_bytes(text.encode())
+    params = WeilParams(p=7, n=1, g=2)
+    reports = [full_bounds_report(coeffs_of(line), params) for line in poly_lines(text)]
+    header = "g\tp\tn\ta_values\tsymmetric\tlemma_a1\tarchimedean\tvaluation"
+    expected = {
+        "tsv": "\n".join([header, *map(bounds_row, reports)]) + "\n",
+        "structured": json.dumps([bounds_doc(r) for r in reports]) + "\n",
+    }
+    argv = ["bounds", "--g", "2", "--p", "7", "--n", "1", "--file", str(ref)]
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "_MEMO_BUDGET", budget)
+        for fmt, out in expected.items():
+            assert invoke(capsys, [*argv, "--format", fmt]) == (0, out, "")
+
+
+@pytest.mark.parametrize("fmt", ["tsv", "structured"])
+@pytest.mark.parametrize("bad, message", [
+    ("5 zero 1", "{ref}:7: invalid literal for int() with base 10: 'zero'"),
+    ("1 2 3", "polynomial must be monic of degree 2, got degree 2"),
+])
+def test_bounds_fails_at_its_own_line_after_repeats(capsys, tmp_path, fmt, bad, message):
+    # a failing line is never kept: after repeats of good lines it exits 2
+    # at its own line number, after exactly the rows of the lines before it
+    ref = tmp_path / "polys.txt"
+    ref.write_text("\n".join(["5 0 1", "-5 0 1", "5 0 1", "# c", "5 0 1", "-5 0 1", bad,
+                              "5 0 1", bad]) + "\n")
+    items = BOUNDS_G1_ITEMS[fmt]
+    if fmt == "tsv":
+        header, *items = items  # then the items of "5 0 1" and "-5 0 1"
+    made = [items[k] for k in (0, 1, 0, 0, 1)]
+    expected = "\n".join([header, *made]) if fmt == "tsv" else "[" + ", ".join(made)
+    code, out, err = invoke(capsys, [*BOUNDS_G1, str(ref), "--format", fmt])
+    assert (code, out, err) == (2, expected, f"error: {message.format(ref=ref)}\n")
+
+
+def test_bounds_memo_stops_taking_lines_at_its_budget(monkeypatch, capsys, tmp_path):
+    # distinct lines, then the same lines again: a repeat is checked again
+    # exactly when the memo had reached its budget as the line was first made
+    import weilparity.bounds as bounds
+    import weilparity.cli as cli
+
+    lines = [f"5 {k} 1" for k in range(40)]
+    ref = tmp_path / "polys.txt"
+    ref.write_text("\n".join(lines * 2) + "\n")
+    params = WeilParams(p=5, n=1, g=1)
+    rows = [bounds_row(full_bounds_report(coeffs_of(line), params)) for line in lines]
+    real = bounds.full_bounds_report
+    checked = []
+
+    def counting(coeffs, params):
+        checked.append(coeffs)
+        return real(coeffs, params)
+
+    monkeypatch.setattr(bounds, "full_bounds_report", counting)
+    monkeypatch.setattr(cli, "_MEMO_BUDGET", 300)
+    header = BOUNDS_G1_ITEMS["tsv"][0]
+    assert invoke(capsys, [*BOUNDS_G1, str(ref)]) == (0, "\n".join([header, *rows * 2]) + "\n", "")
+    kept = 2 * len(lines) - len(checked)  # the lines whose repeat reused the first row
+    sizes = [len(line) + len(row) for line, row in zip(lines, rows)]
+    assert 0 < kept < len(lines)
+    assert sum(sizes[:kept - 1]) < 300 <= sum(sizes[:kept])
+    assert checked == [coeffs_of(line) for line in lines + lines[kept:]]
+
+
+def test_bounds_memo_memory_stops_at_its_budget(monkeypatch, tmp_path):
+    # on files of distinct lines, the memo keeps them all under the default
+    # budget, so quadrupling the file (1500 -> 6000 lines) raises the traced
+    # peak by over 500 KB; under a 1000-character budget it moves the peak
+    # by less than 100 KB, and the output is the same
+    import weilparity.cli as cli
+
+    header = BOUNDS_G1_ITEMS["tsv"][0]
+    params = WeilParams(p=5, n=1, g=1)
+
+    def peak(count, budget):
+        lines = [f"5 {k * 10 ** 30} 1" for k in range(count)]
+        ref = tmp_path / f"{count}.txt"
+        ref.write_text("\n".join(lines) + "\n")
+        rows = [bounds_row(full_bounds_report(coeffs_of(line), params)) for line in lines]
+        expected = hashlib.sha256(("\n".join([header, *rows]) + "\n").encode()).hexdigest()
+        sink = HashSink()
+        with monkeypatch.context() as patch:
+            patch.setattr(sys, "stdout", sink)
+            patch.setattr(cli, "_MEMO_BUDGET", budget)
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                assert run([*BOUNDS_G1, str(ref)]) == 0
+                high = tracemalloc.get_traced_memory()[1] - before
+            finally:
+                tracemalloc.stop()
+        assert sink.sha.hexdigest() == expected
+        return high
+
+    default = cli._MEMO_BUDGET
+    peak(10, default)  # fills the threshold table's cache
+    grown = peak(6000, default) - peak(1500, default), peak(6000, 1000) - peak(1500, 1000)
+    assert grown[0] > 500_000 and grown[1] < 100_000, grown
 
 
 A_K = st.one_of(
