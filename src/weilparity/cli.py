@@ -13,9 +13,11 @@ Every subcommand accepts ``--format {tsv,structured}`` (default tsv) and
 produces byte-identical output for identical inputs.  Exit codes:
 0 success, 1 parity-contract violation, 2 usage or validation error,
 3 internal error (any unexpected exception, reported as
-``internal error:`` and a traceback on stderr).  Output items (TSV lines,
-JSON array elements) are written as they are made, in 32 KiB blocks: a
-run that stops mid-output (exit 2 on a bad ``bounds`` line, or exit 3)
+``internal error:`` and a traceback on stderr), 141 stdout closed early
+(what a shell reports for a tool that SIGPIPE ends; nothing on stderr).
+Output items (TSV lines, JSON array elements) are written as they are
+made, in blocks of at least 32 KiB (an item is never split): a run that
+stops mid-output (exit 2 on a bad ``bounds`` line, or exit 3)
 leaves the items made before the failure, without the final newline, and
 exit 1's stderr line follows the full output.  Every other check runs
 before the first byte: a ``verify`` grid must cover each g <= gmax with
@@ -76,9 +78,10 @@ def ingest_reference(path: str | os.PathLike) -> Iterator[tuple[str, int]]:
 
     Lines starting with ``#`` are comments; blank lines are skipped.  The
     file is opened now, before any output, and read a line per item;
-    :func:`_coeffs` parses an item.
+    :func:`_coeffs` parses an item.  Bytes that are not UTF-8 are kept as
+    lone surrogates, so such a line fails to parse at its own number.
     """
-    handle = open(path, "r", encoding="utf-8")
+    handle = open(path, "r", encoding="utf-8", errors="surrogateescape")
 
     def lines():
         with handle:
@@ -107,8 +110,10 @@ def _coeffs(line: str, path: str | os.PathLike, lineno: int) -> list[int]:
 # Each write to a pipe wakes its reader, and a reader woken on the writer's
 # CPU preempts it: one write per cell cost a thousand context switches on a
 # 5 MB output, and the run time varied with where the reader was placed.
-# A block of half a pipe's 64 KiB (plus one cell) still fits in a pipe the
-# reader has drained, so the writer does not wait on the reader either.
+# A block is half a pipe's 64 KiB plus the rest of the item that filled it,
+# and an item is never split: a TSV row is short, but a structured cell is one
+# item, so a write can hold a whole cell: structured verify --gmax 10 --pmax 60
+# --n 1 --n 3 makes writes of up to 536,647 characters (ROADMAP item 10).
 _WRITE_BLOCK = 1 << 15
 
 
@@ -144,6 +149,7 @@ def _write_blocks(pieces: Iterable[str]) -> None:
         block.append("\n")
     finally:
         sys.stdout.write("".join(block))
+        sys.stdout.flush()  # all output is out before any stderr line, or a closed pipe fails here
 
 
 def _joined(items: Iterable[str], sep: str) -> Iterator[str]:
@@ -207,11 +213,11 @@ def _candidate_template(
     from .errors import BrokenInvariant
 
     shapes = candidate_shapes(g, specs)
-    if not shapes or any(len(shape.coeffs) != g + 1 or not shape.coeffs[0] for shape, _ in shapes):
+    if not shapes or any(len(shape) != g + 1 or not shape[0] for shape, _ in shapes):
         raise BrokenInvariant(
             "a candidate shape must be a polynomial of degree g in X**2 with a nonzero constant"
         )
-    ys = [shape.coeffs for shape, _ in shapes]  # c of Y**(g - e) at index g - e
+    ys = [y for y, _ in shapes]  # c of Y**(g - e) at index g - e
     slots = tuple((g - i, c) for i, cs in enumerate(zip(*ys)) for c in dict.fromkeys(cs) if c)
     slot_of = [{} for _ in range(g + 1)]  # the k of c at index g - e
     for k, (e, c) in enumerate(slots):
@@ -293,7 +299,7 @@ def _cmd_cyclo(args) -> int:
 
     # Phi_n(X) = Phi_m(X**k): Phi_m's coefficients with k - 1 zeros between each two
     base, k = cyclotomic_radical(args.n)
-    coeffs = list(map(str, base.coeffs))
+    coeffs = list(map(str, base))
     _emit(
         args,
         lambda: [f'{{"n": {args.n}, "coeffs": [{(", " + "0, " * (k - 1)).join(coeffs)}]}}'],
@@ -321,9 +327,9 @@ def _cmd_minpoly(args) -> int:
     _emit(
         args,
         lambda: [f'{{"p": {args.p}, "n": {args.n}, "sign": {sign}, "t": {args.t}, '
-                 f'"degree": {len(poly.coeffs) - 1}, '
-                 f'"coeffs": [{", ".join(map(str, poly.coeffs))}]}}'],
-        lambda: [" ".join(map(str, poly.coeffs))],
+                 f'"degree": {len(poly) - 1}, '
+                 f'"coeffs": [{", ".join(map(str, poly))}]}}'],
+        lambda: [" ".join(map(str, poly))],
     )
     return 0
 
@@ -341,7 +347,11 @@ def _cmd_enumerate(args) -> int:
 
     _emit(args, lambda: [_parity_json(report, args.p, args.n)], rows,
           (*_CELL, "coeffs", "even", "factors"))
-    return 0 if report.contract_ok else 1
+    if not report.contract_ok:
+        print("parity contract violated: half-degree spec found although p > 2g+1",
+              file=sys.stderr)
+        return 1
+    return 0
 
 
 def _verify_rows(grid, n_values) -> Iterator[str]:
@@ -624,6 +634,11 @@ def run(argv: Sequence[str] | None = None) -> int:
         return code
     try:
         return _COMMANDS[args.command][0](args)
+    except BrokenPipeError:  # stdout was closed early, as by "| head"
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())  # so the flush at exit cannot fail again
+        os.close(devnull)
+        return 141  # 128 + SIGPIPE, as a shell reports a tool that SIGPIPE ends
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -14,10 +14,10 @@ one exact polynomial quotient (``cyclotomic_mobius`` in
 ``tests/oracles.py``), which shares no arithmetic helper with this
 module.
 
-Like every functools cache in the package, the memo tables of
-:func:`factorize` and :func:`cyclotomic` hold only immutable values:
-a reader never sees a partly built entry, and a duplicated computation
-under contention is harmless.
+A polynomial is the tuple of its coefficients in ascending degree
+order, ``(c0, c1, ..., cd)`` for ``c0 + c1*X + ... + cd*X**d``.  The
+memo table of :func:`cyclotomic` hands out its tuples themselves, which
+no caller can change.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ from itertools import accumulate
 from math import isqrt, prod
 
 from .errors import OutOfRange
-from .intpoly import IntPoly
 
 FACTORIZE_CAP = 10 ** 9  # trial-division scale
 CYCLOTOMIC_CAP = 10 ** 6  # about 2**omega(n) * phi(n)/2 coefficient updates
@@ -78,7 +77,7 @@ def _check_cap(n: int) -> None:
         raise OutOfRange(f"n={n} exceeds the cyclotomic cap {CYCLOTOMIC_CAP}")
 
 
-def cyclotomic_radical(n: int) -> tuple[IntPoly, int]:
+def cyclotomic_radical(n: int) -> tuple[tuple[int, ...], int]:
     """(Phi_m, k) for m = rad(n) and k = n // m, so that Phi_n(X) = Phi_m(X**k).
 
     The n-th cyclotomic polynomial is then read off Phi_m without being
@@ -91,19 +90,19 @@ def cyclotomic_radical(n: int) -> tuple[IntPoly, int]:
 
 
 @lru_cache(maxsize=None)
-def _cyclotomic(n: int) -> IntPoly:
+def _cyclotomic(n: int) -> tuple[int, ...]:
     if n == 1:
-        return IntPoly((-1, 1))
+        return (-1, 1)
     if n == 2:
-        return IntPoly((1, 1))
+        return (1, 1)
     primes = [p for p, _ in factorize(n)]
     if prod(primes) != n:  # Phi_n(X) = Phi_m(X**k)
         base, k = cyclotomic_radical(n)
-        out = [0] * ((len(base.coeffs) - 1) * k + 1)
-        out[::k] = base.coeffs
-        return IntPoly(out)
+        out = [0] * ((len(base) - 1) * k + 1)
+        out[::k] = base
+        return tuple(out)
     if n % 2 == 0:  # Phi_n(X) = Phi_{n/2}(-X)
-        return IntPoly(-c if i & 1 else c for i, c in enumerate(_cyclotomic(n // 2).coeffs))
+        return tuple(-c if i & 1 else c for i, c in enumerate(_cyclotomic(n // 2)))
     # Odd squarefree n > 1: prod_{d | n} (1 - X**d)**mu(n/d) as a power
     # series truncated after X**half, where factors with d > half are 1.
     # The palindrome fixes the upper half.  Each pair is (d, mu(n/d) == 1):
@@ -122,11 +121,11 @@ def _cyclotomic(n: int) -> IntPoly:
             # 1/(1 - X**d): running sums along each residue class mod d.
             for r in range(d):
                 series[r::d] = accumulate(series[r::d])
-    return IntPoly(series + series[-2::-1])
+    return (*series, *series[-2::-1])
 
 
-def cyclotomic(n: int) -> IntPoly:
-    """The n-th cyclotomic polynomial, exactly.
+def cyclotomic(n: int) -> tuple[int, ...]:
+    """The n-th cyclotomic polynomial, exactly, as its ascending coefficients.
 
     Built by the sparse power-series construction described in the
     module docstring.  Monic of degree ``totient(n)``.

@@ -69,7 +69,6 @@ from typing import NamedTuple
 
 from .cyclotomic import totient
 from .errors import OutOfRange
-from .intpoly import IntPoly
 from .weil import WeilNumberSpec, WeilParams, is_full_degree, minpoly_shape
 
 G_CAP = 10
@@ -198,23 +197,28 @@ def _candidate_count(g: int, specs: tuple[WeilNumberSpec, ...]) -> int:
 
 def candidate_shapes(
     g: int, specs: tuple[WeilNumberSpec, ...]
-) -> tuple[tuple[IntPoly, tuple[tuple[WeilNumberSpec, int], ...]], ...]:
+) -> tuple[tuple[tuple[int, ...], tuple[tuple[WeilNumberSpec, int], ...]], ...]:
     """Every degree-g product of the specs' shapes, in ``Y = X**2``, with its factor record.
 
     A cell's candidates are these products, for ``specs`` its full-degree
     specs, with ``Y**j`` scaled by ``q**(g - j)`` and read in ``X**2``; a
-    record lists (spec, multiplicity) pairs.  ``products(i, left)``, memoized
-    for the call, lists the products of ``specs[i:]`` of degree ``left``
-    > 0: ``shape_i**m`` itself if its degree is ``left``, else times each
-    product of ``specs[i+1:]`` of degree ``left - m*d_i``, for m = 1, 2,
-    ..., then the products of ``specs[i+1:]`` alone.  No product is
+    product is its ascending coefficients, and a record lists (spec,
+    multiplicity) pairs.  This is the one place the library multiplies
+    polynomials: the shapes are wrapped in ``IntPoly`` for the call, and
+    the products unwrapped before it returns.  ``products(i, left)``,
+    memoized for the call, lists the products of ``specs[i:]`` of degree
+    ``left`` > 0: ``shape_i**m`` itself if its degree is ``left``, else
+    times each product of ``specs[i+1:]`` of degree ``left - m*d_i``, for
+    m = 1, 2, ..., then the products of ``specs[i+1:]`` alone.  No product is
     multiplied by the constant 1.  A degree the remaining specs cannot
     fill costs one lookup of ``()``.  The specs come in scan order (by t,
     then sign), so the result is canonical as built: sorted by the factor
     record, lexicographically on (t, sign, multiplicity) triples.
     """
+    from .intpoly import IntPoly  # loaded only by a run that multiplies
+
     degrees = [totient(2 * s.t) for s in specs]
-    shapes = [minpoly_shape(s.q_star_sign, s.t) for s in specs]
+    shapes = [IntPoly(minpoly_shape(s.q_star_sign, s.t)) for s in specs]
 
     @cache
     def products(i, left):
@@ -233,7 +237,7 @@ def candidate_shapes(
         return (*out, *products(i + 1, left))
 
     try:
-        return products(0, g)
+        return tuple((poly.coeffs, record) for poly, record in products(0, g))
     finally:  # the memo is a reference cycle through products: free it now
         products.cache_clear()
 

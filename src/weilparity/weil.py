@@ -25,7 +25,6 @@ from typing import NamedTuple
 
 from .cyclotomic import FACTORIZE_CAP, cyclotomic, is_prime
 from .errors import HalfDegreeUnsupported, OutOfRange
-from .intpoly import IntPoly
 
 
 class _WeilParams(NamedTuple):
@@ -102,7 +101,7 @@ def is_full_degree(p: int, q_star_sign: int, t: int) -> bool:
     return t % 4 != 2
 
 
-def minpoly_shape(q_star_sign: int, t: int) -> IntPoly:
+def minpoly_shape(q_star_sign: int, t: int) -> tuple[int, ...]:
     """The q-free shape, in ``Y = X**2``, of the minimal polynomial of ``sqrt(q_star) * zeta_4t``.
 
     It is ``Phi_M`` for M the order of ``q_star_sign * zeta_2t``: t for
@@ -120,13 +119,14 @@ def q_powers(q: int, k: int) -> list[int]:
     return list(accumulate(repeat(q, k), mul, initial=1))
 
 
-def minpoly_full_degree(params: WeilParams, q_star_sign: int, t: int) -> IntPoly:
+def minpoly_full_degree(params: WeilParams, q_star_sign: int, t: int) -> tuple[int, ...]:
     """Minimal polynomial of ``sqrt(q_star) * zeta_4t`` in the full degree case.
 
     It is the shape of :func:`minpoly_shape`, with ``Y**j`` scaled by
     ``q**(phi(2t) - j)``, in ``Y = X**2``: the coefficient of ``X**(2j)``
     is ``c_j * q**(phi(2t) - j)`` for ``c_j`` that of ``Y**j`` in the
-    shape, an exact monic integer polynomial of degree phi(4t) = 2 phi(2t).
+    shape.  It is returned as the ascending coefficients of an exact monic
+    integer polynomial of degree phi(4t) = 2 phi(2t).
     """
     WeilNumberSpec(q_star_sign, t)  # the spec's own checks on sign and t
     if not is_full_degree(params.p, q_star_sign, t):
@@ -134,9 +134,9 @@ def minpoly_full_degree(params: WeilParams, q_star_sign: int, t: int) -> IntPoly
             f"(sign={q_star_sign:+d}, t={t}) at p={params.p}, n={params.n} is a "
             "half degree case; its minimal polynomial is not constructed"
         )
-    shape = minpoly_shape(q_star_sign, t).coeffs
+    shape = minpoly_shape(q_star_sign, t)
     m = len(shape) - 1
     powers = q_powers(params.q, m)
     out = [0] * (2 * m + 1)
     out[::2] = [c * powers[m - j] for j, c in enumerate(shape)]  # Y**j is X**(2j)
-    return IntPoly(out)
+    return tuple(out)

@@ -14,7 +14,8 @@ count taken over every product, the argparse parser the command line had
 before its table-driven one),
 identities from the literature, and the paper's thresholds, kept here as
 oracles and acceptance checks.  No oracle multiplies through the
-library's ``IntPoly``: a library polynomial enters as ``Poly(value.coeffs)``.
+library's ``IntPoly``: a library polynomial, a tuple of coefficients,
+enters as ``Poly(value)``.
 """
 
 import argparse
@@ -50,7 +51,7 @@ class Poly:
     ``-`` and on either side of ``*``, and a product of two polynomials
     is :func:`kronecker_mul`.  Equality is by coefficients, between
     ``Poly`` values only: a library polynomial is compared as
-    ``Poly(value.coeffs)``.
+    ``Poly(value)``.
     """
 
     __slots__ = ("coeffs",)
@@ -269,8 +270,8 @@ def prime_power_identity_check(p: int, k: int, n: int) -> bool:
         raise ValueError("k must be a positive integer")
     if n < 1:
         raise ValueError("n must be a positive integer")
-    lhs = Poly(cyclotomic(p ** k * n).coeffs)
-    base = Poly(cyclotomic(n).coeffs)
+    lhs = Poly(cyclotomic(p ** k * n))
+    base = Poly(cyclotomic(n))
     composed = base.compose_power(p ** k)
     if n % p == 0:
         return lhs == composed
@@ -280,12 +281,10 @@ def prime_power_identity_check(p: int, k: int, n: int) -> bool:
 def functional_equation_sign(poly, q: int) -> int | None:
     """Sign s with X**d P(q/X) = s * q**(d/2) P(X), or None if neither fits.
 
-    Accepts any monic polynomial of even degree d (factors as well as
-    full candidates), a library or oracle one, read as a :class:`Poly`.
-    Products of factors can meet the identity with either sign:
-    (X**2+q)(X**2-q) has sign -1 and is not q-symmetric.
+    Accepts any monic :class:`Poly` of even degree d (factors as well as
+    full candidates).  Products of factors can meet the identity with
+    either sign: (X**2+q)(X**2-q) has sign -1 and is not q-symmetric.
     """
-    poly = Poly(poly.coeffs)
     d = poly.degree
     if not poly.is_monic() or d % 2:
         raise ShapeError("functional equation requires a monic even-degree polynomial")
@@ -331,7 +330,7 @@ def minpoly_shape_x(q_star_sign: int, t: int) -> Poly:
     ``AssertionError``, so the floor in the exponent never matters.  The
     library builds the same shape in ``Y = X**2``, from index 2t.
     """
-    phi = cyclotomic(4 * t).coeffs
+    phi = cyclotomic(4 * t)
     assert not any(phi[1::2]), f"the cyclotomic polynomial of index {4 * t} is not even"
     m = len(phi) - 1
     return Poly(c * q_star_sign ** ((m - j) // 2) for j, c in enumerate(phi))
@@ -371,7 +370,7 @@ def products_x(g: int, specs) -> list[tuple[Poly, Poly, tuple]]:
     ``Y = X**2`` is the library's, read into :class:`Poly`.
     """
     return [
-        (product_x(record), Poly(shape.coeffs), record)
+        (product_x(record), Poly(shape), record)
         for shape, record in candidate_shapes(g, specs)
     ]
 

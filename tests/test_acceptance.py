@@ -39,7 +39,7 @@ def test_criterion_1_cyclotomic_parity_law():
     started = time.perf_counter()
     mismatches = [
         n for n in range(1, 2001)
-        if Poly(cyclotomic(n).coeffs).is_even() != (n % 4 == 0)
+        if Poly(cyclotomic(n)).is_even() != (n % 4 == 0)
     ]
     ok = not mismatches
     _report(1, "cyclotomic(n) is even iff 4 | n, for all n <= 2000", ok, started)
@@ -52,10 +52,10 @@ def test_criterion_2_product_formula_and_oracle():
     for n in range(1, 501):
         product = Poly([1])
         for d in divisors(n):
-            product = product * Poly(cyclotomic(d).coeffs)
+            product = product * Poly(cyclotomic(d))
         if product != Poly([0, 1]) ** n - 1:
             failures.append(("product", n))
-        if Poly(cyclotomic(n).coeffs) != cyclotomic_mobius(n):
+        if Poly(cyclotomic(n)) != cyclotomic_mobius(n):
             failures.append(("oracle", n))
     ok = not failures
     _report(2, "divisor product equals X^n - 1 and both constructions agree, n <= 500",
@@ -156,7 +156,7 @@ def test_criterion_8_minpoly_evenness_and_roots():
                     if not is_full_degree(p, sign, t):
                         continue
                     total += 1
-                    poly = Poly(minpoly_full_degree(params, sign, t).coeffs)
+                    poly = Poly(minpoly_full_degree(params, sign, t))
                     if not poly.is_even():
                         failures.append(("parity", p, n, sign, t))
                         continue

@@ -292,6 +292,6 @@ def test_vieta_float_oracle():
                     numeric = [complex(0)] + numeric
                     for i in range(len(numeric) - 1):
                         numeric[i] -= r * numeric[i + 1]
-                for exact, approx in zip(poly.coeffs, numeric):
+                for exact, approx in zip(poly, numeric):
                     scale = max(1.0, abs(exact))
                     assert abs(approx - exact) / scale < 1e-6

@@ -3,7 +3,9 @@
 import hashlib
 import io
 import json
+import os
 import shlex
+import subprocess
 import sys
 import tracemalloc
 from itertools import product
@@ -31,11 +33,12 @@ from weilparity.cli import ingest_reference, run
 from weilparity.cyclotomic import _check_cap, cyclotomic
 from weilparity.enumerator import G_CAP, primes_between, verify_parity_theorem
 from weilparity.errors import BrokenInvariant, OutOfRange, ParseError
+from weilparity.intpoly import IntPoly
 from weilparity.weil import WeilParams, minpoly_full_degree
 
-# The library's polynomial type, as its values carry it: the tests below
-# guard its construction and its product.
-LIBRARY_POLY = type(cyclotomic(1))
+# The library's one product, which only candidate_shapes runs: the tests
+# below guard its construction and its product.
+LIBRARY_POLY = IntPoly
 
 
 def invoke(capsys, argv):
@@ -81,8 +84,8 @@ def test_cyclo_text_is_read_off_the_radical(capsys):
     for n in [*range(1, 3001), 2 ** 19, 3 ** 12, 5 ** 8, 7 ** 7]:
         poly = cyclotomic(n)
         expected = {
-            "tsv": " ".join(map(str, poly.coeffs)),
-            "structured": f'{{"n": {n}, "coeffs": [{", ".join(map(str, poly.coeffs))}]}}',
+            "tsv": " ".join(map(str, poly)),
+            "structured": f'{{"n": {n}, "coeffs": [{", ".join(map(str, poly))}]}}',
         }
         for fmt, text in expected.items():
             assert invoke(capsys, ["cyclo", str(n), "--format", fmt]) == (0, text + "\n", ""), n
@@ -656,6 +659,18 @@ def test_bounds_zero_line_reads_degree_minus_infinity(tmp_path, capsys, line):
 BOUNDS_GOLDEN = [pytest.param(a, f, id=f"{' '.join(a)} {f}") for a, f in GOLDEN if a[0] == "bounds"]
 
 
+def test_bounds_line_that_is_not_utf8_fails_at_its_own_line(tmp_path, capsys):
+    # such a line fails to parse after the rows of the lines before it; in a
+    # comment, bytes that are not UTF-8 are skipped with the rest of the line
+    ref = tmp_path / "polys.txt"
+    ref.write_bytes(b"# caf\xe9\n5 0 1\n\xff\xfe 1\n")
+    for fmt in ("tsv", "structured"):
+        code, out, err = invoke(capsys, [*BOUNDS_G1, str(ref), "--format", fmt])
+        assert (code, out) == (2, bounds_g1_cut(fmt, 1))
+        assert err == (f"error: {ref}:3: invalid literal for int() with base 10: "
+                       "'\\udcff\\udcfe'\n")
+
+
 @pytest.mark.parametrize("argv, fmt", BOUNDS_GOLDEN)
 def test_bounds_builds_no_polynomial(monkeypatch, capsys, tmp_path, argv, fmt):
     # lines are parsed straight to coefficient lists and checked as such
@@ -1055,6 +1070,45 @@ def test_violation_is_reported_after_the_full_output(monkeypatch, cold_caches, f
         assert [(d["p"], d["half_degree_specs"]) for d in json.loads(out)] == [
             (5, half), (7, half), (11, half)
         ]
+
+
+@pytest.mark.parametrize("fmt", ["tsv", "structured"])
+def test_enumerate_violation_is_reported_after_the_full_output(monkeypatch, cold_caches, fmt):
+    half_degree_t3(monkeypatch)
+    argv = ["enumerate", "--g", "1", "--p", "11", "--n", "1", "--format", fmt]
+    code, out, log = recorded_run(monkeypatch, argv)
+    assert code == 1
+    names = [name for name, _ in log]
+    assert "out" not in names[names.index("err"):]
+    err = "".join(text for name, text in log if name == "err")
+    assert err == "parity contract violated: half-degree spec found although p > 2g+1\n"
+    report = verify_parity_theorem(WeilParams(p=11, n=1, g=1))
+    assert report.half_degree_specs and len(report.full_degree_specs) == 2
+    if fmt == "tsv":
+        assert out.splitlines()[1:] == enumerate_rows(report)
+    else:
+        assert out == json.dumps(parity_doc(report)) + "\n"
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+def test_a_closed_stdout_ends_the_run_as_sigpipe_would(unbuffered):
+    # a reader that stops early (as "| head" does) is no usage error: exit
+    # 128 + SIGPIPE, as a shell reports, with nothing on stderr
+    env = {**os.environ, "PYTHONPATH": str(README.parent / "src")}
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    argv = ["verify", "--gmax", "1", "--pmax", "1000000", "--n", "1"]  # about 1 MB of rows
+    child = subprocess.Popen([sys.executable, "-m", "weilparity.cli", *argv], env=env,
+                             stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    try:
+        assert child.stdout.read(100).startswith(b"g\tp\tn\t")
+        child.stdout.close()
+        err = child.stderr.read()
+        assert (child.wait(timeout=60), err) == (141, b"")
+    finally:
+        child.kill()
+        child.wait()
 
 
 def test_structured_verify_memory_does_not_grow_with_the_grid(monkeypatch):
@@ -1534,7 +1588,7 @@ def test_a_cell_converts_each_distinct_slot_once(monkeypatch, cold_caches, fmt):
     pieces, pick, slots = cli._candidate_template(5, report.full_degree_specs, fmt)
     index = pick(range(len(slots) + 1))  # the slot of each placeholder
     shapes = enumerator.candidate_shapes(5, report.full_degree_specs)
-    nonzero = [(5 - j, c) for shape, _ in shapes for j, c in enumerate(shape.coeffs) if c]
+    nonzero = [(5 - j, c) for shape, _ in shapes for j, c in enumerate(shape) if c]
     assert (len(shapes), len(nonzero), len(slots)) == (54, 288, 44)
     assert sorted(slots) == sorted(set(nonzero))
     # a placeholder per nonzero coefficient, and per row for the TSV cell prefix
@@ -1574,7 +1628,7 @@ def test_template_rejects_a_shape_not_even_of_degree_2g(monkeypatch, cold_caches
     import weilparity.enumerator as enumerator
 
     for shapes in ([[1, 1, 1]], [[1, 0, 0, 0, 1]], [[1]], [[0, 1]], []):
-        made = tuple((Poly(coeffs), ()) for coeffs in shapes)
+        made = tuple((tuple(coeffs), ()) for coeffs in shapes)
         monkeypatch.setattr(enumerator, "candidate_shapes", lambda g, specs: made)
         cli._candidate_template.cache_clear()
         with pytest.raises(BrokenInvariant):
@@ -1805,7 +1859,7 @@ def test_bounds_json_every_flag_combination():
 def test_structured_cyclo_matches_json_dumps(capsys):
     for n in range(1, 401):
         code, out, _ = invoke(capsys, ["cyclo", str(n), "--format", "structured"])
-        doc = {"n": n, "coeffs": list(cyclotomic(n).coeffs)}
+        doc = {"n": n, "coeffs": list(cyclotomic(n))}
         assert (code, out) == (0, json.dumps(doc) + "\n"), n
 
 
@@ -1821,5 +1875,5 @@ def test_structured_minpoly_matches_json_dumps(capsys):
             assert (code, out) == (2, "")
             continue
         doc = {"p": p, "n": n, "sign": sign, "t": t,
-               "degree": len(poly.coeffs) - 1, "coeffs": list(poly.coeffs)}
+               "degree": len(poly) - 1, "coeffs": list(poly)}
         assert (code, out) == (0, json.dumps(doc) + "\n"), argv

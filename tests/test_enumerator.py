@@ -78,7 +78,7 @@ def oracle_candidates(params):
     for mults in _bounded_partitions(degrees, 2 * params.g):
         poly = Poly([1])
         for s, m in zip(specs, mults):
-            poly = poly * Poly(minpoly_full_degree(params, s.q_star_sign, s.t).coeffs) ** m
+            poly = poly * Poly(minpoly_full_degree(params, s.q_star_sign, s.t)) ** m
         out.append((poly, tuple((s, m) for s, m in zip(specs, mults) if m)))
     out.sort(key=lambda c: tuple((s.t, s.q_star_sign, m) for s, m in c[1]))
     return out
@@ -86,7 +86,7 @@ def oracle_candidates(params):
 
 def substituted_minpoly(params, sign, t):
     """c_j * q_star**((phi(4t) - j)/2) on each coefficient c_j of cyclotomic(4t)."""
-    phi = cyclotomic(4 * t).coeffs
+    phi = cyclotomic(4 * t)
     m = len(phi) - 1
     q_star = sign * params.q
     return Poly(c * q_star ** ((m - j) // 2) if c else 0 for j, c in enumerate(phi))
@@ -182,9 +182,9 @@ def test_counts_are_shared_across_cells_with_equal_spec_sets(cold_caches, capsys
 
 def scale_y(shape, q):
     """A shape in Y scaled as the command line fills it: Y**j times q**(d - j), read in X**2."""
-    d = len(shape.coeffs) - 1
+    d = len(shape) - 1
     powers = q_powers(q, d)
-    return Poly(c * powers[d - j] for j, c in enumerate(shape.coeffs)).compose_power(2)
+    return Poly(c * powers[d - j] for j, c in enumerate(shape)).compose_power(2)
 
 
 def test_shape_scaling_matches_minpoly_for_every_admissible_spec():
@@ -194,7 +194,7 @@ def test_shape_scaling_matches_minpoly_for_every_admissible_spec():
                 params = WeilParams(p=p, n=n, g=g)
                 for s in full_specs(params):
                     scaled = scale_y(minpoly_shape(s.q_star_sign, s.t), params.q)
-                    assert scaled == Poly(minpoly_full_degree(params, s.q_star_sign, s.t).coeffs)
+                    assert scaled == Poly(minpoly_full_degree(params, s.q_star_sign, s.t))
                     assert scaled == substituted_minpoly(params, s.q_star_sign, s.t)
                     assert scaled == scale_x(minpoly_shape_x(s.q_star_sign, s.t), params.q)
 
@@ -202,10 +202,10 @@ def test_shape_scaling_matches_minpoly_for_every_admissible_spec():
 def test_shape_scaling_is_multiplicative():
     rng = random.Random(333)
     for _ in range(100):
-        a = minpoly_shape(rng.choice((-1, 1)), rng.randint(1, 12))
-        b = minpoly_shape(rng.choice((-1, 1)), rng.randint(1, 12))
+        a = Poly(minpoly_shape(rng.choice((-1, 1)), rng.randint(1, 12)))
+        b = Poly(minpoly_shape(rng.choice((-1, 1)), rng.randint(1, 12)))
         q = rng.choice((2, 3, 5 ** 3, 7 ** 5))
-        assert scale_y(a * b, q) == scale_y(a, q) * scale_y(b, q)
+        assert scale_y((a * b).coeffs, q) == scale_y(a.coeffs, q) * scale_y(b.coeffs, q)
 
 
 def test_scan_builds_each_spec_once_per_g(monkeypatch, cold_caches):
@@ -593,7 +593,7 @@ def test_candidate_factorization_recomputes():
     for cand in candidates_of(params):
         product = Poly([1])
         for spec, mult in cand.factors:
-            product *= Poly(minpoly_full_degree(params, spec.q_star_sign, spec.t).coeffs) ** mult
+            product *= Poly(minpoly_full_degree(params, spec.q_star_sign, spec.t)) ** mult
         assert product == cand.poly
 
 

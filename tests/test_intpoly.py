@@ -1,9 +1,11 @@
 """Integer polynomial arithmetic: the library's product, and the tests' own ring.
 
-The library's ``IntPoly`` holds coefficients and multiplies; its product
-is checked against naive convolution and against the ring of the tests,
-``oracles.Poly``, which multiplies by Kronecker substitution.  The ring
-laws, the substitutions and exact division are checked on ``Poly``.
+The library's polynomials are coefficient tuples, and its one product,
+``IntPoly``, runs inside ``candidate_shapes`` on monic shapes; that
+product is checked against naive convolution and against the ring of
+the tests, ``oracles.Poly``, which multiplies by Kronecker substitution.
+The ring laws, the substitutions and exact division are checked on
+``Poly``.
 """
 
 import math
@@ -16,6 +18,7 @@ from hypothesis import strategies as st
 from oracles import NotDivisible, Poly, exact_div, horner, kronecker_mul
 
 from weilparity.cli import run
+from weilparity.cyclotomic import cyclotomic, cyclotomic_radical, factorize
 from weilparity.intpoly import IntPoly, _mul_schoolbook
 from weilparity.weil import WeilParams, minpoly_full_degree
 
@@ -64,21 +67,17 @@ def random_poly(rng, max_len, lo, hi) -> Poly:
 
 
 def test_canonical_form_strips_trailing_zeros():
-    for make in (IntPoly, Poly):
-        assert make([1, 2, 0, 0]).coeffs == (1, 2)
-        assert make([0, 0, 0]).coeffs == ()
-        assert make([0, 0, 3]).coeffs == (0, 0, 3)
+    assert Poly([1, 2, 0, 0]).coeffs == (1, 2)
+    assert Poly([0, 0, 0]).coeffs == ()
+    assert Poly([0, 0, 3]).coeffs == (0, 0, 3)
 
 
-def test_intpoly_values_cannot_be_assigned():
-    # the lru_cache of cyclotomic polynomials hands out shared values
-    value = IntPoly([-1, 0, 1, 0])
-    for name in ("coeffs", "extra"):
-        with pytest.raises(AttributeError):
-            setattr(value, name, None)
-    with pytest.raises(AttributeError):
-        del value.coeffs
-    assert value.coeffs == (-1, 0, 1)
+def test_the_cyclotomic_cache_hands_out_tuples():
+    # the cache hands out shared values, so each is a tuple, which no caller can change
+    for n in (1, 2, 12, 30, 36):
+        value = cyclotomic(n)
+        assert type(value) is tuple and value is cyclotomic(n)
+        assert cyclotomic_radical(n)[0] is cyclotomic(math.prod(p for p, _ in factorize(n)))
 
 
 def test_zero_polynomial_degree_is_minus_infinity():
@@ -96,8 +95,8 @@ def test_text_format_round_trip(capsys):
         assert run(["minpoly", "--p", str(p), "--n", "1", "--sign", sign, "--t", str(t)]) == 0
         line = capsys.readouterr().out
         poly = minpoly_full_degree(WeilParams(p=p, n=1, g=1), 1 if sign == "+" else -1, t)
-        assert line == " ".join(map(str, poly.coeffs)) + "\n"
-        assert tuple(map(int, line.split())) == poly.coeffs
+        assert line == " ".join(map(str, poly)) + "\n"
+        assert tuple(map(int, line.split())) == poly
 
 
 # -- add ---------------------------------------------------------------------
@@ -122,7 +121,6 @@ def test_mul_examples():
     assert p * ONE == p
     assert p * Poly() == Poly()
     assert (IntPoly([3, -2, 7]) * IntPoly([1])).coeffs == p.coeffs
-    assert (IntPoly([3, -2, 7]) * IntPoly()).coeffs == ()
 
 
 def test_mul_degree_additivity():
@@ -143,7 +141,8 @@ def test_mul_matches_naive_convolution():
         b = random_poly(rng, 8, -9, 9)
         expected = naive_mul(list(a.coeffs), list(b.coeffs))
         assert list((a * b).coeffs) == expected
-        assert list((IntPoly(a.coeffs) * IntPoly(b.coeffs)).coeffs) == expected
+        # the library's product strips nothing: a zero factor gives zeros, which Poly strips
+        assert Poly((IntPoly(a.coeffs) * IntPoly(b.coeffs)).coeffs) == Poly(expected)
 
 
 # -- exact_div ----------------------------------------------------------------
@@ -292,7 +291,7 @@ def test_kronecker_product_matches_the_schoolbook_product(a, b):
     # the oracle's product packs each polynomial into one integer and
     # multiplies once; the library's convolves coefficient by coefficient
     assert Poly(kronecker_mul(a.coeffs, b.coeffs)) == Poly(_mul_schoolbook(a.coeffs, b.coeffs))
-    assert (IntPoly(a.coeffs) * IntPoly(b.coeffs)).coeffs == (a * b).coeffs
+    assert Poly((IntPoly(a.coeffs) * IntPoly(b.coeffs)).coeffs) == a * b
 
 
 # -- large operands -----------------------------------------------------------

@@ -134,14 +134,16 @@ def test_importing_the_cli_loads_no_introspection_modules():
     assert run_bare(code) == "[]\n"
 
 
-CYCLO_LAYERS = {"cyclotomic", "intpoly", "errors"}
+CYCLO_LAYERS = {"cyclotomic", "errors"}
 ENUMERATOR_LAYERS = {*CYCLO_LAYERS, "weil", "enumerator"}
+PRODUCT_LAYERS = {*ENUMERATOR_LAYERS, "intpoly"}  # only candidate_shapes multiplies
 LOADS = {  # argv -> the package modules its run loads besides the root and cli; "@" is a file
     ("--help",): set(),
     ("cyclo", "12"): CYCLO_LAYERS,
     ("minpoly", "--p", "5", "--n", "1", "--sign", "+", "--t", "3"): {*CYCLO_LAYERS, "weil"},
-    ("enumerate", "--g", "2", "--p", "7", "--n", "1"): ENUMERATOR_LAYERS,
+    ("enumerate", "--g", "2", "--p", "7", "--n", "1"): PRODUCT_LAYERS,
     ("verify", "--gmax", "1", "--pmax", "7", "--n", "1"): ENUMERATOR_LAYERS,
+    ("verify", "--gmax", "1", "--pmax", "7", "--n", "1", "--format", "structured"): PRODUCT_LAYERS,
     ("detect-half", "--g", "2", "--p", "3", "--n", "1"): ENUMERATOR_LAYERS,
     ("bounds", "--g", "1", "--p", "5", "--n", "1", "--file", "@"):
         {*CYCLO_LAYERS, "weil", "bounds"},
@@ -159,6 +161,41 @@ def test_a_run_loads_only_the_layers_of_its_subcommand(tmp_path, argv):
     )
     loaded = ["weilparity", "weilparity.cli", *(f"weilparity.{m}" for m in LOADS[argv])]
     assert run_bare(code, *args).splitlines()[-1] == f"0 {sorted(loaded)}"
+
+
+def test_library_polynomials_are_plain_tuples():
+    # every polynomial the library hands out is its ascending coefficients
+    from weilparity.cyclotomic import cyclotomic, cyclotomic_radical
+    from weilparity.enumerator import candidate_shapes
+    from weilparity.weil import minpoly_full_degree, minpoly_shape
+
+    values = [cyclotomic(12), cyclotomic_radical(12)[0], minpoly_shape(1, 3),
+              minpoly_full_degree(WeilParams(5, 1, 1), 1, 3)]
+    for g in (1, 4):
+        specs = verify_parity_theorem(WeilParams(p=11, n=1, g=g)).full_degree_specs
+        values += [shape for shape, _ in candidate_shapes(g, specs)]
+    assert len(values) > 10 and all(type(value) is tuple for value in values)
+
+
+def test_only_candidate_shapes_multiplies():
+    # outside intpoly.py, IntPoly and .coeffs are named only inside candidate_shapes
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "intpoly.py":
+            continue
+        tree = ast.parse(path.read_text())
+        inside = {
+            id(node) for fn in ast.walk(tree)
+            if isinstance(fn, ast.FunctionDef) and fn.name == "candidate_shapes"
+            for node in ast.walk(fn)
+        }
+        uses = [
+            node.lineno for node in ast.walk(tree)
+            if id(node) not in inside and (
+                isinstance(node, ast.Name) and node.id == "IntPoly"
+                or isinstance(node, ast.alias) and node.name == "IntPoly"
+                or isinstance(node, ast.Attribute) and node.attr == "coeffs")
+        ]
+        assert not uses, (path.name, uses)
 
 
 def test_importing_the_package_runs_no_layer():
