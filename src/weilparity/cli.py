@@ -11,10 +11,11 @@ Subcommands::
 
 Every subcommand accepts ``--format {tsv,structured}`` (default tsv) and
 produces byte-identical output for identical inputs.  Exit codes:
-0 success, 1 parity-contract violation, 2 usage or validation error,
-3 internal error (any unexpected exception, reported as
-``internal error:`` and a traceback on stderr), 141 stdout closed early
-(what a shell reports for a tool that SIGPIPE ends; nothing on stderr).
+0 success, 1 parity-contract violation, 2 usage or validation error or
+a failing stdout (one ``error:`` line), 3 internal error (any unexpected
+exception, reported as ``internal error:`` and a traceback on stderr),
+141 stdout closed early (what a shell reports for a tool that SIGPIPE
+ends; nothing on stderr).  Help is written to stdout as output is.
 Output items (TSV lines, JSON array elements) are written as they are
 made, in blocks of at least 32 KiB (an item is never split): a run that
 stops mid-output (exit 2 on a bad ``bounds`` line, or exit 3)
@@ -29,11 +30,10 @@ and renders each distinct line text once per run, and repeats its item
 for the text's later lines until ``_MEMO_BUDGET`` characters are kept.
 Each JSON item is the text ``json.dumps`` would write, made by f-strings
 without ``json``.
-``enumerate`` and structured ``verify`` write a cell's candidates by
-filling a q-free template, built once per (g, spec set) as the literal
-pieces between its placeholders and the slot of each placeholder: the
-cell converts only its distinct (power of q, coefficient) slots to
-decimal and joins them between the pieces once.  ``cyclo`` prints Phi_n
+``enumerate`` and structured ``verify`` fill each cell's text from a
+filler built once per report (once per g for ``verify``): literal pieces
+around slots for p, n and each distinct (power of q, coefficient) pair,
+which a cell converts to decimal once.  ``cyclo`` prints Phi_n
 from Phi_rad(n), with k - 1 zeros between its coefficients for
 k = n / rad(n), and never builds Phi_n.
 
@@ -49,20 +49,20 @@ unique prefix of a flag, ``--format`` before or after the subcommand
 (the last wins), a repeated ``verify --n`` appended and any other
 repeated flag kept last, negative numbers as values, and ``--`` ending
 the options.
-Help goes to stdout with exit 0; a usage error writes its usage line
-and ``weilparity: error: ...`` to stderr, with exit 2.
+Help exits 0; a usage error writes its usage line and
+``weilparity: error: ...`` to stderr, with exit 2.
 """
 
 from __future__ import annotations
 
+import errno
 import os
 import sys
-from functools import cache
 from itertools import chain, compress
 from math import log10
 from operator import itemgetter
 from types import SimpleNamespace
-from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
 if TYPE_CHECKING:
     from .bounds import BoundsReport
@@ -144,12 +144,25 @@ def _write_blocks(pieces: Iterable[str]) -> None:
             block.append(piece)
             size += len(piece)
             if size >= _WRITE_BLOCK:
-                sys.stdout.write("".join(block))
+                _write("".join(block))
                 block, size = [], 0
         block.append("\n")
     finally:
-        sys.stdout.write("".join(block))
-        sys.stdout.flush()  # all output is out before any stderr line, or a closed pipe fails here
+        _write("".join(block))
+
+
+def _write(text: str) -> None:
+    """Write and flush ``text``, so all output is out before any stderr line."""
+    if sys.stdout is None:  # descriptor 1 was closed at start
+        raise OSError(errno.EBADF, os.strerror(errno.EBADF), "<stdout>")
+    try:
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    except OSError:  # a stdout that fails is pointed at os.devnull, so the exit flush cannot fail
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        raise
 
 
 def _joined(items: Iterable[str], sep: str) -> Iterator[str]:
@@ -184,39 +197,33 @@ def _specs_json(specs) -> str:
     return "[" + ", ".join(f'{{"sign": {s.q_star_sign}, "t": {s.t}}}' for s in specs) + "]"
 
 
-# Where a slot's text goes in a template; no text made from data holds it.
+# Where a slot's text goes in a cell's text; no text made from data holds it.
 _MARK = "\0"
 
 
-@cache
-def _candidate_template(
-    g: int, specs: tuple, fmt: str
-) -> tuple[tuple[str, ...], itemgetter, tuple[tuple[int, int], ...]]:
-    """(pieces, pick, slots): the text of a key's candidates in ``fmt``, with q left out.
+def _cell_filler(report: ParityReport, fmt: str) -> Callable[[int, int], str]:
+    """``fill(p, n)``: the text in ``fmt`` of cell (g, p, n) under ``report`` or its class.
 
-    The candidates are :func:`candidate_shapes` of the key: JSON objects
-    joined by ``", "``, or TSV rows, each starting with the cell prefix,
-    joined by newlines.  The coefficient c of Y**(g - e) = X**(2g - 2e) is
-    the cell's ``c * q**e``: ``0`` if c is, else a placeholder for (e, c)
-    the k-th distinct slot; odd powers of X are ``0`` and ``even`` is
-    ``true``.  ``pieces`` is the literal text before, between and after
-    the placeholders, and ``pick`` takes from a list of slot texts the
-    text of each placeholder in order: slot k, or ``len(slots)`` for a
-    TSV cell prefix.  The text is made with ``_MARK`` for each placeholder
-    and split on it once.  Each shape is checked here, once per key, to
-    have the degree g that the count reads from its factors' phi(2t), and
-    the nonzero constant term of a product of cyclotomic shapes (else
-    :class:`BrokenInvariant`); so each candidate has two placeholders, and
-    ``pick``, an ``itemgetter``, returns a tuple.
+    Built once per report from :func:`candidate_shapes`: the cell's JSON
+    document, or its TSV candidate rows joined by newlines (odd powers of
+    X are ``0``), made with a ``_MARK`` for p, for n and for each slot
+    (e, c), a distinct nonzero coefficient c of Y**(g - e) = X**(2g - 2e)
+    whose cell value is ``c * q**e``, and split on ``_MARK`` once; ``pick``,
+    an ``itemgetter``, takes each placeholder's text from the slots' texts,
+    then p's and n's.  ``fill`` converts each slot to decimal once and
+    joins once.  Each shape is checked to have the degree g that the count
+    reads from its factors' phi(2t) and a nonzero constant term, as a
+    product of cyclotomic shapes has (else :class:`BrokenInvariant`).
     """
     from .enumerator import candidate_shapes
     from .errors import BrokenInvariant
+    from .weil import q_powers
 
-    shapes = candidate_shapes(g, specs)
+    g = report.params.g
+    shapes = candidate_shapes(g, report.full_degree_specs)
     if not shapes or any(len(shape) != g + 1 or not shape[0] for shape, _ in shapes):
-        raise BrokenInvariant(
-            "a candidate shape must be a polynomial of degree g in X**2 with a nonzero constant"
-        )
+        raise BrokenInvariant("a candidate shape must be a polynomial of degree g in X**2 "
+                              "with a nonzero constant")
     ys = [y for y, _ in shapes]  # c of Y**(g - e) at index g - e
     slots = tuple((g - i, c) for i, cs in enumerate(zip(*ys)) for c in dict.fromkeys(cs) if c)
     slot_of = [{} for _ in range(g + 1)]  # the k of c at index g - e
@@ -229,6 +236,7 @@ def _candidate_template(
         for s, m in set(chain.from_iterable(record for _, record in shapes))
     }
     assert _MARK not in "".join(factor_text.values())  # the only text made from data
+    p_n = [len(slots), len(slots) + 1]  # the slots of p and n
     items, index = [], []
     for y, (_, record) in zip(ys, shapes):
         coeffs = map(dict.__getitem__, text, y)
@@ -236,52 +244,32 @@ def _candidate_template(
             items.append(f'{{"coeffs": [{", 0, ".join(coeffs)}], "even": true, '
                          f'"factors": [{", ".join(map(factor_text.__getitem__, record))}]}}')
         else:
-            items.append(f"{_MARK}{' 0 '.join(coeffs)}\ttrue\t"
+            items.append(f"{g}\t{_MARK}\t{_MARK}\t{' 0 '.join(coeffs)}\ttrue\t"
                          f"{';'.join(map(factor_text.__getitem__, record))}")
-            index.append(len(slots))
+            index += p_n
         index += compress(map(dict.get, slot_of, y), y)
-    pieces = (", " if fmt == "structured" else "\n").join(items).split(_MARK)
-    return tuple(pieces), itemgetter(*index), slots
+    if fmt == "structured":
+        cell = (f'{{"g": {g}, "p": {_MARK}, "n": {_MARK}, "total_candidates": '
+                f'{report.total_candidates}, "odd_candidates": {report.odd_candidates}, '
+                f'"candidates": [{", ".join(items)}], '
+                f'"half_degree_specs": {_specs_json(report.half_degree_specs)}}}')
+        index = p_n + index
+    else:
+        cell = "\n".join(items)
+    pieces, pick = cell.split(_MARK), itemgetter(*index)
 
+    def fill(p: int, n: int) -> str:
+        powers = q_powers(p ** n, g)
+        out = [None] * (2 * len(pieces) - 1)
+        out[::2] = pieces
+        out[1::2] = pick([str(c * powers[e]) for e, c in slots] + [str(p), str(n)])
+        return "".join(out)
 
-def _candidates_text(report: ParityReport, p: int, n: int, fmt: str) -> str:
-    """The candidates of cell (g, p, n) in ``fmt``: its key's template, filled with its q.
-
-    The key is ``report``'s, which may stand for a whole scan class.  Each
-    slot (e, c) is converted to decimal once per cell, as ``str(c * q**e)``,
-    and slot ``len(slots)`` is the TSV prefix ``g p n``; the text is one
-    join of the pieces with the slots' texts between them.
-    """
-    from .weil import q_powers
-
-    g = report.params.g
-    pieces, pick, slots = _candidate_template(g, report.full_degree_specs, fmt)
-    powers = q_powers(p ** n, g)
-    texts = [str(c * powers[e]) for e, c in slots]
-    texts.append(f"{g}\t{p}\t{n}\t")
-    out = [None] * (2 * len(pieces) - 1)
-    out[::2] = pieces
-    out[1::2] = pick(texts)
-    return "".join(out)
-
-
-def _parity_json(report: ParityReport, p: int, n: int) -> str:
-    """The document of cell (g, p, n) under ``report``, as the text ``json.dumps`` writes for it.
-
-    Ints are written by ``int.__repr__``, booleans as ``true``/``false``,
-    with ``", "`` and ``": "`` as separators.
-    """
-    return (
-        f'{{"g": {report.params.g}, "p": {p}, "n": {n}, '
-        f'"total_candidates": {report.total_candidates}, '
-        f'"odd_candidates": {report.odd_candidates}, '
-        f'"candidates": [{_candidates_text(report, p, n, "structured")}], '
-        f'"half_degree_specs": {_specs_json(report.half_degree_specs)}}}'
-    )
+    return fill
 
 
 def _bounds_json(r: BoundsReport) -> str:
-    """The bound checks of report ``r``, as :func:`_parity_json` writes a cell."""
+    """The bound checks of report ``r``, as the text ``json.dumps`` writes for their document."""
     p, n, g = r.params
     per_k = zip(range(1, g + 1), r.a_values, r.archimedean_ok, r.valuation_ok)
     per_coefficient = ", ".join(
@@ -343,15 +331,24 @@ def _cmd_enumerate(args) -> int:
     report = verify_parity_theorem(params)
 
     def rows():  # after the header is out, a piece per row, so blocks stay _WRITE_BLOCK
-        yield from _candidates_text(report, args.p, args.n, "tsv").split("\n")
+        yield from _cell_filler(report, "tsv")(args.p, args.n).split("\n")
 
-    _emit(args, lambda: [_parity_json(report, args.p, args.n)], rows,
+    _emit(args, lambda: [_cell_filler(report, "structured")(args.p, args.n)], rows,
           (*_CELL, "coeffs", "even", "factors"))
     if not report.contract_ok:
         print("parity contract violated: half-degree spec found although p > 2g+1",
               file=sys.stderr)
         return 1
     return 0
+
+
+def _verify_cells(grid, n_values) -> Iterator[str]:
+    """The JSON documents of a checked grid's cells, filled from one filler per g."""
+    for r, primes in grid:
+        fill = _cell_filler(r, "structured")
+        for p in primes:
+            for n in n_values:
+                yield fill(p, n)
 
 
 def _verify_rows(grid, n_values) -> Iterator[str]:
@@ -373,8 +370,7 @@ def _cmd_verify(args) -> int:
         _check_digits("the largest constant term", grid[0][1][-1], max(args.n) * args.gmax)
     _emit(
         args,
-        lambda: _json_array(_parity_json(report, p, n)
-                            for report, primes in grid for p in primes for n in args.n),
+        lambda: _json_array(_verify_cells(grid, args.n)),
         lambda: _verify_rows(grid, args.n),
         (*_CELL, "total_candidates", "odd_candidates", "half_degree_specs", "ok"),
     )
@@ -627,17 +623,17 @@ def _parse(argv: list[str]) -> SimpleNamespace:
 def run(argv: Sequence[str] | None = None) -> int:
     """Parse and dispatch; returns the process exit code."""
     try:
-        args = _parse(sys.argv[1:] if argv is None else list(argv))
-    except _Stop as stop:
-        code, text = stop.args
-        print(text, file=sys.stderr if code else sys.stdout)
-        return code
-    try:
+        try:
+            args = _parse(sys.argv[1:] if argv is None else list(argv))
+        except _Stop as stop:
+            code, text = stop.args
+            if code:  # a usage error
+                print(text, file=sys.stderr)
+                return code
+            _write_blocks([text])  # help, written as output is
+            return 0
         return _COMMANDS[args.command][0](args)
     except BrokenPipeError:  # stdout was closed early, as by "| head"
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())  # so the flush at exit cannot fail again
-        os.close(devnull)
         return 141  # 128 + SIGPIPE, as a shell reports a tool that SIGPIPE ends
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -44,11 +44,11 @@ shape in Y with ``Y**j`` scaled by ``q**(d - j)``, d its degree, and
 that scaling is multiplicative, so every candidate is the scaled
 product of its factors' shapes.  The products are built by a
 recurrence memoized on (spec index, degree left).  The command line
-builds them once per key and turns them into a q-free text template of
-literal pieces and slots, and a cell only fills it: each distinct value
-c * q**e among its coefficients is converted to decimal once, and the
-pieces and those texts are joined once.  This module writes no output
-text.
+builds them once per report (once per g for a ``verify`` grid) and
+turns them into a cell's text, literal pieces around slots for p, n and
+each distinct value c * q**e among the coefficients, and a cell only
+fills it: each slot is converted to decimal once, and the pieces and
+those texts are joined once.  This module writes no output text.
 
 A ``verify`` grid is decided once per g: its cells above 2g + 1 are one
 scan class, so they share one report, and :func:`verify_grid` returns

@@ -11,7 +11,8 @@ so it needs nothing but the standard library.  Each entry runs as
 this checkout's ``src`` and the ``GOLDEN_FILES`` in a temporary
 directory, and its stdout's sha256 and exit code must be the recorded
 ones.  One line per interpreter gives its count; the exit code is 1 if
-any entry differs.  pytest does not collect this file.
+any entry differs.  pytest does not collect this file; ``test_cli``
+replays a sample of the entries through :func:`replay`.
 """
 
 import hashlib
@@ -28,11 +29,16 @@ sys.path[:0] = [str(TESTS), str(SRC)]
 from test_cli import GOLDEN, GOLDEN_FILES  # noqa: E402
 
 
-def replay(python: str, files: Path) -> list[str]:
-    """The entries whose stdout digest or exit code under ``python`` differ from ``GOLDEN``."""
+def replay(python: str, files: Path, entries=GOLDEN) -> list[str]:
+    """The ``entries`` (keys of ``GOLDEN``) whose digest or exit code differ under ``python``.
+
+    Each runs in a fresh interpreter with its stdout on a pipe, as the
+    command line runs in a shell pipeline.
+    """
     env = {**os.environ, "PYTHONPATH": str(SRC), "PYTHONDONTWRITEBYTECODE": "1"}
     failed = []
-    for (argv, fmt), expected in GOLDEN.items():
+    for argv, fmt in entries:
+        expected = GOLDEN[argv, fmt]
         args = [str(files / a[1:]) if a.startswith("@") else a for a in argv]
         done = subprocess.run([python, "-m", "weilparity.cli", *args, "--format", fmt],
                               env=env, capture_output=True, cwd=files)

@@ -811,7 +811,7 @@ def test_digit_limit_is_checked_before_any_work(monkeypatch, cold_caches, capsys
 def wrong_degree_factor(monkeypatch, cold_caches):
     # the cyclotomic polynomial of index 2 becomes Y**2 + Y + 1, of degree 2,
     # not phi(2) = 1, so the factor of t = 1 in every spec set has the wrong
-    # degree; no cached shape or template hides it
+    # degree; no cached shape hides it
     import weilparity.weil as weil
 
     real = weil.cyclotomic
@@ -837,7 +837,7 @@ def test_odd_shape_is_an_internal_error(wrong_degree_factor, capsys):
     ],
 )
 def test_odd_factor_is_an_internal_error(wrong_degree_factor, capsys, argv, before):
-    # each product is checked to be of degree g once its key's template is
+    # each product is checked to be of degree g once its report's filler is
     # built: a wrong factor is exit 3 wherever candidates are printed, never
     # a parity violation (exit 1) or a usage error (exit 2), and stdout
     # holds what was made before it
@@ -858,7 +858,7 @@ def test_tsv_verify_expands_no_candidate(monkeypatch, capsys, tmp_path, argv):
     def expand(*args):
         raise RuntimeError("a candidate was expanded")
 
-    monkeypatch.setattr(cli, "_candidate_template", expand)
+    monkeypatch.setattr(cli, "_cell_filler", expand)
     monkeypatch.setattr(enumerator, "candidate_shapes", expand)
     assert golden_run(capsys, tmp_path, argv, "tsv") == GOLDEN[argv, "tsv"]
 
@@ -981,17 +981,22 @@ def test_structured_verify_expands_each_cell_once(monkeypatch):
     import weilparity.cli as cli
 
     expanded = []
-    real = cli._parity_json
+    real = cli._cell_filler
 
-    def counting(report, p, n):
-        written = "".join(text for name, text in log if name == "out")
-        expanded.append(((report.params.g, p, n), written))
-        return real(report, p, n)
+    def counting(report, fmt):
+        fill = real(report, fmt)
+
+        def counted(p, n):
+            written = "".join(text for name, text in log if name == "out")
+            expanded.append(((report.params.g, p, n), written))
+            return fill(p, n)
+
+        return counted
 
     cells = small_grid_cells()
     log = []
     monkeypatch.setattr(cli, "_WRITE_BLOCK", 1)
-    monkeypatch.setattr(cli, "_parity_json", counting)
+    monkeypatch.setattr(cli, "_cell_filler", counting)
     monkeypatch.setattr(sys, "stdout", Recorder("out", log))
     code = run([*SMALL_GRID, "--format", "structured"])
     grid = [(g, p, n) for g in (1, 2) for p in (5, 7, 11, 13) if p > 2 * g + 1 for n in (1, 3)]
@@ -1028,14 +1033,19 @@ def test_internal_error_mid_stream_keeps_the_cells_before_it(monkeypatch, fmt, k
         if len(calls) == k:
             raise RuntimeError(f"cell {k} failed")
 
-    if fmt == "structured":  # a cell's document is made by one call
-        real_json = cli._parity_json
+    if fmt == "structured":  # a cell's document is made by one call of its g's filler
+        real_filler = cli._cell_filler
 
-        def failing_json(report, p, n):
-            fail_at_k((report.params.g, p, n))
-            return real_json(report, p, n)
+        def failing_filler(report, fmt):
+            fill = real_filler(report, fmt)
 
-        monkeypatch.setattr(cli, "_parity_json", failing_json)
+            def failing_fill(p, n):
+                fail_at_k((report.params.g, p, n))
+                return fill(p, n)
+
+            return failing_fill
+
+        monkeypatch.setattr(cli, "_cell_filler", failing_filler)
     else:  # the rows are made one at a time, as they are asked for
         real_rows = cli._verify_rows
 
@@ -1090,25 +1100,90 @@ def test_enumerate_violation_is_reported_after_the_full_output(monkeypatch, cold
         assert out == json.dumps(parity_doc(report)) + "\n"
 
 
-@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
-def test_a_closed_stdout_ends_the_run_as_sigpipe_would(unbuffered):
-    # a reader that stops early (as "| head" does) is no usage error: exit
-    # 128 + SIGPIPE, as a shell reports, with nothing on stderr
+def child_env(unbuffered):
+    """The environment of a command-line child: this checkout's ``src``, buffered or not."""
     env = {**os.environ, "PYTHONPATH": str(README.parent / "src")}
     env.pop("PYTHONUNBUFFERED", None)
     if unbuffered:
         env["PYTHONUNBUFFERED"] = "1"
-    argv = ["verify", "--gmax", "1", "--pmax", "1000000", "--n", "1"]  # about 1 MB of rows
-    child = subprocess.Popen([sys.executable, "-m", "weilparity.cli", *argv], env=env,
-                             stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    return env
+
+
+BUFFERINGS = {"buffered": False, "unbuffered": True}
+CHILD = [sys.executable, "-m", "weilparity.cli"]
+CLOSED_EARLY = {  # id prefix -> argv
+    "": ["verify", "--gmax", "1", "--pmax", "1000000", "--n", "1"],  # about 1 MB of rows
+    "help-": ["-h"],
+    "verify-help-": ["verify", "-h"],
+}
+
+
+@pytest.mark.parametrize(
+    "argv, unbuffered",
+    [
+        pytest.param(argv, unbuffered, id=prefix + buffering)
+        for prefix, argv in CLOSED_EARLY.items()
+        for buffering, unbuffered in BUFFERINGS.items()
+    ],
+)
+def test_a_closed_stdout_ends_the_run_as_sigpipe_would(argv, unbuffered):
+    # a reader that stops early (as "| head" does) is no usage error: exit
+    # 128 + SIGPIPE, as a shell reports, with nothing on stderr; help goes
+    # to stdout as output does
+    env = child_env(unbuffered)
+    if argv[-1] == "-h":  # help is short: the reader is gone before the child starts
+        read, write = os.pipe()
+        os.close(read)
+        child = subprocess.Popen([*CHILD, *argv], env=env, stdout=write, stderr=subprocess.PIPE)
+        os.close(write)
+    else:
+        child = subprocess.Popen([*CHILD, *argv], env=env,
+                                 stdout=subprocess.PIPE, stderr=subprocess.PIPE)
     try:
-        assert child.stdout.read(100).startswith(b"g\tp\tn\t")
-        child.stdout.close()
+        if child.stdout:
+            assert child.stdout.read(100).startswith(b"g\tp\tn\t")
+            child.stdout.close()
         err = child.stderr.read()
         assert (child.wait(timeout=60), err) == (141, b"")
     finally:
         child.kill()
         child.wait()
+
+
+@pytest.mark.parametrize("unbuffered", BUFFERINGS.values(), ids=BUFFERINGS)
+@pytest.mark.parametrize("argv", [["cyclo", "5"], ["-h"]], ids=["cyclo", "help"])
+@pytest.mark.parametrize("stdout", ["full", "closed"])
+def test_a_failing_stdout_is_one_error_line(stdout, argv, unbuffered):
+    # a stdout that fails otherwise (a full device, or descriptor 1 closed
+    # at start) is exit 2 with one "error:" line, and the flush at exit
+    # does not fail again
+    if stdout == "full" and not os.path.exists("/dev/full"):
+        pytest.skip("no /dev/full")
+    with open("/dev/full" if stdout == "full" else os.devnull, "wb") as sink:
+        done = subprocess.run(
+            [*CHILD, *argv], env=child_env(unbuffered), stdout=sink, stderr=subprocess.PIPE,
+            preexec_fn=(lambda: os.close(1)) if stdout == "closed" else None, timeout=60,
+        )
+    lines = done.stderr.decode().splitlines(keepends=True)
+    assert (done.returncode, len(lines)) == (2, 1), done.stderr
+    assert lines[0].startswith("error: [Errno ") and lines[0].endswith("\n")
+
+
+def test_a_golden_sample_replays_in_fresh_interpreters(tmp_path):
+    # each subcommand and format once, and every exit-2 entry, as the
+    # benchmark runs the command line: a fresh interpreter, stdout on a
+    # pipe, PYTHONDONTWRITEBYTECODE=1
+    from golden_replay import replay
+
+    for name, text in GOLDEN_FILES.items():
+        (tmp_path / name).write_text(text)
+    firsts = {}
+    for argv, fmt in GOLDEN:
+        firsts.setdefault((argv[0], fmt), (argv, fmt))
+    exits = [entry for entry, (_, code) in GOLDEN.items() if code == 2]
+    sample = list(dict.fromkeys([*firsts.values(), *exits]))
+    assert (len(firsts), len(sample)) == (12, 20)
+    assert replay(sys.executable, tmp_path, sample) == []
 
 
 def test_structured_verify_memory_does_not_grow_with_the_grid(monkeypatch):
@@ -1555,7 +1630,7 @@ def test_cell_text_matches_the_oracles(capsys, g):
     for p in (2, 3, 5, 7, 11, 13, 101):
         for n in (1, 3):
             report = verify_parity_theorem(WeilParams(p=p, n=n, g=g))
-            assert cli._parity_json(report, p, n) == json.dumps(parity_doc(report))
+            assert cli._cell_filler(report, "structured")(p, n) == json.dumps(parity_doc(report))
             code, out, _ = invoke(capsys, ["enumerate", "--g", str(g), "--p", str(p), "--n", str(n)])
             assert (code, out.splitlines()[1:]) == (0, enumerate_rows(report))
 
@@ -1565,7 +1640,6 @@ def test_a_cell_converts_each_distinct_slot_once(monkeypatch, cold_caches, fmt):
     # g = 5 at p = 601: 54 candidates with 288 nonzero coefficients, but
     # only 44 distinct (power of q, coefficient) pairs, each multiplied out
     # once per cell
-    import weilparity.cli as cli
     import weilparity.enumerator as enumerator
     import weilparity.weil as weil
 
@@ -1573,7 +1647,7 @@ def test_a_cell_converts_each_distinct_slot_once(monkeypatch, cold_caches, fmt):
 
     class Power(int):
         def __rmul__(self, c):
-            products.append(c)
+            products.append((c, int(self)))
             return c * int(self)
 
     real = weil.q_powers
@@ -1585,54 +1659,47 @@ def test_a_cell_converts_each_distinct_slot_once(monkeypatch, cold_caches, fmt):
         assert out.splitlines()[1:] == enumerate_rows(report)
     else:
         assert out == json.dumps(parity_doc(report)) + "\n"
-    pieces, pick, slots = cli._candidate_template(5, report.full_degree_specs, fmt)
-    index = pick(range(len(slots) + 1))  # the slot of each placeholder
     shapes = enumerator.candidate_shapes(5, report.full_degree_specs)
     nonzero = [(5 - j, c) for shape, _ in shapes for j, c in enumerate(shape) if c]
+    slots = set(nonzero)
     assert (len(shapes), len(nonzero), len(slots)) == (54, 288, 44)
-    assert sorted(slots) == sorted(set(nonzero))
-    # a placeholder per nonzero coefficient, and per row for the TSV cell prefix
-    assert len(pieces) - 1 == len(index) == len(nonzero) + (len(shapes) if fmt == "tsv" else 0)
-    assert [slots[k] for k in index if k < len(slots)] == nonzero
-    assert index.count(len(slots)) == (len(shapes) if fmt == "tsv" else 0)
-    assert (code, len(products)) == (0, len(slots))
+    assert (code, sorted(products)) == (0, sorted((c, 601 ** e) for e, c in slots))
 
 
-def test_one_template_per_spec_set(monkeypatch, cold_caches, capsys):
-    # cells with equal spec sets share a template, and its shapes are built
-    # once, when the template is
-    import weilparity.cli as cli
+def test_structured_verify_renders_each_class_once(monkeypatch, cold_caches, capsys):
+    # the 134 cells of g <= 5 form one scan class per g: each class's shapes
+    # are built, and its count read, once, however many cells it has
     import weilparity.enumerator as enumerator
 
-    keys = []
-    real = enumerator.candidate_shapes
+    gs, reads = [], []
+    real_shapes, real_total = enumerator.candidate_shapes, enumerator.ParityReport.total_candidates
     monkeypatch.setattr(
-        enumerator, "candidate_shapes", lambda g, specs: keys.append((g, specs)) or real(g, specs)
+        enumerator, "candidate_shapes", lambda g, specs: gs.append(g) or real_shapes(g, specs)
     )
+    monkeypatch.setattr(enumerator.ParityReport, "total_candidates",
+                        property(lambda r: reads.append(r) or real_total.fget(r)))
     argv = ["verify", "--gmax", "5", "--pmax", "60", "--n", "1", "--n", "3", "--format", "structured"]
     code, out, _ = invoke(capsys, argv)
-    cells = len(json.loads(out))
-    info = cli._candidate_template.cache_info()
-    assert code == 0
-    assert info.currsize == info.misses == len(keys) == len(set(keys)) < cells
-    assert info.hits + info.misses == cells
+    assert (code, len(json.loads(out))) == (0, 134)
+    assert (gs, len(reads)) == ([1, 2, 3, 4, 5], 5)
 
 
 @pytest.mark.parametrize("fmt", ["tsv", "structured"])
 def test_template_rejects_a_shape_not_even_of_degree_2g(monkeypatch, cold_caches, fmt):
     # every shape is a polynomial of degree g in Y = X**2, so even of degree
     # 2g in X, by construction; any other degree breaks an invariant, checked
-    # once per template, not once per cell; so do a zero constant term (a
-    # product of cyclotomic shapes has constant +-1) and a key with no shape
+    # once per report when its filler is built, not once per cell; so do a
+    # zero constant term (a product of cyclotomic shapes has constant +-1)
+    # and a key with no shape
     import weilparity.cli as cli
     import weilparity.enumerator as enumerator
 
+    report = enumerator.ParityReport(WeilParams(p=5, n=1, g=1), (), ())
     for shapes in ([[1, 1, 1]], [[1, 0, 0, 0, 1]], [[1]], [[0, 1]], []):
         made = tuple((tuple(coeffs), ()) for coeffs in shapes)
         monkeypatch.setattr(enumerator, "candidate_shapes", lambda g, specs: made)
-        cli._candidate_template.cache_clear()
         with pytest.raises(BrokenInvariant):
-            cli._candidate_template(1, (), fmt)
+            cli._cell_filler(report, fmt)
 
 
 def test_tsv_enumerate_writes_in_blocks(monkeypatch):
