@@ -20,16 +20,20 @@ absolute value sqrt(q) it reports:
 The thresholds depend only on the cell (g, p, n): each cell builds them
 once, in the cached :func:`_cell_table`.  A :class:`BoundsReport` holds
 a_1..a_g and their archimedean and valuation flags as three flat tuples.
+
+:func:`ingest_reference` is the file reader of the ``bounds`` command,
+the only caller that loads this module.
 """
 
 from __future__ import annotations
 
+import os
 from functools import cache
 from math import comb, isqrt
 from operator import eq, le, mod, mul, not_
-from typing import NamedTuple, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
-from .errors import ShapeError
+from .errors import ParseError, ShapeError
 from .weil import WeilParams, q_powers
 
 
@@ -74,3 +78,86 @@ def full_bounds_report(coeffs: Sequence[int], params: WeilParams) -> BoundsRepor
         # symmetric_ok: c_{g-j} == q**j * c_{g+j}, j = 1..g
         all(map(eq, coeffs[g - 1::-1], map(mul, powers, coeffs[g + 1:]))),
     )
+
+
+# What a kept memo entry costs beyond its texts, in characters: about the
+# bytes of its two objects' headers and its share of the dict's table, so
+# that the budget bounds memory for short entries (a token, an a_k) as it
+# does for long ones (a line and its item).
+_ENTRY_CHARS = 100
+
+
+class _Memo(dict):
+    """``memo[key]`` is ``make(key)``, made at the key's first lookup in a run.
+
+    The entry is kept if its cost fits in ``room[0]``, what is left of the
+    run's budget of kept characters, and then takes it from there.  The
+    cost is twice the length of whichever of key and value is the text
+    (an int counts as long as the text it is made from or into), plus
+    ``_ENTRY_CHARS``.  An exception from ``make`` is never kept.
+    """
+
+    def __init__(self, make: Callable, room: list[int]):
+        super().__init__()
+        self.make, self.room = make, room
+
+    def __missing__(self, key):
+        value = self.make(key)
+        cost = 2 * len(key if isinstance(key, str) else value) + _ENTRY_CHARS
+        if cost <= self.room[0]:
+            self.room[0] -= cost
+            self[key] = value
+        return value
+
+
+def ingest_reference(
+    path: str | os.PathLike,
+    params: WeilParams,
+    render: Callable[[BoundsReport, Callable[[int], str]], str],
+    budget: int,
+) -> Iterator[str]:
+    """``render(report, text)`` of each polynomial line of the file at ``path``, in file order.
+
+    A line's ascending coefficients, trailing zeros dropped, go to
+    :func:`full_bounds_report`; ``text(a)`` is ``str(a)``.  Blank lines
+    and lines whose text starts with ``#`` are skipped.  The file is
+    opened now, before any output, and read a line per item, as UTF-8:
+    a byte-order mark at its start is dropped, and bytes that are not
+    UTF-8 are kept as lone surrogates, so such a line fails to parse at
+    its own number (:class:`ParseError`, with the file and line number).
+
+    Each distinct line is parsed, checked and rendered once: a repeat
+    reuses its item.  Each distinct token goes through ``int`` once and
+    each distinct ``text`` argument through ``str`` once.  All three are
+    kept while their keys and texts, with ``_ENTRY_CHARS`` more for each
+    entry, fit in ``budget`` characters; what does not fit is made every
+    time.  A line that fails is never kept: it exits at its own number.
+    """
+    handle = open(path, "r", encoding="utf-8-sig", errors="surrogateescape")
+    return _items(handle, path, params, render, budget)
+
+
+def _items(handle, path, params, render, budget) -> Iterator[str]:
+    room = [budget]
+    ints, texts = _Memo(int, room), _Memo(str, room)
+    to_int, text = ints.__getitem__, texts.__getitem__
+    kept = {}  # a line's raw text, line ending included -> its item
+    with handle:
+        for lineno, line in enumerate(handle, 1):
+            item = kept.get(line)
+            if item is None:
+                tokens = line.split()
+                if not tokens or tokens[0][0] == "#":  # blank, or a comment
+                    continue
+                try:
+                    coeffs = list(map(to_int, tokens))
+                except ValueError as exc:
+                    raise ParseError(f"{path}:{lineno}: {exc}") from exc
+                while coeffs and not coeffs[-1]:
+                    coeffs.pop()
+                item = render(full_bounds_report(coeffs, params), text)
+                cost = len(line) + len(item) + _ENTRY_CHARS
+                if cost <= room[0]:
+                    room[0] -= cost
+                    kept[line] = item
+            yield item

@@ -16,8 +16,9 @@ a failing stdout (one ``error:`` line), 3 internal error (any unexpected
 exception, reported as ``internal error:`` and a traceback on stderr),
 141 stdout closed early (what a shell reports for a tool that SIGPIPE
 ends; nothing on stderr).  Help is written to stdout as output is.
-Output items (TSV lines, JSON array elements) are written as they are
-made, in blocks of at least 32 KiB (an item is never split): a run that
+Output items (TSV lines, JSON array elements) go from their maker
+straight to the writer, which joins them with their separator in blocks
+of at least 32 KiB (an item is never split): a run that
 stops mid-output (exit 2 on a bad ``bounds`` line, or exit 3)
 leaves the items made before the failure, without the final newline, and
 exit 1's stderr line follows the full output.  Every other check runs
@@ -25,9 +26,10 @@ before the first byte: a ``verify`` grid must cover each g <= gmax with
 a prime 2g+1 < p <= pmax <= 10**7 (the sieve cap) and name no n twice, a
 printed constant term (q**g, or q**phi(2t) for ``minpoly``) must fit
 Python's digit limit (for ``bounds`` q**g too: no row past it could be
-symmetric), and the ``bounds`` file must open.  ``bounds`` parses, checks
-and renders each distinct line text once per run, and repeats its item
-for the text's later lines until ``_MEMO_BUDGET`` characters are kept.
+symmetric), and the ``bounds`` file must open.  ``bounds`` reads its file
+through :func:`weilparity.bounds.ingest_reference`, which makes each
+distinct line's item, token's int and a_k's text once per run while
+they fit in ``_MEMO_BUDGET`` kept characters.
 Each JSON item is the text ``json.dumps`` would write, made by f-strings
 without ``json``.
 ``enumerate`` and structured ``verify`` fill each cell's text from a
@@ -73,82 +75,56 @@ _BOOL_TEXT = ("false", "true")  # indexed by a bool
 _CELL = ("g", "p", "n")
 
 
-def ingest_reference(path: str | os.PathLike) -> Iterator[tuple[str, int]]:
-    """The polynomial lines of a text file: (stripped text, line number) per line.
-
-    Lines starting with ``#`` are comments; blank lines are skipped.  The
-    file is opened now, before any output, and read a line per item;
-    :func:`_coeffs` parses an item.  Bytes that are not UTF-8 are kept as
-    lone surrogates, so such a line fails to parse at its own number.
-    """
-    handle = open(path, "r", encoding="utf-8", errors="surrogateescape")
-
-    def lines():
-        with handle:
-            for lineno, raw in enumerate(handle, 1):
-                line = raw.strip()
-                if line and line[0] != "#":
-                    yield line, lineno
-
-    return lines()
-
-
-def _coeffs(line: str, path: str | os.PathLike, lineno: int) -> list[int]:
-    """``line``'s ascending coefficients up to the leading one (``[]`` for zero), or ParseError."""
-    try:
-        coeffs = list(map(int, line.split()))
-    except ValueError as exc:
-        from .errors import ParseError
-
-        raise ParseError(f"{path}:{lineno}: {exc}") from exc
-    while coeffs and not coeffs[-1]:
-        coeffs.pop()
-    return coeffs
-
-
 # Output is written in blocks of at least this many characters.
 # Each write to a pipe wakes its reader, and a reader woken on the writer's
 # CPU preempts it: one write per cell cost a thousand context switches on a
 # 5 MB output, and the run time varied with where the reader was placed.
 # A block is half a pipe's 64 KiB plus the rest of the item that filled it,
-# and an item is never split: a TSV row is short, but a structured cell is one
-# item, so a write can hold a whole cell: structured verify --gmax 10 --pmax 60
-# --n 1 --n 3 makes writes of up to 536,647 characters (ROADMAP item 10).
+# and an item is never split: the writer joins the items with their separator
+# itself, so a TSV row is short, but a structured cell is one item, and a write
+# can hold a whole cell: structured verify --gmax 10 --pmax 60 --n 1 --n 3
+# makes writes of up to 536,647 characters (ROADMAP item 10).
 _WRITE_BLOCK = 1 << 15
 
 
-def _emit(args, text, rows, header=None) -> None:
+def _emit(args, text, rows, header=None, array=False) -> None:
     """Write the JSON ``text()``, or the TSV ``header`` and ``rows()``, then a newline.
 
     Only the requested format is built: ``text`` and ``rows`` are thunks.
-    ``text()`` yields the JSON text in pieces, ``rows()`` the TSV lines; the
-    header's fields are tab-joined.  Each item is written as it is made: a
-    failure leaves the items before it, with no newline.
+    ``text()`` gives the JSON document, or with ``array`` the JSON texts of
+    an array's elements; ``rows()`` gives the TSV lines, and the header's
+    fields are tab-joined.  Each item is written as it is made: a failure
+    leaves the items before it, with no newline.
     """
     if args.format == "structured":
-        pieces = text()
+        _write_blocks(text(), *((", ", "[", "]") if array else ()))
     else:
-        pieces = _joined(chain(["\t".join(header)] if header else [], rows()), "\n")
-    _write_blocks(pieces)
+        _write_blocks(chain(["\t".join(header)] if header else [], rows()), "\n")
 
 
-def _write_blocks(pieces: Iterable[str]) -> None:
-    """Write ``pieces`` and a newline to stdout, joined into blocks of ``_WRITE_BLOCK``.
+def _write_blocks(items: Iterable[str], sep: str = "", head: str = "", tail: str = "") -> None:
+    """Write ``head + sep.join(items) + tail`` and a newline to stdout, in blocks.
 
-    Nothing else writes to stdout.  If making a piece fails, the pieces
-    before it are still written, with no newline.
+    Nothing else writes to stdout.  A block is written as soon as it holds
+    ``_WRITE_BLOCK`` characters, before the next item is made.  If making an
+    item fails, the text before it is still written, without ``tail`` or the
+    newline.
     """
-    block, size = [], 0
+    step, lead, block, end = len(sep), head, [], ""
+    size = len(head) - step  # len(lead + sep.join(block)), less one sep while block is empty
     try:
-        for piece in pieces:
-            block.append(piece)
-            size += len(piece)
+        if len(head) >= _WRITE_BLOCK:
+            _write(head)
+            lead, size = "", -step
+        for item in items:
+            block.append(item)
+            size += len(item) + step
             if size >= _WRITE_BLOCK:
-                _write("".join(block))
-                block, size = [], 0
-        block.append("\n")
+                _write(lead + sep.join(block))
+                lead, block, size = "", [""], 0  # the next item's text starts with sep
+        end = tail + "\n"
     finally:
-        _write("".join(block))
+        _write(lead + sep.join(block) + end)
 
 
 def _write(text: str) -> None:
@@ -163,17 +139,6 @@ def _write(text: str) -> None:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         raise
-
-
-def _joined(items: Iterable[str], sep: str) -> Iterator[str]:
-    """``sep.join(items)``, one piece per item, each yielded once its item is made."""
-    for i, item in enumerate(items):
-        yield sep + item if i else item
-
-
-def _json_array(items: Iterable[str]) -> Iterator[str]:
-    """``json.dumps`` of a list, from the JSON texts of its items, one piece per item."""
-    return chain(["["], _joined(items, ", "), ["]"])
 
 
 def _check_digits(what: str, p: int, e: int) -> None:
@@ -370,9 +335,10 @@ def _cmd_verify(args) -> int:
         _check_digits("the largest constant term", grid[0][1][-1], max(args.n) * args.gmax)
     _emit(
         args,
-        lambda: _json_array(_verify_cells(grid, args.n)),
+        lambda: _verify_cells(grid, args.n),
         lambda: _verify_rows(grid, args.n),
         (*_CELL, "total_candidates", "odd_candidates", "half_degree_specs", "ok"),
+        array=True,
     )
     if not all(report.contract_ok for report, _ in grid):
         print("parity contract violated in at least one grid cell", file=sys.stderr)
@@ -401,37 +367,26 @@ def _cmd_detect_half(args) -> int:
     return 0
 
 
-# ``bounds`` keeps each distinct line text's item for its repeats until the kept
-# keys and items reach this many characters; later lines are made every time.
+# ``bounds`` keeps a run's made texts and ints for their repeats (each
+# distinct line's item, token's int and a_k's text) while the kept keys and
+# texts, and ``bounds._ENTRY_CHARS`` per entry, fit in this many characters.
 _MEMO_BUDGET = 1 << 22
 
 
 def _cmd_bounds(args) -> int:
-    from .bounds import full_bounds_report
+    from .bounds import ingest_reference
     from .weil import WeilParams
 
     params = WeilParams(p=args.p, n=args.n, g=args.g)
     _check_digits("the constant term", args.p, args.n * args.g)  # before the file opens
-    lines = ingest_reference(args.file)
     cell = f"{args.g}\t{args.p}\t{args.n}\t"
-    render = _bounds_json if args.format == "structured" else lambda r: (
-        f"{cell}{' '.join(map(str, r.a_values))}\t{_BOOL_TEXT[r.symmetric_ok]}\t"
+    render = (lambda r, text: _bounds_json(r)) if args.format == "structured" else lambda r, text: (
+        f"{cell}{' '.join(map(text, r.a_values))}\t{_BOOL_TEXT[r.symmetric_ok]}\t"
         f"{_BOOL_TEXT[r.lemma_a1_ok]}\t{_BOOL_TEXT[all(r.archimedean_ok)]}\t"
         f"{_BOOL_TEXT[all(r.valuation_ok)]}")
-
-    def items():  # a line that fails is never kept: it exits at its own number
-        memo, room = {}, _MEMO_BUDGET
-        for line, lineno in lines:
-            item = memo.get(line)
-            if item is None:
-                item = render(full_bounds_report(_coeffs(line, args.file, lineno), params))
-                if room > 0:
-                    memo[line] = item
-                    room -= len(line) + len(item)
-            yield item
-
-    _emit(args, lambda: _json_array(items()), items,
-          (*_CELL, "a_values", "symmetric", "lemma_a1", "archimedean", "valuation"))
+    items = ingest_reference(args.file, params, render, _MEMO_BUDGET)
+    _emit(args, lambda: items, lambda: items,
+          (*_CELL, "a_values", "symmetric", "lemma_a1", "archimedean", "valuation"), array=True)
     return 0
 
 

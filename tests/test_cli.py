@@ -8,6 +8,7 @@ import shlex
 import subprocess
 import sys
 import tracemalloc
+import unicodedata
 from itertools import product
 from pathlib import Path
 
@@ -29,7 +30,7 @@ from oracles import (
 )
 
 from weilparity.bounds import BoundsReport, full_bounds_report
-from weilparity.cli import ingest_reference, run
+from weilparity.cli import run
 from weilparity.cyclotomic import _check_cap, cyclotomic
 from weilparity.enumerator import G_CAP, primes_between, verify_parity_theorem
 from weilparity.errors import BrokenInvariant, OutOfRange, ParseError
@@ -671,6 +672,24 @@ def test_bounds_line_that_is_not_utf8_fails_at_its_own_line(tmp_path, capsys):
                        "'\\udcff\\udcfe'\n")
 
 
+def test_bounds_drops_a_byte_order_mark_at_the_start_only(tmp_path, capsys):
+    # a file saved with a UTF-8 byte-order mark reads as without it, a
+    # comment on its first line included; a mark anywhere else is part of
+    # its line, which fails to parse at its own number
+    bom = "\ufeff".encode()
+    ref = tmp_path / "polys.txt"
+    for fmt in ("tsv", "structured"):
+        end = "\n" if fmt == "tsv" else "]\n"
+        for start in (b"", b"# c\n"):
+            ref.write_bytes(bom + start + b"5 0 1\n-5 0 1\n")
+            assert invoke(capsys, [*BOUNDS_G1, str(ref), "--format", fmt]) == (
+                0, bounds_g1_cut(fmt, 2) + end, "")
+        ref.write_bytes(b"5 0 1\n" + bom + b"-5 0 1\n")
+        code, out, err = invoke(capsys, [*BOUNDS_G1, str(ref), "--format", fmt])
+        assert (code, out) == (2, bounds_g1_cut(fmt, 1))
+        assert err == f"error: {ref}:2: invalid literal for int() with base 10: '\\ufeff-5'\n"
+
+
 @pytest.mark.parametrize("argv, fmt", BOUNDS_GOLDEN)
 def test_bounds_builds_no_polynomial(monkeypatch, capsys, tmp_path, argv, fmt):
     # lines are parsed straight to coefficient lists and checked as such
@@ -708,7 +727,7 @@ def test_bounds_missing_file(capsys, tmp_path):
 def test_bounds_checks_the_digit_limit_before_opening_the_file(monkeypatch, capsys, tmp_path):
     # a row is symmetric only if its constant term +q**g parsed, so past
     # Python's digit limit no row could be: the run stops before any work
-    import weilparity.cli as cli
+    import weilparity.bounds as bounds
 
     ref = tmp_path / "one.txt"
     ref.write_text("1 " * 20 + "1\n")  # monic of degree 20
@@ -718,7 +737,7 @@ def test_bounds_checks_the_digit_limit_before_opening_the_file(monkeypatch, caps
 
     argv = ["bounds", "--g", "10", "--p", "3", "--n", "1000001", "--file", str(ref)]
     with monkeypatch.context() as patch:
-        patch.setattr(cli, "ingest_reference", work)
+        patch.setattr(bounds, "ingest_reference", work)
         for fmt in ("tsv", "structured"):
             code, out, err = invoke(capsys, [*argv, "--format", fmt])
             assert (code, out) == (2, "")
@@ -1478,26 +1497,29 @@ def test_enumerate_to_bounds_round_trip(tmp_path, capsys):
 
 
 def test_ingest_reference(tmp_path):
-    # the file yields each polynomial line's stripped text and number, and
-    # cli._coeffs parses one: the run parses a line's first occurrence only
-    import weilparity.cli as cli
+    # the file yields one rendered item per polynomial line, made from its
+    # ascending coefficients without trailing zeros and read a line at a
+    # time; a bad token fails at its own line number
+    from weilparity.bounds import ingest_reference
+
+    params = WeilParams(p=5, n=1, g=1)
+
+    def render(report, text):
+        return f"{text(report.a_values[0])} {report.symmetric_ok}"
 
     ref = tmp_path / "ref.txt"
-    ref.write_bytes(b"# comment\n\n 5 0 1\r\n-5 0 1 0 0\n0 0\n")
-    lines = list(ingest_reference(ref))
-    assert lines == [("5 0 1", 3), ("-5 0 1 0 0", 4), ("0 0", 5)]
-    assert [cli._coeffs(line, ref, n) for line, n in lines] == [[5, 0, 1], [-5, 0, 1], []]
+    ref.write_bytes(b"# comment\n\n 5 0 1\r\n-5 -3 1 0 0\n")
+    assert list(ingest_reference(ref, params, render, 1 << 22)) == ["0 True", "-3 False"]
 
     bad = tmp_path / "bad.txt"
     bad.write_text("5 0 1\nx y z\n")
-    polys = ingest_reference(bad)
-    assert next(polys) == ("5 0 1", 1)  # read a line at a time
-    line, lineno = next(polys)
+    items = ingest_reference(bad, params, render, 1 << 22)
+    assert next(items) == "0 True"  # read a line at a time
     with pytest.raises(ParseError) as info:
-        cli._coeffs(line, bad, lineno)
+        next(items)
     assert str(info.value) == f"{bad}:2: invalid literal for int() with base 10: 'x'"
     with pytest.raises(FileNotFoundError):
-        ingest_reference(tmp_path / "missing.txt")  # opened by the call itself
+        ingest_reference(tmp_path / "missing.txt", params, render, 1 << 22)  # opened by the call
 
 
 SMALL_PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23]
@@ -1769,21 +1791,25 @@ BOUNDS_POOL = [
     "49 0 1000000000000000000000 0 1", "343 0 49 0 1",
     " 49 0 7 0 1", "49  0 7 0 1\t", "\t49 0 7 0 1  ", "49 0 7 0 1 0", "49 0 7 0 1 0 0",
     "# 49 0 7 0 1", "#", "  # indented", "", "   ",
+    # other spellings of the same ints, which the token memo keys apart
+    "+49 0 7 0 1", "049 -0 7 +0 1", "4_9 0 7 0 1", "\u0664\u0669 0 7 0 1", "49 0 7 0 1 -0",
+    "49 +49 049 4_9 1", "49 \u0664\u0669 -0 +49 +1", "-0 0 7 0 01", "49 0 07 -0 \u0661",
 ]
 
 
 @settings(max_examples=60, **SHARED_CAPSYS)
 @given(
-    drawn=st.lists(st.tuples(st.sampled_from(BOUNDS_POOL), st.sampled_from(["\n", "\r\n"])),
+    drawn=st.lists(st.tuples(st.sampled_from(BOUNDS_POOL), st.sampled_from(["\n", "\r\n", "\r"])),
                    max_size=30),
     last_ending=st.booleans(),
-    budget=st.sampled_from([0, 40, 1 << 22]),
+    budget=st.sampled_from([0, 1000, 1 << 22]),
 )
 def test_bounds_with_repeated_lines_matches_the_per_line_oracle(
     monkeypatch, capsys, tmp_path, drawn, last_ending, budget
 ):
     # a file drawn with replacement from a small pool gives, in both
-    # formats and at any budget, the output of checking every line afresh
+    # formats and at any budget, the output of checking every line afresh;
+    # a lone "\r" ends a line as "\n" and "\r\n" do, as a text file splits
     import weilparity.cli as cli
 
     text = "".join(line + ending for line, ending in drawn)
@@ -1825,9 +1851,34 @@ def test_bounds_fails_at_its_own_line_after_repeats(capsys, tmp_path, fmt, bad, 
     assert (code, out, err) == (2, expected, f"error: {message.format(ref=ref)}\n")
 
 
+@pytest.mark.parametrize("fmt", ["tsv", "structured"])
+@pytest.mark.parametrize("token", ["zero", "4_", "\u0664x",
+                                   pytest.param("1" * 4301, id="past-the-digit-limit")])
+def test_bounds_bad_token_fails_at_its_first_line(capsys, tmp_path, fmt, token):
+    # a token that fails to parse is never kept: repeated on later lines, in
+    # other places, it exits 2 at its first line, with int's own message
+    # (past Python's digit limit too), after exactly the rows before it
+    ref = tmp_path / "polys.txt"
+    lines = ["5 0 1", "-5 0 1", "5 0 1", f"5 {token} 1", f"{token} 0 1", "5 0 1", f"5 0 {token}"]
+    ref.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError) as info:
+        int(token)
+    items = BOUNDS_G1_ITEMS[fmt]
+    if fmt == "tsv":
+        header, *items = items
+    made = [items[k] for k in (0, 1, 0)]
+    expected = "\n".join([header, *made]) if fmt == "tsv" else "[" + ", ".join(made)
+    code, out, err = invoke(capsys, [*BOUNDS_G1, str(ref), "--format", fmt])
+    assert (code, out, err) == (2, expected, f"error: {ref}:4: {info.value}\n")
+
+
 def test_bounds_memo_stops_taking_lines_at_its_budget(monkeypatch, capsys, tmp_path):
     # distinct lines, then the same lines again: a repeat is checked again
-    # exactly when the memo had reached its budget as the line was first made
+    # exactly when its line did not fit in the budget as it was first made.
+    # A line's first occurrence keeps, each while it fits in what is left:
+    # its new tokens' ints, then its new a_1's text (each costs twice its
+    # text's length), then its raw text, newline included, with its row;
+    # each entry costs _ENTRY_CHARS more
     import weilparity.bounds as bounds
     import weilparity.cli as cli
 
@@ -1844,30 +1895,84 @@ def test_bounds_memo_stops_taking_lines_at_its_budget(monkeypatch, capsys, tmp_p
         return real(coeffs, params)
 
     monkeypatch.setattr(bounds, "full_bounds_report", counting)
-    monkeypatch.setattr(cli, "_MEMO_BUDGET", 300)
+    monkeypatch.setattr(cli, "_MEMO_BUDGET", 3000)
     header = BOUNDS_G1_ITEMS["tsv"][0]
     assert invoke(capsys, [*BOUNDS_G1, str(ref)]) == (0, "\n".join([header, *rows * 2]) + "\n", "")
-    kept = 2 * len(lines) - len(checked)  # the lines whose repeat reused the first row
-    sizes = [len(line) + len(row) for line, row in zip(lines, rows)]
-    assert 0 < kept < len(lines)
-    assert sum(sizes[:kept - 1]) < 300 <= sum(sizes[:kept])
-    assert checked == [coeffs_of(line) for line in lines + lines[kept:]]
+    room, ints, texts, kept = 3000, set(), set(), set()
+
+    def fits(cost):
+        nonlocal room
+        if cost + bounds._ENTRY_CHARS > room:
+            return False
+        room -= cost + bounds._ENTRY_CHARS
+        return True
+
+    for line, row in zip(lines, rows):
+        for token in line.split():
+            if token not in ints and fits(2 * len(token)):
+                ints.add(token)
+        a_1 = line.split()[1]
+        if a_1 not in texts and fits(2 * len(a_1)):
+            texts.add(a_1)
+        if fits(len(line) + 1 + len(row)):
+            kept.add(line)
+    assert 0 < len(kept) < len(lines)
+    assert checked == [coeffs_of(line) for line in lines + [s for s in lines if s not in kept]]
+
+
+def test_bounds_memo_keeps_what_fits_in_its_budget():
+    # an entry is kept only if twice the length of its text, and
+    # _ENTRY_CHARS, fit in what is left of the run's budget, past Python's
+    # digit limit too; an exception is never kept
+    from weilparity.bounds import _ENTRY_CHARS, _Memo
+
+    room = [2 * _ENTRY_CHARS + 11]
+    ints, texts = _Memo(int, room), _Memo(str, room)
+    assert (ints["12"], texts[-7], room) == (12, "-7", [3])
+    room[0] += _ENTRY_CHARS
+    assert (ints["345"], ints["+1"], room) == (345, 1, [_ENTRY_CHARS + 3])  # neither fits
+    assert (ints["1"], room) == (1, [1])
+    assert (dict(ints), dict(texts)) == ({"12": 12, "1": 1}, {-7: "-7"})
+    with pytest.raises(ValueError):
+        ints["x"]
+    assert "x" not in ints
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    set_limit = getattr(sys, "set_int_max_str_digits", lambda digits: None)
+    set_limit(0)  # no limit: a token of any length parses
+    try:
+        big, cost = "7" * 5000, 10000 + _ENTRY_CHARS
+        for budget, kept in ((cost - 1, False), (cost, True)):
+            room = [budget]
+            ints, texts = _Memo(int, room), _Memo(str, room)
+            assert (ints[big], big in ints, room) == (int(big), kept, [budget - cost * kept])
+            room[0] = budget
+            assert (texts[int(big)], int(big) in texts) == (big, kept)
+    finally:
+        set_limit(limit)
 
 
 def test_bounds_memo_memory_stops_at_its_budget(monkeypatch, tmp_path):
-    # on files of distinct lines, the memo keeps them all under the default
+    # on files of distinct lines, the memos keep them all under the default
     # budget, so quadrupling the file (1500 -> 6000 lines) raises the traced
     # peak by over 500 KB; under a 1000-character budget it moves the peak
-    # by less than 100 KB, and the output is the same
+    # by less than 100 KB, and the output is the same.  In the second file
+    # no token repeats either: each line spells its leading 1 anew, as three
+    # digits (0, 0 and 1) of the scripts whose decimal digits int reads
     import weilparity.cli as cli
 
     header = BOUNDS_G1_ITEMS["tsv"][0]
     params = WeilParams(p=5, n=1, g=1)
+    zeros = [chr(c) for c in range(0x10000) if unicodedata.decimal(chr(c), -1) == 0]
+    ones = ["".join(spelling) + chr(ord(z) + 1) for *spelling, z in product(zeros, repeat=3)]
+    files = {
+        "lines": lambda k: f"5 {k * 10 ** 30} 1",
+        "tokens": lambda k: f"{2 * k + 1}{'0' * 30} {2 * k + 2}{'0' * 30} {ones[k]}",
+    }
 
-    def peak(count, budget):
-        lines = [f"5 {k * 10 ** 30} 1" for k in range(count)]
-        ref = tmp_path / f"{count}.txt"
-        ref.write_text("\n".join(lines) + "\n")
+    def peak(kind, count, budget):
+        lines = [files[kind](k) for k in range(count)]
+        ref = tmp_path / f"{kind}{count}.txt"
+        ref.write_text("\n".join(lines) + "\n", encoding="utf-8")
         rows = [bounds_row(full_bounds_report(coeffs_of(line), params)) for line in lines]
         expected = hashlib.sha256(("\n".join([header, *rows]) + "\n").encode()).hexdigest()
         sink = HashSink()
@@ -1885,9 +1990,10 @@ def test_bounds_memo_memory_stops_at_its_budget(monkeypatch, tmp_path):
         return high
 
     default = cli._MEMO_BUDGET
-    peak(10, default)  # fills the threshold table's cache
-    grown = peak(6000, default) - peak(1500, default), peak(6000, 1000) - peak(1500, 1000)
-    assert grown[0] > 500_000 and grown[1] < 100_000, grown
+    peak("lines", 10, default)  # fills the threshold table's cache
+    for kind in files:
+        grown = [peak(kind, 6000, budget) - peak(kind, 1500, budget) for budget in (default, 1000)]
+        assert grown[0] > 500_000 and grown[1] < 100_000, (kind, grown)
 
 
 A_K = st.one_of(
