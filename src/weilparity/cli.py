@@ -42,15 +42,16 @@ k = n / rad(n), and never builds Phi_n.
 Each call is a fresh process, so it loads only what its subcommand uses.
 Importing this module loads no layer: each ``_cmd_*`` imports its layers
 when it runs, reading each name off its module at that time (so a
-wrapper installed there is seen).  The command line is read from one
-table, ``_COMMANDS``, with the top level as one more row, ``_TOP``,
-whose positional is the command; the parser and ``-h``/``--help`` both
-read it.  It accepts what the argparse parser it replaced accepted,
-with the same values: flags as ``--flag value`` or ``--flag=value``, any
-unique prefix of a flag, ``--format`` before or after the subcommand
-(the last wins), a repeated ``verify --n`` appended and any other
-repeated flag kept last, negative numbers as values, and ``--`` ending
-the options.
+wrapper installed there is seen).  The command line is one table,
+``_COMMANDS``, with the top level as one more row, ``_TOP``, whose
+positional is the command; the readers, the help and the usage lines
+all read it.  A plain argv, which names each flag in full as
+``--flag value`` (``--format`` before or after the command, ``-h`` or
+``--help`` only last), is read from the table without argparse.  Any
+other argv (a flag prefix, ``--flag=value``, a negative number, ``--``,
+a usage error) goes to an argparse parser built from the table, and
+reads as the running interpreter's argparse reads it, with the table's
+help and usage lines; ``--flag=--`` is a flag without a value.
 Help exits 0; a usage error writes its usage line and
 ``weilparity: error: ...`` to stderr, with exit 2.
 """
@@ -390,7 +391,7 @@ def _cmd_bounds(args) -> int:
     return 0
 
 
-# The command line, as one table that the parser and the help both read.
+# The command line, as one table that the readers and the help all read.
 # A flag (or a positional argument) is (name, type, choices or None,
 # repeats): a flag that repeats appends each value to a list, any other
 # keeps its last value.  Every flag of a command is required; --format,
@@ -412,9 +413,7 @@ _COMMANDS = {  # name -> (function, summary, positional or None, flags)
                (*_CELL_FLAGS, ("file", str, None, False))),
 }
 # The top level is one more row, whose summary is its help text.  Its
-# positional is the command: as argparse's subparsers do, it takes the
-# token in its place even if that is "--", and the command it names reads
-# every token after it.  The parser knows it by identity, not by a field.
+# positional is the command, and the command's row reads every token after it.
 _COMMAND = ("command", str, tuple(_COMMANDS), False)
 _TOP = (None, (
     "Exact checks on supersingular Weil polynomial candidates.\n\ncommands:\n"
@@ -423,7 +422,6 @@ _TOP = (None, (
     "A flag may be shortened to any prefix that names no other flag of its command.\n"
     "'weilparity COMMAND -h' lists the flags of a command."
 ), _COMMAND, ())
-_HELP = ("help", None, None, False)
 
 
 class _Stop(Exception):
@@ -444,135 +442,97 @@ def _usage(prog: str, row) -> str:
     return f"usage: {prog} [-h] [--format {_arg(_FORMAT)}] {' '.join(words)}"
 
 
-def _option(token: str, options: dict, usage: str):
-    """How argparse reads ``token`` against ``options`` ({"--name": spec}, with -h and --help).
+def _help(prog: str, row) -> _Stop:
+    return _Stop(0, f"{_usage(prog, row)}\n\n{row[1]}")
 
-    None for a value; else (spec, option, explicit value or None), with
-    spec None for an option that is not in ``options``.  A ``--`` prefix
-    names the one option it starts (an exact name first), ``--name=value``
-    carries its value, and ``-h`` takes the rest of its token as an
-    explicit value.  A token that names no option is a value if it is
-    ``-`` alone, reads as a negative number, or holds a space.
+
+def _value(spec, text: str):
+    """``text`` as ``spec``'s value; ValueError unless it is plain, converts and is a choice.
+
+    A plain value is ``-`` or does not start with ``-``.
     """
-    if token[:1] != "-" or token == "-":
-        return None
-    if token in options:
-        return options[token], token, None
-    name, equals, explicit = token.partition("=")
-    if equals and name in options:
-        return options[name], name, explicit
-    if token[1] == "-":
-        matches = [option for option in options if option.startswith(name)]
-        if len(matches) > 1:
-            raise _Stop(2, _error(usage, f"ambiguous option: {name} could match "
-                                         f"{', '.join(matches)}"))
-        if matches:
-            return options[matches[0]], matches[0], explicit if equals else None
-    elif token[:2] in options:
-        return options[token[:2]], token[:2], token[2:]
-    import re
-
-    if re.match(r"^-\d+$|^-\d*\.\d+$", token) or " " in token:
-        return None
-    return None, token, None
-
-
-def _error(usage: str, message: str) -> str:
-    return f"{usage}\nweilparity: error: {message}"
-
-
-def _read(tokens: list[str], prog: str, row, values: dict, strays: list) -> None:
-    """Read ``tokens`` into ``values`` against ``row``: ``_TOP``, or the command ``prog`` runs.
-
-    As argparse does: every token before the first ``--`` is classified
-    first (an ambiguous prefix is an error before anything else), then
-    the tokens are read in order.  Help stops at once, and so does a bad
-    or missing flag value.  Unknown options and tokens left over go to
-    ``strays``.  The top level's positional, the command, ends the read:
-    the command's row reads the tokens after it.  At the end, a
-    flag or positional not read is an error.
-    """
-    _, summary, positional, flags = row
-    usage = _usage(prog, row)
-    options = {"-h": _HELP, "--help": _HELP, **{f"--{spec[0]}": spec for spec in (_FORMAT, *flags)}}
-    cut = tokens.index("--") if "--" in tokens else len(tokens)
-    kinds = [_option(token, options, usage) for token in tokens[:cut]]
-    kinds += [None] * (len(tokens) - cut)  # after "--", every token is a value
-    wanted = positional  # until it is read
-    i = 0
-    while i < len(tokens):
-        kind = kinds[i]
-        if kind is None or i == cut:  # a value, or the first "--"
-            if wanted is None:
-                strays.append(tokens[i])
-                i += 1
-                continue
-            name, rest = wanted[0], wanted is _COMMAND
-            if i == cut and not rest:  # one value, with the "--" before or after it
-                i += 1
-                if i == len(tokens):
-                    strays.append("--")
-                    break
-            values[name] = value = _value(wanted, tokens[i], usage, name)
-            if rest:
-                return _read(tokens[i + 1:], f"{prog} {value}", _COMMANDS[value], values, strays)
-            wanted = None
-            i += 2 if i + 1 == cut else 1
-            continue
-        spec, option, explicit = kind
-        if spec is None:
-            strays.append(tokens[i])
-        elif spec is _HELP:
-            # -hh... is -h repeated; any other explicit value is an error
-            if explicit is None or (option == "-h" and explicit and not explicit.strip("h")):
-                raise _Stop(0, f"{usage}\n\n{summary}")
-            raise _Stop(2, _error(usage, f"argument -h/--help: ignored explicit argument "
-                                         f"{explicit!r}"))
-        else:
-            if explicit is None:  # the value is the next token
-                i += 1
-                if i < len(tokens) and i != cut and (i > cut or kinds[i] is None):
-                    explicit = tokens[i]
-            if explicit in (None, "--"):  # argparse stored [] for --flag=--
-                raise _Stop(2, _error(usage, f"argument {option}: expected one argument"))
-            name, _, _, repeats = spec
-            value = _value(spec, explicit, usage, option)
-            if repeats:
-                values.setdefault(name, []).append(value)
-            else:
-                values[name] = value
-        i += 1
-    missing = [f"--{spec[0]}" for spec in flags if spec[0] not in values]
-    missing += [positional[0]] if wanted else []
-    if missing:
-        raise _Stop(2, _error(usage, "the following arguments are required: " + ", ".join(missing)))
-
-
-def _value(spec, text: str, usage: str, where: str):
-    """``text`` converted to ``spec``'s type and checked against its choices."""
     _, kind, choices, _ = spec
-    try:
-        value = kind(text)
-    except ValueError:
-        raise _Stop(2, _error(usage, f"argument {where}: invalid {kind.__name__} value: "
-                                     f"{text!r}")) from None
-    if choices and value not in choices:
-        raise _Stop(2, _error(usage, f"argument {where}: invalid choice: {value!r} "
-                                     f"(choose from {', '.join(map(repr, choices))})"))
+    value = kind(text)
+    if text.startswith("-") and text != "-" or choices and value not in choices:
+        raise ValueError(text)
     return value
 
 
-def _parse(argv: list[str]) -> SimpleNamespace:
-    """The command and flag values of ``argv``, read from the table as argparse read them.
+def _plain(argv: list[str]) -> SimpleNamespace | None:
+    """The values of a plain ``argv``, read straight from the table; None for any other argv.
 
+    A plain argv names each flag in full as ``--flag value``, and each
+    value is plain (:func:`_value`).  ``--format`` goes before or after
+    the command, and ``-h`` or ``--help`` only last, which raises the help
+    :class:`_Stop` of the row read so far.  Without help, each flag and
+    positional of the command is given.
+    """
+    values, prog, row, wanted = {"format": "tsv"}, "weilparity", _TOP, _COMMAND
+    options = {"--format": _FORMAT}
+    end = len(argv) - (argv[-1:] in (["-h"], ["--help"]))
+    tokens = iter(argv[:end])
+    try:
+        for token in tokens:
+            spec = options.get(token)
+            if spec is None:  # the positional
+                if wanted is None:
+                    return None
+                values[wanted[0]] = value = _value(wanted, token)
+                wanted = None
+                if row is _TOP:
+                    prog, row = f"{prog} {value}", _COMMANDS[value]
+                    options.update((f"--{spec[0]}", spec) for spec in row[3])
+                    wanted = row[2]
+            elif spec[3]:  # the flag's value is the next token; "--", which is none, at the end
+                values.setdefault(spec[0], []).append(_value(spec, next(tokens, "--")))
+            else:
+                values[spec[0]] = _value(spec, next(tokens, "--"))
+    except ValueError:
+        return None
+    if end < len(argv):
+        raise _help(prog, row)
+    if wanted or any(spec[0] not in values for spec in row[3]):
+        return None
+    return SimpleNamespace(**values)
+
+
+def _parse(argv: list[str]):
+    """The command and flag values of ``argv``: as Python's argparse reads them, from the table.
+
+    A plain argv is read by :func:`_plain`; any other by an argparse parser
+    built from the table, whose help and usage errors are the table's.
     Raises :class:`_Stop` for help and for usage errors.
     """
-    values, strays = {"format": "tsv"}, []
-    _read(argv, "weilparity", _TOP, values, strays)
-    if strays:
-        raise _Stop(2, _error(_usage("weilparity", _TOP),
-                              f"unrecognized arguments: {' '.join(strays)}"))
-    return SimpleNamespace(**values)
+    args = _plain(argv)
+    if args is not None:
+        return args
+    import argparse
+
+    class Parser(argparse.ArgumentParser):
+        def error(self, message):
+            raise _Stop(2, f"{_usage(self.prog, self.row)}\nweilparity: error: {message}")
+
+        def print_help(self, file=None):
+            raise _help(self.prog, self.row)
+
+        def _get_values(self, action, arg_strings):
+            if action.option_strings and arg_strings == ["--"]:  # argparse stored [] for --flag=--
+                raise argparse.ArgumentError(action, "expected one argument")
+            return super()._get_values(action, arg_strings)
+
+    top = Parser(prog="weilparity")
+    commands = top.add_subparsers(dest="command", required=True, prog="weilparity")
+    rows = [(top, _TOP)] + [(commands.add_parser(name), row) for name, row in _COMMANDS.items()]
+    for parser, row in rows:
+        parser.row = row
+        parser.add_argument("--format", choices=_FORMAT[2],
+                            default="tsv" if parser is top else argparse.SUPPRESS)
+        for name, kind, choices, repeats in row[3]:
+            parser.add_argument(f"--{name}", type=kind, choices=choices, required=True,
+                                action="append" if repeats else "store")
+        if row[2] and parser is not top:
+            parser.add_argument(row[2][0], type=row[2][1])
+    return top.parse_args(argv)
 
 
 def run(argv: Sequence[str] | None = None) -> int:

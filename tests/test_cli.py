@@ -51,11 +51,16 @@ def invoke(capsys, argv):
 README = Path(__file__).resolve().parent.parent / "README.md"
 
 
-def test_readme_command_lines_run(monkeypatch, tmp_path, capsys):
-    # each line of the README's "Command line" block runs as written
+def readme_command_lines() -> list[list[str]]:
+    """The words of each line of the README's "Command line" block."""
     section = README.read_text(encoding="utf-8").split("\n## Command line\n", 1)[1]
     block = section.split("```sh\n", 1)[1].split("```", 1)[0]
-    lines = [shlex.split(line, comments=True) for line in block.splitlines()]
+    return [shlex.split(line, comments=True) for line in block.splitlines()]
+
+
+def test_readme_command_lines_run(monkeypatch, tmp_path, capsys):
+    # each line of the README's "Command line" block runs as written
+    lines = readme_command_lines()
     assert lines and all(words[0] == "weilparity" for words in lines)
     assert ["weilparity", "cyclo", "12"] in lines
     (tmp_path / "polys.txt").write_text("5 0 1\n")
@@ -1470,6 +1475,90 @@ def test_an_explicit_double_dash_is_a_usage_error(capsys):
     for argv in (["cyclo", "1", "--format=--"], minpoly):
         code, out, err = invoke(capsys, argv)
         assert (code, out) == (2, "") and err.endswith(": expected one argument\n")
+
+
+# Values a plain argv may hold: "-" or a token not starting with "-"
+PLAIN_VALUES = ("-", "+2", "1_0", "\u0663", " 4", "x", "")
+
+
+@st.composite
+def plain_argvs(draw):
+    """An argv of full flag names, each as ``--flag value``: flags repeated or left
+    out, plain odd values, --format on either side, and a trailing -h or --help."""
+    command = draw(st.sampled_from(list(FLAG_VALUES)))
+    pairs = [
+        [f"--{name}", draw(st.sampled_from(PLAIN_VALUES)) if draw(st.integers(0, 3)) == 0 else good]
+        for name, good in (*FLAG_VALUES[command], ("format", "structured"))
+        for _ in range(draw(st.sampled_from([1, 1, 1, 2, 0])))
+    ]
+    if command == "cyclo":
+        pairs.append([draw(st.sampled_from(("12", *PLAIN_VALUES)))])
+    before = draw(st.sampled_from([[], [], ["--format", "tsv"], ["--format", "-"]]))
+    words = [word for pair in draw(st.permutations(pairs)) for word in pair]
+    return [*before, command, *words, *draw(st.sampled_from([[], [], ["-h"], ["--help"]]))]
+
+
+def is_plain(argv) -> bool:
+    """Whether the plain reader reads ``argv``: to its values, or to help."""
+    import weilparity.cli as cli
+
+    try:
+        return cli._plain(list(argv)) is not None
+    except cli._Stop:
+        return True
+
+
+def assert_read_without_argparse(capsys, argv):
+    # the plain reader's reading is argparse's, and no import of argparse is made for it
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setitem(sys.modules, "argparse", None)  # so "import argparse" fails
+        assert_parsed_as_before(capsys, argv)
+
+
+@settings(
+    max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(argv=plain_argvs())
+def test_a_plain_argv_is_read_without_argparse(capsys, argv):
+    if is_plain(argv):
+        assert_read_without_argparse(capsys, argv)
+    else:
+        assert_parsed_as_before(capsys, argv)
+
+
+def test_golden_readme_and_help_argvs_are_plain(capsys):
+    helps = [["-h"], ["--help"], *([command, "-h"] for command in FLAG_VALUES),
+             ["--format", "structured", "verify", "-h"]]
+    golden = [full for argv, fmt in GOLDEN
+              for full in ([*argv, "--format", fmt], ["--format", fmt, *argv])]
+    readme = [words[1:] for words in readme_command_lines()]
+    assert readme
+    for argv in [*helps, *golden, *readme]:
+        assert is_plain(argv), argv
+        assert_read_without_argparse(capsys, argv)
+
+
+# sha256 of each help's stdout, recorded before any argv went to argparse
+HELP_DIGESTS = {
+    ("-h",): "612eb548b74f7af85dd2683c900c09da501ba9c9134a810bc99a9018224c8de1",
+    ("--help",): "612eb548b74f7af85dd2683c900c09da501ba9c9134a810bc99a9018224c8de1",
+    ("-hh",): "612eb548b74f7af85dd2683c900c09da501ba9c9134a810bc99a9018224c8de1",
+    ("cyclo", "-h"): "d91aa1d3c4cfc7e613c93839c3b5111eb2398218e238a8c8d63e7e97da001098",
+    ("minpoly", "-h"): "cbf562f384a83c3617b7e14f7932ab4dee0345e21afd65593dce8dadfbc3292e",
+    ("enumerate", "-h"): "3cb1304b6ff70f156a8f21833d04bff7265503c711d5d6828fc68df59b6ffe1d",
+    ("verify", "-h"): "24381813b623c9d6df090c81b9c3889dd4665d5b8410c673f9c3db09d691b176",
+    ("detect-half", "-h"): "58476987b2668a04a97e6bbe9ecf5976d4a01757354ebc64eea38ac3964b02f7",
+    ("bounds", "-h"): "6542c9ebd295859d5efd534208359936a19c4624ed4d1c1ed821f31dae4c12c6",
+    ("--format", "structured", "verify", "-h"):
+        "24381813b623c9d6df090c81b9c3889dd4665d5b8410c673f9c3db09d691b176",
+}
+
+
+@pytest.mark.parametrize("argv", HELP_DIGESTS, ids=" ".join)
+def test_help_text_is_unchanged(capsys, argv):
+    code, out, err = invoke(capsys, list(argv))
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == HELP_DIGESTS[argv]
 
 
 def test_enumerate_to_bounds_round_trip(tmp_path, capsys):
