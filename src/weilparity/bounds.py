@@ -18,8 +18,9 @@ absolute value sqrt(q) it reports:
   j = 1..g, so the constant term is exactly +q**g.
 
 The thresholds depend only on the cell (g, p, n): each cell builds them
-once, in the cached :func:`_cell_table`.  A :class:`BoundsReport` holds
-a_1..a_g and their archimedean and valuation flags as three flat tuples.
+once, in the cached :func:`_cell_table`.  A :class:`BoundsReport`, a
+``collections.namedtuple`` subclass, holds a_1..a_g and their
+archimedean and valuation flags as three flat tuples.
 
 :func:`ingest_reference` is the file reader of the ``bounds`` command,
 the only caller that loads this module.
@@ -27,25 +28,26 @@ the only caller that loads this module.
 
 from __future__ import annotations
 
-import os
+from collections import namedtuple
 from functools import cache
 from math import comb, isqrt
 from operator import eq, le, mod, mul, not_
-from typing import Callable, Iterator, NamedTuple, Sequence
 
 from .errors import ParseError, ShapeError
 from .weil import WeilParams, q_powers
 
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    import os
+    from typing import Callable, Iterator, Sequence
 
-class BoundsReport(NamedTuple):
+
+class BoundsReport(namedtuple(
+    "BoundsReport", "params a_values archimedean_ok valuation_ok lemma_a1_ok symmetric_ok"
+)):
     """Bound checks on one polynomial; the tuples hold one entry per k = 1..g."""
 
-    params: WeilParams
-    a_values: tuple[int, ...]
-    archimedean_ok: tuple[bool, ...]
-    valuation_ok: tuple[bool, ...]
-    lemma_a1_ok: bool
-    symmetric_ok: bool
+    __slots__ = ()
 
 
 @cache

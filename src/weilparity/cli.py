@@ -65,9 +65,11 @@ from itertools import chain, compress
 from math import log10
 from operator import itemgetter
 from types import SimpleNamespace
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
+TYPE_CHECKING = False
 if TYPE_CHECKING:
+    from typing import Callable, Iterable, Iterator, Sequence
+
     from .bounds import BoundsReport
     from .enumerator import ParityReport
 

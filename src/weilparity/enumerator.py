@@ -25,8 +25,8 @@ divides a fitting t: so a class is one p <= 2g + 1, or every p above
 it, which holds every cell of a ``verify`` grid.  The scan of a class
 is cached; it runs ``is_full_degree`` once on each spec: a half-degree
 spec fits if phi(2t) <= 2g, a full-degree one only if phi(2t) <= g.  A
-:class:`ParityReport` holds that scan and nothing else; its count is
-computed from it when read.
+:class:`ParityReport`, a ``collections.namedtuple`` subclass, holds that
+scan and nothing else; its count is computed from it when read.
 
 Counting needs no product.  A cell's candidates are the multisets of
 its full-degree specs whose degrees in Y sum to g, and their number is
@@ -62,10 +62,10 @@ from __future__ import annotations
 
 from array import array
 from bisect import bisect_right
+from collections import namedtuple
 from functools import cache
 from itertools import compress
 from math import isqrt
-from typing import NamedTuple
 
 from .cyclotomic import totient
 from .errors import OutOfRange
@@ -80,20 +80,19 @@ def _check_g_cap(g: int, name: str = "g") -> None:
         raise OutOfRange(f"{name}={g} exceeds the enumeration cap {G_CAP}")
 
 
-class ParityReport(NamedTuple):
+class ParityReport(namedtuple("ParityReport", "params full_degree_specs half_degree_specs")):
     """Machine-readable verdict of the parity check for one (p, n, g).
 
-    The report is the cell's spec scan: the full-degree specs that fit
-    in degree 2g and the half-degree specs that would.  The candidate
-    count is the cached count of the full-degree spec tuple; the
+    The report is the cell's spec scan: ``params``, a :class:`WeilParams`,
+    then the full-degree specs that fit in degree 2g and the half-degree
+    specs that would, each a tuple of :class:`WeilNumberSpec`.  The
+    candidate count is the cached count of the full-degree spec tuple; the
     candidates themselves are :func:`candidate_shapes` of the same key.
     A report of :func:`verify_grid` stands for its whole scan class, and
     its ``params`` are the class's first cell.
     """
 
-    params: WeilParams
-    full_degree_specs: tuple[WeilNumberSpec, ...]
-    half_degree_specs: tuple[WeilNumberSpec, ...]
+    __slots__ = ()
 
     @property
     def total_candidates(self) -> int:

@@ -14,26 +14,22 @@ ever materialized.  Q is built in two steps: a q-free *shape* in Y,
 (:func:`minpoly_shape`), and a scaling of ``Y**j`` by ``q**(d - j)`` on
 a shape of degree d, which commutes with multiplication, so products of
 shapes can be built once and scaled to any q.  A polynomial in Y is
-even in X, so nothing here needs a parity check.
+even in X, so nothing here needs a parity check.  :class:`WeilParams`
+and :class:`WeilNumberSpec` are ``collections.namedtuple`` subclasses
+that check their fields when built, also through ``_replace``.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from itertools import accumulate, repeat
 from operator import mul
-from typing import NamedTuple
 
 from .cyclotomic import FACTORIZE_CAP, cyclotomic, is_prime
 from .errors import HalfDegreeUnsupported, OutOfRange
 
 
-class _WeilParams(NamedTuple):
-    p: int
-    n: int
-    g: int
-
-
-class WeilParams(_WeilParams):
+class WeilParams(namedtuple("WeilParams", "p n g")):
     """The triple (p, n, g) with q = p**n.
 
     ``n`` must be odd: over even powers of p the parity statements
@@ -63,12 +59,7 @@ class WeilParams(_WeilParams):
         return self.p ** self.n
 
 
-class _WeilNumberSpec(NamedTuple):
-    q_star_sign: int
-    t: int
-
-
-class WeilNumberSpec(_WeilNumberSpec):
+class WeilNumberSpec(namedtuple("WeilNumberSpec", "q_star_sign t")):
     """A Weil number ``sqrt(q_star_sign * q) * zeta_4t``; its degree case also needs (p, n)."""
 
     __slots__ = ()

@@ -7,11 +7,13 @@ Usage::
 Run it with an interpreter that has the test dependencies (``test_cli``
 imports pytest and hypothesis); each PYTHON only runs the command line,
 so it needs nothing but the standard library.  Each entry runs as
-``PYTHON -m weilparity.cli ARGV --format FMT`` with ``PYTHONPATH`` set to
-this checkout's ``src`` and the ``GOLDEN_FILES`` in a temporary
+``PYTHON -S -m weilparity.cli ARGV --format FMT`` with ``PYTHONPATH`` set
+to this checkout's ``src`` and the ``GOLDEN_FILES`` in a temporary
 directory, and its stdout's sha256 and exit code must be the recorded
-ones.  One line per interpreter gives its count; the exit code is 1 if
-any entry differs.  pytest does not collect this file; ``test_cli``
+ones.  ``-S`` skips ``site``, whose ``.pth`` hooks may import modules the
+package does not, so each entry takes the import path of a clean
+install.  One line per interpreter gives its count; the exit code is 1
+if any entry differs.  pytest does not collect this file; ``test_cli``
 replays a sample of the entries through :func:`replay`.
 """
 
@@ -40,7 +42,7 @@ def replay(python: str, files: Path, entries=GOLDEN) -> list[str]:
     for argv, fmt in entries:
         expected = GOLDEN[argv, fmt]
         args = [str(files / a[1:]) if a.startswith("@") else a for a in argv]
-        done = subprocess.run([python, "-m", "weilparity.cli", *args, "--format", fmt],
+        done = subprocess.run([python, "-S", "-m", "weilparity.cli", *args, "--format", fmt],
                               env=env, capture_output=True, cwd=files)
         if (hashlib.sha256(done.stdout).hexdigest(), done.returncode) != expected:
             failed.append(f"{' '.join(argv)} --format {fmt}: exit {done.returncode}")

@@ -11,7 +11,8 @@ grid's report built for each cell on its own, a parity report's document
 built as a dict and its TSV rows rendered one candidate at a time, a
 bounds report's document built as a dict and its TSV row, the candidate
 count taken over every product, the argparse parser the command line had
-before its table-driven one),
+before its table-driven one, the full/half degree dichotomy decided by
+factoring over Q with sympy),
 identities from the literature, and the paper's thresholds, kept here as
 oracles and acceptance checks.  No oracle multiplies through the
 library's ``IntPoly``: a library polynomial, a tuple of coefficients,
@@ -345,6 +346,23 @@ def scale_x(shape: Poly, q: int) -> Poly:
     d = shape.degree
     assert d % 2 == 0 and shape.is_even(), f"{shape} is not even of even degree"
     return Poly(c * q ** ((d - j) // 2) for j, c in enumerate(shape.coeffs))
+
+
+def full_degree_by_factoring(p: int, n: int, q_star_sign: int, t: int) -> bool:
+    """Whether ``sqrt(q_star) * zeta_4t`` over q = p**n has full degree, by factoring over Q.
+
+    P = ``scale_x(minpoly_shape_x(sign, t), q)`` is the sum of
+    ``c_j * q**(d - j) * X**(2j)`` for c the library's shape in Y, of
+    degree d: it has the Weil number as a root and degree phi(4t), so the
+    number has full degree iff sympy's ``factor_list`` finds P
+    irreducible.  Nothing here reads ``is_full_degree``.
+    """
+    from sympy import Poly as SympyPoly  # loaded only by the tests that factor
+    from sympy.abc import x
+
+    poly = scale_x(minpoly_shape_x(q_star_sign, t), p ** n)
+    _, factors = SympyPoly(poly.coeffs[::-1], x).factor_list()
+    return [mult for _, mult in factors] == [1]
 
 
 def product_x(record) -> Poly:

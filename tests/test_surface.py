@@ -2,6 +2,7 @@
 
 import ast
 import os
+import pickle
 import subprocess
 import sys
 from collections import Counter
@@ -163,6 +164,19 @@ def test_a_run_loads_only_the_layers_of_its_subcommand(tmp_path, argv):
     assert run_bare(code, *args).splitlines()[-1] == f"0 {sorted(loaded)}"
 
 
+@pytest.mark.parametrize("argv", LOADS, ids=" ".join)
+def test_a_run_loads_no_heavy_stdlib_module(tmp_path, argv):
+    # value types are collections.namedtuple, annotations need no typing (and so no re,
+    # enum or contextlib), a plain argv is read without argparse, JSON is written without json
+    (tmp_path / "polys.txt").write_text("5 0 1\n")
+    args = [str(tmp_path / "polys.txt") if a == "@" else a for a in argv]
+    code = (
+        "import sys, weilparity.cli; code = weilparity.cli.run(sys.argv[1:]); print(code, sorted("
+        "{'argparse', 'contextlib', 'dataclasses', 'enum', 'json', 're', 'typing'} & set(sys.modules)))"
+    )
+    assert run_bare(code, *args).splitlines()[-1] == "0 []"
+
+
 def test_library_polynomials_are_plain_tuples():
     # every polynomial the library hands out is its ascending coefficients
     from weilparity.cyclotomic import cyclotomic, cyclotomic_radical
@@ -225,6 +239,14 @@ def test_the_root_loads_each_entry_point_from_its_submodule():
 
 
 P5 = dict(p=5, n=1, g=1)
+FIELDS = {
+    "WeilParams": ("p", "n", "g"),
+    "WeilNumberSpec": ("q_star_sign", "t"),
+    "ParityReport": ("params", "full_degree_specs", "half_degree_specs"),
+    "BoundsReport": (
+        "params", "a_values", "archimedean_ok", "valuation_ok", "lemma_a1_ok", "symmetric_ok",
+    ),
+}
 VALUES = [  # (a zero-argument constructor of a value, its repr text)
     (lambda: WeilParams(**P5), "WeilParams(p=5, n=1, g=1)"),
     (lambda: WeilNumberSpec(-1, 3), "WeilNumberSpec(q_star_sign=-1, t=3)"),
@@ -240,7 +262,9 @@ VALUES = [  # (a zero-argument constructor of a value, its repr text)
 
 @pytest.mark.parametrize("make, text", VALUES, ids=[text.split("(")[0] for _, text in VALUES])
 def test_value_types(make, text):
-    # repr text, equality and hashing by value, and no assignment, without dataclasses
+    # repr text, equality and hashing by value, and no assignment, without dataclasses;
+    # named tuples: fields in order, built by position or keyword, equal to the plain
+    # tuple, pickled as themselves, no instance dict, and _replace and _make keep the type
     value, twin = make(), make()
     assert repr(value) == text
     assert value is not twin and value == twin and hash(value) == hash(twin)
@@ -249,3 +273,14 @@ def test_value_types(make, text):
         with pytest.raises(AttributeError):
             setattr(value, name, None)
     assert repr(value) == text
+    cls = type(value)
+    assert cls._fields == FIELDS[cls.__name__]
+    assert cls(*value) == value == cls(**dict(zip(cls._fields, value)))
+    plain = tuple(value)
+    assert type(plain) is tuple and value == plain and plain == value
+    assert hash(value) == hash(plain)
+    copy = pickle.loads(pickle.dumps(value))
+    assert type(copy) is cls and copy == value and repr(copy) == text
+    assert not hasattr(value, "__dict__")
+    for same in (value._replace(), cls._make(plain)):
+        assert type(same) is cls and same == value

@@ -4,7 +4,13 @@ from math import gcd
 
 import mpmath
 import pytest
-from oracles import Poly, functional_equation_sign, minpoly_shape_x
+from oracles import (
+    Poly,
+    fitting_specs_scan,
+    full_degree_by_factoring,
+    functional_equation_sign,
+    minpoly_shape_x,
+)
 
 from weilparity.cyclotomic import cyclotomic, totient
 from weilparity.enumerator import verify_parity_theorem
@@ -16,6 +22,17 @@ from weilparity.weil import (
     minpoly_full_degree,
     minpoly_shape,
 )
+
+
+def assert_checked_as_built(value, field, bad):
+    """``_replace`` and ``_make`` with ``field`` set to ``bad`` raise the constructor's error."""
+    fields = {**value._asdict(), field: bad}
+    with pytest.raises(ValueError) as built:
+        type(value)(**fields)
+    for make in (lambda: value._replace(**{field: bad}), lambda: type(value)._make(fields.values())):
+        with pytest.raises(ValueError) as raised:
+            make()
+        assert str(raised.value) == str(built.value)
 
 
 def test_params_validation():
@@ -31,6 +48,8 @@ def test_params_validation():
         WeilParams(p=5, n=1, g=0)
     with pytest.raises(ValueError):
         params._replace(n=2)  # a replaced field is checked too
+    for field, bad in (("p", 6), ("n", 2), ("g", 0)):
+        assert_checked_as_built(params, field, bad)
 
 
 def test_spec_validation():
@@ -40,6 +59,8 @@ def test_spec_validation():
         WeilNumberSpec(q_star_sign=1, t=0)
     with pytest.raises(ValueError):
         WeilNumberSpec(q_star_sign=1, t=1)._replace(t=0)
+    for field, bad in (("q_star_sign", 2), ("t", 0)):
+        assert_checked_as_built(WeilNumberSpec(q_star_sign=1, t=1), field, bad)
 
 
 def test_is_full_degree_examples():
@@ -50,6 +71,19 @@ def test_is_full_degree_examples():
     assert is_full_degree(2, 1, 4)
     # p alone decides: at p = 2 only t counts, and at odd p, as n is odd, q = p**n = p mod 4
     assert all(pow(p, n, 4) == p % 4 for p in (3, 5, 7, 11) for n in (1, 3, 5, 7))
+
+
+def test_is_full_degree_matches_factoring():
+    # the predicate against sympy's factorization of each spec's degree-phi(4t) polynomial,
+    # for phi(4t) <= 16: at p = 2 that takes in t = 6 and t = 10, half-degree as t = 2 is
+    specs = [(sign, t) for sign, t, _ in fitting_specs_scan(4)]
+    cases = [(p, n, *spec) for p in (2, 3, 5, 7, 11, 13) for n in (1, 3) for spec in specs]
+    assert len(cases) == 288 and {(1, 6), (1, 10)} <= set(specs)
+    mismatches = [
+        case for case in cases
+        if full_degree_by_factoring(*case) != is_full_degree(case[0], *case[2:])
+    ]
+    assert not mismatches
 
 
 def test_classify_matches_predicate():
