@@ -134,6 +134,7 @@ def ingest_reference(
     kept while their keys and texts, with ``_ENTRY_CHARS`` more for each
     entry, fit in ``budget`` characters; what does not fit is made every
     time.  A line that fails is never kept: it exits at its own number.
+    A file with no polynomial line raises :class:`ParseError` at its end.
     """
     handle = open(path, "r", encoding="utf-8-sig", errors="surrogateescape")
     return _items(handle, path, params, render, budget)
@@ -144,6 +145,7 @@ def _items(handle, path, params, render, budget) -> Iterator[str]:
     ints, texts = _Memo(int, room), _Memo(str, room)
     to_int, text = ints.__getitem__, texts.__getitem__
     kept = {}  # a line's raw text, line ending included -> its item
+    checked = False
     with handle:
         for lineno, line in enumerate(handle, 1):
             item = kept.get(line)
@@ -163,3 +165,6 @@ def _items(handle, path, params, render, budget) -> Iterator[str]:
                     room[0] -= cost
                     kept[line] = item
             yield item
+            checked = True
+    if not checked:  # a run that checked nothing must not succeed
+        raise ParseError(f"{path}: no polynomial line, only blank lines and comments")

@@ -19,7 +19,8 @@ ends; nothing on stderr).  Help is written to stdout as output is.
 Output items (TSV lines, JSON array elements) go from their maker
 straight to the writer, which joins them with their separator in blocks
 of at least 32 KiB (an item is never split): a run that
-stops mid-output (exit 2 on a bad ``bounds`` line, or exit 3)
+stops mid-output (exit 2 on a bad ``bounds`` line or a file with no
+polynomial line, or exit 3)
 leaves the items made before the failure, without the final newline, and
 exit 1's stderr line follows the full output.  Every other check runs
 before the first byte: a ``verify`` grid must cover each g <= gmax with
@@ -44,16 +45,14 @@ Importing this module loads no layer: each ``_cmd_*`` imports its layers
 when it runs, reading each name off its module at that time (so a
 wrapper installed there is seen).  The command line is one table,
 ``_COMMANDS``, with the top level as one more row, ``_TOP``, whose
-positional is the command; the readers, the help and the usage lines
-all read it.  A plain argv, which names each flag in full as
-``--flag value`` (``--format`` before or after the command, ``-h`` or
-``--help`` only last), is read from the table without argparse.  Any
-other argv (a flag prefix, ``--flag=value``, a negative number, ``--``,
-a usage error) goes to an argparse parser built from the table, and
-reads as the running interpreter's argparse reads it, with the table's
-help and usage lines; ``--flag=--`` is a flag without a value.
-Help exits 0; a usage error writes its usage line and
-``weilparity: error: ...`` to stderr, with exit 2.
+positional is the command; the reader, the help and the usage lines
+all read it, so every interpreter reads an argv alike.  A flag is named
+in full, as ``--flag value`` or ``--flag=value``, with a value that is
+``-`` or does not start with ``-``; ``--format`` goes before or after
+the command.  ``-h`` or ``--help``, wherever a flag may stand, prints
+the help of the command read so far and exits 0.  Any other argv (a
+flag prefix, a negative number, ``--``, ``-hh``) is a usage error: its
+usage line and ``weilparity: error: ...`` on stderr, with exit 2.
 """
 
 from __future__ import annotations
@@ -393,7 +392,7 @@ def _cmd_bounds(args) -> int:
     return 0
 
 
-# The command line, as one table that the readers and the help all read.
+# The command line, as one table that the reader and the help both read.
 # A flag (or a positional argument) is (name, type, choices or None,
 # repeats): a flag that repeats appends each value to a list, any other
 # keeps its last value.  Every flag of a command is required; --format,
@@ -421,7 +420,6 @@ _TOP = (None, (
     "Exact checks on supersingular Weil polynomial candidates.\n\ncommands:\n"
     + "\n".join(f"  {name:{max(map(len, _COMMANDS))}}  {row[1]}" for name, row in _COMMANDS.items())
     + "\n\n--format (default tsv) goes before or after the command; the last one given wins.\n"
-    "A flag may be shortened to any prefix that names no other flag of its command.\n"
     "'weilparity COMMAND -h' lists the flags of a command."
 ), _COMMAND, ())
 
@@ -448,93 +446,67 @@ def _help(prog: str, row) -> _Stop:
     return _Stop(0, f"{_usage(prog, row)}\n\n{row[1]}")
 
 
-def _value(spec, text: str):
-    """``text`` as ``spec``'s value; ValueError unless it is plain, converts and is a choice.
-
-    A plain value is ``-`` or does not start with ``-``.
-    """
-    _, kind, choices, _ = spec
-    value = kind(text)
-    if text.startswith("-") and text != "-" or choices and value not in choices:
-        raise ValueError(text)
-    return value
+def _error(prog: str, row, message: str) -> _Stop:
+    return _Stop(2, f"{_usage(prog, row)}\nweilparity: error: {message}")
 
 
-def _plain(argv: list[str]) -> SimpleNamespace | None:
-    """The values of a plain ``argv``, read straight from the table; None for any other argv.
+def _dashed(text: str) -> bool:
+    """Whether ``text`` cannot be a value: it starts with ``-`` and is not ``-``."""
+    return text.startswith("-") and text != "-"
 
-    A plain argv names each flag in full as ``--flag value``, and each
-    value is plain (:func:`_value`).  ``--format`` goes before or after
-    the command, and ``-h`` or ``--help`` only last, which raises the help
-    :class:`_Stop` of the row read so far.  Without help, each flag and
-    positional of the command is given.
+
+def _parse(argv: list[str]) -> SimpleNamespace:
+    """The command and flag values of ``argv``, read from the table.
+
+    A flag is named in full, as ``--flag value`` or ``--flag=value``, and
+    a value is ``-`` or does not start with ``-``; ``--format`` goes before
+    or after the command.  A ``-h`` or ``--help`` where a flag may stand
+    raises the help :class:`_Stop` of the row read so far.  Any other argv
+    raises a usage-error :class:`_Stop`: at once for a value that is
+    missing, does not convert or is not a choice; at the end for the
+    tokens read as none of these (a flag prefix, a negative number,
+    ``--``), then for a flag or positional not given.
     """
     values, prog, row, wanted = {"format": "tsv"}, "weilparity", _TOP, _COMMAND
-    options = {"--format": _FORMAT}
-    end = len(argv) - (argv[-1:] in (["-h"], ["--help"]))
-    tokens = iter(argv[:end])
-    try:
-        for token in tokens:
-            spec = options.get(token)
-            if spec is None:  # the positional
-                if wanted is None:
-                    return None
-                values[wanted[0]] = value = _value(wanted, token)
-                wanted = None
-                if row is _TOP:
-                    prog, row = f"{prog} {value}", _COMMANDS[value]
-                    options.update((f"--{spec[0]}", spec) for spec in row[3])
-                    wanted = row[2]
-            elif spec[3]:  # the flag's value is the next token; "--", which is none, at the end
-                values.setdefault(spec[0], []).append(_value(spec, next(tokens, "--")))
-            else:
-                values[spec[0]] = _value(spec, next(tokens, "--"))
-    except ValueError:
-        return None
-    if end < len(argv):
-        raise _help(prog, row)
-    if wanted or any(spec[0] not in values for spec in row[3]):
-        return None
+    options, extras = {"--format": _FORMAT}, []
+    tokens = iter(argv)
+    for token in tokens:
+        if token in ("-h", "--help"):
+            raise _help(prog, row)
+        flag, eq, text = token.partition("=")
+        spec = options.get(flag)
+        if spec is None:  # the positional, or a stray token
+            if wanted is None or _dashed(token):
+                extras.append(token)
+                continue
+            spec, flag, text, wanted = wanted, wanted[0], token, None
+        elif not eq:  # the flag's value is the next token; "--", which is none, at the end
+            text = next(tokens, "--")
+        if _dashed(text):
+            raise _error(prog, row, f"argument {flag}: expected one argument")
+        name, kind, choices, repeats = spec
+        try:
+            value = kind(text)
+        except ValueError:
+            raise _error(prog, row, f"argument {flag}: invalid {kind.__name__} value: {text!r}")
+        if choices and value not in choices:
+            raise _error(prog, row, f"argument {flag}: invalid choice: {text!r} "
+                                    f"(choose from {', '.join(map(repr, choices))})")
+        if repeats:
+            values.setdefault(name, []).append(value)
+        else:
+            values[name] = value
+        if spec is _COMMAND:
+            prog, row = f"{prog} {value}", _COMMANDS[value]
+            options.update((f"--{spec[0]}", spec) for spec in row[3])
+            wanted = row[2]
+    if extras:
+        raise _error(prog, row, f"unrecognized arguments: {' '.join(extras)}")
+    missing = [f"--{spec[0]}" for spec in row[3] if spec[0] not in values]
+    missing += [wanted[0]] if wanted else []
+    if missing:
+        raise _error(prog, row, f"the following arguments are required: {', '.join(missing)}")
     return SimpleNamespace(**values)
-
-
-def _parse(argv: list[str]):
-    """The command and flag values of ``argv``: as Python's argparse reads them, from the table.
-
-    A plain argv is read by :func:`_plain`; any other by an argparse parser
-    built from the table, whose help and usage errors are the table's.
-    Raises :class:`_Stop` for help and for usage errors.
-    """
-    args = _plain(argv)
-    if args is not None:
-        return args
-    import argparse
-
-    class Parser(argparse.ArgumentParser):
-        def error(self, message):
-            raise _Stop(2, f"{_usage(self.prog, self.row)}\nweilparity: error: {message}")
-
-        def print_help(self, file=None):
-            raise _help(self.prog, self.row)
-
-        def _get_values(self, action, arg_strings):
-            if action.option_strings and arg_strings == ["--"]:  # argparse stored [] for --flag=--
-                raise argparse.ArgumentError(action, "expected one argument")
-            return super()._get_values(action, arg_strings)
-
-    top = Parser(prog="weilparity")
-    commands = top.add_subparsers(dest="command", required=True, prog="weilparity")
-    rows = [(top, _TOP)] + [(commands.add_parser(name), row) for name, row in _COMMANDS.items()]
-    for parser, row in rows:
-        parser.row = row
-        parser.add_argument("--format", choices=_FORMAT[2],
-                            default="tsv" if parser is top else argparse.SUPPRESS)
-        for name, kind, choices, repeats in row[3]:
-            parser.add_argument(f"--{name}", type=kind, choices=choices, required=True,
-                                action="append" if repeats else "store")
-        if row[2] and parser is not top:
-            parser.add_argument(row[2][0], type=row[2][1])
-    return top.parse_args(argv)
 
 
 def run(argv: Sequence[str] | None = None) -> int:

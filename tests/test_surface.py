@@ -164,17 +164,26 @@ def test_a_run_loads_only_the_layers_of_its_subcommand(tmp_path, argv):
     assert run_bare(code, *args).splitlines()[-1] == f"0 {sorted(loaded)}"
 
 
-@pytest.mark.parametrize("argv", LOADS, ids=" ".join)
+EXITS = {  # argv -> its exit code: each run of LOADS, and argvs that argparse once read
+    **dict.fromkeys(LOADS, 0),
+    ("verify", "--g", "1", "--p", "7", "--n", "1"): 2,  # a flag prefix
+    ("-hh",): 2,
+    ("cyclo", "abc"): 2,
+    ("verify", "--gmax=1", "--pmax=7", "--n=1"): 0,
+}
+
+
+@pytest.mark.parametrize("argv", EXITS, ids=" ".join)
 def test_a_run_loads_no_heavy_stdlib_module(tmp_path, argv):
     # value types are collections.namedtuple, annotations need no typing (and so no re,
-    # enum or contextlib), a plain argv is read without argparse, JSON is written without json
+    # enum or contextlib), every argv is read without argparse, JSON is written without json
     (tmp_path / "polys.txt").write_text("5 0 1\n")
     args = [str(tmp_path / "polys.txt") if a == "@" else a for a in argv]
     code = (
         "import sys, weilparity.cli; code = weilparity.cli.run(sys.argv[1:]); print(code, sorted("
         "{'argparse', 'contextlib', 'dataclasses', 'enum', 'json', 're', 'typing'} & set(sys.modules)))"
     )
-    assert run_bare(code, *args).splitlines()[-1] == "0 []"
+    assert run_bare(code, *args).splitlines()[-1] == f"{EXITS[argv]} []"
 
 
 def test_library_polynomials_are_plain_tuples():
